@@ -1,11 +1,11 @@
 """Dual-certified decimal digit engines for pi, ln 10, and ln pi.
 
 Each constant is evaluated by two independent integer-only fixed-point
-methods (an arctangent-family series against Chudnovsky binary splitting for
-pi; an atanh series against Newton inversion of the exponential series for
-the logarithms).  Digits are released only where both computations agree and
-the guard digits sit far from a rounding boundary, so every released digit is
-exact.
+methods: Machin's arctangent formula summed by binary splitting against
+Chudnovsky binary splitting for pi, and a bit-burst atanh series against the
+AGM logarithm for the logarithms.  Digits are released only where both
+computations agree and the guard digits sit far from a rounding boundary, so
+every released digit is exact.
 """
 
 from __future__ import annotations
@@ -31,19 +31,34 @@ CACHE_ENV = "PI_LAB_CACHE"
 _INT_PARTS = {"pi": 3, "ln10": 2, "ln_pi": 1}
 _METHODS = ("primary", "cross-check")
 
-# Engine error budgets in last-place units of the working scale.  The primary
-# series engines stay within a few ulp per term; the exp/Newton cross-check
-# amplifies its series floors by up to 2^(reduction+1), so both budgets scale
-# with the working precision.  The guard is >= 0.1 N + 10 digits, so the
-# boundary margin always sits far below one released-digit unit.
-
 
 def _agree_ulp(w: int) -> int:
-    return 16384 * (w // 3 + 128)
+    """How far apart (in 10^-w units) the two engines of a constant may land.
+
+    Each _arc_series sum is within 2 ulp: one floor division, operands cut at
+    a cost under 2^-30 ulp, and a series tail below 1 ulp.  Machin,
+    16 atan(1/5) - 4 atan(1/239), is thus within 40 ulp; Chudnovsky within 2
+    (an isqrt floor scaled by pi/sqrt(10005), then a division floor).  The
+    logarithms work in binary with 64 guard bits: the bit-burst sum of k ln 2
+    and at most log2(bits) + 2 stages errs by 4 (|k| + stages) binary ulp,
+    and the AGM log's formula, working-precision and ln 2 errors stay under
+    one binary ulp (see _ln_rational_agm), so each is within 2 ulp after the
+    floor to decimal.  Pi pairs therefore differ by at most 42 ulp and
+    logarithm pairs by at most 4.  None of these bounds grows with w.
+    """
+    return 64
 
 
 def _boundary_ulp(w: int) -> int:
-    return 128 * _agree_ulp(w)
+    """Distance (in 10^-w units) the primary must keep from a digit boundary.
+
+    If the cross-check meets its bound, the true value lies within
+    _agree_ulp + 2 <= 66 ulp of the primary even should the primary's own
+    bound fail; ln(pi_hat) stands in for ln(pi) with under 0.01 ulp more.
+    The guard is >= 0.1 N + 10 digits, so 128 ulp never reaches a released
+    digit.
+    """
+    return 2 * _agree_ulp(w)
 
 _memo_lock = threading.Lock()
 _memo: dict[tuple[str, int], tuple[int, int]] = {}
@@ -84,23 +99,38 @@ def _working_digits(n: int) -> int:
     return -(-11 * n // 10) + 10
 
 
-def _atan_inv_scaled(x: int, one: int) -> int:
-    """atan(1/x) * one for integer x >= 2; error a few ulp per term."""
-    power = one // x
-    total = power
-    x2 = x * x
-    j = 1
-    sign = -1
-    while power:
-        power //= x2
-        total += sign * (power // (2 * j + 1))
-        j += 1
-        sign = -sign
-    return total
+def _arc_split(z_num: int, z_den: int, a: int, b: int) -> tuple[int, int, int, int]:
+    """(P, Q, B, T) with sum_{a <= k < b} z^(k-a) / (2k+1) = T / (B Q), z = z_num/z_den.
+
+    Binary splitting (Haible & Papanikolaou, ANTS 1998): products of small
+    factors meet in balanced multiplications instead of one full-width
+    division per term.
+    """
+    if b - a == 1:
+        if a == 0:
+            return 1, 1, 1, 1
+        return z_num, z_den, 2 * a + 1, z_num
+    m = (a + b) // 2
+    p1, q1, b1, t1 = _arc_split(z_num, z_den, a, m)
+    p2, q2, b2, t2 = _arc_split(z_num, z_den, m, b)
+    return p1 * p2, q1 * q2, b1 * b2, b2 * q2 * t1 + b1 * p1 * t2
+
+
+def _arc_series(p: int, q: int, one: int, sign: int) -> int:
+    """atan(p/q) * one (sign -1) or atanh(p/q) * one (sign +1), 0 < 3p <= q.
+
+    Terms run until (q/p)^(2n) exceeds one; the series sums to at least 2/3,
+    so cutting T and B Q to one's width plus 32 bits costs under 2^-30 ulp.
+    """
+    terms = int(one.bit_length() / (2 * (math.log2(q) - math.log2(p)))) + 2
+    _, big_q, big_b, t = _arc_split(sign * p * p, q * q, 0, terms)
+    bq = big_b * big_q
+    cut = max(0, bq.bit_length() - one.bit_length() - 32)
+    return one * p * (t >> cut) // (q * (bq >> cut))
 
 
 def _pi_machin(one: int) -> int:
-    return 16 * _atan_inv_scaled(5, one) - 4 * _atan_inv_scaled(239, one)
+    return 16 * _arc_series(1, 5, one, -1) - 4 * _arc_series(1, 239, one, -1)
 
 
 def _chud_split(a: int, b: int) -> tuple[int, int, int]:
@@ -127,8 +157,8 @@ def _pi_chudnovsky(one: int, w: int) -> int:
     return 426880 * q * s // t
 
 
-# Logarithms run on binary fixed point internally: normalizing a series term
-# is then a shift instead of a quadratic division by a w-digit denominator.
+# Logarithms run on binary fixed point internally: the bit-burst stages and
+# the AGM's scalings by powers of two are then shifts.
 
 _LOG2_10 = 3.321928094887362
 
@@ -141,104 +171,72 @@ def _bin_to_decimal(v_bin: int, bits: int, w: int) -> int:
     return v_bin * 10**w >> bits
 
 
-def _atanh_bin(u_bin: int, bits: int) -> int:
-    """atanh(u) * 2^bits for 0 <= u * 2^-bits < 1."""
-    u2 = u_bin * u_bin >> bits
-    power = u_bin
-    total = u_bin
-    j = 1
-    while power:
-        power = power * u2 >> bits
-        total += power // (2 * j + 1)
-        j += 1
-    return total
-
-
-def _atanh_small_bin(a: int, b: int, bits: int) -> int:
-    """atanh(a/b) * 2^bits for small 0 < a < b: per-term cost is one small
-    multiply and one small divide instead of a full-width product."""
-    a2, b2 = a * a, b * b
-    power = (a << bits) // b
-    total = power
-    j = 1
-    while power:
-        power = power * a2 // b2
-        total += power // (2 * j + 1)
-        j += 1
-    return total
-
-
 def _ln2_bin(bits: int) -> int:
-    return 2 * _atanh_small_bin(1, 3, bits)
+    return 2 * _arc_series(1, 3, 1 << bits, 1)
+
+
+def _ln2_acoth_bin(bits: int) -> int:
+    """ln 2 * 2^bits as 18 acoth 26 - 2 acoth 4801 + 8 acoth 8749, sharing no
+    series with the primary's 2 atanh(1/3)."""
+    one = 1 << bits
+    return (18 * _arc_series(1, 26, one, 1) - 2 * _arc_series(1, 4801, one, 1)
+            + 8 * _arc_series(1, 8749, one, 1))
 
 
 def _ln_rational_atanh(num: int, den: int, w: int) -> int:
-    """ln(num/den) * 10^w via power-of-two reduction to [2/3, 4/3] plus atanh."""
-    if num <= 0 or den <= 0:
-        raise ValueError("log argument must be positive")
-    bits = _bits_for(w)
-    k = num.bit_length() - den.bit_length()
-    y_num, y_den = num, den
-    if k >= 0:
-        y_den <<= k
-    else:
-        y_num <<= -k
-    while 3 * y_num < 2 * y_den:  # y < 2/3: double y, lower k
-        y_num <<= 1
-        k -= 1
-    while 3 * y_num > 4 * y_den:  # y > 4/3: halve y, raise k
-        y_den <<= 1
-        k += 1
-    u_num = y_num - y_den
-    u_den = y_num + y_den
-    sign = 1 if u_num >= 0 else -1
-    if abs(u_num).bit_length() + u_den.bit_length() <= 128:
-        at = _atanh_small_bin(abs(u_num), u_den, bits)
-    else:
-        at = _atanh_bin((abs(u_num) << bits) // u_den, bits)
-    result = k * _ln2_bin(bits) + 2 * sign * at
-    return _bin_to_decimal(result, bits, w)
+    """ln(num/den) * 10^w by the bit-burst atanh scheme.
 
-
-def _exp_bin(y_bin: int, bits: int) -> int:
-    """exp(y * 2^-bits) * 2^bits for |y * 2^-bits| <= 8: reduce, Taylor, square."""
-    neg = y_bin < 0
-    y = -y_bin if neg else y_bin
-    j = max(0, y.bit_length() - bits + 10)  # reduced argument below 2^-10
-    t = y >> j
-    term = t
-    acc = (1 << bits) + t
-    i = 2
-    while term:
-        term = (term * t >> bits) // i
-        acc += term
-        i += 1
-    for _ in range(j):
-        acc = acc * acc >> bits
-    if neg:
-        acc = (1 << 2 * bits) // acc
-    return acc
-
-
-def _ln_rational_newton(num: int, den: int, w: int) -> int:
-    """ln(num/den) * 10^w by Newton inversion of the exponential series.
-
-    Precision doubles each iteration, so the total cost is a small multiple
-    of the final full-precision exponential.
+    Powers of two bring y = num/den into [1, 2); then stage s (1, 2, 4, ...)
+    takes a = floor((y - 1) 2^s) < 2^(s/2), adds ln(1 + a/2^s) =
+    2 atanh(a / (2^(s+1) + a)) and divides it out of y exactly, leaving
+    y - 1 < 2^-s.  Each stage's argument is below 2^-(s/2+1), so its series
+    needs about bits/s terms.  ln 10 = 3 * 2 atanh(1/3) + 2 atanh(1/9).
     """
     if num <= 0 or den <= 0:
         raise ValueError("log argument must be positive")
     bits = _bits_for(w)
-    y = int((math.log(num) - math.log(den)) * 2.0**48)
-    b = 48
-    while b < bits:
-        b_next = min(max(2 * b - 8, b + 1), bits)
-        y <<= b_next - b
-        e = _exp_bin(y, b_next)
-        target = (num << b_next) // den
-        y += ((target - e) << b_next) // e
-        b = b_next
-    return _bin_to_decimal(y, bits, w)
+    k = num.bit_length() - den.bit_length()
+    if k >= 0:
+        den <<= k
+    else:
+        num <<= -k
+    if num < den:
+        num <<= 1
+        k -= 1
+    total = k * _ln2_bin(bits) if k else 0
+    s = 1
+    while s < 2 * bits and num != den:  # the last stage run has s >= bits
+        a = ((num - den) << s) // den
+        if a:
+            total += 2 * _arc_series(a, (1 << s + 1) + a, 1 << bits, 1)
+            num <<= s
+            den *= (1 << s) + a
+        s *= 2
+    return _bin_to_decimal(total, bits, w)
+
+
+def _ln_rational_agm(num: int, den: int, w: int) -> int:
+    """ln(num/den) * 10^w as ln s - m ln 2, ln s ~ pi / (2 AGM(1, 4/s)) (Brent 1976).
+
+    s = (num/den) 2^m >= 2^(bits/2 + 32), so the formula's error, below
+    4 ln(s) / s^2, is under 2^-bits.  At F fractional bits 4/s keeps only
+    F - log2(s) significant bits and the AGM's relative error grows into
+    ln s's absolute error by a factor ln s, so everything runs at
+    F = bits + log2(s) + bitlen(bits) + 32.  Pi comes from Chudnovsky and
+    ln 2 from _ln2_acoth_bin, independent of the bit-burst primary.
+    """
+    if num <= 0 or den <= 0:
+        raise ValueError("log argument must be positive")
+    bits = _bits_for(w)
+    log2_s = bits // 2 + 33
+    m = log2_s - (num.bit_length() - den.bit_length())  # s >= 2^(log2_s - 1)
+    f = bits + log2_s + bits.bit_length() + 32
+    a, b = 1 << f, (den << f + 2 + max(-m, 0)) // (num << max(m, 0))  # 4/s
+    while a - b > 1:  # b <= a throughout; the gap squares each step
+        a, b = (a + b) >> 1, math.isqrt(a * b)
+    pi = _pi_chudnovsky(1 << f, f // 3 + 1)
+    ln_s = (pi << f) // (2 * a)
+    return _bin_to_decimal((ln_s - m * _ln2_acoth_bin(f)) >> f - bits, bits, w)
 
 
 def _pi_scaled_pair(w: int) -> tuple[int, int]:
@@ -247,7 +245,7 @@ def _pi_scaled_pair(w: int) -> tuple[int, int]:
 
 
 def _ln10_scaled_pair(w: int) -> tuple[int, int]:
-    return _ln_rational_atanh(10, 1, w), _ln_rational_newton(10, 1, w)
+    return _ln_rational_atanh(10, 1, w), _ln_rational_agm(10, 1, w)
 
 
 def _ln_pi_scaled_pair(w: int) -> tuple[int, int]:
@@ -257,7 +255,7 @@ def _ln_pi_scaled_pair(w: int) -> tuple[int, int]:
     den = 10 ** (w + 5)
     return (
         _ln_rational_atanh(p_scaled, den, w),
-        _ln_rational_newton(p_scaled, den, w),
+        _ln_rational_agm(p_scaled, den, w),
     )
 
 
@@ -330,6 +328,8 @@ def _cache_load(name: str, n_digits: int) -> str | None:
         stream = read_digit_file(path)
     except (ValueError, OSError):
         return None
+    if stream.base != 10 or stream.label != name:
+        return None  # another constant's or base's digits: a miss, overwritten on store
     if stream.length is not None and stream.length >= n_digits:
         return stream.prefix_string(n_digits)
     return None
@@ -366,16 +366,16 @@ def const_digits(req: ConstantRequest) -> DigitStream:
     Both engines always run; the stream is released only after they agree on
     every digit (the ``method`` field selects whose output is returned, which
     is identical by then).  The integer part is exposed via integer_part().
+    The stream holds at most DIGIT_CEILING digits: its doubling growth stops
+    there, and extending it past that raises ProducerExhaustedError.
     """
     if req.digits > DIGIT_CEILING:
         raise PrecisionCeilingError(f"{req.digits} digits exceeds ceiling {DIGIT_CEILING}")
 
     def produce(n: int) -> list[int]:
-        if n > DIGIT_CEILING:
-            raise PrecisionCeilingError(f"{n} digits exceeds ceiling {DIGIT_CEILING}")
         return [int(c) for c in _released_digits(req.name, n)]
 
-    stream = DigitStream(10, produce, label=req.name)
+    stream = DigitStream(10, produce, label=req.name, length=DIGIT_CEILING)
     stream.ensure(req.digits)
     return stream
 

@@ -1,0 +1,94 @@
+"""Each constant engine on its own against mpmath, plus the digit-stream ceiling
+and the cache header check."""
+
+import pytest
+from mpmath import mp, mpf
+
+from pilab import constants
+from pilab.constants import ConstantRequest, MethodDisagreementError, const_digits
+from pilab.radix import DigitStream, ProducerExhaustedError, read_digit_file, write_digit_file
+
+
+def _floor_scaled(value, w):
+    return int(mp.floor(value * mpf(10) ** w))
+
+
+def _pi_hat(w):
+    """The ln pi engines' argument: the certified truncation P / 10^(w+5)."""
+    return constants._certified_scaled("pi", w + 5), 10 ** (w + 5)
+
+
+# 3000 digits, and the working scale of pi 30000 / ln 10000 digit requests
+PI_SCALES = [3000, constants._working_digits(30000)]
+LOG_SCALES = [3000, constants._working_digits(10000)]
+
+
+@pytest.mark.parametrize("w", PI_SCALES)
+@pytest.mark.parametrize("engine", ["machin", "chudnovsky"])
+def test_pi_engine_against_mpmath(engine, w):
+    one = 10**w
+    got = constants._pi_machin(one) if engine == "machin" else constants._pi_chudnovsky(one, w)
+    mp.dps = w + 20
+    assert abs(got - _floor_scaled(mp.pi, w)) <= constants._agree_ulp(w)
+
+
+@pytest.mark.parametrize("w", LOG_SCALES)
+@pytest.mark.parametrize("engine", [constants._ln_rational_atanh, constants._ln_rational_agm])
+@pytest.mark.parametrize("name", ["ln10", "ln_pi"])
+def test_log_engine_against_mpmath(name, engine, w):
+    num, den = (10, 1) if name == "ln10" else _pi_hat(w)
+    mp.dps = w + 20
+    want = _floor_scaled(mp.log(10) if name == "ln10" else mp.log(mp.pi), w)
+    assert abs(engine(num, den, w) - want) <= constants._agree_ulp(w)
+
+
+EDGE_ARGUMENTS = {
+    "below_one": (1, 3),
+    "just_above_one": (10**50 + 1, 10**50),
+    "power_of_two": (2**40, 1),
+    "inverse_power_of_two": (1, 128),
+    "tiny": (7, 10**400),
+    "pi_like": (31415926535897932384626433832795028841971, 10**40),
+}
+
+
+@pytest.mark.parametrize("w", [40, 600])
+@pytest.mark.parametrize("engine", [constants._ln_rational_atanh, constants._ln_rational_agm])
+@pytest.mark.parametrize("arg", sorted(EDGE_ARGUMENTS))
+def test_log_engines_on_edge_arguments(arg, engine, w):
+    num, den = EDGE_ARGUMENTS[arg]
+    mp.dps = w + 450
+    want = _floor_scaled(mp.log(mpf(num) / den), w)
+    assert abs(engine(num, den, w) - want) <= 2
+
+
+@pytest.mark.parametrize("ln2", ["_ln2_bin", "_ln2_acoth_bin"])
+def test_perturbed_ln2_in_one_method_is_caught(monkeypatch, ln2):
+    exact = getattr(constants, ln2)
+    monkeypatch.setattr(constants, ln2, lambda bits: exact(bits) + (1 << bits - 200))
+    monkeypatch.setattr(constants, "_memo", {})
+    with pytest.raises(MethodDisagreementError):
+        const_digits(ConstantRequest("ln10", 100))
+
+
+def test_stream_growth_clamps_to_ceiling(monkeypatch):
+    monkeypatch.setattr(constants, "DIGIT_CEILING", 1000)
+    stream = const_digits(ConstantRequest("pi", 600))
+    stream.ensure(700)  # doubling growth would ask for 1200 digits
+    mp.dps = 1020
+    want = str(_floor_scaled(mp.pi, 1000))[1:]
+    assert stream.prefix_string(1000) == want
+    with pytest.raises(ProducerExhaustedError):
+        stream.ensure(1001)
+
+
+@pytest.mark.parametrize("label,base", [("ln10", 10), ("pi", 16)])
+def test_cache_entry_with_wrong_header_is_a_miss(tmp_path, monkeypatch, label, base):
+    monkeypatch.setenv("PI_LAB_CACHE", str(tmp_path))
+    monkeypatch.setattr(constants, "_memo", {})
+    cache_file = tmp_path / "pi.digits"
+    write_digit_file(cache_file, DigitStream.from_digits([9] * 200, base=base), 200, label=label)
+    assert const_digits(ConstantRequest("pi", 20)).prefix_string(20) == "14159265358979323846"
+    stored = read_digit_file(cache_file)
+    assert (stored.base, stored.label) == (10, "pi")
+    assert stored.prefix_string(20) == "14159265358979323846"

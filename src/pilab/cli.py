@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, cf, constants, constructors, groups, spectra
-from .radix import read_digit_file, write_digit_file
+from .radix import read_digit_file, write_digit_file, write_text_atomic
 
 _REAL_FORMAT = ".17g"
 
@@ -51,7 +51,7 @@ def _sha256(path: str) -> str:
 def _write_outputs(args, text: str | None, outputs: list[str], params: dict, inputs: list[str]) -> None:
     out = getattr(args, "out", None)
     if text is not None and out:
-        Path(out).write_text(text, encoding="utf-8")
+        write_text_atomic(out, text)
         outputs = [out] + outputs
     elif text is not None:
         sys.stdout.write(text)
@@ -65,9 +65,7 @@ def _write_outputs(args, text: str | None, outputs: list[str], params: dict, inp
             "generated_at": datetime.now(timezone.utc).isoformat(),
         }
         manifest_path = getattr(args, "manifest", None) or outputs[0] + ".manifest.json"
-        Path(manifest_path).write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_text_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _params(args, names: list[str]) -> dict:
@@ -163,20 +161,21 @@ def _cmd_coset(args) -> int:
 
 def _cmd_artin(args) -> int:
     outputs = []
+    table = groups.artin_orders(args.limit)
+    scan = groups.artin_scan(args.limit, table)
     if args.csv:
         lines = ["q,ord,is_artin"]
-        for q, order, is_artin in groups.artin_rows(args.limit):
+        for q, order, is_artin in groups.artin_rows(args.limit, table):
             lines.append(f"{q},{order},{str(is_artin).lower()}")
-        Path(args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_text_atomic(args.csv, "\n".join(lines) + "\n")
         outputs.append(args.csv)
-    scan = groups.artin_scan(args.limit, threads=args.threads)
     payload = {
         "limit": scan.limit,
         "count_primes": scan.count_primes,
         "count_artin": scan.count_artin,
         "density": scan.density,
     }
-    _write_outputs(args, _dump(payload), outputs, _params(args, ["limit", "threads"]), [])
+    _write_outputs(args, _dump(payload), outputs, _params(args, ["limit"]), [])
     return 0
 
 
@@ -325,7 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                     "reports the empirical density.")
     p.add_argument("--limit", required=True, type=int)
     p.add_argument("--csv", help="write per-prime rows q,ord,is_artin to this file")
-    p.add_argument("--threads", type=int, default=1)
     _add_out(p)
     p.set_defaults(func=_cmd_artin)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-import tempfile
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -341,14 +340,7 @@ def _cache_store(name: str, digits: str) -> None:
         return
     path.parent.mkdir(parents=True, exist_ok=True)
     stream = DigitStream.from_digits([int(c) for c in digits], base=10, label=name)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{name}.")
-    os.close(fd)
-    try:
-        write_digit_file(tmp, stream, len(digits), label=name)
-        os.replace(tmp, path)  # atomic: readers never observe a partial file
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    write_digit_file(path, stream, len(digits), label=name)  # atomic: readers never see a partial file
 
 
 def _released_digits(name: str, n_digits: int) -> str:

@@ -8,9 +8,8 @@ unfactored aborts loudly rather than risking a wrong order.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -18,6 +17,8 @@ from . import primes
 
 DEFAULT_ELEMENT_CAP = 1 << 16
 _TRIAL_LIMIT = 10**6
+LANE_MAX = math.isqrt(2**63 - 1)  # int64 lanes multiply residues exactly while q <= LANE_MAX
+ArtinTable = tuple[np.ndarray, np.ndarray]  # (q, ord_q(10)) over the scanned primes
 
 
 class FactoringError(RuntimeError):
@@ -183,11 +184,15 @@ def subgroup(g: int, m: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> Subgroup
 
 
 def _power_set_sorted(start: int, g: int, m: int, count: int) -> np.ndarray:
+    # doubling fill: out[n:2n] = out[:n] * g^n mod m
     out = np.empty(count, dtype=np.int64)
-    x = start % m
-    for i in range(count):
-        out[i] = x
-        x = x * g % m
+    out[0] = start % m
+    n, step = 1, g % m
+    while n < count:
+        k = min(n, count - n)
+        out[n : n + k] = out[:k] * step % m
+        n += k
+        step = step * step % m
     out.sort()
     return out
 
@@ -215,8 +220,8 @@ def coset_structure(conv, element_cap: int = DEFAULT_ELEMENT_CAP) -> CosetReport
         coset = np.sort(ten_set * (p % q) % q)
         h_equals = bool(np.array_equal(h_set, ten_set))
         g_equals = bool(np.array_equal(g_set, coset))
-        g_unique = np.unique(g_set)
-        h_unique = np.unique(h_set)
+        g_unique = g_set[np.r_[True, np.diff(g_set) != 0]]  # both sets are sorted
+        h_unique = h_set[np.r_[True, np.diff(h_set) != 0]]
         g_size, h_size = len(g_unique), len(h_unique)
         g_elems = tuple(int(x) for x in g_unique) if order <= element_cap else None
         h_elems = tuple(int(x) for x in h_unique) if order <= element_cap else None
@@ -242,47 +247,80 @@ def coset_structure(conv, element_cap: int = DEFAULT_ELEMENT_CAP) -> CosetReport
     )
 
 
-def _order_of_ten(q: int) -> int:
-    # q prime, q not 2 or 5: descent over the factorization of q - 1
-    order = q - 1
-    for ell in factorize(q - 1):
-        while order % ell == 0 and pow(10, order // ell, q) == 1:
-            order //= ell
-    return order
+def _pow10_lanes(exps: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    # 10^e mod q lane by lane, square-and-multiply; exact because every q <= LANE_MAX
+    result = np.ones_like(qs)
+    base = 10 % qs
+    e = exps.copy()
+    while e.any():
+        result = np.where((e & 1) == 1, result * base % qs, result)
+        base = base * base % qs
+        e >>= 1
+    return result
 
 
-def artin_rows(limit: int) -> Iterator[tuple[int, int, bool]]:
-    """(q, ord_q(10), is_artin) for every prime q <= limit except 2 and 5."""
+def orders_of_ten(qs) -> np.ndarray:
+    """ord_q(10) for every q of an int64 array of primes other than 2 and 5, in one pass.
+
+    Trial division of q - 1 by the primes <= sqrt(max q) leaves at most one
+    prime cofactor per lane; the order descends from q - 1 through those
+    primes by a vectorized modpow.  The q must be prime; q > LANE_MAX raises.
+    """
+    qs = np.asarray(qs)
+    if qs.size and (qs.min() < 3 or qs.max() > LANE_MAX or np.any(np.gcd(qs, 10) != 1)):
+        raise ValueError(f"orders_of_ten needs primes q coprime to 10 in [3, {LANE_MAX}]")
+    qs = qs.astype(np.int64)
+    orders, rem = qs - 1, qs - 1
+
+    def descend(lanes: np.ndarray, ells: np.ndarray) -> None:
+        # strip ell from the order while 10^(order/ell) stays 1
+        while lanes.size:
+            cand = orders[lanes] // ells
+            hit = _pow10_lanes(cand, qs[lanes]) == 1
+            orders[lanes[hit]] = cand[hit]
+            keep = hit & (cand % ells == 0)
+            lanes, ells = lanes[keep], ells[keep]
+
+    active = np.arange(qs.size)
+    for ell in primes.primes_upto(math.isqrt(int(qs.max(initial=3)) - 1)):
+        active = active[rem[active] >= ell * ell]  # the rest have rem 1 or prime
+        lanes = active[rem[active] % ell == 0]
+        div = lanes
+        while div.size:
+            rem[div] //= ell
+            div = div[rem[div] % ell == 0]
+        descend(lanes, np.full(lanes.size, ell, dtype=np.int64))
+    lanes = np.flatnonzero(rem > 1)
+    descend(lanes, rem[lanes])
+    return orders
+
+
+def artin_orders(limit: int) -> ArtinTable:
+    """(q, ord_q(10)) as int64 arrays over the primes q <= limit except 2 and 5."""
+    qs = np.array([q for q in primes.primes_upto(limit) if q not in (2, 5)], dtype=np.int64)
+    return qs, orders_of_ten(qs)
+
+
+def artin_rows(limit: int, table: Optional[ArtinTable] = None) -> Iterator[tuple[int, int, bool]]:
+    """(q, ord_q(10), is_artin) for every prime q <= limit except 2 and 5;
+    ``table`` is artin_orders(limit) when the caller already holds it."""
     if limit < 7:
         raise ValueError("limit must be >= 7")
-    for q in primes.primes_upto(limit):
-        if q in (2, 5):
-            continue
-        order = _order_of_ten(q)
+    qs, orders = artin_orders(limit) if table is None else table
+    for q, order in zip(qs.tolist(), orders.tolist()):
         yield q, order, order == q - 1
 
 
-def artin_scan(limit: int, threads: int = 1) -> ArtinScan:
+def artin_scan(limit: int, table: Optional[ArtinTable] = None) -> ArtinScan:
     """Empirical density of primes <= limit for which 10 is a primitive root.
 
-    Primes 2 and 5 are excluded (10 is not a unit there).  The scan partitions
-    into chunks whose counts merge by summation, so any thread count yields
-    identical results.
+    Primes 2 and 5 are excluded (10 is not a unit there).  ``table`` is
+    artin_orders(limit), when the caller already holds it.
     """
     if limit < 100:
         raise ValueError("limit must be >= 100")
-    qs = [q for q in primes.primes_upto(limit) if q not in (2, 5)]
-
-    def chunk_counts(chunk: Sequence[int]) -> int:
-        return sum(1 for q in chunk if _order_of_ten(q) == q - 1)
-
-    if threads > 1:
-        n_chunks = min(threads * 4, len(qs)) or 1
-        chunks = [qs[i::n_chunks] for i in range(n_chunks)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            artin = sum(pool.map(chunk_counts, chunks))
-    else:
-        artin = chunk_counts(qs)
+    qs, orders = artin_orders(limit) if table is None else table
+    artin = int(np.count_nonzero(orders == qs - 1))
     return ArtinScan(
         limit=limit, count_primes=len(qs), count_artin=artin,
         density=artin / len(qs),
@@ -318,12 +356,10 @@ def find_artin_prime_near(conv, window_factor: float = 1.0) -> ArtinWindow:
         raise ValueError("window scan needs q_k >= 11")
     lo, hi = _window_bounds(q0, window_factor)
     pq1 = conv.p * q0 + 1
-    found = []
-    for q in primes.primes_in_range(lo, hi):
-        if math.gcd(pq1, q) != 1:
-            continue
-        if _order_of_ten(q) == q - 1:
-            found.append(q)
+    qs = [q for q in primes.primes_in_range(lo, hi) if math.gcd(pq1, q) == 1]
+    lanes_fit = not qs or qs[-1] <= LANE_MAX
+    orders = orders_of_ten(qs).tolist() if lanes_fit else [mult_order(10, q) for q in qs]
+    found = [q for q, order in zip(qs, orders) if order == q - 1]
     return ArtinWindow(
         q_k=q0, window=(lo, hi),
         prime=found[0] if found else None, count=len(found),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -207,11 +209,38 @@ def write_digit_file(
     """
     if stream.base > len(_DIGIT_CHARS):
         raise ValueError(f"digit files support bases up to {len(_DIGIT_CHARS)}")
+    label = label if label is not None else stream.label
+    if "".join(label.splitlines()) != label:
+        raise ValueError(f"digit file label {label!r} contains a line break")
     text = stream.prefix_string(count)
-    lines = [f"base={stream.base} count={count} label={label if label is not None else stream.label}"]
+    lines = [f"base={stream.base} count={count} label={label}"]
     for i in range(0, len(text), _LINE_WIDTH):
         lines.append(text[i : i + _LINE_WIDTH])
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_text_atomic(path, "\n".join(lines) + "\n", encoding="ascii")
+
+
+def write_text_atomic(path: Union[str, Path], text: str, encoding: str = "utf-8") -> None:
+    """Write ``text`` through a temporary file in the same directory and
+    ``os.replace``, so readers see the old file or the new one, never a part.
+
+    A symlink is followed, and a pipe or device (``/dev/stdout``) is written
+    in place, since a rename would replace the link or the device node.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        Path(path).write_text(text, encoding=encoding)
+        return
+    path = Path(os.path.realpath(path))
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, "w", encoding=encoding) as fh:
+            fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes 0600; keep the mode a plain open gives
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def read_digit_file(path: Union[str, Path]) -> DigitStream:

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import constants
+from . import constants, primes
 from .radix import DigitStream, fractional_part, shifted_fraction, truncate
 from .groups import SubgroupReport
 
@@ -190,7 +190,7 @@ def subgroup_expsum(report: SubgroupReport, c: float = 0.5, method: str = "fft")
     """Exhaustive max over a = 1..p-1 of the subgroup exponential sum magnitude,
     with the reference envelope exp(-(log p)^c) * #H and their ratio."""
     p = report.modulus
-    if not _is_prime(p):
+    if not primes.is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     if report.elements is None:
         raise ValueError("subgroup elements are not materialized; raise the element cap")
@@ -211,12 +211,6 @@ def parseval_sum(elements: Sequence[int], p: int, method: str = "fft") -> tuple[
     """(sum_a |S(a)|^2, p * #H): the two sides of the Parseval identity."""
     mags = expsum_magnitudes(elements, p, method=method)
     return float(np.sum(mags * mags)), p * len(elements)
-
-
-def _is_prime(n: int) -> bool:
-    from . import primes
-
-    return primes.is_prime(n)
 
 
 def lipschitz_pairing(n: int, q: int, s_n: int, digits: DigitStream) -> LipschitzReport:

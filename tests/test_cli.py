@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -169,11 +170,31 @@ def test_report_on_pi_stream(capsys):
     assert payload["blocks"]["1"]["windows"] == 500
 
 
-def test_artin_threads_flag(tmp_path, capsys):
-    code1, out1, _ = run(capsys, "artin", "--limit", "2000", "--threads", "1")
-    code4, out4, _ = run(capsys, "artin", "--limit", "2000", "--threads", "4")
-    assert code1 == code4 == 0
-    assert out1 == out4
+def test_artin_reruns_byte_identical(tmp_path, capsys):
+    outs = []
+    for name in ("a", "b"):
+        csv_path = tmp_path / f"{name}.csv"
+        code, out, _ = run(capsys, "artin", "--limit", "2000", "--csv", str(csv_path))
+        assert code == 0
+        outs.append((out, csv_path.read_bytes()))
+    assert outs[0] == outs[1]
+
+
+def test_failed_report_write_keeps_old_file(tmp_path, capsys, monkeypatch):
+    out_file = tmp_path / "cf.json"
+    assert run(capsys, "cf", "--depth", "3", "--out", str(out_file))[0] == 0
+    old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    umask = os.umask(0)
+    os.umask(umask)
+    assert out_file.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, _, err = run(capsys, "cf", "--depth", "5", "--out", str(out_file))
+    assert code == 1 and "replace refused" in err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
 
 
 def test_report_byte_identical(tmp_path, capsys):

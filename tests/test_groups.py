@@ -1,13 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pilab import primes
 from pilab.cf import Convergent, pi_convergents
 from pilab.groups import (
+    LANE_MAX,
     ArtinWindow,
     WindowExhaustedError,
+    artin_orders,
     artin_rows,
     artin_scan,
     coset_structure,
@@ -16,6 +20,7 @@ from pilab.groups import (
     find_artin_prime_near,
     mult_order,
     nearest_prime_in_window,
+    orders_of_ten,
     subgroup,
 )
 
@@ -130,10 +135,46 @@ def test_artin_rows_orders_match_naive():
         assert is_artin == (order == q - 1)
 
 
-def test_artin_scan_threads_deterministic():
-    one = artin_scan(5000, threads=1)
-    four = artin_scan(5000, threads=4)
-    assert one == four
+def test_artin_orders_chunked_equal_single_pass():
+    qs, orders = artin_orders(5000)
+    pieces = np.array_split(qs, 7)
+    assert np.array_equal(np.concatenate([orders_of_ten(piece) for piece in pieces]), orders)
+    scan = artin_scan(5000)
+    assert scan.count_primes == sum(len(piece) for piece in pieces) == len(qs)
+    assert scan.count_artin == sum(
+        int(np.count_nonzero(orders_of_ten(piece) == piece - 1)) for piece in pieces
+    )
+    assert artin_scan(5000, (qs, orders)) == scan
+
+
+def test_orders_of_ten_match_mult_order_below_ten_thousand():
+    qs = [q for q in primes.primes_upto(10**4) if q not in (2, 5)]
+    assert orders_of_ten(qs).tolist() == [mult_order(10, q) for q in qs]
+
+
+def test_orders_of_ten_at_lane_edge():
+    qs = primes.primes_in_range(LANE_MAX - 6000, LANE_MAX)[-200:]
+    assert len(qs) == 200 and qs[-1] <= LANE_MAX < qs[-1] + 6000
+    assert orders_of_ten(qs).tolist() == [mult_order(10, q) for q in qs]
+
+
+@pytest.mark.parametrize("q,factors", [
+    (1838878963, {2: 1, 3: 1, 223: 2, 6163: 1}),  # the order strips both 223s
+    (3004574597, {2: 2, 27407: 2}),
+    (9999659, {2: 1, 1847: 1, 2707: 1}),  # strips 1847 > sqrt(q) / 2
+    (2944763, {2: 1, 1153: 1, 1277: 1}),
+])
+def test_orders_of_ten_large_factors(q, factors):
+    assert factorize(q - 1) == factors
+    assert orders_of_ten([q]).tolist() == [mult_order(10, q)]
+
+
+def test_orders_of_ten_rejects_primes_beyond_lanes():
+    for q in (primes.next_prime(LANE_MAX + 1), 2**70 + 25):
+        with pytest.raises(ValueError):
+            orders_of_ten([7, q])
+    with pytest.raises(ValueError):
+        orders_of_ten([3, 5, 7])
 
 
 def test_nearest_prime_in_window():
@@ -157,6 +198,16 @@ def test_find_artin_prime_near_106():
     assert res.count == 2
 
 
+def test_find_artin_prime_near_window_past_lanes():
+    conv = Convergent(k=0, a=0, p=1, q=LANE_MAX - 100)
+    res = find_artin_prime_near(conv, window_factor=1e-5)
+    lo, hi = res.window
+    assert lo < LANE_MAX < hi
+    found = [q for q in primes.primes_in_range(lo, hi)
+             if math.gcd(conv.p * conv.q + 1, q) == 1 and mult_order(10, q) == q - 1]
+    assert (res.prime, res.count) == (found[0], len(found))
+
+
 def test_find_artin_prime_below_precondition():
     with pytest.raises(ValueError):
         find_artin_prime_near(Convergent(k=1, a=7, p=22, q=7))
@@ -177,3 +228,19 @@ def test_coset_invariants_across_pi_convergents():
         assert rep.g_equals_coset
         assert rep.g_size == rep.h_size == rep.base.order
         assert rep.base.totient % rep.base.order == 0
+
+
+def test_coset_numpy_branch_matches_python_sets():
+    convs = pi_convergents(8)
+    for conv in convs[3:9]:
+        p, q = conv.p, conv.q
+        rep = coset_structure(conv, element_cap=1 << 20)
+        if math.gcd(10, q) != 1:
+            assert not rep.hypothesis_ok
+            continue
+        ten = {pow(10, n, q) for n in range(rep.base.order)}
+        g = {p * t % q for t in ten}
+        h = {(p * q + 1) * t % q for t in ten}
+        assert rep.g_elements == tuple(sorted(g)) and rep.h_elements == tuple(sorted(h))
+        assert (rep.g_size, rep.h_size) == (len(g), len(h))
+        assert rep.h_equals_subgroup == (h == ten) and rep.g_equals_coset

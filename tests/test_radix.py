@@ -14,6 +14,7 @@ from pilab.radix import (
     shifted_fraction,
     truncate,
     write_digit_file,
+    write_text_atomic,
 )
 
 # reference digits of pi - 3, checked against the constants engines elsewhere
@@ -164,6 +165,25 @@ def test_digit_file_layout(tmp_path):
     assert lines[0] == "base=10 count=200 label=thirds"
     assert all(len(line) == 80 for line in lines[1:3])
     assert len(lines[3]) == 40
+
+
+def test_digit_file_rejects_line_break_in_label(tmp_path):
+    s = DigitStream.from_rational(Fraction(1, 7))
+    path = tmp_path / "broken.digits"
+    for label in ("a\nb", "a\r", "\x0c"):
+        with pytest.raises(ValueError, match="line break"):
+            write_digit_file(path, s, 40, label=label)
+    assert not path.exists()
+
+
+def test_write_text_atomic_follows_symlink(tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_text("old")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    write_text_atomic(link, "new")
+    assert link.is_symlink() and target.read_text() == "new"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
 
 
 def test_digit_file_binary_base(tmp_path):

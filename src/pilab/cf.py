@@ -68,7 +68,6 @@ class AuditConfig:
 
     mu: float = 2.0
     n_max: int = 12
-    implied_constant_report: bool = False
 
     def __post_init__(self):
         if self.mu < 2:

@@ -118,14 +118,14 @@ def _cmd_cf(args) -> int:
 def _cmd_audit(args) -> int:
     convs = cf.pi_convergents(args.k)
     conv = convs[args.k]
-    cfg = cf.AuditConfig(mu=args.mu, n_max=args.nmax, implied_constant_report=args.scaled)
+    cfg = cf.AuditConfig(mu=args.mu, n_max=args.nmax)
     if args.lemma == "caseI":
         audit = cf.audit_lemma_caseI(conv, cfg)
     elif args.lemma == "caseII":
         audit = cf.audit_lemma_caseII(conv, cfg)
     else:
         audit = cf.audit_lemma_prime_variant(conv, cfg, window_factor=args.window_factor)
-    payload = cf.audit_to_jsonable(audit, include_scaled=cfg.implied_constant_report)
+    payload = cf.audit_to_jsonable(audit, include_scaled=args.scaled)
     _write_outputs(
         args, _dump(payload), [],
         _params(args, ["lemma", "k", "mu", "nmax", "window_factor"]), [],

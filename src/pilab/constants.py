@@ -12,17 +12,12 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .radix import DigitStream, read_digit_file, write_digit_file
-
-if hasattr(sys, "set_int_max_str_digits"):
-    # big-integer digit strings are the whole point; lift the conversion limit
-    sys.set_int_max_str_digits(0)
+from .radix import DigitStream, digits_from_text, read_digit_file, write_digit_file
 
 DIGIT_CEILING = 100_000
 CACHE_ENV = "PI_LAB_CACHE"
@@ -297,12 +292,12 @@ def _certified_scaled(name: str, n_digits: int) -> int:
     raise MethodDisagreementError(name, n_digits)
 
 
-def _certified_fraction_digits(name: str, n_digits: int) -> str:
+def _certified_fraction_digits(name: str, n_digits: int) -> bytes:
     scaled = _certified_scaled(name, n_digits)
     frac = scaled - _INT_PARTS[name] * 10**n_digits
     if not 0 <= frac < 10**n_digits:
         raise MethodDisagreementError(name, 0)
-    return str(frac).rjust(n_digits, "0")
+    return digits_from_text(str(frac).rjust(n_digits, "0"))
 
 
 def integer_part(name: str) -> int:
@@ -319,7 +314,7 @@ def _cache_path(name: str) -> Path | None:
     return Path(root) / f"{name}.digits"
 
 
-def _cache_load(name: str, n_digits: int) -> str | None:
+def _cache_load(name: str, n_digits: int) -> bytes | None:
     path = _cache_path(name)
     if path is None or not path.exists():
         return None
@@ -330,20 +325,20 @@ def _cache_load(name: str, n_digits: int) -> str | None:
     if stream.base != 10 or stream.label != name:
         return None  # another constant's or base's digits: a miss, overwritten on store
     if stream.length is not None and stream.length >= n_digits:
-        return stream.prefix_string(n_digits)
+        return stream.prefix(n_digits)
     return None
 
 
-def _cache_store(name: str, digits: str) -> None:
+def _cache_store(name: str, digits: bytes) -> None:
     path = _cache_path(name)
     if path is None:
         return
     path.parent.mkdir(parents=True, exist_ok=True)
-    stream = DigitStream.from_digits([int(c) for c in digits], base=10, label=name)
+    stream = DigitStream.from_digits(digits, base=10, label=name)
     write_digit_file(path, stream, len(digits), label=name)  # atomic: readers never see a partial file
 
 
-def _released_digits(name: str, n_digits: int) -> str:
+def _released_digits(name: str, n_digits: int) -> bytes:
     cached = _cache_load(name, n_digits)
     if cached is not None:
         return cached
@@ -364,8 +359,8 @@ def const_digits(req: ConstantRequest) -> DigitStream:
     if req.digits > DIGIT_CEILING:
         raise PrecisionCeilingError(f"{req.digits} digits exceeds ceiling {DIGIT_CEILING}")
 
-    def produce(n: int) -> list[int]:
-        return [int(c) for c in _released_digits(req.name, n)]
+    def produce(n: int) -> bytes:
+        return _released_digits(req.name, n)
 
     stream = DigitStream(10, produce, label=req.name, length=DIGIT_CEILING)
     stream.ensure(req.digits)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import primes
-from .radix import DigitStream
+from .radix import DigitStream, digits_from_text
 
 _FAMILIES = ("integers", "primes", "squares")
 
@@ -52,24 +52,13 @@ class StonehamSpec:
             raise ValueError("s must be a nonnegative integer")
 
 
-def _len_in_base(m: int, base: int) -> int:
-    if base == 10:
-        return len(str(m))
-    n = 0
-    while m:
-        m //= base
-        n += 1
-    return max(n, 1)
-
-
-def _digits_in_base(m: int, base: int) -> list[int]:
-    if base == 10:
-        return [int(c) for c in str(m)]
-    out = []
+def _digits_in_base(m: int, base: int) -> bytes:
+    out = bytearray()
     while m:
         m, d = divmod(m, base)
         out.append(d)
-    return out[::-1] or [0]
+    out.reverse()
+    return bytes(out)
 
 
 def _integer_concat_length(n: int, base: int) -> int:
@@ -116,20 +105,6 @@ class _PrimeLengths:
                     cum.append(cum[-1] + len(str(ps[i])))
             return self._cumlen[n]
 
-    def term_count_for_digits(self, want: int) -> int:
-        """Smallest n with cumulative length >= want."""
-        n = 64
-        while self.upto_term(n) < want:
-            n *= 2
-        lo, hi = 1, n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.upto_term(mid) < want:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
 
 _prime_lengths = _PrimeLengths()
 
@@ -138,16 +113,11 @@ def exponent_a(family: str, n: int) -> int:
     """Decimal position at which the family's n-th term ends in the concatenation."""
     if n < 1:
         raise ValueError("term index must be >= 1")
-    if family == "integers":
-        return _integer_concat_length(n, 10)
-    if family == "squares":
-        return _square_concat_length(n, 10)
-    if family == "primes":
-        return _prime_lengths.upto_term(n)
-    raise ValueError(f"unknown family {family!r}")
+    return _end_position(ConcatSpec(family), n)
 
 
 def _end_position(spec: ConcatSpec, n: int) -> int:
+    """Position at which the n-th term ends in the concatenation; 0 for n = 0."""
     if spec.family == "integers":
         return _integer_concat_length(n, spec.base)
     if spec.family == "squares":
@@ -155,12 +125,33 @@ def _end_position(spec: ConcatSpec, n: int) -> int:
     return _prime_lengths.upto_term(n)
 
 
-def _term(spec: ConcatSpec, n: int) -> int:
+def _term_index(spec: ConcatSpec, position: int) -> int:
+    """The term holding the digit at 1-indexed ``position``: the least n whose
+    end position reaches it, by doubling then bisection over _end_position."""
+    hi = 1
+    while _end_position(spec, hi) < position:
+        hi *= 2
+    lo = hi // 2 + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _end_position(spec, mid) < position:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _term_digits(spec: ConcatSpec, lo: int, hi: int) -> bytes:
+    """The digits of terms lo..hi, concatenated."""
     if spec.family == "integers":
-        return n
-    if spec.family == "squares":
-        return n * n
-    return primes.first_primes(n)[-1]
+        terms = range(lo, hi + 1)
+    elif spec.family == "squares":
+        terms = (k * k for k in range(lo, hi + 1))
+    else:
+        terms = primes.first_primes(hi)[lo - 1 :]
+    if spec.base == 10:
+        return digits_from_text("".join(map(str, terms)))
+    return b"".join(_digits_in_base(m, spec.base) for m in terms)
 
 
 def concat_digits(spec: ConcatSpec, n_digits: int) -> DigitStream:
@@ -168,24 +159,8 @@ def concat_digits(spec: ConcatSpec, n_digits: int) -> DigitStream:
     if n_digits < 1:
         raise ValueError("digit count must be >= 1")
 
-    if spec.family == "primes":
-
-        def produce(n: int) -> list[int]:
-            count = _prime_lengths.term_count_for_digits(n)
-            out: list[int] = []
-            for p in primes.first_primes(count):
-                out.extend(int(c) for c in str(p))
-            return out[:n]
-
-    else:
-
-        def produce(n: int) -> list[int]:
-            out: list[int] = []
-            k = 1
-            while len(out) < n:
-                out.extend(_digits_in_base(_term(spec, k), spec.base))
-                k += 1
-            return out[:n]
+    def produce(n: int) -> bytes:
+        return _term_digits(spec, 1, _term_index(spec, n))[:n]
 
     label = f"concat-{spec.family}-b{spec.base}"
     stream = DigitStream(spec.base, produce, label=label)
@@ -200,19 +175,8 @@ def digit_at(spec: ConcatSpec, position: int) -> int:
     """
     if position < 1:
         raise ValueError("position must be >= 1")
-    lo, hi = 1, 2
-    while _end_position(spec, hi) < position:
-        lo = hi
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _end_position(spec, mid) < position:
-            lo = mid + 1
-        else:
-            hi = mid
-    term_digits = _digits_in_base(_term(spec, lo), spec.base)
-    offset = position - _end_position(spec, lo - 1) - 1 if lo > 1 else position - 1
-    return term_digits[offset]
+    n = _term_index(spec, position)
+    return _term_digits(spec, n, n)[position - _end_position(spec, n - 1) - 1]
 
 
 def stoneham_digits(spec: StonehamSpec, n_digits: int, guard: int = 10) -> DigitStream:

@@ -3,13 +3,28 @@
 from __future__ import annotations
 
 import os
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-_DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
+if hasattr(sys, "set_int_max_str_digits"):
+    # big-integer digit strings are the whole point; lift the conversion limit
+    sys.set_int_max_str_digits(0)
+
+_ALPHABET = b"0123456789abcdefghijklmnopqrstuvwxyz"
+MAX_BASE = len(_ALPHABET)  # every stream can be written, printed and parsed
+# The one digit <-> text mapping.  A character outside the alphabet reads as
+# 0xff (find's -1), which no base accepts.
+_TO_TEXT = bytes.maketrans(bytes(range(MAX_BASE)), _ALPHABET)
+_FROM_TEXT = bytes(_ALPHABET.find(c) & 0xFF for c in range(256))
 _LINE_WIDTH = 80
+
+
+def digits_from_text(text: str) -> bytes:
+    """Digit values of the characters of ``text`` (0-9 then a-z), one per byte."""
+    return text.encode("ascii").translate(_FROM_TEXT)
 
 
 class EmptyTruncationError(ValueError):
@@ -32,6 +47,8 @@ class AmbiguousFloorError(ArithmeticError):
 class DigitStream:
     """Base-b digits of a real in [0,1), materialized lazily in blocks.
 
+    Digits are held as ``bytes``, one digit value per byte, for bases 2..36.
+
     ``produce(n)`` must deterministically return at least the first ``n``
     digits of the expansion.  Producers are assumed cheap in bulk and
     expensive per digit, so consumers should declare how many digits they
@@ -51,14 +68,14 @@ class DigitStream:
         exact: Optional[Fraction] = None,
         length: Optional[int] = None,
     ):
-        if base < 2:
-            raise ValueError(f"base must be >= 2, got {base}")
+        if not 2 <= base <= MAX_BASE:
+            raise ValueError(f"base must lie in 2..{MAX_BASE}, got {base}")
         self.base = base
         self.label = label
         self.exact = exact
         self.length = length
         self._produce = produce
-        self._digits: list[int] = []
+        self._digits = b""
 
     @property
     def available(self) -> int:
@@ -73,13 +90,12 @@ class DigitStream:
         want = max(n, 64, 2 * len(self._digits))
         if self.length is not None:
             want = min(want, self.length)
-        got = list(self._produce(want))
+        got = bytes(self._produce(want))
         if len(got) < n:
             raise ProducerExhaustedError(n, len(got))
-        base = self.base
-        for d in got[len(self._digits):]:
-            if not 0 <= d < base:
-                raise ValueError(f"digit {d} outside [0, {base})")
+        new = got[len(self._digits):]
+        if new and max(new) >= self.base:
+            raise ValueError(f"digit {max(new)} outside [0, {self.base})")
         self._digits = got
 
     def digit(self, i: int) -> int:
@@ -89,15 +105,15 @@ class DigitStream:
         self.ensure(i)
         return self._digits[i - 1]
 
-    def prefix(self, n: int) -> list[int]:
-        """The first ``n`` digits as a list."""
+    def prefix(self, n: int) -> bytes:
+        """The first ``n`` digits, one digit value per byte."""
         if n < 0:
             raise ValueError("prefix length must be >= 0")
         self.ensure(n)
         return self._digits[:n]
 
     def prefix_string(self, n: int) -> str:
-        return "".join(_DIGIT_CHARS[d] for d in self.prefix(n))
+        return self.prefix(n).translate(_TO_TEXT).decode("ascii")
 
     @classmethod
     def from_rational(cls, value: Fraction, base: int = 10, label: str = "") -> "DigitStream":
@@ -129,12 +145,11 @@ class DigitStream:
         label: str = "",
         exact: Optional[Fraction] = None,
     ) -> "DigitStream":
-        """A finite stream over a fixed digit list."""
-        digs = list(digits)
-        for d in digs:
-            if not 0 <= d < base:
-                raise ValueError(f"digit {d} outside [0, {base})")
-        return cls(base, lambda n: digs, label=label, exact=exact, length=len(digs))
+        """A finite stream over fixed digits, checked when it is built."""
+        digs = bytes(digits)
+        stream = cls(base, lambda n: digs, label=label, exact=exact, length=len(digs))
+        stream.ensure(len(digs))
+        return stream
 
 
 def truncate(stream: DigitStream, n_digits: int) -> Fraction:
@@ -144,12 +159,7 @@ def truncate(stream: DigitStream, n_digits: int) -> Fraction:
     """
     if n_digits < 1:
         raise EmptyTruncationError("cannot truncate to zero digits")
-    digs = stream.prefix(n_digits)
-    val = 0
-    b = stream.base
-    for d in digs:
-        val = val * b + d
-    return Fraction(val, b**n_digits)
+    return Fraction(int(stream.prefix_string(n_digits), stream.base), stream.base**n_digits)
 
 
 def shifted_fraction(stream: DigitStream, shift: int, n_digits: int) -> DigitStream:
@@ -207,8 +217,6 @@ def write_digit_file(
     One header line ``base=<b> count=<N> label=<string>``, then the digits
     with no separators, broken every 80 columns.  Bit-exact round trip.
     """
-    if stream.base > len(_DIGIT_CHARS):
-        raise ValueError(f"digit files support bases up to {len(_DIGIT_CHARS)}")
     label = label if label is not None else stream.label
     if "".join(label.splitlines()) != label:
         raise ValueError(f"digit file label {label!r} contains a line break")
@@ -259,5 +267,7 @@ def read_digit_file(path: Union[str, Path]) -> DigitStream:
     body = "".join(lines[1:])
     if len(body) != count:
         raise ValueError(f"{path}: header promises {count} digits, found {len(body)}")
-    digits = [_DIGIT_CHARS.index(ch) for ch in body]
-    return DigitStream.from_digits(digits, base=base, label=label)
+    try:
+        return DigitStream.from_digits(digits_from_text(body), base=base, label=label)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -145,7 +145,7 @@ def block_frequency(
         raise TableCapError(
             f"base^k = {n_patterns} exceeds the table cap {table_cap}; use a smaller block length"
         )
-    arr = np.asarray(digits.prefix(n_digits), dtype=np.int64)
+    arr = np.frombuffer(digits.prefix(n_digits), np.uint8).astype(np.int64)
     windows = n_digits - k + 1
     codes = np.zeros(windows, dtype=np.int64)
     for i in range(k):
@@ -278,8 +278,7 @@ def wall_criterion_report(
         raise ValueError("k_max and m_max must be >= 1")
     if n_points < 10 * k_max:
         raise ValueError("need n_points >= 10 * k_max for meaningful block statistics")
-    lead = digits.prefix(n_points)
-    if all(d == 0 for d in lead):
+    if not any(digits.prefix(n_points)):
         raise ValueError("degenerate stream: all digits are zero")
     pts = shifted_points(digits, n_points, shift_digits=shift_digits)
     weyl = weyl_sum(pts, list(range(1, m_max + 1)))

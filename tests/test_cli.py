@@ -90,6 +90,16 @@ def test_audit_prime_report(capsys):
     assert "scaled_lower" in payload["rows"][0]
 
 
+def test_audit_no_scaled_drops_scaled_columns(capsys):
+    argv = ("audit", "--lemma", "prime", "--k", "5", "--nmax", "3")
+    for flags, present in (((), True), (("--no-scaled",), False)):
+        code, out, _ = run(capsys, *argv, *flags)
+        assert code == 0
+        for row in json.loads(out)["rows"]:
+            assert ("scaled_lower" in row) is present
+            assert ("scaled_upper" in row) is present
+
+
 def test_coset_json(capsys):
     code, out, _ = run(capsys, "coset", "--k", "1")
     assert code == 0
@@ -219,6 +229,22 @@ def test_stoneham_gcd_error_exit_one(capsys):
                        "--digits", "10")
     assert code == 1
     assert "gcd" in err
+
+
+def test_construct_base_outside_digit_alphabet_exit_one(capsys):
+    code, _, err = run(capsys, "construct", "--family", "integers", "--base", "40",
+                       "--digits", "50")
+    assert code == 1
+    assert err.startswith("error:") and "2..36" in err
+
+
+@pytest.mark.parametrize("header,body", [("base=36", "0123!"), ("base=10", "012a4")])
+def test_normality_rejects_bad_digit_file(tmp_path, capsys, header, body):
+    digits_file = tmp_path / "bad.digits"
+    digits_file.write_text(f"{header} count=5 label=bad\n{body}\n", encoding="ascii")
+    code, out, err = run(capsys, "normality", "--in", str(digits_file), "--N", "5", "--kmax", "1")
+    assert code == 1
+    assert out == "" and err.startswith("error:")
 
 
 def test_usage_error_exit_two(capsys):

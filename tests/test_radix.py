@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pilab.radix
 from pilab.radix import (
     AmbiguousFloorError,
     DigitStream,
@@ -47,7 +52,7 @@ def test_truncate_zero_digits_rejected():
 def test_shift_drops_leading_digits():
     s = DigitStream.from_digits([1, 2, 3, 4, 5, 6, 7, 8], base=10)
     shifted = shifted_fraction(s, 2, 4)
-    assert shifted.prefix(4) == [3, 4, 5, 6]
+    assert shifted.prefix(4) == bytes([3, 4, 5, 6])
 
 
 def test_shift_zero_is_identity():
@@ -56,7 +61,7 @@ def test_shift_zero_is_identity():
 
 
 def test_shift_pi_by_one():
-    assert shifted_fraction(pi_stream_50(), 1, 7).prefix(7) == [4, 1, 5, 9, 2, 6, 5]
+    assert shifted_fraction(pi_stream_50(), 1, 7).prefix(7) == bytes([4, 1, 5, 9, 2, 6, 5])
 
 
 def test_shift_preserves_exact_value():
@@ -108,9 +113,9 @@ def test_digit_range_sweep(value, base):
 def test_terminating_rational_has_no_base_minus_one_tail():
     # canonical form: 1/8 is 125000..., never 124999...
     s = DigitStream.from_rational(Fraction(1, 8))
-    assert s.prefix(10) == [1, 2, 5, 0, 0, 0, 0, 0, 0, 0]
+    assert s.prefix(10) == bytes([1, 2, 5, 0, 0, 0, 0, 0, 0, 0])
     t = DigitStream.from_rational(Fraction(1, 2), base=2)
-    assert t.prefix(8) == [1, 0, 0, 0, 0, 0, 0, 0]
+    assert t.prefix(8) == bytes([1, 0, 0, 0, 0, 0, 0, 0])
 
 
 def test_deterministic_reread():
@@ -186,13 +191,41 @@ def test_write_text_atomic_follows_symlink(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
 
 
-def test_digit_file_binary_base(tmp_path):
-    s = DigitStream.from_rational(Fraction(5, 8), base=2)
+@pytest.mark.parametrize("base", [2, 10, 16, 36])
+def test_digit_file_binary_base(tmp_path, base):
+    s = DigitStream.from_rational(Fraction(5, 8), base=base)
     path = tmp_path / "bits.digits"
     write_digit_file(path, s, 12, label="bits")
     back = read_digit_file(path)
-    assert back.base == 2
+    assert back.base == base
     assert back.prefix(12) == s.prefix(12)
+
+
+@pytest.mark.parametrize("header,body", [("base=36", "0123!"), ("base=10", "012a4")])
+def test_digit_file_rejects_characters_outside_base(tmp_path, header, body):
+    path = tmp_path / "bad.digits"
+    path.write_text(f"{header} count=5 label=bad\n{body}\n", encoding="ascii")
+    with pytest.raises(ValueError, match="bad.digits"):
+        read_digit_file(path)
+
+
+def test_truncate_long_stream_with_radix_alone():
+    # truncate parses digit text with int(), so radix must lift the int-string limit itself
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from pilab.radix import DigitStream, truncate\n"
+        "digs = [(7 * i + 3) % 10 for i in range(5000)]\n"
+        "val = 0\n"
+        "for d in digs:\n"
+        "    val = val * 10 + d\n"
+        "assert truncate(DigitStream.from_digits(digs), 5000) == Fraction(val, 10**5000)\n"
+        "assert sorted(m for m in sys.modules if m.startswith('pilab')) == ['pilab', 'pilab.radix']\n"
+    )
+    src = str(Path(pilab.radix.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_bad_digit_rejected():

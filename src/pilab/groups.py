@@ -120,13 +120,18 @@ def factorize(n: int) -> dict[int, int]:
     d = 7
     wheel = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
-    while d * d <= n and d < _TRIAL_LIMIT:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
+    prime_left = 1 < n < primes._MR_LIMIT and primes.is_prime(n)
+    while not prime_left and d * d <= n and d < _TRIAL_LIMIT:
+        if n % d == 0:
+            while n % d == 0:
+                factors[d] = factors.get(d, 0) + 1
+                n //= d
+            prime_left = 1 < n < primes._MR_LIMIT and primes.is_prime(n)
         d += wheel[i]
         i = (i + 1) % len(wheel)
-    if n > 1:
+    if prime_left:
+        factors[n] = 1
+    elif n > 1:
         stack = [n]
         while stack:
             m = stack.pop()
@@ -152,23 +157,27 @@ def euler_phi(m: int) -> int:
     return phi
 
 
-def mult_order(g: int, m: int) -> int:
-    """Least n >= 1 with g^n = 1 mod m, via totient factorization and descent."""
+def _order_and_totient(g: int, m: int) -> tuple[int, int]:
+    # (ord_m(g), phi(m)): descend from the totient through its prime factors
     if m < 2:
         raise ValueError("modulus must be >= 2")
     if math.gcd(g, m) != 1:
         raise ValueError(f"gcd({g}, {m}) = {math.gcd(g, m)} != 1: {g} is not a unit mod {m}")
-    order = euler_phi(m)
+    totient = order = euler_phi(m)
     for ell in factorize(order):
         while order % ell == 0 and pow(g, order // ell, m) == 1:
             order //= ell
-    return order
+    return order, totient
+
+
+def mult_order(g: int, m: int) -> int:
+    """Least n >= 1 with g^n = 1 mod m, via totient factorization and descent."""
+    return _order_and_totient(g, m)[0]
 
 
 def subgroup(g: int, m: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> SubgroupReport:
     """Report on <g> mod m; elements are materialized only up to the cap."""
-    order = mult_order(g, m)
-    totient = euler_phi(m)
+    order, totient = _order_and_totient(g, m)
     elements = None
     if order <= element_cap:
         elems = []

@@ -17,24 +17,50 @@ from .radix import DigitStream, fractional_part, shifted_fraction, truncate
 from .groups import SubgroupReport
 
 _FLOAT_SLOP = 5e-16  # per-point trig rounding folded into reported error bounds
+_CHUNK = 1 << 16  # points per numpy pass, so temporaries stay near half a megabyte
+
+# Shift points: a window code is a fraction in radix b^h <= 2^40, so a limb
+# shifted by the 23 quotient bits of one long-division step stays below 2^63.
+# Three steps give 69 bits; from 2^-14 up that leaves 55 below the leading one.
+_LIMB_MAX = 1 << 40
+_QBITS = 23
+_TINY_Q0 = 1 << (_QBITS - 14)  # a first quotient chunk below this means a value below 2^-14
+
+# Exact sums: frexp writes x = M 2^(e-53) with |M| < 2^53, split M = hi 2^26 + lo.
+# Per chunk, the float64 bincount sums of hi and lo stay below 2^43, so they are
+# exact; their int64 totals stay exact for up to 2^36 values.
+_EXP_OFFSET = 1073  # frexp exponents of finite doubles lie in [-1073, 1024]
+_EXP_BUCKETS = _EXP_OFFSET + 1025
+_EXACT_MAX = 1 << 36
 
 
 class TableCapError(ValueError):
     """A block-frequency table would exceed the configured size cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
-    """Points in [0,1) with a shared certified absolute error bound."""
+    """Points in [0,1) with a shared certified absolute error bound.
 
-    points: tuple[float, ...]
+    ``points`` may be given as any sequence of floats; it is stored as a
+    read-only float64 array.
+    """
+
+    points: np.ndarray
     eps: float
     label: str = ""
 
     def __post_init__(self):
-        for u in self.points:
-            if not 0.0 <= u < 1.0:
-                raise ValueError(f"point {u} outside [0,1)")
+        pts = self.points
+        if not (isinstance(pts, np.ndarray) and pts.dtype == np.float64 and not pts.flags.writeable):
+            pts = np.array(pts, dtype=np.float64)
+            pts.flags.writeable = False
+            object.__setattr__(self, "points", pts)
+        if pts.ndim != 1:
+            raise ValueError("points must form a one-dimensional sequence")
+        inside = (pts >= 0.0) & (pts < 1.0)  # false for NaN as well
+        if not inside.all():
+            raise ValueError(f"point {float(pts[np.argmin(inside)])} outside [0,1)")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -95,22 +121,70 @@ class LipschitzReport:
     chord_arc_ok: bool
 
 
+def _bucket_sums(x: np.ndarray) -> np.ndarray:
+    """Per-exponent sums of the high and low mantissa halves of up to _CHUNK values."""
+    frac, exp = np.frexp(x)
+    mant = frac * 2.0**53
+    hi = np.floor(mant * 2.0**-26)
+    idx = exp + _EXP_OFFSET
+    with np.errstate(invalid="ignore"):  # inf - inf: reported below
+        lo = mant - hi * 2.0**26
+    sums = np.stack([np.bincount(idx, hi, _EXP_BUCKETS), np.bincount(idx, lo, _EXP_BUCKETS)])
+    if not np.isfinite(sums).all():
+        raise ValueError("exact summation needs finite values")
+    return sums.astype(np.int64)
+
+
+def _round_buckets(sums: np.ndarray) -> float:
+    """The exact value held by int64 bucket sums, rounded once to a double."""
+    num = 0
+    for e in np.flatnonzero(sums[0] | sums[1]).tolist():
+        num += ((int(sums[0, e]) << 26) + int(sums[1, e])) << e
+    return num / (1 << (53 + _EXP_OFFSET))  # int true division rounds half to even
+
+
+def _exact_sum(x) -> float:
+    """The bits of ``math.fsum(x)`` at numpy speed.
+
+    The finite float64 values are summed exactly in integers and rounded
+    once, half to even.  Exact for up to 2^36 values; non-finite values
+    raise ``ValueError``, and a sum beyond the double range ``OverflowError``.
+    A sum of zeros is +0.0, as ``math.fsum`` gives.
+    """
+    x = np.asarray(x, dtype=np.float64).ravel()
+    if x.size > _EXACT_MAX:
+        raise ValueError(f"exact summation holds at most {_EXACT_MAX} values")
+    sums = np.zeros((2, _EXP_BUCKETS), dtype=np.int64)
+    for lo in range(0, x.size, _CHUNK):
+        sums += _bucket_sums(x[lo : lo + _CHUNK])
+    return _round_buckets(sums)
+
+
 def weyl_sum(pts: PointSet, m_list: Sequence[int]) -> WeylReport:
     """Normalized magnitudes |sum e(2 pi i m u_n)| / N for each frequency m != 0.
 
-    Summation is exactly rounded (math.fsum); the reported error bound folds
-    in the propagated point error 2 pi |m| eps.
+    Both sums are exactly rounded (the bits of math.fsum, see _exact_sum),
+    for up to 2^36 points; the reported error bound folds in the propagated
+    point error 2 pi |m| eps.
     """
     n = len(pts)
     if n < 1:
         raise ValueError("point set is empty")
-    arr = np.asarray(pts.points, dtype=np.float64)
+    if n > _EXACT_MAX:
+        raise ValueError(f"exact Weyl sums hold at most {_EXACT_MAX} points")
+    ms = list(m_list)
+    if 0 in ms:
+        raise ValueError("frequency m = 0 is not admissible")
+    sums = np.zeros((len(ms), 2, 2, _EXP_BUCKETS), dtype=np.int64)
+    for lo in range(0, n, _CHUNK):
+        u = pts.points[lo : lo + _CHUNK]
+        for j, m in enumerate(ms):
+            phase = 2.0 * math.pi * m * u
+            sums[j, 0] += _bucket_sums(np.cos(phase))
+            sums[j, 1] += _bucket_sums(np.sin(phase))
     rows = []
-    for m in m_list:
-        if m == 0:
-            raise ValueError("frequency m = 0 is not admissible")
-        phase = 2.0 * math.pi * m * arr
-        mag = math.hypot(math.fsum(np.cos(phase)), math.fsum(np.sin(phase))) / n
+    for j, m in enumerate(ms):
+        mag = math.hypot(_round_buckets(sums[j, 0]), _round_buckets(sums[j, 1])) / n
         err = 2.0 * math.pi * abs(m) * pts.eps + _FLOAT_SLOP
         rows.append(WeylRow(m=m, magnitude=mag, error_bound=err))
     return WeylReport(n_points=n, label=pts.label, rows=tuple(rows))
@@ -121,7 +195,7 @@ def star_discrepancy(pts: PointSet) -> float:
     n = len(pts)
     if n < 1:
         raise ValueError("point set is empty")
-    u = np.sort(np.asarray(pts.points, dtype=np.float64))
+    u = np.sort(pts.points)
     i = np.arange(1, n + 1, dtype=np.float64)
     return float(np.maximum(i / n - u, u - (i - 1) / n).max())
 
@@ -147,10 +221,7 @@ def block_frequency(
         )
     arr = np.frombuffer(digits.prefix(n_digits), np.uint8).astype(np.int64)
     windows = n_digits - k + 1
-    codes = np.zeros(windows, dtype=np.int64)
-    for i in range(k):
-        codes = codes * b + arr[i : i + windows]
-    counts = np.bincount(codes, minlength=n_patterns)
+    counts = np.bincount(_digit_windows(arr, k, windows, b), minlength=n_patterns)
     expected = windows / n_patterns
     max_abs_dev = float(np.abs(counts / windows - 1.0 / n_patterns).max())
     chi_square = float(((counts - expected) ** 2 / expected).sum())
@@ -181,7 +252,7 @@ def expsum_magnitudes(elements: Sequence[int], p: int, method: str = "fft") -> n
         xs = np.asarray([x % p for x in elements], dtype=np.float64)
         for a in range(p):
             phase = 2.0 * math.pi * a * xs / p
-            out[a] = math.hypot(math.fsum(np.cos(phase)), math.fsum(np.sin(phase)))
+            out[a] = math.hypot(_exact_sum(np.cos(phase)), _exact_sum(np.sin(phase)))
         return out
     raise ValueError(f"unknown method {method!r}")
 
@@ -235,30 +306,92 @@ def lipschitz_pairing(n: int, q: int, s_n: int, digits: DigitStream) -> Lipschit
     )
 
 
+def _digit_windows(d: np.ndarray, width: int, count: int, b: int) -> np.ndarray:
+    """Codes of the ``count`` width-digit windows d[n:n+width], n = 0..count-1."""
+    code = np.zeros(count, dtype=np.int64)
+    for j in range(width):
+        code *= b
+        code += d[j : j + count]
+    return code
+
+
+def _window_values(seg: np.ndarray, count: int, b: int, s: int) -> np.ndarray:
+    """c / b^s rounded to the nearest double, for the codes c of the ``count``
+    s-digit windows ``seg[n:n+s]``, with the bits of Python's ``c / b**s``.
+
+    Each code is k int64 limbs of h digits (b^h <= 2^40, the last limb
+    zero-padded), a k-place fraction in radix b^h.  Three long-division steps
+    of 23 quotient bits give its truncation T to 69 bits and a sticky bit for
+    a nonzero rest.  One float addition rounds T; a FastTwoSum residual finds
+    the only case where the rest matters, a T exactly on a tie.  From 2^-14 up
+    every midpoint between doubles is a multiple of 2^-69, so this is exact;
+    smaller nonzero values are divided exactly one by one.
+    """
+    h = 1
+    while b ** (h + 1) <= _LIMB_MAX:
+        h += 1
+    radix = b**h
+    d = seg.astype(np.int64)
+    whole, part = divmod(s, h)
+    limbs = []
+    if whole:
+        full = _digit_windows(d, h, count + (whole - 1) * h, b)
+        limbs = [full[i * h : i * h + count] for i in range(whole)]
+    if part:
+        limbs.append(_digit_windows(d[whole * h :], part, count, b) * b ** (h - part))
+    k = len(limbs)
+    rem = list(limbs)
+    q = []
+    for _ in range(3):
+        carry = 0
+        for i in reversed(range(k)):
+            t = (rem[i] << _QBITS) + carry
+            carry = t // radix
+            rem[i] = t - carry * radix
+        q.append(carry)
+    sticky = rem[0] != 0
+    for rest in rem[1:]:
+        sticky |= rest != 0
+    head = ((q[0] << _QBITS) | q[1]).astype(np.float64) * 2.0 ** (-2 * _QBITS)
+    tail = q[2].astype(np.float64) * 2.0 ** (-3 * _QBITS)
+    val = head + tail
+    resid = tail - (val - head)  # exact where kept: head >= 2^-14 > tail
+    up = np.nextafter(val, 2.0)
+    tie = sticky & (resid > 0.0) & (resid + resid == up - val)
+    val[tie] = up[tie]
+    scale = radix**k
+    for n in np.flatnonzero((q[0] < _TINY_Q0) & ((val != 0.0) | sticky)).tolist():
+        code = 0
+        for limb in limbs:
+            code = code * radix + int(limb[n])
+        val[n] = code / scale
+    return val
+
+
 def shifted_points(digits: DigitStream, n_points: int, shift_digits: int = 24) -> PointSet:
     """The point set { x * b^n mod 1 : n = 1..N } built from exact digit shifts.
 
-    Each point is the shift's ``shift_digits``-digit truncation, so the
+    Each point is the shift's ``shift_digits``-digit truncation c_n / b^S,
+    rounded once to the nearest double (the bits of ``c_n / b**S``), so the
     certified error is b^-shift_digits plus float conversion.
     """
     if n_points < 1:
         raise ValueError("need at least one point")
+    if shift_digits < 1:
+        raise ValueError("need shift_digits >= 1")
     b = digits.base
     digits.ensure(n_points + shift_digits)
-    digs = digits.prefix(n_points + shift_digits)
-    scale = b**shift_digits
-    pts = []
-    code = 0
-    for d in digs[:shift_digits]:
-        code = code * b + d
-    # rolling window: drop the leading digit, append the next one
-    drop_scale = b ** (shift_digits - 1)
-    for n in range(1, n_points + 1):
-        code = (code - digs[n - 1] * drop_scale) * b + digs[n + shift_digits - 1]
-        pts.append(code / scale)
-    eps = 1.0 / scale + 2e-16
+    digs = np.frombuffer(digits.prefix(n_points + shift_digits), np.uint8)
+    pts = np.empty(n_points, dtype=np.float64)
+    for lo in range(0, n_points, _CHUNK):
+        count = min(_CHUNK, n_points - lo)
+        # points n = lo+1 .. lo+count read the digits n .. n+S-1
+        seg = digs[lo + 1 : lo + count + shift_digits]
+        pts[lo : lo + count] = _window_values(seg, count, b, shift_digits)
+    pts.flags.writeable = False
+    eps = 1.0 / b**shift_digits + 2e-16
     label = digits.label and f"{digits.label}-shifts"
-    return PointSet(points=tuple(pts), eps=eps, label=label)
+    return PointSet(points=pts, eps=eps, label=label)
 
 
 def wall_criterion_report(

@@ -73,6 +73,24 @@ def test_factorize_round_trip():
         assert prod == n
 
 
+def test_factorize_matches_sympy():
+    import random
+
+    sympy = pytest.importorskip("sympy")
+    near_lanes = sympy.prevprime(LANE_MAX + 1)
+    semiprime = 1000003 * 1000033  # both factors above the trial-division limit
+    rng = random.Random(2024)
+    for n in [near_lanes, near_lanes - 1, semiprime] + [rng.randrange(2, 10**15) for _ in range(500)]:
+        assert factorize(n) == sympy.factorint(n), n
+
+
+def test_subgroup_totient_of_prime_near_lanes():
+    q = 3037000493  # the largest prime <= LANE_MAX
+    rep = subgroup(10, q, element_cap=0)
+    assert rep.totient == euler_phi(q) == q - 1
+    assert rep.order == mult_order(10, q) == orders_of_ten(np.array([q]))[0]
+
+
 def test_euler_phi_small():
     assert [euler_phi(m) for m in (1, 2, 7, 10, 106, 113)] == [1, 1, 6, 4, 52, 112]
 

@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from pilab.spectra import (
     weyl_sum,
     x_sequence_audit,
 )
+from pilab.spectra import _exact_sum
 
 GOLDEN = (1 + 5**0.5) / 2
 
@@ -220,7 +222,7 @@ def test_lipschitz_pi_near_convergent_residue():
 
 
 def test_shifted_points_match_truncation():
-    # the rolling-window point set must agree with direct per-shift truncation:
+    # the vectorized point set must agree with direct per-shift truncation:
     # exactly at the rational level, and to float resolution after conversion
     import random
 
@@ -284,3 +286,168 @@ def test_point_set_validates_range():
         PointSet(points=(0.5, 1.0), eps=0.0)
     with pytest.raises(ValueError):
         PointSet(points=(-0.1,), eps=0.0)
+
+
+def _oracle_points(stream, n_points, s):
+    # the scalar definition: the s-digit window after n digits, over b^s, one rounding
+    b = stream.base
+    text = stream.prefix_string(n_points + s)
+    return [int(text[n : n + s], b) / b**s for n in range(1, n_points + 1)]
+
+
+def _random_stream(base, length, seed, zero_runs=False):
+    import random
+
+    rng = random.Random(seed)
+    digs = [rng.randrange(base) for _ in range(length)]
+    if zero_runs:
+        for start in range(0, length, 400):
+            digs[start : start + 90] = [0] * len(digs[start : start + 90])
+            digs[start + 30 + start % 7] = 1  # a lone nonzero digit deep in the run
+    return DigitStream.from_digits(digs, base=base)
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("base", [2, 10, 16, 36])
+@pytest.mark.parametrize("shift", [1, 20, 24, 30])
+def test_shifted_points_bit_identical_to_scalar_division(base, shift):
+    s = _random_stream(base, 1500 + shift, seed=base * 100 + shift)
+    pts = shifted_points(s, 1500, shift_digits=shift)
+    assert _hexes(pts.points) == _hexes(_oracle_points(s, 1500, shift))
+
+
+@pytest.mark.parametrize("base", [2, 10, 36])
+def test_shifted_points_zero_runs_bit_identical(base):
+    s = _random_stream(base, 4100, seed=base, zero_runs=True)
+    pts = shifted_points(s, 4000, shift_digits=24)
+    ref = _oracle_points(s, 4000, 24)
+    assert sum(0.0 < u < 2.0**-14 for u in ref) >= 20  # lanes below the vector path's range
+    assert ref.count(0.0) >= 20
+    assert _hexes(pts.points) == _hexes(ref)
+
+
+@pytest.mark.parametrize("base,shift", [(2, 80), (10, 24), (10, 30), (16, 20), (36, 14)])
+def test_shifted_points_ties_with_nonzero_tail(base, shift):
+    # windows just above a midpoint (2m+1) 2^-(54+j) between doubles, by less
+    # than 2^-69: their 69-bit truncation is exactly the tie, the rest is not
+    # zero, so the value rounds up, also for even m where the tie alone rounds down
+    import random
+
+    rng = random.Random(base + shift)
+    digs, lanes = [], []
+    for j in list(range(14)) + [15, 20]:
+        for parity in (0, 1):
+            m = 2 * rng.randrange(2**51, 2**52) + parity  # 2m+1 in [2^53, 2^54)
+            code = (2 * m + 1) * base**shift // 2 ** (54 + j) + 1
+            window = []
+            for _ in range(shift):
+                code, d = divmod(code, base)
+                window.append(d)
+            assert code == 0
+            lanes.append((len(digs), m, j))
+            digs += [rng.randrange(base)] + window[::-1]
+    s = DigitStream.from_digits(digs + [0] * shift, base=base)
+    ref = _oracle_points(s, len(digs), shift)
+    for n, m, j in lanes:
+        if j < 14:
+            assert ref[n] == math.ldexp(m + 1, -(53 + j))
+    pts = shifted_points(s, len(digs), shift_digits=shift)
+    assert _hexes(pts.points) == _hexes(ref)
+
+
+def test_shifted_points_benchmark_stream_bit_identical():
+    # every point of `report --in` over the integers family at N = 10^6
+    n_points = 10**6
+    s = concat_digits(ConcatSpec("integers"), n_points + 24)
+    pts = shifted_points(s, n_points)
+    ref = np.array(_oracle_points(s, n_points, 24))
+    assert np.array_equal(pts.points.view(np.uint64), ref.view(np.uint64))  # bit for bit
+
+
+def test_shifted_points_rejects_empty_window():
+    s = concat_digits(ConcatSpec("integers"), 100)
+    with pytest.raises(ValueError):
+        shifted_points(s, 10, shift_digits=0)
+
+
+def test_point_set_is_read_only_float_array():
+    pts = PointSet(points=[0.25, 0.5], eps=0.0)
+    assert pts.points.dtype == np.float64 and not pts.points.flags.writeable
+    with pytest.raises(ValueError):
+        pts.points[0] = 0.75
+    shifted = shifted_points(concat_digits(ConcatSpec("integers"), 200), 100)
+    assert not shifted.points.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.0, -1e-300, 1.5])
+def test_point_set_rejects_non_finite_and_out_of_range(bad):
+    with pytest.raises(ValueError):
+        PointSet(points=(0.5, bad, 0.25), eps=0.0)
+    with pytest.raises(ValueError):
+        PointSet(points=np.array([bad]), eps=0.0)
+
+
+def test_point_set_accepts_negative_zero_like_the_scalar_check():
+    assert len(PointSet(points=(-0.0, 0.0), eps=0.0)) == 2
+
+
+def _wide_values(rng, n):
+    # signed values with decimal exponents spread over -300..300
+    return rng.choice([-1.0, 1.0], n) * rng.random(n) * 10.0 ** rng.uniform(-300, 300, n)
+
+
+def test_exact_sum_matches_fsum_wide_exponents():
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 3, 10, 1000, 5000):
+        x = _wide_values(rng, size)
+        assert _exact_sum(x).hex() == math.fsum(x).hex()
+
+
+@pytest.mark.parametrize("values", [
+    [1e100, 1.0, -1e100],
+    [1e308, -1e308, 1e-308, 5e-324],
+    [2.0**53, 1.0],             # exact tie, rounds to even
+    [2.0**53, 1.0, 2.0**-60],   # just above the tie
+    [2.0**53, -1.0, -(2.0**-60)],
+    [5e-324] * 7,
+    [2.2250738585072014e-308, -5e-324, 1e-320],
+    [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0], [],
+    [0.1], [-3.5], [1.7976931348623157e308],
+    [0.1] * 10,
+])
+def test_exact_sum_matches_fsum_special_cases(values):
+    assert _exact_sum(np.array(values, dtype=np.float64)).hex() == math.fsum(values).hex()
+
+
+@pytest.mark.parametrize("size", [2**16 - 1, 2**16, 2**16 + 1, 2 * 2**16 + 3])
+def test_exact_sum_matches_fsum_around_chunk_size(size):
+    rng = np.random.default_rng(size)
+    for x in (np.cos(rng.random(size) * 40.0), _wide_values(rng, size)):
+        assert _exact_sum(x).hex() == math.fsum(x).hex()
+
+
+def test_exact_sum_matches_fsum_on_weyl_arrays():
+    pts = shifted_points(concat_digits(ConcatSpec("integers"), 100_024), 100_000)
+    for m in range(1, 6):
+        phase = 2.0 * math.pi * m * pts.points
+        for x in (np.cos(phase), np.sin(phase)):
+            assert _exact_sum(x).hex() == math.fsum(x).hex()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_exact_sum_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        _exact_sum(np.array([1.0, bad]))
+
+
+def test_weyl_sum_matches_fsum_reference():
+    # the chunked exact sums reproduce the unchunked math.fsum magnitudes bit for bit
+    pts = shifted_points(concat_digits(ConcatSpec("integers"), 150_025), 150_001)
+    report = weyl_sum(pts, [1, 2, 3, -4, 7])
+    for row in report.rows:
+        phase = 2.0 * math.pi * row.m * pts.points
+        want = math.hypot(math.fsum(np.cos(phase)), math.fsum(np.sin(phase))) / len(pts)
+        assert row.magnitude.hex() == want.hex()

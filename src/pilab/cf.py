@@ -7,13 +7,18 @@ plus signed margins, and findings are data for the caller to interpret.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import constants, groups
-from .radix import DigitStream, ProducerExhaustedError, shifted_fraction, truncate
+from .radix import (
+    DigitStream,
+    EmptyTruncationError,
+    ProducerExhaustedError,
+    text_from_digits,
+    truncate,
+)
 
 
 class InsufficientPrecisionError(ArithmeticError):
@@ -240,15 +245,20 @@ def _stream_certified(stream: DigitStream, integer_part: int, m: int) -> list[in
     return agreed
 
 
-_pi_lock = threading.Lock()
-_pi_shared: Optional[DigitStream] = None
-
-
 def pi_convergents(depth: int) -> list[Convergent]:
     """Convergents of pi through index ``depth``."""
-    # fresh stream per call: shared-stream extension would need serializing,
-    # and digit recomputation is memoized inside the constants module
+    # a fresh stream per call; its digits are prefixes of the constants memo
     return cf_expand(constants.pi_stream(64), 3, depth)
+
+
+def _pi_shift_scaled(n: int, n_digits: int) -> int:
+    """floor({pi * 10^n} * 10^n_digits): digits n+1 .. n+n_digits of pi."""
+    if n < 0:
+        raise ValueError("shift must be >= 0")
+    if n_digits < 1:
+        raise EmptyTruncationError("cannot truncate to zero digits")
+    digits = constants.certified_digits("pi", n + n_digits)
+    return int(text_from_digits(digits[n : n + n_digits]))
 
 
 def frac_pi_shift(n: int, n_digits: int) -> Fraction:
@@ -256,15 +266,7 @@ def frac_pi_shift(n: int, n_digits: int) -> Fraction:
 
     The true fractional part lies in [result, result + 10^-n_digits).
     """
-    if n < 0:
-        raise ValueError("shift must be >= 0")
-    global _pi_shared
-    with _pi_lock:
-        if _pi_shared is None:
-            _pi_shared = constants.pi_stream(64)
-        stream = _pi_shared
-        stream.ensure(n + n_digits)
-        return truncate(shifted_fraction(stream, n, n_digits), n_digits)
+    return Fraction(_pi_shift_scaled(n, n_digits), 10**n_digits)
 
 
 def residue_decompose(conv: Convergent, n: int) -> ResidueDecomposition:
@@ -309,18 +311,25 @@ def _value_with_margin(
     lower: Fraction, upper: Fraction, n: int, q: int
 ) -> tuple[Fraction, int, bool]:
     """Certified pass/fail of lower <= {pi 10^n} <= upper, widening precision
-    until the truncated value clears both endpoints decisively."""
+    until the truncated value clears both endpoints decisively.
+
+    With V = floor({pi 10^n} 10^prec) the true value lies in
+    [V, V + 1) / 10^prec, so each endpoint test is one integer
+    cross-multiplication.
+    """
+    lo_num, lo_den = lower.numerator, lower.denominator
+    up_num, up_den = upper.numerator, upper.denominator
     prec = n + 2 * len(str(q)) + 20
     for _ in range(4):
-        v = frac_pi_shift(n, prec)
-        eps = Fraction(1, 10**prec)
-        # true value in [v, v + eps)
-        lower_ok = v >= lower
-        lower_fail = v + eps <= lower
-        upper_ok = v + eps <= upper
-        upper_fail = v > upper
+        v = _pi_shift_scaled(n, prec)
+        scale = 10**prec
+        lo_at, up_at = lo_num * scale, up_num * scale
+        lower_ok = v * lo_den >= lo_at
+        lower_fail = (v + 1) * lo_den <= lo_at
+        upper_ok = (v + 1) * up_den <= up_at
+        upper_fail = v * up_den > up_at
         if (lower_ok or lower_fail) and (upper_ok or upper_fail):
-            return v, -prec, lower_ok and upper_ok
+            return Fraction(v, scale), -prec, lower_ok and upper_ok
         prec *= 2
     raise InsufficientPrecisionError(n)
 

@@ -12,12 +12,17 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .radix import DigitStream, digits_from_text, read_digit_file, write_digit_file
+from .radix import (
+    DigitStream,
+    ProducerExhaustedError,
+    digits_from_text,
+    read_digit_file,
+    write_digit_file,
+)
 
 DIGIT_CEILING = 100_000
 CACHE_ENV = "PI_LAB_CACHE"
@@ -39,6 +44,12 @@ def _agree_ulp(w: int) -> int:
     one binary ulp (see _ln_rational_agm), so each is within 2 ulp after the
     floor to decimal.  Pi pairs therefore differ by at most 42 ulp and
     logarithm pairs by at most 4.  None of these bounds grows with w.
+
+    The logarithms' ln 2 values and the AGM's pi are computed once, at the
+    highest precision asked for, and served lower by a right shift (see
+    _held_binary).  The shift's floor adds at most one binary ulp to an
+    error the shift has at least halved, so e / 2 + 1 <= e for every
+    error e >= 2 above: each bound holds unchanged, and so do the budgets.
     """
     return 64
 
@@ -54,8 +65,11 @@ def _boundary_ulp(w: int) -> int:
     """
     return 2 * _agree_ulp(w)
 
-_memo_lock = threading.Lock()
-_memo: dict[tuple[str, int], tuple[int, int]] = {}
+# The one memo, keyed by name.  A constant ("pi", "ln10", "ln_pi") maps to
+# (N, floor(value * 10^N), its N fractional digits) for the largest N
+# certified so far; a binary internal ("ln2", "ln2_acoth", "pi_bin") maps to
+# (bits, value * 2^bits, b"") for the most bits computed so far.
+_memo: dict[str, tuple[int, int, bytes]] = {}
 
 
 class MethodDisagreementError(ArithmeticError):
@@ -165,16 +179,35 @@ def _bin_to_decimal(v_bin: int, bits: int, w: int) -> int:
     return v_bin * 10**w >> bits
 
 
+def _held_binary(key: str, bits: int, compute) -> int:
+    """compute(bits), served from the memo's value at the most bits computed
+    so far by a right shift, which adds at most one binary ulp."""
+    held = _memo.get(key)
+    if held is None or held[0] < bits:
+        held = (bits, compute(bits), b"")
+        _memo[key] = held
+    return held[1] >> held[0] - bits
+
+
 def _ln2_bin(bits: int) -> int:
-    return 2 * _arc_series(1, 3, 1 << bits, 1)
+    return _held_binary("ln2", bits, lambda b: 2 * _arc_series(1, 3, 1 << b, 1))
+
+
+def _ln2_acoth(bits: int) -> int:
+    one = 1 << bits
+    return (18 * _arc_series(1, 26, one, 1) - 2 * _arc_series(1, 4801, one, 1)
+            + 8 * _arc_series(1, 8749, one, 1))
 
 
 def _ln2_acoth_bin(bits: int) -> int:
     """ln 2 * 2^bits as 18 acoth 26 - 2 acoth 4801 + 8 acoth 8749, sharing no
     series with the primary's 2 atanh(1/3)."""
-    one = 1 << bits
-    return (18 * _arc_series(1, 26, one, 1) - 2 * _arc_series(1, 4801, one, 1)
-            + 8 * _arc_series(1, 8749, one, 1))
+    return _held_binary("ln2_acoth", bits, _ln2_acoth)
+
+
+def _pi_bin(bits: int) -> int:
+    """pi * 2^bits by Chudnovsky, for the AGM logarithm."""
+    return _held_binary("pi_bin", bits, lambda b: _pi_chudnovsky(1 << b, b // 3 + 1))
 
 
 def _ln_rational_atanh(num: int, den: int, w: int) -> int:
@@ -228,8 +261,7 @@ def _ln_rational_agm(num: int, den: int, w: int) -> int:
     a, b = 1 << f, (den << f + 2 + max(-m, 0)) // (num << max(m, 0))  # 4/s
     while a - b > 1:  # b <= a throughout; the gap squares each step
         a, b = (a + b) >> 1, math.isqrt(a * b)
-    pi = _pi_chudnovsky(1 << f, f // 3 + 1)
-    ln_s = (pi << f) // (2 * a)
+    ln_s = (_pi_bin(f) << f) // (2 * a)
     return _bin_to_decimal((ln_s - m * _ln2_acoth_bin(f)) >> f - bits, bits, w)
 
 
@@ -269,12 +301,18 @@ def _first_diff_index(v1: int, v2: int, w: int) -> int:
     return min(len(s1), len(s2))
 
 
-def _certified_scaled(name: str, n_digits: int) -> int:
-    """floor(value * 10^n_digits) with every digit certified by both engines."""
-    with _memo_lock:
-        hit = _memo.get((name, n_digits))
-    if hit is not None:
-        return hit[0]
+def _certify(name: str, n_digits: int) -> tuple[int, int, bytes]:
+    """The memo entry of ``name`` holding at least ``n_digits`` certified digits.
+
+    A shorter request is served from the largest entry; a longer one is
+    certified at max(n, min(2 N, DIGIT_CEILING)) digits, so a growing consumer
+    runs the engines O(log n) times.
+    """
+    held = _memo.get(name)
+    if held is not None and held[0] >= n_digits:
+        return held
+    if held is not None:
+        n_digits = max(n_digits, min(2 * held[0], DIGIT_CEILING))
     w = _working_digits(n_digits)
     for _ in range(10):
         v1, v2 = _ENGINES[name](w)
@@ -285,19 +323,32 @@ def _certified_scaled(name: str, n_digits: int) -> int:
         rem = v1 % shift
         if margin < rem < shift - margin:
             released = v1 // shift
-            with _memo_lock:
-                _memo[(name, n_digits)] = (released, w)
-            return released
+            frac = released - _INT_PARTS[name] * 10**n_digits
+            if not 0 <= frac < 10**n_digits:
+                raise MethodDisagreementError(name, 0)
+            held = (n_digits, released, digits_from_text(str(frac).rjust(n_digits, "0")))
+            _memo[name] = held
+            return held
         w += 32  # released digit sat on a rounding boundary; widen the guard
     raise MethodDisagreementError(name, n_digits)
 
 
-def _certified_fraction_digits(name: str, n_digits: int) -> bytes:
-    scaled = _certified_scaled(name, n_digits)
-    frac = scaled - _INT_PARTS[name] * 10**n_digits
-    if not 0 <= frac < 10**n_digits:
-        raise MethodDisagreementError(name, 0)
-    return digits_from_text(str(frac).rjust(n_digits, "0"))
+def _certified_scaled(name: str, n_digits: int) -> int:
+    """floor(value * 10^n_digits) with every digit certified by both engines."""
+    held_digits, released, _ = _certify(name, n_digits)
+    return released // 10 ** (held_digits - n_digits)
+
+
+def certified_digits(name: str, n_digits: int) -> bytes:
+    """At least ``n_digits`` certified fractional digits of a constant.
+
+    The digits come from the memo, certified in this process; the cache is
+    never read.  Past DIGIT_CEILING this raises ProducerExhaustedError, as a
+    constant's stream does.
+    """
+    if n_digits > DIGIT_CEILING:
+        raise ProducerExhaustedError(n_digits, DIGIT_CEILING)
+    return _certify(name, n_digits)[2]
 
 
 def integer_part(name: str) -> int:
@@ -339,10 +390,13 @@ def _cache_store(name: str, digits: bytes) -> None:
 
 
 def _released_digits(name: str, n_digits: int) -> bytes:
+    held = _memo.get(name)
+    if held is not None and held[0] >= n_digits:
+        return held[2][:n_digits]
     cached = _cache_load(name, n_digits)
     if cached is not None:
         return cached
-    digits = _certified_fraction_digits(name, n_digits)
+    digits = _certify(name, n_digits)[2][:n_digits]
     _cache_store(name, digits)
     return digits
 

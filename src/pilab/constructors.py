@@ -9,7 +9,6 @@ so random access never streams from the start.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -93,17 +92,15 @@ class _PrimeLengths:
     """Grow-only cumulative digit lengths of the primes, base 10."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._cumlen: list[int] = [0]  # index n -> total digits of p_1..p_n
 
     def upto_term(self, n: int) -> int:
-        with self._lock:
-            if n >= len(self._cumlen):
-                ps = primes.first_primes(max(n, 2 * (len(self._cumlen) - 1), 64))
-                cum = self._cumlen
-                for i in range(len(cum) - 1, len(ps)):
-                    cum.append(cum[-1] + len(str(ps[i])))
-            return self._cumlen[n]
+        if n >= len(self._cumlen):
+            ps = primes.first_primes(max(n, 2 * (len(self._cumlen) - 1), 64))
+            cum = self._cumlen
+            for i in range(len(cum) - 1, len(ps)):
+                cum.append(cum[-1] + len(str(ps[i])))
+        return self._cumlen[n]
 
 
 _prime_lengths = _PrimeLengths()

@@ -1,22 +1,21 @@
 """Prime sieving and primality utilities shared across the package.
 
-The sieve cache is grow-only: concurrent readers see immutable prefixes while
-growth is serialized under a lock.
+The sieve cache is grow-only: it doubles to cover a larger limit.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import threading
 
-_lock = threading.Lock()
 _sieved_to = 100
 _primes: list[int] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                       53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
 
-# Deterministic Miller-Rabin witness set, valid for n < 3.317e24
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witness set: the 13 primes 2..41 admit no strong
+# pseudoprime below psi_13 = _MR_LIMIT (Sorenson & Webster, Math. Comp. 2017).
+# Without 41 the bound would be psi_12 = 318665857834031151167461.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
@@ -38,10 +37,8 @@ def primes_upto(limit: int) -> list[int]:
     """All primes <= limit, from the shared grow-only cache."""
     if limit < 2:
         return []
-    with _lock:
-        _grow(limit)
-        idx = bisect.bisect_right(_primes, limit)
-        return _primes[:idx]
+    _grow(limit)
+    return _primes[: bisect.bisect_right(_primes, limit)]
 
 
 def first_primes(count: int) -> list[int]:
@@ -63,10 +60,11 @@ def nth_prime(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for n below ~3.3e24 (Miller-Rabin witness set)."""
+    """Deterministic primality for n below _MR_LIMIT ~ 3.3e24 (Miller-Rabin
+    over the 13 prime bases 2..41); ValueError at or above it."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     if n >= _MR_LIMIT:

@@ -27,6 +27,11 @@ def digits_from_text(text: str) -> bytes:
     return text.encode("ascii").translate(_FROM_TEXT)
 
 
+def text_from_digits(digits: bytes) -> str:
+    """The characters (0-9 then a-z) of digit values below MAX_BASE."""
+    return digits.translate(_TO_TEXT).decode("ascii")
+
+
 class EmptyTruncationError(ValueError):
     """A zero-digit truncation was requested."""
 
@@ -55,9 +60,7 @@ class DigitStream:
     need up front; internally requests are batched with doubling growth.
 
     Digits are 1-indexed.  ``exact`` carries the represented value when it is
-    a known rational; ``length`` bounds finite streams.  A stream may be read
-    concurrently once its first N digits are materialized; extending a shared
-    stream must be serialized by the caller.
+    a known rational; ``length`` bounds finite streams.
     """
 
     def __init__(
@@ -113,7 +116,7 @@ class DigitStream:
         return self._digits[:n]
 
     def prefix_string(self, n: int) -> str:
-        return self.prefix(n).translate(_TO_TEXT).decode("ascii")
+        return text_from_digits(self.prefix(n))
 
     @classmethod
     def from_rational(cls, value: Fraction, base: int = 10, label: str = "") -> "DigitStream":

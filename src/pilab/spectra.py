@@ -373,7 +373,11 @@ def shifted_points(digits: DigitStream, n_points: int, shift_digits: int = 24) -
 
     Each point is the shift's ``shift_digits``-digit truncation c_n / b^S,
     rounded once to the nearest double (the bits of ``c_n / b**S``), so the
-    certified error is b^-shift_digits plus float conversion.
+    certified error is b^-shift_digits plus float conversion.  A truncation
+    that rounds to 1.0 lies in [1 - 2^-54, 1) and is clamped to 1 - 2^-53, as
+    in PointSet.from_fractions.  The clamp moves it by less than 2^-53, and
+    the 2e-16 term of ``eps``, which otherwise covers the rounding's 2^-54,
+    covers that too.
     """
     if n_points < 1:
         raise ValueError("need at least one point")
@@ -388,6 +392,7 @@ def shifted_points(digits: DigitStream, n_points: int, shift_digits: int = 24) -
         # points n = lo+1 .. lo+count read the digits n .. n+S-1
         seg = digs[lo + 1 : lo + count + shift_digits]
         pts[lo : lo + count] = _window_values(seg, count, b, shift_digits)
+    np.minimum(pts, math.nextafter(1.0, 0.0), out=pts)
     pts.flags.writeable = False
     eps = 1.0 / b**shift_digits + 2e-16
     label = digits.label and f"{digits.label}-shifts"

@@ -171,6 +171,16 @@ def test_report_wall_criterion(tmp_path, capsys):
     assert manifest["inputs"][str(digits_file)].startswith("sha256:")
 
 
+def test_report_on_window_that_rounds_to_one(tmp_path, capsys):
+    digits_file = tmp_path / "nines.digits"
+    digits_file.write_text("base=10 count=72 label=nines\n12" + "9" * 30 + "3" * 40 + "\n")
+    out_file = tmp_path / "nines.json"
+    code, _, err = run(capsys, "report", "--in", str(digits_file), "--N", "40",
+                       "--kmax", "1", "--mmax", "2", "--out", str(out_file))
+    assert code == 0, err
+    assert json.loads(out_file.read_text())["n_points"] == 40
+
+
 def test_report_on_pi_stream(capsys):
     code, out, _ = run(capsys, "report", "--const", "pi", "--N", "500", "--kmax", "1",
                        "--mmax", "2")

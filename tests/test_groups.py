@@ -84,6 +84,24 @@ def test_factorize_matches_sympy():
         assert factorize(n) == sympy.factorint(n), n
 
 
+# psi_12, the least strong pseudoprime to the twelve prime bases 2..37
+PSI_12 = 318665857834031151167461
+
+
+def test_is_prime_rejects_strong_pseudoprime_to_bases_through_37():
+    assert not primes.is_prime(PSI_12)
+    assert primes.is_prime(798330580441)
+
+
+def test_factorize_splits_strong_pseudoprime_to_bases_through_37():
+    assert factorize(PSI_12) == {399165290221: 1, 798330580441: 1}
+
+
+def test_is_prime_raises_at_witness_limit():
+    with pytest.raises(ValueError, match="witness range"):
+        primes.is_prime(primes._MR_LIMIT)
+
+
 def test_subgroup_totient_of_prime_near_lanes():
     q = 3037000493  # the largest prime <= LANE_MAX
     rep = subgroup(10, q, element_cap=0)

@@ -1,0 +1,140 @@
+"""The one constants memo: prefix serving, shared binary log internals, and
+the audit rows decided on its digits by integer cross-multiplication."""
+
+from fractions import Fraction
+
+import pytest
+from mpmath import mp, mpf
+
+from pilab import cf, cli, constants
+from pilab.cf import InsufficientPrecisionError, frac_pi_shift
+
+
+@pytest.fixture
+def pi_calls(monkeypatch):
+    """An empty memo, and a list that grows by one per run of the pi engines."""
+    monkeypatch.setattr(constants, "_memo", {})
+    calls = []
+    engine = constants._ENGINES["pi"]
+
+    def counting(w):
+        calls.append(w)
+        return engine(w)
+
+    monkeypatch.setitem(constants._ENGINES, "pi", counting)
+    return calls
+
+
+def test_standalone_audit_runs_pi_engines_log_times(tmp_path, pi_calls):
+    argv = ["audit", "--lemma", "caseII", "--k", "12", "--nmax", "1500",
+            "--out", str(tmp_path / "audit.json")]
+    assert cli.main(argv) == 0
+    assert 1 <= len(pi_calls) <= 7  # 64, 128, ..., 4096 digits
+
+
+def test_certify_sequence_runs_pi_engines_once(tmp_path, pi_calls):
+    for name, digits in (("pi", 30000), ("ln10", 10000), ("ln_pi", 10000)):
+        argv = ["constants", "--name", name, "--digits", str(digits),
+                "--out", str(tmp_path / f"{name}.digits")]
+        assert cli.main(argv) == 0
+    argv = ["audit", "--lemma", "caseII", "--k", "12", "--nmax", "1500",
+            "--out", str(tmp_path / "audit.json")]
+    assert cli.main(argv) == 0
+    assert len(pi_calls) == 1
+
+
+def test_memo_served_prefixes_equal_fresh_computation(monkeypatch, pi_calls):
+    sizes = (1, 64, 1000, 11015)
+    constants._certify("pi", 2 * sizes[-1])
+    assert len(pi_calls) == 1
+    served = {n: (constants._certified_scaled("pi", n), constants._released_digits("pi", n))
+              for n in sizes}
+    assert len(pi_calls) == 1
+    for n in sizes:
+        monkeypatch.setattr(constants, "_memo", {})
+        fresh = (constants._certified_scaled("pi", n), constants._released_digits("pi", n))
+        assert served[n] == fresh
+        assert len(fresh[1]) == n
+
+
+def test_memo_grows_geometrically(pi_calls):
+    constants._certify("pi", 100)
+    assert constants._certify("pi", 101)[0] == 200
+    assert constants._certify("pi", 150)[0] == 200
+    assert len(pi_calls) == 2
+
+
+# name -> (a fresh computation, its error bound in binary ulp):
+# 2 atanh(1/3) is two _arc_series ulp, the acoth form 2 (18 + 2 + 8)
+LN2_FORMS = {
+    "_ln2_bin": (lambda bits: 2 * constants._arc_series(1, 3, 1 << bits, 1), 4),
+    "_ln2_acoth_bin": (constants._ln2_acoth, 56),
+}
+
+
+@pytest.mark.parametrize("drop", [1, 7, 300])
+@pytest.mark.parametrize("form", sorted(LN2_FORMS))
+def test_shifted_down_ln2_within_derived_bound(monkeypatch, form, drop):
+    monkeypatch.setattr(constants, "_memo", {})
+    exact, ulp = LN2_FORMS[form]
+    bits = 2000
+    held = getattr(constants, form)(bits + drop)
+    assert held == exact(bits + drop)
+    served = getattr(constants, form)(bits)
+    assert served == held >> drop
+    mp.prec = bits + 200
+    err = abs(mpf(served) - mp.ln2 * mpf(2) ** bits)
+    assert err <= mpf(ulp) / 2**drop + 1  # a shift adds at most one ulp
+    assert err <= ulp  # so the unshifted bound still holds
+
+
+def _fraction_value_with_margin(lower, upper, n, q):
+    """The audit row decision as Fraction comparisons, the reference logic."""
+    prec = n + 2 * len(str(q)) + 20
+    for _ in range(4):
+        v = frac_pi_shift(n, prec)
+        eps = Fraction(1, 10**prec)
+        lower_ok = v >= lower
+        lower_fail = v + eps <= lower
+        upper_ok = v + eps <= upper
+        upper_fail = v > upper
+        if (lower_ok or lower_fail) and (upper_ok or upper_fail):
+            return v, -prec, lower_ok and upper_ok
+        prec *= 2
+    raise InsufficientPrecisionError(n)
+
+
+def _rows(n, q):
+    """Endpoints on {pi 10^n} truncated to P digits, which the first pass at
+    prec digits cannot decide when P > prec: P <= 2 prec needs one doubling,
+    P <= 4 prec two, and P > 8 prec exhausts the four passes."""
+    prec = n + 2 * len(str(q)) + 20
+    rows = []
+    for places in (prec // 2, prec + 5, 2 * prec, 2 * prec + 3, 4 * prec, 9 * prec):
+        below = frac_pi_shift(n, places)
+        above = below + Fraction(1, 10**places)
+        rows += [
+            (below, Fraction(1)), (above, Fraction(1)),
+            (Fraction(0), below), (Fraction(0), above),
+            (below, above), (Fraction(q - 1, q), above),
+        ]
+    return prec, rows
+
+
+@pytest.mark.parametrize("n,q", [(1, 113), (40, 33102), (300, 3_245_263_411)])
+def test_integer_row_decision_matches_fraction_logic(n, q):
+    prec, rows = _rows(n, q)
+    exps = set()
+    for lower, upper in rows:
+        try:
+            want = _fraction_value_with_margin(lower, upper, n, q)
+        except InsufficientPrecisionError:
+            with pytest.raises(InsufficientPrecisionError):
+                cf._value_with_margin(lower, upper, n, q)
+            exps.add(None)
+            continue
+        got = cf._value_with_margin(lower, upper, n, q)
+        assert got == want
+        assert type(got[0]) is Fraction
+        exps.add(got[1])
+    assert {-prec, -2 * prec, -4 * prec, None} <= exps

@@ -367,6 +367,21 @@ def test_shifted_points_benchmark_stream_bit_identical():
     assert np.array_equal(pts.points.view(np.uint64), ref.view(np.uint64))  # bit for bit
 
 
+def test_shifted_points_clamp_windows_that_round_to_one():
+    # windows of 17 or more leading nines round to 1.0; they are clamped
+    # below 1 and stay within eps of the exact window value
+    s = DigitStream.from_digits([1, 2] + [9] * 30 + [3] * 40)
+    pts = shifted_points(s, 40, shift_digits=20)
+    ref = _oracle_points(s, 40, 20)
+    below_one = math.nextafter(1.0, 0.0)
+    assert ref[1] == 1.0 and pts.points[1] == below_one
+    assert _hexes(pts.points) == _hexes(min(u, below_one) for u in ref)
+    digits = s.prefix(60)
+    for n in range(1, 41):
+        window = Fraction(int("".join(map(str, digits[n : n + 20]))), 10**20)
+        assert abs(Fraction(float(pts.points[n - 1])) - window) <= pts.eps
+
+
 def test_shifted_points_rejects_empty_window():
     s = concat_digits(ConcatSpec("integers"), 100)
     with pytest.raises(ValueError):

@@ -2,8 +2,8 @@
 
 Three concatenation families (consecutive integers, primes, squares) plus the
 coprime power series sum(1 / (c^n * b^(c^n + s))).  All digits come from exact
-integer arithmetic; term end positions have closed-form or sieve-backed sums,
-so random access never streams from the start.
+integer arithmetic; term end positions are closed-form sums over the runs of
+equal-length terms, so random access never streams from the start.
 """
 
 from __future__ import annotations
@@ -60,50 +60,20 @@ def _digits_in_base(m: int, base: int) -> bytes:
     return bytes(out)
 
 
-def _integer_concat_length(n: int, base: int) -> int:
-    # sum of digit lengths of 1..n: d-digit terms form contiguous runs
-    total = 0
-    low = 1
-    d = 1
-    while low <= n:
-        high = min(n, low * base - 1)
-        total += d * (high - low + 1)
-        low *= base
-        d += 1
-    return total
+# pi(10^d) for d = 0..12 (OEIS A006880): the number of primes with at most d digits
+_PRIME_COUNTS = (0, 4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534,
+                 455052511, 4118054813, 37607912018)
 
 
-def _square_concat_length(n: int, base: int) -> int:
-    # k^2 has d digits iff base^(d-1) <= k^2 < base^d, so the d-digit squares
-    # are k in (isqrt(base^(d-1) - 1), isqrt(base^d - 1)]
-    total = 0
-    d = 1
-    lo = 1
-    while lo <= n:
-        hi = min(math.isqrt(base**d - 1), n)
-        if hi >= lo:
-            total += d * (hi - lo + 1)
-        lo = math.isqrt(base**d - 1) + 1
-        d += 1
-    return total
-
-
-class _PrimeLengths:
-    """Grow-only cumulative digit lengths of the primes, base 10."""
-
-    def __init__(self):
-        self._cumlen: list[int] = [0]  # index n -> total digits of p_1..p_n
-
-    def upto_term(self, n: int) -> int:
-        if n >= len(self._cumlen):
-            ps = primes.first_primes(max(n, 2 * (len(self._cumlen) - 1), 64))
-            cum = self._cumlen
-            for i in range(len(cum) - 1, len(ps)):
-                cum.append(cum[-1] + len(str(ps[i])))
-        return self._cumlen[n]
-
-
-_prime_lengths = _PrimeLengths()
+def _terms_with_digits(spec: ConcatSpec, d: int) -> int:
+    """How many terms of the family have at most d digits in spec.base."""
+    if spec.family == "integers":
+        return spec.base**d - 1
+    if spec.family == "squares":
+        return math.isqrt(spec.base**d - 1)
+    if d >= len(_PRIME_COUNTS):
+        raise ValueError(f"prime positions are tabulated only through {len(_PRIME_COUNTS) - 1}-digit primes")
+    return _PRIME_COUNTS[d]
 
 
 def exponent_a(family: str, n: int) -> int:
@@ -114,12 +84,18 @@ def exponent_a(family: str, n: int) -> int:
 
 
 def _end_position(spec: ConcatSpec, n: int) -> int:
-    """Position at which the n-th term ends in the concatenation; 0 for n = 0."""
-    if spec.family == "integers":
-        return _integer_concat_length(n, spec.base)
-    if spec.family == "squares":
-        return _square_concat_length(n, spec.base)
-    return _prime_lengths.upto_term(n)
+    """Position at which the n-th term ends in the concatenation; 0 for n = 0.
+
+    The d-digit terms form one contiguous run, so the sum runs over digit
+    lengths rather than terms.
+    """
+    total = below = d = 0
+    while below < n:
+        d += 1
+        upto = min(n, _terms_with_digits(spec, d))
+        total += d * (upto - below)
+        below = upto
+    return total
 
 
 def _term_index(spec: ConcatSpec, position: int) -> int:

@@ -305,8 +305,14 @@ def orders_of_ten(qs) -> np.ndarray:
 
 
 def artin_orders(limit: int) -> ArtinTable:
-    """(q, ord_q(10)) as int64 arrays over the primes q <= limit except 2 and 5."""
-    qs = np.array([q for q in primes.primes_upto(limit) if q not in (2, 5)], dtype=np.int64)
+    """(q, ord_q(10)) as int64 arrays over the primes q <= limit except 2 and 5.
+
+    A limit that would admit a prime above LANE_MAX raises before sieving.
+    """
+    if limit >= primes.next_prime(LANE_MAX + 1):
+        raise ValueError(f"artin limit {limit} admits primes above {LANE_MAX}, past the int64 lanes")
+    qs = np.array(primes.primes_upto(limit), dtype=np.int64)
+    qs = qs[(qs != 2) & (qs != 5)]
     return qs, orders_of_ten(qs)
 
 
@@ -346,12 +352,10 @@ def nearest_prime_in_window(q: int, window_factor: float = 1.0) -> tuple[int, tu
     if q < 3:
         raise ValueError("window search needs q >= 3")
     lo, hi = _window_bounds(q, window_factor)
-    c = lo
-    while c <= hi:
-        if primes.is_prime(c):
-            return c, (lo, hi)
-        c += 1
-    raise WindowExhaustedError(f"no prime in [{lo}, {hi}]")
+    p = primes.next_prime(lo)
+    if p > hi:
+        raise WindowExhaustedError(f"no prime in [{lo}, {hi}]")
+    return p, (lo, hi)
 
 
 def find_artin_prime_near(conv, window_factor: float = 1.0) -> ArtinWindow:

@@ -1,16 +1,14 @@
 """Prime sieving and primality utilities shared across the package.
 
-The sieve cache is grow-only: it doubles to cover a larger limit.
+Every prime list comes from one odd-only numpy sieve over a window; nothing is
+cached between calls.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 
-_sieved_to = 100
-_primes: list[int] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-                      53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
+import numpy as np
 
 # Deterministic Miller-Rabin witness set: the 13 primes 2..41 admit no strong
 # pseudoprime below psi_13 = _MR_LIMIT (Sorenson & Webster, Math. Comp. 2017).
@@ -19,44 +17,44 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
-def _grow(limit: int) -> None:
-    global _sieved_to
-    if limit <= _sieved_to:
-        return
-    limit = max(limit, 2 * _sieved_to)
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    _primes[:] = [i for i, flag in enumerate(sieve) if flag]
-    _sieved_to = limit
+def _sieve(lo: int, hi: int) -> np.ndarray:
+    """The primes in [lo, hi] as an int64 array.
+
+    One flag per odd number of the window, struck from each odd base prime's
+    first odd multiple >= max(p^2, lo); the base primes <= isqrt(hi) come from
+    the same sieve, recursively.
+    """
+    lo = max(lo, 2)
+    if hi < lo:
+        return np.empty(0, dtype=np.int64)
+    first = lo | 1  # least odd number >= lo
+    flags = np.ones(max(0, (hi - first) // 2 + 1), dtype=bool)  # first, first + 2, ...
+    for p in _sieve(3, math.isqrt(hi)).tolist():
+        m = max(p * p, -(-first // p) * p)
+        if m % 2 == 0:
+            m += p
+        flags[(m - first) // 2 :: p] = False
+    odd = first + 2 * np.flatnonzero(flags)
+    return np.concatenate(([2], odd)) if lo == 2 else odd
 
 
 def primes_upto(limit: int) -> list[int]:
-    """All primes <= limit, from the shared grow-only cache."""
-    if limit < 2:
-        return []
-    _grow(limit)
-    return _primes[: bisect.bisect_right(_primes, limit)]
+    """All primes <= limit."""
+    return _sieve(2, limit).tolist()
+
+
+def primes_in_range(lo: int, hi: int) -> list[int]:
+    """Primes in [lo, hi], sieving only the window."""
+    return _sieve(lo, hi).tolist()
 
 
 def first_primes(count: int) -> list[int]:
     """The first ``count`` primes."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if count < 6:
-        return [2, 3, 5, 7, 11][:count]
-    bound = int(count * (math.log(count) + math.log(math.log(count)))) + 10
-    while True:
-        ps = primes_upto(bound)
-        if len(ps) >= count:
-            return ps[:count]
-        bound *= 2
-
-
-def nth_prime(n: int) -> int:
-    return first_primes(n)[-1]
+    # Rosser: p_n < n (ln n + ln ln n) for n >= 6; p_5 = 11
+    bound = 11 if count < 6 else int(count * (math.log(count) + math.log(math.log(count)))) + 10
+    return _sieve(2, bound)[:count].tolist()
 
 
 def is_prime(n: int) -> bool:
@@ -85,22 +83,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def primes_in_range(lo: int, hi: int) -> list[int]:
-    """Primes in [lo, hi] via a segmented sieve over the window."""
-    if hi < lo or hi < 2:
-        return []
-    lo = max(lo, 2)
-    base = primes_upto(math.isqrt(hi))
-    size = hi - lo + 1
-    seg = bytearray([1]) * size
-    for p in base:
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start > hi:
-            continue
-        seg[start - lo :: p] = bytearray(len(seg[start - lo :: p]))
-    return [lo + i for i in range(size) if seg[i]]
 
 
 def next_prime(n: int) -> int:

@@ -234,6 +234,18 @@ def test_domain_error_exit_one(capsys):
     assert "not a unit" in err
 
 
+def test_artin_limit_past_lanes_exit_one_before_sieving(capsys, monkeypatch):
+    from pilab import primes
+
+    def refuse(limit):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(primes, "primes_upto", refuse)
+    code, _, err = run(capsys, "artin", "--limit", "4000000000")
+    assert code == 1
+    assert "int64" in err
+
+
 def test_stoneham_gcd_error_exit_one(capsys):
     code, _, err = run(capsys, "construct", "--family", "stoneham", "--b", "10", "--c", "2",
                        "--digits", "10")

@@ -157,3 +157,38 @@ def test_prime_terms():
     assert prime_terms(1) == [2]
     with pytest.raises(ValueError):
         prime_terms(0)
+
+
+def test_prime_counts_match_sieve():
+    from pilab import primes
+    from pilab.constructors import _PRIME_COUNTS
+
+    for d in range(8):
+        assert _PRIME_COUNTS[d] == len(primes.primes_upto(10**d))
+
+
+def test_prime_end_positions_match_cumulative_lengths():
+    import numpy as np
+
+    from pilab.constructors import _end_position
+
+    ps = np.array(prime_terms(700_000))
+    cum = np.concatenate(([0], np.cumsum(np.char.str_len(ps.astype(str)))))
+    spec = ConcatSpec("primes")
+    # every 97th term, and every term across the run of 6-digit primes into 7 digits
+    for n in sorted(set(range(0, 700_001, 97)) | set(range(663_500, 665_700))):
+        assert _end_position(spec, n) == cum[n], n
+
+
+def test_prime_positions_past_the_table_raise():
+    from pilab.constructors import _PRIME_COUNTS, _end_position
+
+    spec = ConcatSpec("primes")
+    last = _end_position(spec, _PRIME_COUNTS[-1])
+    assert last == sum(d * (_PRIME_COUNTS[d] - _PRIME_COUNTS[d - 1]) for d in range(1, len(_PRIME_COUNTS)))
+    with pytest.raises(ValueError):
+        _end_position(spec, _PRIME_COUNTS[-1] + 1)
+    with pytest.raises(ValueError):
+        exponent_a("primes", _PRIME_COUNTS[-1] + 1)
+    with pytest.raises(ValueError):
+        digit_at(spec, last + 1)

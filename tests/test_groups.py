@@ -213,6 +213,24 @@ def test_orders_of_ten_rejects_primes_beyond_lanes():
         orders_of_ten([3, 5, 7])
 
 
+def test_artin_limit_past_lanes_raises_before_sieving(monkeypatch):
+    first_past = primes.next_prime(LANE_MAX + 1)
+    below = 3037000493  # the largest prime <= LANE_MAX
+
+    def refuse(limit):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(primes, "primes_upto", refuse)
+    for limit in (first_past, LANE_MAX + 10**6, 4 * 10**9):
+        with pytest.raises(ValueError):
+            artin_orders(limit)
+    # one below the boundary the sieve is reached; stand it in by its top primes
+    monkeypatch.setattr(primes, "primes_upto", lambda limit: [2, 3, 5, 7, below])
+    qs, orders = artin_orders(first_past - 1)
+    assert qs.tolist() == [3, 7, below]
+    assert orders.tolist() == [mult_order(10, q) for q in (3, 7, below)]
+
+
 def test_nearest_prime_in_window():
     prime, window = nearest_prime_in_window(106)
     assert prime == 107 and window[0] == 106

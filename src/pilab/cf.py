@@ -214,23 +214,19 @@ def cf_expand(stream: DigitStream, integer_part: int, depth: int) -> list[Conver
 
     m = 48
     best = 0
-    while True:
+    while m <= 1 << 22:
+        width = m if stream.length is None else min(m, stream.length // 2)
         try:
-            stream.ensure(2 * m)
-        except ProducerExhaustedError:
-            if stream.length is not None and stream.length >= 2:
-                cert = _stream_certified(stream, integer_part, stream.length // 2)
-                if len(cert) >= depth + 1:
-                    return convergents_from_quotients(cert[: depth + 1])
-                best = max(best, len(cert))
-            raise InsufficientPrecisionError(best)
-        cert = _stream_certified(stream, integer_part, m)
+            cert = _stream_certified(stream, integer_part, width)
+        except (ProducerExhaustedError, EmptyTruncationError):  # ran short, or length < 2
+            break
         if len(cert) >= depth + 1:
             return convergents_from_quotients(cert[: depth + 1])
         best = max(best, len(cert))
+        if width < m:
+            break  # a finite stream's widest pass is done
         m *= 2
-        if m > 1 << 22:
-            raise InsufficientPrecisionError(best)
+    raise InsufficientPrecisionError(best)
 
 
 def _stream_certified(stream: DigitStream, integer_part: int, m: int) -> list[int]:
@@ -246,9 +242,10 @@ def _stream_certified(stream: DigitStream, integer_part: int, m: int) -> list[in
 
 
 def pi_convergents(depth: int) -> list[Convergent]:
-    """Convergents of pi through index ``depth``."""
-    # a fresh stream per call; its digits are prefixes of the constants memo
-    return cf_expand(constants.pi_stream(64), 3, depth)
+    """Convergents of pi through index ``depth``, expanded from the constants
+    memo's certified digits (the digit cache is never read)."""
+    digits = DigitStream(10, lambda n: constants.certified_digits("pi", n), length=constants.DIGIT_CEILING)
+    return cf_expand(digits, 3, depth)
 
 
 def _pi_shift_scaled(n: int, n_digits: int) -> int:

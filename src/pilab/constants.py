@@ -421,11 +421,6 @@ def const_digits(req: ConstantRequest) -> DigitStream:
     return stream
 
 
-def pi_stream(n_digits: int = 64) -> DigitStream:
-    """Convenience stream of pi's fractional digits, extensible on demand."""
-    return const_digits(ConstantRequest("pi", n_digits))
-
-
 def x_sequence(n_max: int, precision: int = 30) -> list[Fraction]:
     """The values n*ln(10) + ln(pi) for n = 1..n_max.
 

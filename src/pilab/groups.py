@@ -180,12 +180,7 @@ def subgroup(g: int, m: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> Subgroup
     order, totient = _order_and_totient(g, m)
     elements = None
     if order <= element_cap:
-        elems = []
-        x = 1 % m
-        for _ in range(order):
-            elems.append(x)
-            x = x * g % m
-        elements = tuple(sorted(elems))
+        elements = tuple(_power_set_sorted(1, g, m, order).tolist())
     return SubgroupReport(
         modulus=m, generator=g % m, order=order, totient=totient,
         is_primitive=order == totient, elements=elements,
@@ -193,8 +188,10 @@ def subgroup(g: int, m: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> Subgroup
 
 
 def _power_set_sorted(start: int, g: int, m: int, count: int) -> np.ndarray:
+    """start * g^n mod m for n < count, sorted: int64 lanes while m <= LANE_MAX,
+    Python ints (dtype=object) above, where a lane product could overflow."""
     # doubling fill: out[n:2n] = out[:n] * g^n mod m
-    out = np.empty(count, dtype=np.int64)
+    out = np.empty(count, dtype=np.int64 if m <= LANE_MAX else object)
     out[0] = start % m
     n, step = 1, g % m
     while n < count:
@@ -222,32 +219,17 @@ def coset_structure(conv, element_cap: int = DEFAULT_ELEMENT_CAP) -> CosetReport
         )
     base = subgroup(10, q, element_cap=element_cap)
     order = base.order
-    if q * q < 2**62:
-        ten_set = _power_set_sorted(1, 10, q, order)
-        h_set = _power_set_sorted((p * q + 1) % q, 10, q, order)
-        g_set = _power_set_sorted(p % q, 10, q, order)
-        coset = np.sort(ten_set * (p % q) % q)
-        h_equals = bool(np.array_equal(h_set, ten_set))
-        g_equals = bool(np.array_equal(g_set, coset))
-        g_unique = g_set[np.r_[True, np.diff(g_set) != 0]]  # both sets are sorted
-        h_unique = h_set[np.r_[True, np.diff(h_set) != 0]]
-        g_size, h_size = len(g_unique), len(h_unique)
-        g_elems = tuple(int(x) for x in g_unique) if order <= element_cap else None
-        h_elems = tuple(int(x) for x in h_unique) if order <= element_cap else None
-    else:
-        # q^2 would overflow int64 lanes; fall back to exact Python sets
-        ten = set()
-        x = 1
-        for _ in range(order):
-            ten.add(x)
-            x = x * 10 % q
-        h = {(p * q + 1) % q * pow(10, n, q) % q for n in range(order)}
-        g = {p % q * pow(10, n, q) % q for n in range(order)}
-        h_equals = h == ten
-        g_equals = g == {p % q * t % q for t in ten}
-        g_size, h_size = len(g), len(h)
-        g_elems = tuple(sorted(g)) if order <= element_cap else None
-        h_elems = tuple(sorted(h)) if order <= element_cap else None
+    ten_set = _power_set_sorted(1, 10, q, order)
+    h_set = _power_set_sorted((p * q + 1) % q, 10, q, order)
+    g_set = _power_set_sorted(p % q, 10, q, order)
+    coset = np.sort(ten_set * (p % q) % q)
+    h_equals = bool(np.array_equal(h_set, ten_set))
+    g_equals = bool(np.array_equal(g_set, coset))
+    g_unique = g_set[np.r_[True, np.diff(g_set) != 0]]  # both sets are sorted
+    h_unique = h_set[np.r_[True, np.diff(h_set) != 0]]
+    g_size, h_size = len(g_unique), len(h_unique)
+    g_elems = tuple(g_unique.tolist()) if order <= element_cap else None
+    h_elems = tuple(h_unique.tolist()) if order <= element_cap else None
     return CosetReport(
         p=p, q=q, hypothesis_ok=True, base=base,
         g_size=g_size, h_size=h_size,

@@ -50,11 +50,16 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 
 def first_primes(count: int) -> list[int]:
     """The first ``count`` primes."""
+    return _first_primes(count).tolist()
+
+
+def _first_primes(count: int) -> np.ndarray:
+    """The first ``count`` primes as an int64 array, for callers that slice it."""
     if count < 1:
         raise ValueError("count must be >= 1")
     # Rosser: p_n < n (ln n + ln ln n) for n >= 6; p_5 = 11
     bound = 11 if count < 6 else int(count * (math.log(count) + math.log(math.log(count)))) + 10
-    return _sieve(2, bound)[:count].tolist()
+    return _sieve(2, bound)[:count]
 
 
 def is_prime(n: int) -> bool:

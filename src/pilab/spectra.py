@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import constants, primes
-from .radix import DigitStream, fractional_part, shifted_fraction, truncate
+from .radix import DigitStream, fractional_part, shifted_fraction, text_from_digits, truncate
 from .groups import SubgroupReport
 
 _FLOAT_SLOP = 5e-16  # per-point trig rounding folded into reported error bounds
@@ -225,10 +225,10 @@ def block_frequency(
     expected = windows / n_patterns
     max_abs_dev = float(np.abs(counts / windows - 1.0 / n_patterns).max())
     chi_square = float(((counts - expected) ** 2 / expected).sum())
-    nonzero = {}
-    for code in np.flatnonzero(counts):
-        pattern = np.base_repr(int(code), base=b).rjust(k, "0") if b != 10 else str(int(code)).rjust(k, "0")
-        nonzero[pattern.lower()] = int(counts[code])
+    codes = np.flatnonzero(counts)
+    rows = codes[:, None] // b ** np.arange(k - 1, -1, -1) % b  # each code's k digits
+    names = text_from_digits(rows.astype(np.uint8).tobytes())
+    nonzero = {names[i * k : i * k + k]: n for i, n in enumerate(counts[codes].tolist())}
     return BlockStats(
         base=b, block_len=k, windows=windows, counts=nonzero,
         max_abs_dev=max_abs_dev, chi_square=chi_square, dof=n_patterns - 1,

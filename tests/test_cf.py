@@ -12,17 +12,19 @@ from pilab.cf import (
     Convergent,
     InsufficientPrecisionError,
     TerminatedExpansionError,
+    _stream_certified,
     approximation_gap,
     audit_lemma_caseI,
     audit_lemma_caseII,
     audit_lemma_prime_variant,
     audit_to_jsonable,
     cf_expand,
+    convergents_from_quotients,
     frac_pi_shift,
     pi_convergents,
     residue_decompose,
 )
-from pilab.radix import DigitStream
+from pilab.radix import DigitStream, ProducerExhaustedError
 
 
 def brute_force_quotients(value: Fraction, count: int) -> list[int]:
@@ -86,6 +88,56 @@ def test_finite_stream_insufficient_precision():
     with pytest.raises(InsufficientPrecisionError) as err:
         cf_expand(stream, 3, 30)
     assert err.value.first_uncertified >= 0
+
+
+def _two_branch_cf_expand(stream, integer_part, depth):
+    """cf_expand's digit-stream loop with a separate exhausted-stream pass,
+    the reference for the single clamped loop."""
+    m, best = 48, 0
+    while True:
+        try:
+            stream.ensure(2 * m)
+        except ProducerExhaustedError:
+            if stream.length is not None and stream.length >= 2:
+                cert = _stream_certified(stream, integer_part, stream.length // 2)
+                if len(cert) >= depth + 1:
+                    return convergents_from_quotients(cert[: depth + 1])
+                best = max(best, len(cert))
+            raise InsufficientPrecisionError(best)
+        cert = _stream_certified(stream, integer_part, m)
+        if len(cert) >= depth + 1:
+            return convergents_from_quotients(cert[: depth + 1])
+        best = max(best, len(cert))
+        m *= 2
+
+
+def _expand_outcome(expand, digits, depth):
+    try:
+        return expand(DigitStream.from_digits(digits), 3, depth)
+    except InsufficientPrecisionError as err:
+        return err.first_uncertified
+
+
+def test_finite_pi_streams_match_two_branch_loop():
+    pi = constants.certified_digits("pi", 200)[:200]
+    uncertified = {}
+    for length in range(1, 201):
+        for depth in (0, 1, 5, 20, 60, 500):
+            got = _expand_outcome(cf_expand, pi[:length], depth)
+            assert got == _expand_outcome(_two_branch_cf_expand, pi[:length], depth)
+        uncertified[length] = got
+    assert {n: uncertified[n] for n in (1, 2, 10, 50, 96, 150, 192, 200)} == {
+        1: 0, 2: 1, 10: 2, 50: 23, 96: 43, 150: 75, 192: 90, 200: 97,
+    }
+
+
+@pytest.mark.parametrize("length", [None, 400])
+def test_short_producer_is_insufficient_precision(length):
+    pi = constants.certified_digits("pi", 150)[:150]
+    stream = DigitStream(10, lambda n: pi[:n], length=length)  # never more than 150 digits
+    with pytest.raises(InsufficientPrecisionError) as err:
+        cf_expand(stream, 3, 500)
+    assert err.value.first_uncertified == 43
 
 
 def test_residue_decompose_hand_values():

@@ -9,6 +9,7 @@ from pilab import primes
 from pilab.cf import Convergent, pi_convergents
 from pilab.groups import (
     LANE_MAX,
+    _power_set_sorted,
     ArtinWindow,
     WindowExhaustedError,
     artin_orders,
@@ -298,3 +299,25 @@ def test_coset_numpy_branch_matches_python_sets():
         assert rep.g_elements == tuple(sorted(g)) and rep.h_elements == tuple(sorted(h))
         assert (rep.g_size, rep.h_size) == (len(g), len(h))
         assert rep.h_equals_subgroup == (h == ten) and rep.g_equals_coset
+
+
+R19 = (10**19 - 1) // 9  # prime, above LANE_MAX, ord 19
+
+
+@pytest.mark.parametrize("q,order,lanes", [(R19, 19, object), (2331002331, 12, np.int64)])
+def test_cosets_and_subgroup_match_python_sets_across_lane_bound(q, order, lanes):
+    # 2331002331 = (10^12 - 1) / 429 lies in (2^31, LANE_MAX]
+    assert (q > LANE_MAX) == (lanes is object) and q > 2**31
+    assert _power_set_sorted(1, 10, q, order).dtype == lanes
+    ten = {pow(10, n, q) for n in range(naive_order(10, q))}
+    rep = subgroup(10, q)
+    assert rep.order == order == len(ten)
+    assert rep.elements == tuple(sorted(ten))
+    for p in (1, 7, 314159265358979323846, q - 1, q + 3):
+        cos = coset_structure(Convergent(k=0, a=0, p=p, q=q))
+        g = {p * t % q for t in ten}
+        h = {(p * q + 1) * t % q for t in ten}
+        assert cos.g_elements == tuple(sorted(g)) and cos.h_elements == tuple(sorted(h))
+        assert (cos.g_size, cos.h_size) == (len(g), len(h))
+        assert cos.h_equals_subgroup == (h == ten) and cos.g_equals_coset
+        assert all(type(x) is int for x in cos.g_elements + rep.elements)

@@ -8,6 +8,7 @@ from mpmath import mp, mpf
 
 from pilab import cf, cli, constants
 from pilab.cf import InsufficientPrecisionError, frac_pi_shift
+from pilab.radix import DigitStream, write_digit_file
 
 
 @pytest.fixture
@@ -41,6 +42,28 @@ def test_certify_sequence_runs_pi_engines_once(tmp_path, pi_calls):
             "--out", str(tmp_path / "audit.json")]
     assert cli.main(argv) == 0
     assert len(pi_calls) == 1
+
+
+def _cli_stdout(capsys, monkeypatch, *argv):
+    monkeypatch.setattr(constants, "_memo", {})
+    assert cli.main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def test_cf_and_coset_ignore_a_corrupt_cache(tmp_path, monkeypatch, capsys):
+    runs = (("cf", "--depth", "12"), ("coset", "--k", "8"))
+    want = [_cli_stdout(capsys, monkeypatch, *argv) for argv in runs]
+    bad = bytearray(constants.certified_digits("pi", 1000)[:1000])
+    bad[11] = (bad[11] + 1) % 10  # digit 12; the header stays a valid pi entry
+    write_digit_file(tmp_path / "pi.digits", DigitStream.from_digits(bytes(bad), label="pi"),
+                     1000, label="pi")
+    monkeypatch.setenv("PI_LAB_CACHE", str(tmp_path))
+    assert [_cli_stdout(capsys, monkeypatch, *argv) for argv in runs] == want
+
+    empty = tmp_path / "fresh"
+    monkeypatch.setenv("PI_LAB_CACHE", str(empty))
+    assert _cli_stdout(capsys, monkeypatch, "cf", "--depth", "3")
+    assert not empty.exists()
 
 
 def test_memo_served_prefixes_equal_fresh_computation(monkeypatch, pi_calls):

@@ -1,5 +1,6 @@
 import cmath
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -116,6 +117,17 @@ def test_blocks_binary_base():
     s = DigitStream.from_rational(Fraction(1, 3), base=2)  # 010101...
     stats = block_frequency(s, 1000, 2)
     assert stats.counts == {"01": 500, "10": 499}
+
+
+@pytest.mark.parametrize("base,k", [(2, 9), (10, 4), (16, 3), (36, 2)])
+def test_block_names_match_base_repr(base, k):
+    n = 20000
+    stream = concat_digits(ConcatSpec("integers", base=base), n)
+    text = stream.prefix_string(n)
+    stats = block_frequency(stream, n, k)
+    codes = sorted({int(text[i : i + k], base) for i in range(n - k + 1)})
+    assert list(stats.counts) == [np.base_repr(c, base=base).rjust(k, "0").lower() for c in codes]
+    assert stats.counts == Counter(text[i : i + k] for i in range(n - k + 1))
 
 
 def test_blocks_table_cap():

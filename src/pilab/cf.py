@@ -7,7 +7,7 @@ plus signed margins, and findings are data for the caller to interpret.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -266,15 +266,16 @@ def frac_pi_shift(n: int, n_digits: int) -> Fraction:
     return Fraction(_pi_shift_scaled(n, n_digits), 10**n_digits)
 
 
-def residue_decompose(conv: Convergent, n: int) -> ResidueDecomposition:
-    """Exact integer divisions of 10^n p_k and (p_k q_k + 1) 10^n by q_k powers."""
+def residue_decompose(conv: Convergent, n: int, modulus: Optional[int] = None) -> ResidueDecomposition:
+    """Exact integer divisions of 10^n p_k and (p_k q_k + 1) 10^n by powers of
+    ``modulus``: q_k by default, the window prime in the prime-modulus audit."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    q = conv.q
-    a_n, r_n = divmod(10**n * conv.p, q)
-    b_n, rem = divmod((conv.p * q + 1) * 10**n, q * q)
-    s_n, c_n = divmod(rem, q)
-    return ResidueDecomposition(n=n, modulus=q, a_n=a_n, r_n=r_n, b_n=b_n, s_n=s_n, c_n=c_n)
+    m = conv.q if modulus is None else modulus
+    a_n, r_n = divmod(10**n * conv.p, m)
+    b_n, rem = divmod((conv.p * conv.q + 1) * 10**n, m * m)
+    s_n, c_n = divmod(rem, m)
+    return ResidueDecomposition(n=n, modulus=m, a_n=a_n, r_n=r_n, b_n=b_n, s_n=s_n, c_n=c_n)
 
 
 def _nth_root_floor(x: int, n: int) -> int:
@@ -331,6 +332,32 @@ def _value_with_margin(
     raise InsufficientPrecisionError(n)
 
 
+def _lemma_audit(
+    lemma: str, conv: Convergent, cfg: AuditConfig, ns: range, bounds, lower_exact: bool = True
+) -> LemmaAudit:
+    """One certified row per n in ``ns``, between the endpoints ``bounds(dec)``
+    built from the residues of n; s_n and c_n are recorded for case II, whose
+    upper endpoint uses them."""
+    q = conv.q
+    case_two = lemma == "caseII"
+    rows = []
+    for n in ns:
+        dec = residue_decompose(conv, n)
+        lower, upper = bounds(dec)
+        value, err_exp, passed = _value_with_margin(lower, upper, n, q)
+        rows.append(
+            AuditRow(
+                n=n, r=dec.r_n, s=dec.s_n if case_two else None, c=dec.c_n if case_two else None,
+                lower=lower, upper=upper, value=value, value_error_exp=err_exp, passed=passed,
+                margin_lower=value - lower, margin_upper=upper - value, lower_exact=lower_exact,
+            )
+        )
+    return LemmaAudit(
+        lemma=lemma, k=conv.k, p=conv.p, q=q, mu=cfg.mu,
+        k_even=conv.k % 2 == 0, rows=tuple(rows),
+    )
+
+
 def audit_lemma_caseI(conv: Convergent, cfg: AuditConfig = AuditConfig()) -> LemmaAudit:
     """Interval audit r/q + 10^n/(2q^2) <= {pi 10^n} <= (r+1)/q over 10^n <= q_k.
 
@@ -338,51 +365,21 @@ def audit_lemma_caseI(conv: Convergent, cfg: AuditConfig = AuditConfig()) -> Lem
     audited anyway with the parity recorded, since findings are data.
     """
     q = conv.q
-    rows = []
-    n = 1
-    while 10**n <= q and n <= cfg.n_max:
-        dec = residue_decompose(conv, n)
-        lower = Fraction(dec.r_n, q) + Fraction(10**n, 2 * q * q)
-        upper = Fraction(dec.r_n + 1, q)
-        value, err_exp, passed = _value_with_margin(lower, upper, n, q)
-        rows.append(
-            AuditRow(
-                n=n, r=dec.r_n, s=None, c=None, lower=lower, upper=upper,
-                value=value, value_error_exp=err_exp, passed=passed,
-                margin_lower=value - lower, margin_upper=upper - value,
-            )
-        )
-        n += 1
-    return LemmaAudit(
-        lemma="caseI", k=conv.k, p=conv.p, q=q, mu=cfg.mu,
-        k_even=conv.k % 2 == 0, rows=tuple(rows),
+    ns = range(1, min(len(str(q)), cfg.n_max + 1))  # 10^n <= q exactly when n < len(str(q))
+    return _lemma_audit(
+        "caseI", conv, cfg, ns,
+        lambda dec: (Fraction(dec.r_n, q) + Fraction(10**dec.n, 2 * q * q), Fraction(dec.r_n + 1, q)),
     )
 
 
 def audit_lemma_caseII(conv: Convergent, cfg: AuditConfig = AuditConfig()) -> LemmaAudit:
     """Interval audit r/q + q^-(mu-1) <= {pi 10^n} <= s/q + c/q^2 over 10^n > q_k."""
     q = conv.q
-    rows = []
-    n = len(str(q))  # smallest n with 10^n > q
-    prec_for_mu = 2 * len(str(q)) + 20
-    term, exact = _inv_power(q, cfg.mu - 1.0, prec_for_mu)
-    while n <= cfg.n_max:
-        dec = residue_decompose(conv, n)
-        lower = Fraction(dec.r_n, q) + term
-        upper = Fraction(dec.s_n, q) + Fraction(dec.c_n, q * q)
-        value, err_exp, passed = _value_with_margin(lower, upper, n, q)
-        rows.append(
-            AuditRow(
-                n=n, r=dec.r_n, s=dec.s_n, c=dec.c_n, lower=lower, upper=upper,
-                value=value, value_error_exp=err_exp, passed=passed,
-                margin_lower=value - lower, margin_upper=upper - value,
-                lower_exact=exact,
-            )
-        )
-        n += 1
-    return LemmaAudit(
-        lemma="caseII", k=conv.k, p=conv.p, q=q, mu=cfg.mu,
-        k_even=conv.k % 2 == 0, rows=tuple(rows),
+    term, exact = _inv_power(q, cfg.mu - 1.0, 2 * len(str(q)) + 20)
+    return _lemma_audit(
+        "caseII", conv, cfg, range(len(str(q)), cfg.n_max + 1),
+        lambda dec: (Fraction(dec.r_n, q) + term, Fraction(dec.s_n, q) + Fraction(dec.c_n, q * q)),
+        lower_exact=exact,
     )
 
 
@@ -400,27 +397,19 @@ def audit_lemma_prime_variant(
     q0 = conv.q
     prime, window = groups.nearest_prime_in_window(q0, window_factor=window_factor)
     rows = []
-    prec_for_mu = 2 * len(str(prime)) + 20
+    term, _ = _inv_power(2 * prime, cfg.mu - 1.0, 2 * len(str(prime)) + 20)
     for n in range(1, cfg.n_max + 1):
-        a_n, r_n = divmod(10**n * conv.p, prime)
-        b_n, rem = divmod((conv.p * q0 + 1) * 10**n, prime * prime)
-        s_n, c_n = divmod(rem, prime)
-        if 10**n <= q0:
-            case = "I"
-            lower = Fraction(r_n, 2 * prime)
-            upper = Fraction(r_n + 1, prime)
-        else:
-            case = "II"
-            term, _ = _inv_power(2 * prime, cfg.mu - 1.0, prec_for_mu)
-            lower = Fraction(r_n, 2 * prime) + term
-            upper = Fraction(s_n, prime)
+        dec = residue_decompose(conv, n, prime)
+        case_one = 10**n <= q0
+        lower = Fraction(dec.r_n, 2 * prime) + (0 if case_one else term)
+        upper = Fraction(dec.r_n + 1 if case_one else dec.s_n, prime)
         prec = n + 2 * len(str(prime)) + 20
         value = frac_pi_shift(n, prec)
         res_lower = value - lower
         res_upper = upper - value
         rows.append(
             PrimeAuditRow(
-                n=n, case=case, r=r_n, s=s_n, c=c_n, value=value,
+                n=n, case="I" if case_one else "II", r=dec.r_n, s=dec.s_n, c=dec.c_n, value=value,
                 value_error_exp=-prec, lower_base=lower, upper_base=upper,
                 residual_lower=res_lower, residual_upper=res_upper,
                 scaled_lower=res_lower * prime * prime,
@@ -482,8 +471,19 @@ def approximation_gap(
     )
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+_ROW_KEYS = {"passed": "pass", "lower_base": "lower", "upper_base": "upper"}
+
+
+def _row_jsonable(row, drop: tuple[str, ...] = ()) -> dict:
+    """A row's fields under their report keys, exact rationals as num/den strings."""
+    out = {}
+    for f in fields(row):
+        if f.name not in drop:
+            v = getattr(row, f.name)
+            if isinstance(v, Fraction):
+                v = f"{v.numerator}/{v.denominator}"
+            out[_ROW_KEYS.get(f.name, f.name)] = v
+    return out
 
 
 def audit_to_jsonable(audit, include_scaled: bool = True) -> dict:
@@ -496,44 +496,10 @@ def audit_to_jsonable(audit, include_scaled: bool = True) -> dict:
             "q": str(audit.q),
             "mu": repr(audit.mu),
             "k_even": audit.k_even,
-            "rows": [
-                {
-                    "n": row.n,
-                    "r": row.r,
-                    "s": row.s,
-                    "c": row.c,
-                    "lower": _frac_str(row.lower),
-                    "upper": _frac_str(row.upper),
-                    "value": _frac_str(row.value),
-                    "value_error_exp": row.value_error_exp,
-                    "pass": row.passed,
-                    "margin_lower": _frac_str(row.margin_lower),
-                    "margin_upper": _frac_str(row.margin_upper),
-                    "lower_exact": row.lower_exact,
-                }
-                for row in audit.rows
-            ],
+            "rows": [_row_jsonable(row) for row in audit.rows],
         }
     if isinstance(audit, PrimeLemmaAudit):
-        rows = []
-        for row in audit.rows:
-            entry = {
-                "n": row.n,
-                "case": row.case,
-                "r": row.r,
-                "s": row.s,
-                "c": row.c,
-                "value": _frac_str(row.value),
-                "value_error_exp": row.value_error_exp,
-                "lower": _frac_str(row.lower_base),
-                "upper": _frac_str(row.upper_base),
-                "residual_lower": _frac_str(row.residual_lower),
-                "residual_upper": _frac_str(row.residual_upper),
-            }
-            if include_scaled:
-                entry["scaled_lower"] = _frac_str(row.scaled_lower)
-                entry["scaled_upper"] = _frac_str(row.scaled_upper)
-            rows.append(entry)
+        drop = () if include_scaled else ("scaled_lower", "scaled_upper")
         return {
             "lemma": audit.lemma,
             "k": audit.k,
@@ -542,6 +508,6 @@ def audit_to_jsonable(audit, include_scaled: bool = True) -> dict:
             "q": str(audit.prime),
             "window": list(audit.window),
             "mu": repr(audit.mu),
-            "rows": rows,
+            "rows": [_row_jsonable(row, drop) for row in audit.rows],
         }
     raise TypeError(f"cannot serialize {type(audit).__name__}")

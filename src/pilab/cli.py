@@ -15,14 +15,17 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 from . import __version__, cf, constants, constructors, groups, spectra
 from .radix import read_digit_file, write_digit_file, write_text_atomic
 
 _REAL_FORMAT = ".17g"
+_NOT_PARAMS = {"command", "func", "out", "manifest"}  # every other parsed argument enters the manifest
 
 
 def _jsonify(obj):
@@ -48,28 +51,24 @@ def _sha256(path: str) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def _write_outputs(args, text: str | None, outputs: list[str], params: dict, inputs: list[str]) -> None:
+def _write_outputs(args, text: str | None, outputs: Sequence[str] = (), inputs: Sequence[str] = ()) -> None:
     out = getattr(args, "out", None)
     if text is not None and out:
         write_text_atomic(out, text)
-        outputs = [out] + outputs
+        outputs = [out, *outputs]
     elif text is not None:
         sys.stdout.write(text)
     if outputs:
         manifest = {
             "subcommand": args.command,
-            "params": params,
+            "params": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS},
             "version": __version__,
             "inputs": {path: _sha256(path) for path in inputs},
-            "outputs": outputs,
+            "outputs": list(outputs),
             "generated_at": datetime.now(timezone.utc).isoformat(),
         }
         manifest_path = getattr(args, "manifest", None) or outputs[0] + ".manifest.json"
         write_text_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def _params(args, names: list[str]) -> dict:
-    return {name: getattr(args, name) for name in names}
 
 
 def _cmd_constants(args) -> int:
@@ -77,7 +76,7 @@ def _cmd_constants(args) -> int:
     stream = constants.const_digits(req)
     if args.out:
         write_digit_file(args.out, stream, args.digits, label=args.name)
-        _write_outputs(args, None, [args.out], _params(args, ["name", "digits", "method"]), [])
+        _write_outputs(args, None, [args.out])
     else:
         sys.stdout.write(f"{constants.integer_part(args.name)}.{stream.prefix_string(args.digits)}\n")
     return 0
@@ -87,14 +86,12 @@ def _cmd_construct(args) -> int:
     if args.family == "stoneham":
         spec = constructors.StonehamSpec(b=args.b, c=args.c, s=args.s)
         stream = constructors.stoneham_digits(spec, args.digits)
-        params = _params(args, ["family", "b", "c", "s", "digits"])
     else:
         spec = constructors.ConcatSpec(family=args.family, base=args.base)
         stream = constructors.concat_digits(spec, args.digits)
-        params = _params(args, ["family", "base", "digits"])
     if args.out:
         write_digit_file(args.out, stream, args.digits)
-        _write_outputs(args, None, [args.out], params, [])
+        _write_outputs(args, None, [args.out])
     else:
         sys.stdout.write(stream.prefix_string(args.digits) + "\n")
     return 0
@@ -111,7 +108,7 @@ def _cmd_cf(args) -> int:
             {"k": c.k, "a": str(c.a), "p": str(c.p), "q": str(c.q)} for c in convs
         ],
     }
-    _write_outputs(args, _dump(payload), [], _params(args, ["const", "depth"]), [])
+    _write_outputs(args, _dump(payload))
     return 0
 
 
@@ -126,10 +123,7 @@ def _cmd_audit(args) -> int:
     else:
         audit = cf.audit_lemma_prime_variant(conv, cfg, window_factor=args.window_factor)
     payload = cf.audit_to_jsonable(audit, include_scaled=args.scaled)
-    _write_outputs(
-        args, _dump(payload), [],
-        _params(args, ["lemma", "k", "mu", "nmax", "window_factor"]), [],
-    )
+    _write_outputs(args, _dump(payload))
     return 0
 
 
@@ -155,7 +149,7 @@ def _cmd_coset(args) -> int:
         "g_elements": list(report.g_elements) if report.g_elements else None,
         "h_elements": list(report.h_elements) if report.h_elements else None,
     }
-    _write_outputs(args, _dump(payload), [], _params(args, ["k", "cap"]), [])
+    _write_outputs(args, _dump(payload))
     return 0
 
 
@@ -169,13 +163,7 @@ def _cmd_artin(args) -> int:
             lines.append(f"{q},{order},{str(is_artin).lower()}")
         write_text_atomic(args.csv, "\n".join(lines) + "\n")
         outputs.append(args.csv)
-    payload = {
-        "limit": scan.limit,
-        "count_primes": scan.count_primes,
-        "count_artin": scan.count_artin,
-        "density": scan.density,
-    }
-    _write_outputs(args, _dump(payload), outputs, _params(args, ["limit"]), [])
+    _write_outputs(args, _dump(asdict(scan)), outputs)
     return 0
 
 
@@ -191,12 +179,9 @@ def _cmd_weyl(args) -> int:
     payload = {
         "points": args.points,
         "n_points": report.n_points,
-        "rows": [
-            {"m": row.m, "magnitude": row.magnitude, "error_bound": row.error_bound}
-            for row in report.rows
-        ],
+        "rows": [asdict(row) for row in report.rows],
     }
-    _write_outputs(args, _dump(payload), [], _params(args, ["points", "m", "eps"]), [args.points])
+    _write_outputs(args, _dump(payload), inputs=[args.points])
     return 0
 
 
@@ -214,7 +199,7 @@ def _cmd_normality(args) -> int:
         }
     payload = {"input": args.infile, "label": stream.label, "base": stream.base,
                "n_digits": args.N, "blocks": blocks}
-    _write_outputs(args, _dump(payload), [], _params(args, ["infile", "N", "kmax"]), [args.infile])
+    _write_outputs(args, _dump(payload), inputs=[args.infile])
     return 0
 
 
@@ -232,7 +217,7 @@ def _cmd_expsum(args) -> int:
         "ratio": result.ratio,
         "method": result.method,
     }
-    _write_outputs(args, _dump(payload), [], _params(args, ["p", "g", "c", "cap", "method"]), [])
+    _write_outputs(args, _dump(payload))
     return 0
 
 
@@ -246,10 +231,7 @@ def _cmd_report(args) -> int:
     else:
         raise ValueError("either --in or --const is required")
     payload = spectra.wall_criterion_report(stream, args.N, args.kmax, args.mmax)
-    _write_outputs(
-        args, _dump(payload), [],
-        _params(args, ["infile", "const", "N", "kmax", "mmax"]), inputs,
-    )
+    _write_outputs(args, _dump(payload), inputs=inputs)
     return 0
 
 

@@ -18,6 +18,11 @@ from . import primes
 DEFAULT_ELEMENT_CAP = 1 << 16
 _TRIAL_LIMIT = 10**6
 LANE_MAX = math.isqrt(2**63 - 1)  # int64 lanes multiply residues exactly while q <= LANE_MAX
+# coset_structure holds three power sets of ord_q(10) elements and a sorted coset.
+# q_16 (order 8 299 090, int64 lanes) peaked at 424 MB, about 50 bytes an element;
+# 2^23 admits that largest order for k <= 18 and refuses q_20 (order 33 166 008,
+# Python ints past LANE_MAX), which would take several GB.
+COSET_ORDER_MAX = 1 << 23
 ArtinTable = tuple[np.ndarray, np.ndarray]  # (q, ord_q(10)) over the scanned primes
 
 
@@ -208,7 +213,8 @@ def coset_structure(conv, element_cap: int = DEFAULT_ELEMENT_CAP) -> CosetReport
 
     The second set must coincide with <10> (its multiplier is 1 mod q) and the
     first with the coset p * <10>; gcd(10, q) != 1 is reported as a hypothesis
-    failure, not raised.
+    failure, not raised.  An order above COSET_ORDER_MAX raises ValueError
+    before any power set is built.
     """
     p, q = conv.p, conv.q
     if math.gcd(10, q) != 1:
@@ -217,8 +223,10 @@ def coset_structure(conv, element_cap: int = DEFAULT_ELEMENT_CAP) -> CosetReport
             h_equals_subgroup=False, g_equals_coset=False,
             g_elements=None, h_elements=None,
         )
-    base = subgroup(10, q, element_cap=element_cap)
+    base = subgroup(10, q, element_cap=min(element_cap, COSET_ORDER_MAX))
     order = base.order
+    if order > COSET_ORDER_MAX:
+        raise ValueError(f"ord_{q}(10) = {order} exceeds COSET_ORDER_MAX = {COSET_ORDER_MAX}")
     ten_set = _power_set_sorted(1, 10, q, order)
     h_set = _power_set_sorted((p * q + 1) % q, 10, q, order)
     g_set = _power_set_sorted(p % q, 10, q, order)

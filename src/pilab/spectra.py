@@ -6,7 +6,7 @@ chord-length pairing that links rational residues to fractional parts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -17,6 +17,7 @@ from .radix import DigitStream, fractional_part, shifted_fraction, text_from_dig
 from .groups import SubgroupReport
 
 _FLOAT_SLOP = 5e-16  # per-point trig rounding folded into reported error bounds
+_TABLE_CAP = 10**7  # most base^k patterns one block-frequency table may hold
 _CHUNK = 1 << 16  # points per numpy pass, so temporaries stay near half a megabyte
 
 # Shift points: a window code is a fraction in radix b^h <= 2^40, so a limb
@@ -200,13 +201,11 @@ def star_discrepancy(pts: PointSet) -> float:
     return float(np.maximum(i / n - u, u - (i - 1) / n).max())
 
 
-def block_frequency(
-    digits: DigitStream, n_digits: int, block_len: int, table_cap: int = 10**7
-) -> BlockStats:
+def block_frequency(digits: DigitStream, n_digits: int, block_len: int) -> BlockStats:
     """Overlapping block counts over the first ``n_digits`` digits.
 
     All base^k patterns enter max_abs_dev and the chi-square statistic, seen
-    or not; a table larger than ``table_cap`` asks for a smaller block length.
+    or not; a table of more than _TABLE_CAP patterns asks for a smaller block length.
     """
     b = digits.base
     k = block_len
@@ -215,9 +214,9 @@ def block_frequency(
     if n_digits < k:
         raise ValueError("need at least one full window: n_digits >= block length")
     n_patterns = b**k
-    if n_patterns > table_cap:
+    if n_patterns > _TABLE_CAP:
         raise TableCapError(
-            f"base^k = {n_patterns} exceeds the table cap {table_cap}; use a smaller block length"
+            f"base^k = {n_patterns} exceeds the table cap {_TABLE_CAP}; use a smaller block length"
         )
     arr = np.frombuffer(digits.prefix(n_digits), np.uint8).astype(np.int64)
     windows = n_digits - k + 1
@@ -399,18 +398,13 @@ def shifted_points(digits: DigitStream, n_points: int, shift_digits: int = 24) -
     return PointSet(points=pts, eps=eps, label=label)
 
 
-def wall_criterion_report(
-    digits: DigitStream,
-    n_points: int,
-    k_max: int,
-    m_max: int,
-    shift_digits: int = 24,
-) -> dict:
+def wall_criterion_report(digits: DigitStream, n_points: int, k_max: int, m_max: int) -> dict:
     """Both sides of the base-b normality equivalence in one report.
 
-    Builds the shift point set { x b^n mod 1 }, runs Weyl magnitudes for
-    m = 1..m_max and the star discrepancy, and tabulates block frequencies
-    for k = 1..k_max over the same digits.
+    Builds the shift point set { x b^n mod 1 } from 24-digit shifts (the
+    shifted_points default), runs Weyl magnitudes for m = 1..m_max and the
+    star discrepancy, and tabulates block frequencies for k = 1..k_max over
+    the same digits.
     """
     if k_max < 1 or m_max < 1:
         raise ValueError("k_max and m_max must be >= 1")
@@ -418,7 +412,7 @@ def wall_criterion_report(
         raise ValueError("need n_points >= 10 * k_max for meaningful block statistics")
     if not any(digits.prefix(n_points)):
         raise ValueError("degenerate stream: all digits are zero")
-    pts = shifted_points(digits, n_points, shift_digits=shift_digits)
+    pts = shifted_points(digits, n_points)
     weyl = weyl_sum(pts, list(range(1, m_max + 1)))
     disc = star_discrepancy(pts)
     blocks = {}
@@ -435,10 +429,7 @@ def wall_criterion_report(
         "base": digits.base,
         "n_points": n_points,
         "point_eps": pts.eps,
-        "weyl": [
-            {"m": row.m, "magnitude": row.magnitude, "error_bound": row.error_bound}
-            for row in weyl.rows
-        ],
+        "weyl": [asdict(row) for row in weyl.rows],
         "star_discrepancy": disc,
         "blocks": blocks,
     }
@@ -458,9 +449,6 @@ def x_sequence_audit(n_max: int, m_max: int = 5, precision: int = 30) -> dict:
         "n_points": n_max,
         "point_eps": pts.eps,
         "precision": precision,
-        "weyl": [
-            {"m": row.m, "magnitude": row.magnitude, "error_bound": row.error_bound}
-            for row in weyl.rows
-        ],
+        "weyl": [asdict(row) for row in weyl.rows],
         "star_discrepancy": star_discrepancy(pts),
     }

@@ -24,6 +24,7 @@ from pilab.cf import (
     pi_convergents,
     residue_decompose,
 )
+from pilab.groups import nearest_prime_in_window
 from pilab.radix import DigitStream, ProducerExhaustedError
 
 
@@ -166,6 +167,25 @@ def test_residue_reconstruction_random_pairs():
         assert 0 <= dec.r_n < conv.q
         assert 0 <= dec.s_n < conv.q
         assert 0 <= dec.c_n < conv.q
+
+
+def test_residue_decompose_modulo_window_prime():
+    # q_0 = 1 has no window prime (the search needs q >= 3), so k starts at 1
+    for conv in pi_convergents(12)[1:]:
+        prime, _ = nearest_prime_in_window(conv.q)
+        for n in range(1, 31):
+            dec = residue_decompose(conv, n, prime)
+            assert dec.modulus == prime
+            assert dec.reconstructs(conv.p, conv.q)
+            assert 0 <= min(dec.r_n, dec.s_n, dec.c_n) and max(dec.r_n, dec.s_n, dec.c_n) < prime
+
+
+def test_prime_audit_rows_carry_the_window_prime_residues():
+    for conv in pi_convergents(6)[1:]:
+        audit = audit_lemma_prime_variant(conv, AuditConfig(mu=2.5, n_max=12))
+        for row in audit.rows:
+            dec = residue_decompose(conv, row.n, audit.prime)
+            assert (row.r, row.s, row.c) == (dec.r_n, dec.s_n, dec.c_n)
 
 
 def test_frac_pi_shift_matches_oracle():

@@ -100,6 +100,17 @@ def test_audit_no_scaled_drops_scaled_columns(capsys):
             assert ("scaled_upper" in row) is present
 
 
+def test_audit_manifest_records_every_parsed_parameter(tmp_path, capsys):
+    out_file = tmp_path / "prime.json"
+    code, _, _ = run(capsys, "audit", "--lemma", "prime", "--k", "5", "--nmax", "3",
+                     "--no-scaled", "--out", str(out_file))
+    assert code == 0
+    params = json.loads((tmp_path / "prime.json.manifest.json").read_text())["params"]
+    assert params["scaled"] is False
+    assert params == {"lemma": "prime", "k": 5, "mu": 2.0, "nmax": 3, "window_factor": 1.0,
+                      "scaled": False}
+
+
 def test_coset_json(capsys):
     code, out, _ = run(capsys, "coset", "--k", "1")
     assert code == 0

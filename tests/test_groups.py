@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from pilab import primes
 from pilab.cf import Convergent, pi_convergents
+from pilab import groups
 from pilab.groups import (
+    DEFAULT_ELEMENT_CAP,
     LANE_MAX,
     _power_set_sorted,
     ArtinWindow,
@@ -321,3 +323,28 @@ def test_cosets_and_subgroup_match_python_sets_across_lane_bound(q, order, lanes
         assert (cos.g_size, cos.h_size) == (len(g), len(h))
         assert cos.h_equals_subgroup == (h == ten) and cos.g_equals_coset
         assert all(type(x) is int for x in cos.g_elements + rep.elements)
+
+
+def _refuse_power_sets(monkeypatch):
+    def refuse(start, g, m, count):
+        raise AssertionError(f"built a power set of {count} elements")
+
+    monkeypatch.setattr(groups, "_power_set_sorted", refuse)
+
+
+def test_coset_order_bound_raises_before_building_power_sets(monkeypatch):
+    conv = pi_convergents(20)[20]  # q = 6 701 487 259, ord_q(10) = 33 166 008
+    _refuse_power_sets(monkeypatch)
+    for cap in (DEFAULT_ELEMENT_CAP, 1 << 26):
+        with pytest.raises(ValueError, match="33166008"):
+            coset_structure(conv, element_cap=cap)
+    assert 8_299_090 <= groups.COSET_ORDER_MAX < 33_166_008  # ord at q_16 fits, at q_20 not
+
+
+def test_coset_cli_past_order_bound_exits_one(monkeypatch, capsys):
+    from pilab.cli import main
+
+    _refuse_power_sets(monkeypatch)
+    assert main(["coset", "--k", "20"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "COSET_ORDER_MAX" in captured.err

@@ -1,0 +1,47 @@
+"""Pinned SHA-256 digests of CLI reports that the benchmark does not digest.
+
+A refactor of the path from convergents to report bytes must leave these
+reports byte-identical; any change to one of them is a deliberate report
+change and re-pins its digest here.
+"""
+
+import hashlib
+
+import pytest
+
+from pilab.cli import main
+
+GOLDEN_POINTS = "golden.txt"
+
+CASES = {
+    "cf-depth-20": ("cf", "--depth", "20"),
+    "audit-caseI-k8": ("audit", "--lemma", "caseI", "--k", "8"),
+    "audit-caseII-k6-mu2.5": (
+        "audit", "--lemma", "caseII", "--k", "6", "--nmax", "200", "--mu", "2.5"),
+    "audit-prime-k6": ("audit", "--lemma", "prime", "--k", "6", "--nmax", "40"),
+    "audit-prime-k6-no-scaled": (
+        "audit", "--lemma", "prime", "--k", "6", "--nmax", "40", "--no-scaled"),
+    "expsum-1999-naive": ("expsum", "--p", "1999", "--method", "naive"),
+    "weyl-golden": ("weyl", "--points", GOLDEN_POINTS, "--m", "1,2,3,5,8"),
+}
+
+DIGESTS = {
+    "audit-caseI-k8": "3b871831db765e32c0b1a0516e75a64f4f52465591592c8562742d997945e0ff",
+    "audit-caseII-k6-mu2.5": "bf92214d63602ecacc58229f42c6c6ae5ca09670dc2c2c782a08a279f482089b",
+    "audit-prime-k6": "d94739c36734fe752730d7227df3a6d89aaacd11e82abfa888e858a10a3148a2",
+    "audit-prime-k6-no-scaled": "bc743d5c79c1ded62449956f484127d466aae24ea526bd3aecddb0acfd459b3e",
+    "cf-depth-20": "ce696a0d5ee60a719e5257d951f32049ee32f8206dbebbb4453a5aec70baef8c",
+    "expsum-1999-naive": "c8b7f67ec09655e293e961396ca4ea6805cee0b7642dc121e65a48e8f766693d",
+    "weyl-golden": "43bf0c1c09a0a1ca470c0d0b508a271591265d3a43edc84d36ee90da2f2d2a2d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_stdout_digest(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the weyl report names its point file by the given path
+    golden = (1 + 5**0.5) / 2
+    (tmp_path / GOLDEN_POINTS).write_text(
+        "\n".join(repr((n * golden) % 1.0) for n in range(1, 3001)) + "\n")
+    assert main(list(CASES[name])) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]

@@ -133,7 +133,7 @@ def test_block_names_match_base_repr(base, k):
 def test_blocks_table_cap():
     s = concat_digits(ConcatSpec("integers"), 100)
     with pytest.raises(TableCapError):
-        block_frequency(s, 100, 9, table_cap=10**6)
+        block_frequency(s, 100, 9)
 
 
 def test_champernowne_digit_frequencies_at_ten_thousand():

@@ -151,15 +151,13 @@ class GapReport:
     classical: bool           # |gap| < 1/(q * q_next)
 
 
-def _euclid_quotients(x: Fraction, limit: Optional[int] = None) -> list[int]:
+def _euclid_quotients(x: Fraction) -> list[int]:
     out = []
     num, den = x.numerator, x.denominator
     while den:
         a, rem = divmod(num, den)
         out.append(a)
         num, den = den, rem
-        if limit is not None and len(out) > limit:
-            break
     return out
 
 

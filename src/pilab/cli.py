@@ -26,6 +26,7 @@ from .radix import read_digit_file, write_digit_file, write_text_atomic
 
 _REAL_FORMAT = ".17g"
 _NOT_PARAMS = {"command", "func", "out", "manifest"}  # every other parsed argument enters the manifest
+_EXPSUM_KEYS = {"modulus": "p", "generator": "g", "subgroup_order": "order"}  # report field -> payload key
 
 
 def _jsonify(obj):
@@ -72,8 +73,7 @@ def _write_outputs(args, text: str | None, outputs: Sequence[str] = (), inputs: 
 
 
 def _cmd_constants(args) -> int:
-    req = constants.ConstantRequest(args.name, args.digits, args.method)
-    stream = constants.const_digits(req)
+    stream = constants.const_digits(constants.ConstantRequest(args.name, args.digits))
     if args.out:
         write_digit_file(args.out, stream, args.digits, label=args.name)
         _write_outputs(args, None, [args.out])
@@ -98,11 +98,9 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_cf(args) -> int:
-    if args.const != "pi":
-        raise ValueError(f"unsupported constant {args.const!r}; only pi is wired in")
     convs = cf.pi_convergents(args.depth)
     payload = {
-        "const": args.const,
+        "const": "pi",
         "depth": args.depth,
         "convergents": [
             {"k": c.k, "a": str(c.a), "p": str(c.p), "q": str(c.q)} for c in convs
@@ -135,20 +133,10 @@ def _cmd_order(args) -> int:
 def _cmd_coset(args) -> int:
     convs = cf.pi_convergents(args.k)
     report = groups.coset_structure(convs[args.k], element_cap=args.cap)
-    payload = {
-        "k": args.k,
-        "p": str(report.p),
-        "q": str(report.q),
-        "hypothesis_ok": report.hypothesis_ok,
-        "order": report.base.order if report.base else None,
-        "totient": report.base.totient if report.base else None,
-        "g_size": report.g_size,
-        "h_size": report.h_size,
-        "h_equals_subgroup": report.h_equals_subgroup,
-        "g_equals_coset": report.g_equals_coset,
-        "g_elements": list(report.g_elements) if report.g_elements else None,
-        "h_elements": list(report.h_elements) if report.h_elements else None,
-    }
+    payload = {key: value for key, value in vars(report).items() if key != "base"}
+    base = report.base
+    payload.update(k=args.k, p=str(report.p), q=str(report.q),
+                   order=base.order if base else None, totient=base.totient if base else None)
     _write_outputs(args, _dump(payload))
     return 0
 
@@ -177,7 +165,7 @@ def _cmd_weyl(args) -> int:
     m_list = [int(tok) for tok in args.m.split(",") if tok]
     report = spectra.weyl_sum(pts, m_list)
     payload = {
-        "points": args.points,
+        "points": Path(args.points).name,  # the same file by any path gives the same bytes
         "n_points": report.n_points,
         "rows": [asdict(row) for row in report.rows],
     }
@@ -190,14 +178,8 @@ def _cmd_normality(args) -> int:
     blocks = {}
     for k in range(1, args.kmax + 1):
         stats = spectra.block_frequency(stream, args.N, k)
-        blocks[str(k)] = {
-            "windows": stats.windows,
-            "max_abs_dev": stats.max_abs_dev,
-            "chi_square": stats.chi_square,
-            "dof": stats.dof,
-            "counts": stats.counts,
-        }
-    payload = {"input": args.infile, "label": stream.label, "base": stream.base,
+        blocks[str(k)] = {key: v for key, v in vars(stats).items() if key not in ("base", "block_len")}
+    payload = {"input": Path(args.infile).name, "label": stream.label, "base": stream.base,
                "n_digits": args.N, "blocks": blocks}
     _write_outputs(args, _dump(payload), inputs=[args.infile])
     return 0
@@ -206,17 +188,7 @@ def _cmd_normality(args) -> int:
 def _cmd_expsum(args) -> int:
     report = groups.subgroup(args.g, args.p, element_cap=args.cap)
     result = spectra.subgroup_expsum(report, c=args.c, method=args.method)
-    payload = {
-        "p": result.modulus,
-        "g": result.generator,
-        "order": result.subgroup_order,
-        "c": result.c,
-        "max_magnitude": result.max_magnitude,
-        "argmax": result.argmax,
-        "bound": result.bound,
-        "ratio": result.ratio,
-        "method": result.method,
-    }
+    payload = {_EXPSUM_KEYS.get(key, key): value for key, value in vars(result).items()}
     _write_outputs(args, _dump(payload))
     return 0
 
@@ -252,7 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         description="Dual-method certified decimal digits; both engines must agree on every released digit.")
     p.add_argument("--name", required=True, choices=["pi", "ln10", "ln_pi"])
     p.add_argument("--digits", required=True, type=int)
-    p.add_argument("--method", default="primary", choices=["primary", "cross-check"])
     _add_out(p)
     p.set_defaults(func=_cmd_constants)
 
@@ -269,7 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("cf", help="continued-fraction convergents",
                         description="Certified partial quotients and convergents p_k/q_k of pi.")
-    p.add_argument("--const", default="pi")
     p.add_argument("--depth", required=True, type=int)
     _add_out(p)
     p.set_defaults(func=_cmd_cf)

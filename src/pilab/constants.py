@@ -28,7 +28,7 @@ DIGIT_CEILING = 100_000
 CACHE_ENV = "PI_LAB_CACHE"
 
 _INT_PARTS = {"pi": 3, "ln10": 2, "ln_pi": 1}
-_METHODS = ("primary", "cross-check")
+_CACHE_CHECK = 1000  # a cached prefix this long is re-certified before it is served
 
 
 def _agree_ulp(w: int) -> int:
@@ -87,19 +87,16 @@ class PrecisionCeilingError(ValueError):
 
 @dataclass(frozen=True)
 class ConstantRequest:
-    """A named constant, a digit count, and which engine's digits to release."""
+    """A named constant and a digit count."""
 
     name: str
     digits: int
-    method: str = "primary"
 
     def __post_init__(self):
         if self.name not in _INT_PARTS:
             raise ValueError(f"unknown constant {self.name!r}; expected one of {sorted(_INT_PARTS)}")
         if self.digits < 1:
             raise ValueError("digit count must be >= 1")
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}")
 
 
 def _working_digits(n: int) -> int:
@@ -107,20 +104,19 @@ def _working_digits(n: int) -> int:
     return -(-11 * n // 10) + 10
 
 
-def _arc_split(z_num: int, z_den: int, a: int, b: int) -> tuple[int, int, int, int]:
-    """(P, Q, B, T) with sum_{a <= k < b} z^(k-a) / (2k+1) = T / (B Q), z = z_num/z_den.
+def _split(leaf, a: int, b: int) -> tuple[int, int, int, int]:
+    """(P, Q, B, T) over the terms a <= k < b of a series; leaf(k) gives term k's.
 
-    Binary splitting (Haible & Papanikolaou, ANTS 1998): products of small
-    factors meet in balanced multiplications instead of one full-width
-    division per term.
+    The partial sum S(a, b) = T / (B Q) combines as S(a, b) = S(a, m) +
+    P(a, m) / Q(a, m) * S(m, b).  Binary splitting (Haible & Papanikolaou, ANTS
+    1998): products of small factors meet in balanced multiplications instead
+    of one full-width division per term.
     """
     if b - a == 1:
-        if a == 0:
-            return 1, 1, 1, 1
-        return z_num, z_den, 2 * a + 1, z_num
+        return leaf(a)
     m = (a + b) // 2
-    p1, q1, b1, t1 = _arc_split(z_num, z_den, a, m)
-    p2, q2, b2, t2 = _arc_split(z_num, z_den, m, b)
+    p1, q1, b1, t1 = _split(leaf, a, m)
+    p2, q2, b2, t2 = _split(leaf, m, b)
     return p1 * p2, q1 * q2, b1 * b2, b2 * q2 * t1 + b1 * p1 * t2
 
 
@@ -131,7 +127,12 @@ def _arc_series(p: int, q: int, one: int, sign: int) -> int:
     so cutting T and B Q to one's width plus 32 bits costs under 2^-30 ulp.
     """
     terms = int(one.bit_length() / (2 * (math.log2(q) - math.log2(p)))) + 2
-    _, big_q, big_b, t = _arc_split(sign * p * p, q * q, 0, terms)
+    z_num, z_den = sign * p * p, q * q
+
+    def leaf(k: int) -> tuple[int, int, int, int]:  # S(0, terms) = sum z^k / (2k + 1)
+        return (z_num, z_den, 2 * k + 1, z_num) if k else (1, 1, 1, 1)
+
+    _, big_q, big_b, t = _split(leaf, 0, terms)
     bq = big_b * big_q
     cut = max(0, bq.bit_length() - one.bit_length() - 32)
     return one * p * (t >> cut) // (q * (bq >> cut))
@@ -141,26 +142,17 @@ def _pi_machin(one: int) -> int:
     return 16 * _arc_series(1, 5, one, -1) - 4 * _arc_series(1, 239, one, -1)
 
 
-def _chud_split(a: int, b: int) -> tuple[int, int, int]:
-    if b - a == 1:
-        if a == 0:
-            return 1, 1, 13591409
-        k = a
-        p = (6 * k - 5) * (2 * k - 1) * (6 * k - 1)
-        q = k * k * k * 10939058860032000
-        t = (13591409 + 545140134 * k) * p
-        if k & 1:
-            t = -t
-        return p, q, t
-    m = (a + b) // 2
-    p1, q1, t1 = _chud_split(a, m)
-    p2, q2, t2 = _chud_split(m, b)
-    return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
+def _chud_leaf(k: int) -> tuple[int, int, int, int]:
+    if k == 0:
+        return 1, 1, 1, 13591409
+    p = (6 * k - 5) * (2 * k - 1) * (6 * k - 1)
+    t = (13591409 + 545140134 * k) * p
+    return p, k * k * k * 10939058860032000, 1, -t if k & 1 else t
 
 
 def _pi_chudnovsky(one: int, w: int) -> int:
     terms = w // 14 + 2
-    _, q, t = _chud_split(0, terms)
+    _, q, _, t = _split(_chud_leaf, 0, terms)
     s = math.isqrt(10005 * one * one)
     return 426880 * q * s // t
 
@@ -394,8 +386,9 @@ def _released_digits(name: str, n_digits: int) -> bytes:
     if held is not None and held[0] >= n_digits:
         return held[2][:n_digits]
     cached = _cache_load(name, n_digits)
-    if cached is not None:
-        return cached
+    check = min(n_digits, _CACHE_CHECK)
+    if cached is not None and cached[:check] == _certify(name, check)[2][:check]:
+        return cached  # a file whose prefix is wrong is a miss, overwritten below
     digits = _certify(name, n_digits)[2][:n_digits]
     _cache_store(name, digits)
     return digits
@@ -405,8 +398,7 @@ def const_digits(req: ConstantRequest) -> DigitStream:
     """Certified fractional digits of a constant as an extensible stream.
 
     Both engines always run; the stream is released only after they agree on
-    every digit (the ``method`` field selects whose output is returned, which
-    is identical by then).  The integer part is exposed via integer_part().
+    every digit.  The integer part is exposed via integer_part().
     The stream holds at most DIGIT_CEILING digits: its doubling growth stops
     there, and extending it past that raises ProducerExhaustedError.
     """

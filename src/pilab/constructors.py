@@ -8,6 +8,7 @@ equal-length terms, so random access never streams from the start.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,6 +17,7 @@ from . import primes
 from .radix import DigitStream, digits_from_text
 
 _FAMILIES = ("integers", "primes", "squares")
+_STONEHAM_GUARD = 10  # base-b digits summed past the request; the tail check widens it when needed
 
 
 @dataclass(frozen=True)
@@ -83,35 +85,32 @@ def exponent_a(family: str, n: int) -> int:
     return _end_position(ConcatSpec(family), n)
 
 
-def _end_position(spec: ConcatSpec, n: int) -> int:
-    """Position at which the n-th term ends in the concatenation; 0 for n = 0.
+def _runs(spec: ConcatSpec):
+    """(d, terms before, digits before, terms through) of each run of d-digit terms.
 
-    The d-digit terms form one contiguous run, so the sum runs over digit
-    lengths rather than terms.
+    The d-digit terms form one contiguous run, so positions are sums over
+    digit lengths rather than terms.
     """
-    total = below = d = 0
-    while below < n:
-        d += 1
-        upto = min(n, _terms_with_digits(spec, d))
-        total += d * (upto - below)
-        below = upto
-    return total
+    below = total = 0
+    for d in itertools.count(1):
+        upto = _terms_with_digits(spec, d)
+        yield d, below, total, upto
+        below, total = upto, total + d * (upto - below)
+
+
+def _end_position(spec: ConcatSpec, n: int) -> int:
+    """Position at which the n-th term ends in the concatenation; 0 for n = 0."""
+    for d, below, total, upto in _runs(spec):
+        if n <= upto:
+            return total + d * (n - below)
 
 
 def _term_index(spec: ConcatSpec, position: int) -> int:
-    """The term holding the digit at 1-indexed ``position``: the least n whose
-    end position reaches it, by doubling then bisection over _end_position."""
-    hi = 1
-    while _end_position(spec, hi) < position:
-        hi *= 2
-    lo = hi // 2 + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _end_position(spec, mid) < position:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    """The term holding the digit at 1-indexed ``position``: the run that
+    covers it, then ceil(offset / d) terms into that run."""
+    for d, below, total, upto in _runs(spec):
+        if position <= total + d * (upto - below):
+            return below + -(-(position - total) // d)
 
 
 def _term_digits(spec: ConcatSpec, lo: int, hi: int) -> bytes:
@@ -144,7 +143,8 @@ def concat_digits(spec: ConcatSpec, n_digits: int) -> DigitStream:
 def digit_at(spec: ConcatSpec, position: int) -> int:
     """Random access into the concatenation: the digit at 1-indexed ``position``.
 
-    Binary search over term end positions, then an index into the term.
+    The term comes from the run of equal-length terms covering the position,
+    then an index into the term.
     """
     if position < 1:
         raise ValueError("position must be >= 1")
@@ -152,10 +152,10 @@ def digit_at(spec: ConcatSpec, position: int) -> int:
     return _term_digits(spec, n, n)[position - _end_position(spec, n - 1) - 1]
 
 
-def stoneham_digits(spec: StonehamSpec, n_digits: int, guard: int = 10) -> DigitStream:
+def stoneham_digits(spec: StonehamSpec, n_digits: int) -> DigitStream:
     """First base-b digits of the series, certified against the truncated tail.
 
-    Terms with c^n + s > n_digits + guard are dropped; the exact rational
+    Terms with c^n + s > n_digits + _STONEHAM_GUARD are dropped; the exact rational
     partial sum is accepted only once the tail bound provably cannot reach the
     next digit boundary (the guard widens automatically in the rare case it
     could).
@@ -164,7 +164,7 @@ def stoneham_digits(spec: StonehamSpec, n_digits: int, guard: int = 10) -> Digit
         raise ValueError("digit count must be >= 1")
 
     def produce(n: int) -> list[int]:
-        return _stoneham_prefix(spec, n, guard)
+        return _stoneham_prefix(spec, n)
 
     label = f"stoneham-b{spec.b}-c{spec.c}-s{spec.s}"
     stream = DigitStream(spec.b, produce, label=label)
@@ -172,8 +172,9 @@ def stoneham_digits(spec: StonehamSpec, n_digits: int, guard: int = 10) -> Digit
     return stream
 
 
-def _stoneham_prefix(spec: StonehamSpec, n_digits: int, guard: int) -> list[int]:
+def _stoneham_prefix(spec: StonehamSpec, n_digits: int) -> list[int]:
     b, c, s = spec.b, spec.c, spec.s
+    guard = _STONEHAM_GUARD
     for _ in range(8):
         total = Fraction(0)
         n = 1
@@ -194,9 +195,3 @@ def _stoneham_prefix(spec: StonehamSpec, n_digits: int, guard: int) -> list[int]
         guard += 10
     raise ArithmeticError("tail bound failed to certify digits after widening the guard")
 
-
-def prime_terms(n_max: int) -> list[int]:
-    """The first n_max primes, sieve-backed."""
-    if n_max < 1:
-        raise ValueError("count must be >= 1")
-    return primes.first_primes(n_max)

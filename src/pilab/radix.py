@@ -80,10 +80,6 @@ class DigitStream:
         self._produce = produce
         self._digits = b""
 
-    @property
-    def available(self) -> int:
-        return len(self._digits)
-
     def ensure(self, n: int) -> None:
         """Materialize at least the first ``n`` digits."""
         if n <= len(self._digits):

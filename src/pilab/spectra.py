@@ -418,12 +418,7 @@ def wall_criterion_report(digits: DigitStream, n_points: int, k_max: int, m_max:
     blocks = {}
     for k in range(1, k_max + 1):
         stats = block_frequency(digits, n_points, k)
-        blocks[str(k)] = {
-            "windows": stats.windows,
-            "max_abs_dev": stats.max_abs_dev,
-            "chi_square": stats.chi_square,
-            "dof": stats.dof,
-        }
+        blocks[str(k)] = {key: v for key, v in vars(stats).items() if key not in ("base", "block_len", "counts")}
     return {
         "label": digits.label,
         "base": digits.base,
@@ -435,15 +430,16 @@ def wall_criterion_report(digits: DigitStream, n_points: int, k_max: int, m_max:
     }
 
 
-def x_sequence_audit(n_max: int, m_max: int = 5, precision: int = 30) -> dict:
-    """Weyl magnitudes and discrepancy for the fractional parts of
-    n*ln(10) + ln(pi), n = 1..n_max."""
+def x_sequence_audit(n_max: int) -> dict:
+    """Weyl magnitudes (m = 1..5) and discrepancy for the fractional parts of
+    n*ln(10) + ln(pi), n = 1..n_max, each within 10^-30."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    precision = 30
     xs = constants.x_sequence(n_max, precision=precision)
     fracs = [fractional_part(x, precision) for x in xs]
     pts = PointSet.from_fractions(fracs, eps=10.0**-precision, label="log-lattice")
-    weyl = weyl_sum(pts, list(range(1, m_max + 1)))
+    weyl = weyl_sum(pts, [1, 2, 3, 4, 5])
     return {
         "label": pts.label,
         "n_points": n_max,

@@ -1,5 +1,7 @@
 import json
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -54,7 +56,7 @@ def test_constants_digit_file_and_manifest(tmp_path, capsys):
 
 
 def test_cf_json(capsys):
-    code, out, _ = run(capsys, "cf", "--const", "pi", "--depth", "4")
+    code, out, _ = run(capsys, "cf", "--depth", "4")
     assert code == 0
     payload = json.loads(out)
     assert payload["convergents"][1] == {"k": 1, "a": "7", "p": "22", "q": "7"}
@@ -142,6 +144,32 @@ def test_weyl_points_file(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["n_points"] == 2000
     assert float(payload["rows"][0]["magnitude"]) < 0.01
+
+
+def test_reports_name_inputs_by_file_name(tmp_path, monkeypatch, capsys):
+    # the same file reached by another path gives the same report bytes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text("\n".join(str(n / 1000) for n in range(1000)) + "\n")
+    assert run(capsys, "construct", "--family", "integers", "--digits", "500",
+               "--out", "g.digits")[0] == 0
+    for argv in (("weyl", "--points", "{}.txt", "--m", "1,2"),
+                 ("normality", "--in", "{}.digits", "--N", "500", "--kmax", "2")):
+        outs = [run(capsys, *(a.format(path) for a in argv)) for path in ("./g", str(tmp_path / "g"))]
+        assert outs[0][0] == outs[1][0] == 0
+        assert outs[0][1] == outs[1][1]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # every documented invocation, in order, exits 0
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(lines) >= 10 and all(line[0] == "pilab" for line in lines)
+    monkeypatch.chdir(tmp_path)
+    golden = (1 + 5**0.5) / 2
+    (tmp_path / "points.txt").write_text("\n".join(str((n * golden) % 1.0) for n in range(1, 1001)) + "\n")
+    for line in lines:
+        assert run(capsys, *line[1:])[0] == 0, line
 
 
 def test_normality_report(tmp_path, capsys):

@@ -1,10 +1,13 @@
-"""Each constant engine on its own against mpmath, plus the digit-stream ceiling
-and the cache header check."""
+"""Each constant engine on its own against mpmath and against pinned bits,
+plus the digit-stream ceiling and the cache header and prefix checks."""
+
+import hashlib
 
 import pytest
 from mpmath import mp, mpf
 
 from pilab import constants
+from pilab.cli import main
 from pilab.constants import ConstantRequest, MethodDisagreementError, const_digits
 from pilab.radix import DigitStream, ProducerExhaustedError, read_digit_file, write_digit_file
 
@@ -92,3 +95,38 @@ def test_cache_entry_with_wrong_header_is_a_miss(tmp_path, monkeypatch, label, b
     stored = read_digit_file(cache_file)
     assert (stored.base, stored.label) == (10, "pi")
     assert stored.prefix_string(20) == "14159265358979323846"
+
+
+def test_cache_with_a_wrong_prefix_is_a_miss(tmp_path, monkeypatch, capsys):
+    # a well-labelled pi.digits of 200 nines must not be served as pi
+    monkeypatch.setenv("PI_LAB_CACHE", str(tmp_path))
+    monkeypatch.setattr(constants, "_memo", {})
+    cache_file = tmp_path / "pi.digits"
+    write_digit_file(cache_file, DigitStream.from_digits(b"\x09" * 200, label="pi"), 200, label="pi")
+    assert main(["constants", "--name", "pi", "--digits", "30"]) == 0
+    assert capsys.readouterr().out == "3.141592653589793238462643383279\n"
+    assert read_digit_file(cache_file).prefix_string(30) == "141592653589793238462643383279"
+
+
+# SHA-256 of str() of each engine integer; the mpmath tests allow +-64 ulp,
+# these pin the exact bits.  At these widths Machin and Chudnovsky land on the
+# same integer, and so do the two ln 10 engines.
+ENGINE_BITS = {
+    "machin": ("0b54fe20ef4d7676270cf6ff74c69cd2ef87921bfddbdd149617d8016d066879",
+               lambda: constants._pi_machin(10**3010)),
+    "chudnovsky": ("0b54fe20ef4d7676270cf6ff74c69cd2ef87921bfddbdd149617d8016d066879",
+                   lambda: constants._pi_chudnovsky(10**3010, 3010)),
+    "atanh_1_3": ("e6f9f0f94d1f321cf178f837c5b7746a6dada8c29e3b6e1c68325bce2001f150",
+                  lambda: constants._arc_series(1, 3, 1 << 10000, 1)),
+    "ln10_atanh": ("a82884a6f80b4449734333f941b19aae70f862ae28b9475544a44fe1fbbcfeec",
+                   lambda: constants._ln_rational_atanh(10, 1, 3010)),
+    "ln10_agm": ("a82884a6f80b4449734333f941b19aae70f862ae28b9475544a44fe1fbbcfeec",
+                 lambda: constants._ln_rational_agm(10, 1, 3010)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_BITS))
+def test_engine_bits_are_pinned(monkeypatch, name):
+    monkeypatch.setattr(constants, "_memo", {})  # ln 2 and pi held at more bits would shift down
+    want, compute = ENGINE_BITS[name]
+    assert hashlib.sha256(str(compute()).encode()).hexdigest() == want

@@ -3,15 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from pilab import constructors
 from pilab.constructors import (
     ConcatSpec,
     StonehamSpec,
     concat_digits,
     digit_at,
     exponent_a,
-    prime_terms,
     stoneham_digits,
 )
+from pilab.primes import first_primes
 
 
 def naive_concat(family, n_digits):
@@ -24,7 +25,7 @@ def naive_concat(family, n_digits):
         elif family == "squares":
             term = str(k * k)
         else:
-            term = str(prime_terms(k)[-1])
+            term = str(first_primes(k)[-1])
         out.append(term)
         total += len(term)
         k += 1
@@ -78,7 +79,7 @@ def test_exponent_a_examples(family, n, want):
 def test_exponent_a_position_consistency(family):
     # the n-th step must advance by exactly the n-th term's digit count
     terms = {"integers": lambda n: n, "squares": lambda n: n * n}
-    ps = prime_terms(10**4)
+    ps = first_primes(10**4)
     prev = 0
     for n in range(1, 10**4 + 1):
         end = exponent_a(family, n)
@@ -144,19 +145,20 @@ def test_stoneham_gcd_violation():
         StonehamSpec(b=10, c=2, s=0)
 
 
-def test_stoneham_guard_invariance():
+def test_stoneham_guard_invariance(monkeypatch):
     spec = StonehamSpec(b=2, c=3, s=0)
-    a = stoneham_digits(spec, 64, guard=10).prefix_string(64)
-    b = stoneham_digits(spec, 64, guard=20).prefix_string(64)
+    a = stoneham_digits(spec, 64).prefix_string(64)
+    monkeypatch.setattr(constructors, "_STONEHAM_GUARD", 20)
+    b = stoneham_digits(spec, 64).prefix_string(64)
     assert a == b
 
 
 def test_prime_terms():
-    assert prime_terms(5) == [2, 3, 5, 7, 11]
-    assert prime_terms(25)[-1] == 97
-    assert prime_terms(1) == [2]
+    assert first_primes(5) == [2, 3, 5, 7, 11]
+    assert first_primes(25)[-1] == 97
+    assert first_primes(1) == [2]
     with pytest.raises(ValueError):
-        prime_terms(0)
+        first_primes(0)
 
 
 def test_prime_counts_match_sieve():
@@ -172,7 +174,7 @@ def test_prime_end_positions_match_cumulative_lengths():
 
     from pilab.constructors import _end_position
 
-    ps = np.array(prime_terms(700_000))
+    ps = np.array(first_primes(700_000))
     cum = np.concatenate(([0], np.cumsum(np.char.str_len(ps.astype(str)))))
     spec = ConcatSpec("primes")
     # every 97th term, and every term across the run of 6-digit primes into 7 digits

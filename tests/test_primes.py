@@ -1,7 +1,6 @@
 import random
 
 from pilab import primes
-from pilab.constructors import prime_terms
 
 
 def trial_division_primes(lo, hi):
@@ -25,7 +24,7 @@ def test_primes_in_range_random_windows():
 
 def test_prime_lists_hold_python_ints():
     for ps in (primes.primes_upto(1000), primes.primes_in_range(500, 1500),
-               primes.first_primes(200), prime_terms(200)):
+               primes.first_primes(200)):
         assert ps and all(type(p) is int for p in ps)
 
 

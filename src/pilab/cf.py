@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import takewhile
 from typing import Optional, Sequence
 
 from . import constants, groups
@@ -137,20 +138,6 @@ class PrimeLemmaAudit:
     rows: tuple[PrimeAuditRow, ...]
 
 
-@dataclass(frozen=True)
-class GapReport:
-    """Signed gap pi - p/q with certified error, plus the three interval flags."""
-
-    k: int
-    p: int
-    q: int
-    gap: Fraction
-    error_exp: int
-    lower_half_inv_qsq: bool  # 1/(2 q^2) <= gap
-    upper_inv_qsq: bool       # gap <= 1/q^2
-    classical: bool           # |gap| < 1/(q * q_next)
-
-
 def _euclid_quotients(x: Fraction) -> list[int]:
     out = []
     num, den = x.numerator, x.denominator
@@ -177,19 +164,17 @@ def convergents_from_quotients(quotients: Sequence[int]) -> list[Convergent]:
     return out
 
 
+def _agreed_prefix(xs: list[int], ys: list[int]) -> list[int]:
+    """The entries of ``xs`` before its first mismatch with ``ys``."""
+    return [a for a, _ in takewhile(lambda ab: ab[0] == ab[1], zip(xs, ys))]
+
+
 def _certified_quotients(value_lo: Fraction, width: Fraction) -> list[int]:
     # Quotients shared by the continued fractions of both interval endpoints
     # are quotients of every number in between (fundamental-interval nesting);
     # the last quotient of each terminating expansion may still move, so it is
     # dropped.
-    lo = _euclid_quotients(value_lo)[:-1]
-    hi = _euclid_quotients(value_lo + width)[:-1]
-    agreed = []
-    for a, b in zip(lo, hi):
-        if a != b:
-            break
-        agreed.append(a)
-    return agreed
+    return _agreed_prefix(_euclid_quotients(value_lo)[:-1], _euclid_quotients(value_lo + width)[:-1])
 
 
 def cf_expand(stream: DigitStream, integer_part: int, depth: int) -> list[Convergent]:
@@ -231,12 +216,7 @@ def _stream_certified(stream: DigitStream, integer_part: int, m: int) -> list[in
     base = stream.base
     once = _certified_quotients(integer_part + truncate(stream, m), Fraction(1, base**m))
     twice = _certified_quotients(integer_part + truncate(stream, 2 * m), Fraction(1, base ** (2 * m)))
-    agreed = []
-    for a, b in zip(once, twice):
-        if a != b:
-            break
-        agreed.append(a)
-    return agreed
+    return _agreed_prefix(once, twice)
 
 
 def pi_convergents(depth: int) -> list[Convergent]:
@@ -417,55 +397,6 @@ def audit_lemma_prime_variant(
     return PrimeLemmaAudit(
         lemma="prime", k=conv.k, p=conv.p, q_k=q0, prime=prime,
         window=window, mu=cfg.mu, rows=tuple(rows),
-    )
-
-
-def approximation_gap(
-    conv: Convergent,
-    next_conv: Convergent,
-    pi_value: Optional[Fraction] = None,
-    error_exp: Optional[int] = None,
-) -> GapReport:
-    """The signed gap pi - p_k/q_k with certified comparisons.
-
-    ``pi_value`` must carry absolute error below 10^error_exp; by default a
-    sufficiently precise truncation is fetched internally.  Every flag is
-    decided with the error interval taken into account; an undecidable
-    comparison raises rather than guessing.
-    """
-    need = 2 * len(str(conv.q)) + 12
-    if pi_value is None:
-        m = need
-        pi_value = Fraction(3) + frac_pi_shift(0, m)
-        error_exp = -m
-    elif error_exp is None or -error_exp < need:
-        raise InsufficientPrecisionError(conv.k)
-
-    eps = Fraction(1, 10 ** (-error_exp))
-    target = conv.value
-    gap_lo = pi_value - target
-    gap_hi = gap_lo + eps
-
-    def decide(holds_everywhere: bool, fails_everywhere: bool) -> bool:
-        if holds_everywhere:
-            return True
-        if fails_everywhere:
-            return False
-        raise InsufficientPrecisionError(conv.k)
-
-    q = conv.q
-    half_qsq = Fraction(1, 2 * q * q)
-    inv_qsq = Fraction(1, q * q)
-    classical = Fraction(1, q * next_conv.q)
-    lower_flag = decide(gap_lo >= half_qsq, gap_hi < half_qsq)
-    upper_flag = decide(gap_hi <= inv_qsq, gap_lo > inv_qsq)
-    abs_hi = max(abs(gap_lo), abs(gap_hi))
-    abs_lo = Fraction(0) if gap_lo <= 0 <= gap_hi else min(abs(gap_lo), abs(gap_hi))
-    classical_flag = decide(abs_hi < classical, abs_lo >= classical)
-    return GapReport(
-        k=conv.k, p=conv.p, q=q, gap=gap_lo, error_exp=error_exp,
-        lower_half_inv_qsq=lower_flag, upper_inv_qsq=upper_flag,
-        classical=classical_flag,
     )
 
 

@@ -187,8 +187,9 @@ def _cmd_normality(args) -> int:
 
 def _cmd_expsum(args) -> int:
     report = groups.subgroup(args.g, args.p, element_cap=args.cap)
-    result = spectra.subgroup_expsum(report, c=args.c, method=args.method)
+    result = spectra.subgroup_expsum(report, c=args.c)
     payload = {_EXPSUM_KEYS.get(key, key): value for key, value in vars(result).items()}
+    payload["method"] = "fft"
     _write_outputs(args, _dump(payload))
     return 0
 
@@ -301,7 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, default=10)
     p.add_argument("--c", type=float, default=0.5)
     p.add_argument("--cap", type=int, default=groups.DEFAULT_ELEMENT_CAP)
-    p.add_argument("--method", default="fft", choices=["fft", "naive"])
     _add_out(p)
     p.set_defaults(func=_cmd_expsum)
 

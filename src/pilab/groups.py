@@ -74,14 +74,6 @@ class ArtinScan:
     density: float
 
 
-@dataclass(frozen=True)
-class ArtinWindow:
-    q_k: int
-    window: tuple[int, int]
-    prime: Optional[int]  # least qualifying prime, None when the window has none
-    count: int
-
-
 def _brent_rho(n: int) -> int:
     # deterministic parameter sweep; n must be odd, composite, not a prime power handled upstream
     if n % 2 == 0:
@@ -332,38 +324,12 @@ def artin_scan(limit: int, table: Optional[ArtinTable] = None) -> ArtinScan:
     )
 
 
-def _window_bounds(q: int, window_factor: float) -> tuple[int, int]:
-    width = math.ceil(window_factor * q / math.log(q)) if window_factor > 0 else 0
-    return q, q + width
-
-
 def nearest_prime_in_window(q: int, window_factor: float = 1.0) -> tuple[int, tuple[int, int]]:
     """Least prime in [q, q + ceil(window_factor * q / ln q)]; error when none."""
     if q < 3:
         raise ValueError("window search needs q >= 3")
-    lo, hi = _window_bounds(q, window_factor)
-    p = primes.next_prime(lo)
+    hi = q + (math.ceil(window_factor * q / math.log(q)) if window_factor > 0 else 0)
+    p = primes.next_prime(q)
     if p > hi:
-        raise WindowExhaustedError(f"no prime in [{lo}, {hi}]")
-    return p, (lo, hi)
-
-
-def find_artin_prime_near(conv, window_factor: float = 1.0) -> ArtinWindow:
-    """Least prime q in the window above q_k with ord_q(10) = q - 1 and
-    gcd(p_k q_k + 1, q) = 1, plus the count of all such primes.
-
-    An empty window is an outcome (count 0, prime None), not an error.
-    """
-    q0 = conv.q
-    if q0 < 11:
-        raise ValueError("window scan needs q_k >= 11")
-    lo, hi = _window_bounds(q0, window_factor)
-    pq1 = conv.p * q0 + 1
-    qs = [q for q in primes.primes_in_range(lo, hi) if math.gcd(pq1, q) == 1]
-    lanes_fit = not qs or qs[-1] <= LANE_MAX
-    orders = orders_of_ten(qs).tolist() if lanes_fit else [mult_order(10, q) for q in qs]
-    found = [q for q, order in zip(qs, orders) if order == q - 1]
-    return ArtinWindow(
-        q_k=q0, window=(lo, hi),
-        prime=found[0] if found else None, count=len(found),
-    )
+        raise WindowExhaustedError(f"no prime in [{q}, {hi}]")
+    return p, (q, hi)

@@ -1,11 +1,11 @@
 """Equidistribution and normality statistics: Weyl sums, star discrepancy,
-block frequencies, exponential sums over subgroups of prime fields, and the
-chord-length pairing that links rational residues to fractional parts.
+block frequencies and exponential sums over subgroups of prime fields.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import constants, primes
-from .radix import DigitStream, fractional_part, shifted_fraction, text_from_digits, truncate
+from .radix import DigitStream, fractional_part, text_from_digits
 from .groups import SubgroupReport
 
 _FLOAT_SLOP = 5e-16  # per-point trig rounding folded into reported error bounds
@@ -59,6 +59,8 @@ class PointSet:
             object.__setattr__(self, "points", pts)
         if pts.ndim != 1:
             raise ValueError("points must form a one-dimensional sequence")
+        if not 0.0 <= self.eps < math.inf:
+            raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
         inside = (pts >= 0.0) & (pts < 1.0)  # false for NaN as well
         if not inside.all():
             raise ValueError(f"point {float(pts[np.argmin(inside)])} outside [0,1)")
@@ -107,19 +109,6 @@ class ExpSumReport:
     argmax: int
     bound: float
     ratio: float
-    method: str
-
-
-@dataclass(frozen=True)
-class LipschitzReport:
-    n: int
-    q: int
-    s: int
-    delta: Fraction  # truncated {x 10^n} minus s/q
-    chord: float     # |e(2 pi {x 10^n}) - e(2 pi s/q)|
-    rhs_scale: float  # 1/q^2
-    ratio: float      # chord * q^2
-    chord_arc_ok: bool
 
 
 def _bucket_sums(x: np.ndarray) -> np.ndarray:
@@ -234,29 +223,16 @@ def block_frequency(digits: DigitStream, n_digits: int, block_len: int) -> Block
     )
 
 
-def expsum_magnitudes(elements: Sequence[int], p: int, method: str = "fft") -> np.ndarray:
-    """|sum_{x in H} e(2 pi i a x / p)| for every a = 0..p-1.
-
-    The transform path evaluates all frequencies as the DFT of the indicator
-    vector of H; the naive path sums unit vectors directly.  Both must agree
-    to 1e-9 and the tests hold them to it.
-    """
-    if method == "fft":
-        v = np.zeros(p, dtype=np.float64)
-        for x in elements:
-            v[x % p] += 1.0
-        return np.abs(np.fft.fft(v))
-    if method == "naive":
-        out = np.empty(p, dtype=np.float64)
-        xs = np.asarray([x % p for x in elements], dtype=np.float64)
-        for a in range(p):
-            phase = 2.0 * math.pi * a * xs / p
-            out[a] = math.hypot(_exact_sum(np.cos(phase)), _exact_sum(np.sin(phase)))
-        return out
-    raise ValueError(f"unknown method {method!r}")
+def expsum_magnitudes(elements: Sequence[int], p: int) -> np.ndarray:
+    """|sum_{x in H} e(2 pi i a x / p)| for every a = 0..p-1, as the DFT of
+    the indicator vector of H.  The tests hold it to 1e-9 of a direct sum."""
+    v = np.zeros(p, dtype=np.float64)
+    for x in elements:
+        v[x % p] += 1.0
+    return np.abs(np.fft.fft(v))
 
 
-def subgroup_expsum(report: SubgroupReport, c: float = 0.5, method: str = "fft") -> ExpSumReport:
+def subgroup_expsum(report: SubgroupReport, c: float = 0.5) -> ExpSumReport:
     """Exhaustive max over a = 1..p-1 of the subgroup exponential sum magnitude,
     with the reference envelope exp(-(log p)^c) * #H and their ratio."""
     p = report.modulus
@@ -264,45 +240,28 @@ def subgroup_expsum(report: SubgroupReport, c: float = 0.5, method: str = "fft")
         raise ValueError(f"modulus {p} is not prime")
     if report.elements is None:
         raise ValueError("subgroup elements are not materialized; raise the element cap")
-    if c <= 0:
-        raise ValueError("c must be positive")
-    mags = expsum_magnitudes(report.elements, p, method=method)
+    if not (0 < c < math.inf):
+        raise ValueError(f"c must be positive and finite, got {c}")
+    try:
+        envelope = math.exp(-((math.log(p)) ** c))
+    except OverflowError:
+        envelope = 0.0
+    if envelope < sys.float_info.min:  # 0 or subnormal: the ratio would divide by zero or overflow
+        raise ValueError(f"c = {c} underflows the envelope exp(-(log p)^c) * #H at p = {p}")
+    mags = expsum_magnitudes(report.elements, p)
     a_max = int(np.argmax(mags[1:]) + 1)
     max_mag = float(mags[a_max])
-    bound = math.exp(-((math.log(p)) ** c)) * report.order
+    bound = envelope * report.order
     return ExpSumReport(
         modulus=p, generator=report.generator, subgroup_order=report.order,
-        c=c, max_magnitude=max_mag, argmax=a_max, bound=bound,
-        ratio=max_mag / bound, method=method,
+        c=c, max_magnitude=max_mag, argmax=a_max, bound=bound, ratio=max_mag / bound,
     )
 
 
-def parseval_sum(elements: Sequence[int], p: int, method: str = "fft") -> tuple[float, int]:
+def parseval_sum(elements: Sequence[int], p: int) -> tuple[float, int]:
     """(sum_a |S(a)|^2, p * #H): the two sides of the Parseval identity."""
-    mags = expsum_magnitudes(elements, p, method=method)
+    mags = expsum_magnitudes(elements, p)
     return float(np.sum(mags * mags)), p * len(elements)
-
-
-def lipschitz_pairing(n: int, q: int, s_n: int, digits: DigitStream) -> LipschitzReport:
-    """Chord length |e(2 pi {x 10^n}) - e(2 pi s_n/q)| against the 1/q^2 scale.
-
-    Also verifies the chord-arc inequality chord <= 2 pi |delta| that drives
-    the pairing argument.
-    """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    prec = max(2 * len(str(q)) + 12, 24)
-    digits.ensure(n + prec)
-    value = truncate(shifted_fraction(digits, n, prec), prec)
-    delta = value - Fraction(s_n, q)
-    delta_f = float(delta)
-    chord = abs(2.0 * math.sin(math.pi * delta_f))
-    rhs_scale = 1.0 / (q * q)
-    chord_arc_ok = chord <= 2.0 * math.pi * abs(delta_f) + 1e-15
-    return LipschitzReport(
-        n=n, q=q, s=s_n, delta=delta, chord=chord, rhs_scale=rhs_scale,
-        ratio=chord * q * q, chord_arc_ok=chord_arc_ok,
-    )
 
 
 def _digit_windows(d: np.ndarray, width: int, count: int, b: int) -> np.ndarray:

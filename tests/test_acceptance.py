@@ -143,7 +143,7 @@ def test_criterion_6_exponential_sums():
     t0 = time.perf_counter()
     ok = True
     for p in primes.primes_upto(500):
-        mags = expsum_magnitudes(list(range(1, p)), p, method="fft")
+        mags = expsum_magnitudes(list(range(1, p)), p)
         worst = max(abs(m - 1.0) for m in mags[1:]) if p > 2 else abs(mags[1] - 1.0)
         ok &= worst < 1e-9
         if p in (2, 5):

@@ -13,7 +13,6 @@ from pilab.cf import (
     InsufficientPrecisionError,
     TerminatedExpansionError,
     _stream_certified,
-    approximation_gap,
     audit_lemma_caseI,
     audit_lemma_caseII,
     audit_lemma_prime_variant,
@@ -194,37 +193,6 @@ def test_frac_pi_shift_matches_oracle():
         got = frac_pi_shift(n, 30)
         want = mp.frac(mp.pi * mp.mpf(10) ** n)
         assert abs(mp.mpf(got.numerator) / got.denominator - want) < mp.mpf(10) ** -29
-
-
-def test_gap_flags_22_7():
-    convs = pi_convergents(5)
-    rep = approximation_gap(convs[1], convs[2])
-    assert rep.gap < 0  # odd index: convergent overshoots
-    assert not rep.lower_half_inv_qsq
-    assert rep.upper_inv_qsq
-    assert rep.classical
-    assert abs(float(rep.gap) + 0.0012644892673496) < 1e-12
-
-
-def test_gap_flags_333_106():
-    convs = pi_convergents(5)
-    rep = approximation_gap(convs[2], convs[3])
-    assert float(rep.gap) == pytest.approx(8.3219627529e-05, rel=1e-9)
-    assert rep.upper_inv_qsq  # gap <= 1/106^2
-    assert rep.classical
-
-
-def test_gap_classical_bound_all_k():
-    convs = pi_convergents(16)
-    for k in range(len(convs) - 1):
-        rep = approximation_gap(convs[k], convs[k + 1])
-        assert rep.classical
-
-
-def test_gap_rejects_coarse_pi_value():
-    convs = pi_convergents(3)
-    with pytest.raises(InsufficientPrecisionError):
-        approximation_gap(convs[2], convs[3], pi_value=Fraction(314159, 10**5), error_exp=-5)
 
 
 def test_case_one_audit_333_106():

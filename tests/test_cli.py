@@ -192,6 +192,28 @@ def test_expsum_json(capsys):
     payload = json.loads(out)
     assert payload["order"] == 15
     assert float(payload["max_magnitude"]) == pytest.approx(2.8284271247461903, rel=1e-9)
+    assert payload["method"] == "fft"
+
+
+def test_expsum_has_no_method_option(capsys):
+    for method in ("naive", "fft"):
+        assert run(capsys, "expsum", "--p", "31", "--method", method)[0] == 2
+
+
+@pytest.mark.parametrize("c", ["nan", "inf", "1000"])
+def test_expsum_rejects_c_without_a_finite_envelope(capsys, c):
+    code, out, err = run(capsys, "expsum", "--p", "31", "--c", c)
+    assert code == 1
+    assert out == "" and err.startswith("error:") and " c " in err
+
+
+@pytest.mark.parametrize("eps", ["-1", "nan", "inf"])
+def test_weyl_rejects_negative_or_non_finite_eps(tmp_path, capsys, eps):
+    pts = tmp_path / "points.txt"
+    pts.write_text("0.25\n0.5\n")
+    code, out, err = run(capsys, "weyl", "--points", str(pts), "--m", "1", "--eps", eps)
+    assert code == 1
+    assert out == "" and err.startswith("error: eps must be finite")
 
 
 def test_report_wall_criterion(tmp_path, capsys):

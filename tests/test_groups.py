@@ -12,7 +12,6 @@ from pilab.groups import (
     DEFAULT_ELEMENT_CAP,
     LANE_MAX,
     _power_set_sorted,
-    ArtinWindow,
     WindowExhaustedError,
     artin_orders,
     artin_rows,
@@ -20,7 +19,6 @@ from pilab.groups import (
     coset_structure,
     euler_phi,
     factorize,
-    find_artin_prime_near,
     mult_order,
     nearest_prime_in_window,
     orders_of_ten,
@@ -235,44 +233,10 @@ def test_artin_limit_past_lanes_raises_before_sieving(monkeypatch):
 
 
 def test_nearest_prime_in_window():
-    prime, window = nearest_prime_in_window(106)
-    assert prime == 107 and window[0] == 106
+    assert nearest_prime_in_window(106) == (107, (106, 129))
+    assert nearest_prime_in_window(113) == (113, (113, 137))  # 113 is itself prime
     with pytest.raises(WindowExhaustedError):
         nearest_prime_in_window(106, window_factor=0.0)
-
-
-def test_find_artin_prime_near_113():
-    res = find_artin_prime_near(Convergent(k=3, a=1, p=355, q=113))
-    assert res.window == (113, 137)
-    assert res.prime == 113  # 113 is itself a full-period prime
-    assert res.count == 2  # 113 and 131 qualify
-
-
-def test_find_artin_prime_near_106():
-    res = find_artin_prime_near(Convergent(k=2, a=15, p=333, q=106))
-    # window [106, 129]: 107 has order 53, 109 and 113 are full-period, 127 is not
-    assert res.prime == 109
-    assert res.count == 2
-
-
-def test_find_artin_prime_near_window_past_lanes():
-    conv = Convergent(k=0, a=0, p=1, q=LANE_MAX - 100)
-    res = find_artin_prime_near(conv, window_factor=1e-5)
-    lo, hi = res.window
-    assert lo < LANE_MAX < hi
-    found = [q for q in primes.primes_in_range(lo, hi)
-             if math.gcd(conv.p * conv.q + 1, q) == 1 and mult_order(10, q) == q - 1]
-    assert (res.prime, res.count) == (found[0], len(found))
-
-
-def test_find_artin_prime_below_precondition():
-    with pytest.raises(ValueError):
-        find_artin_prime_near(Convergent(k=1, a=7, p=22, q=7))
-
-
-def test_find_artin_prime_empty_window_is_outcome():
-    res = find_artin_prime_near(Convergent(k=2, a=15, p=333, q=106), window_factor=0.0)
-    assert res == ArtinWindow(q_k=106, window=(106, 106), prime=None, count=0)
 
 
 def test_coset_invariants_across_pi_convergents():

@@ -21,7 +21,7 @@ CASES = {
     "audit-prime-k6": ("audit", "--lemma", "prime", "--k", "6", "--nmax", "40"),
     "audit-prime-k6-no-scaled": (
         "audit", "--lemma", "prime", "--k", "6", "--nmax", "40", "--no-scaled"),
-    "expsum-1999-naive": ("expsum", "--p", "1999", "--method", "naive"),
+    "expsum-1999": ("expsum", "--p", "1999"),
     "weyl-golden": ("weyl", "--points", GOLDEN_POINTS, "--m", "1,2,3,5,8"),
 }
 
@@ -31,7 +31,7 @@ DIGESTS = {
     "audit-prime-k6": "d94739c36734fe752730d7227df3a6d89aaacd11e82abfa888e858a10a3148a2",
     "audit-prime-k6-no-scaled": "bc743d5c79c1ded62449956f484127d466aae24ea526bd3aecddb0acfd459b3e",
     "cf-depth-20": "ce696a0d5ee60a719e5257d951f32049ee32f8206dbebbb4453a5aec70baef8c",
-    "expsum-1999-naive": "c8b7f67ec09655e293e961396ca4ea6805cee0b7642dc121e65a48e8f766693d",
+    "expsum-1999": "b5aff195d0ae85ba9c1dde9beb9dd765daa0a5e55eed6d1706a4ed581424feb3",
     "weyl-golden": "43bf0c1c09a0a1ca470c0d0b508a271591265d3a43edc84d36ee90da2f2d2a2d",
 }
 

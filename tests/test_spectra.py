@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pilab.constants import ConstantRequest, const_digits
 from pilab.constructors import ConcatSpec, concat_digits
 from pilab.groups import subgroup
 from pilab.radix import DigitStream
@@ -17,7 +17,6 @@ from pilab.spectra import (
     TableCapError,
     block_frequency,
     expsum_magnitudes,
-    lipschitz_pairing,
     parseval_sum,
     shifted_points,
     star_discrepancy,
@@ -142,17 +141,14 @@ def test_champernowne_digit_frequencies_at_ten_thousand():
     assert stats.max_abs_dev == pytest.approx(0.0858, abs=5e-4)
 
 
-def naive_expsum_max(elements, p):
-    best = 0.0
-    for a in range(1, p):
-        total = sum(cmath.exp(2j * math.pi * a * x / p) for x in elements)
-        best = max(best, abs(total))
-    return best
+def naive_expsum(elements, p):
+    """|S(a)| for a = 1..p-1, summed directly in complex arithmetic."""
+    return [abs(sum(cmath.exp(2j * math.pi * a * x / p) for x in elements)) for a in range(1, p)]
 
 
 @pytest.mark.parametrize("p", [7, 31, 101])
 def test_full_group_sum_is_minus_one(p):
-    mags = expsum_magnitudes(list(range(1, p)), p, method="fft")
+    mags = expsum_magnitudes(list(range(1, p)), p)
     for a in range(1, p):
         assert mags[a] == pytest.approx(1.0, abs=1e-9)
 
@@ -161,7 +157,7 @@ def test_full_group_sum_is_minus_one(p):
 def test_two_element_subgroup_maximum(p):
     # S(a) = 2 cos(2 pi a / p); |S| peaks at a ~ p/2 where the cosine nears -1
     rep_elements = [1, p - 1]
-    mags = expsum_magnitudes(rep_elements, p, method="fft")
+    mags = expsum_magnitudes(rep_elements, p)
     got = max(mags[1:])
     assert got == pytest.approx(2 * math.cos(math.pi / p), abs=1e-9)
     assert got < 2.0
@@ -177,12 +173,11 @@ def test_expsum_p31_subgroup_of_ten():
 
 
 def test_expsum_fft_matches_naive():
-    for p, gen in ((31, 10), (97, 10), (113, 10)):
-        rep = subgroup(gen, p)
-        fft = subgroup_expsum(rep, method="fft")
-        naive = subgroup_expsum(rep, method="naive")
-        assert abs(fft.max_magnitude - naive.max_magnitude) < 1e-9
-        assert abs(fft.max_magnitude - naive_expsum_max(rep.elements, p)) < 1e-9
+    for p in (31, 97, 113):
+        rep = subgroup(10, p)
+        fft = expsum_magnitudes(rep.elements, p)[1:]
+        assert np.abs(fft - naive_expsum(rep.elements, p)).max() < 1e-9
+        assert subgroup_expsum(rep).max_magnitude == fft.max()
 
 
 def test_expsum_rejects_composite_and_missing_elements():
@@ -195,6 +190,19 @@ def test_expsum_rejects_composite_and_missing_elements():
         subgroup_expsum(subgroup(10, 31), c=0.0)
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_expsum_rejects_non_finite_c(c):
+    with pytest.raises(ValueError, match="c must be positive and finite"):
+        subgroup_expsum(subgroup(10, 31), c=c)
+
+
+@pytest.mark.parametrize("c", [6.0, 1e3, 1e300])
+def test_expsum_rejects_an_envelope_that_underflows(c):
+    # (log 31)^6 ~ 1.6e3, so exp(-(log p)^c) is 0; from c ~ 200 the power itself overflows
+    with pytest.raises(ValueError, match=re.escape(f"c = {c} ")):
+        subgroup_expsum(subgroup(10, 31), c=c)
+
+
 def test_parseval_identity_all_primes_to_thousand():
     from pilab import primes
 
@@ -204,33 +212,6 @@ def test_parseval_identity_all_primes_to_thousand():
         rep = subgroup(10, p)
         lhs, rhs = parseval_sum(rep.elements, p)
         assert abs(lhs - rhs) / rhs < 1e-6
-
-
-def test_lipschitz_identity_case():
-    # alpha = 47/1130 shifts to exactly 47/113 at n = 1, so the chord vanishes
-    s = DigitStream.from_rational(Fraction(47, 1130), label="exact")
-    rep = lipschitz_pairing(1, 113, 47, s)
-    assert rep.chord == pytest.approx(0.0, abs=1e-12)
-    assert rep.chord_arc_ok
-
-
-def test_lipschitz_chord_formula():
-    delta = 1e-4
-    s = DigitStream.from_rational(Fraction(47, 1130) + Fraction(1, 10**5), label="offset")
-    rep = lipschitz_pairing(1, 113, 47, s)
-    assert rep.chord == pytest.approx(abs(2 * math.sin(math.pi * delta)), rel=1e-6)
-    assert rep.chord <= 2 * math.pi * delta + 1e-12
-    assert rep.chord_arc_ok
-
-
-def test_lipschitz_pi_near_convergent_residue():
-    # s_1 = 47 is the nearest residue to {10 pi} mod 113: the chord sits two
-    # orders below the 1/q^2 scale times q^2 ~ 0.21
-    pi_digits = const_digits(ConstantRequest("pi", 64))
-    rep = lipschitz_pairing(1, 113, 47, pi_digits)
-    assert rep.chord == pytest.approx(1.6761288331790685e-05, rel=1e-9)
-    assert rep.ratio == pytest.approx(0.21402489070863526, rel=1e-9)
-    assert rep.chord_arc_ok
 
 
 def test_shifted_points_match_truncation():
@@ -415,6 +396,12 @@ def test_point_set_rejects_non_finite_and_out_of_range(bad):
         PointSet(points=(0.5, bad, 0.25), eps=0.0)
     with pytest.raises(ValueError):
         PointSet(points=np.array([bad]), eps=0.0)
+
+
+@pytest.mark.parametrize("eps", [-1.0, -1e-300, math.nan, math.inf])
+def test_point_set_rejects_negative_or_non_finite_eps(eps):
+    with pytest.raises(ValueError, match="eps"):
+        PointSet(points=(0.25,), eps=eps)
 
 
 def test_point_set_accepts_negative_zero_like_the_scalar_check():

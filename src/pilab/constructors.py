@@ -3,7 +3,9 @@
 Three concatenation families (consecutive integers, primes, squares) plus the
 coprime power series sum(1 / (c^n * b^(c^n + s))).  All digits come from exact
 integer arithmetic; term end positions are closed-form sums over the runs of
-equal-length terms, so random access never streams from the start.
+equal-length terms, so random access never streams from the start.  A prefix of
+the power series is one integer floor of its head terms: the omitted tail
+provably never carries into the last digit kept.
 """
 
 from __future__ import annotations
@@ -11,13 +13,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import primes
 from .radix import DigitStream, digits_from_text
 
 _FAMILIES = ("integers", "primes", "squares")
-_STONEHAM_GUARD = 10  # base-b digits summed past the request; the tail check widens it when needed
 
 
 @dataclass(frozen=True)
@@ -153,17 +153,11 @@ def digit_at(spec: ConcatSpec, position: int) -> int:
 
 
 def stoneham_digits(spec: StonehamSpec, n_digits: int) -> DigitStream:
-    """First base-b digits of the series, certified against the truncated tail.
-
-    Terms with c^n + s > n_digits + _STONEHAM_GUARD are dropped; the exact rational
-    partial sum is accepted only once the tail bound provably cannot reach the
-    next digit boundary (the guard widens automatically in the rare case it
-    could).
-    """
+    """First base-b digits of the series, each prefix from one exact integer floor."""
     if n_digits < 1:
         raise ValueError("digit count must be >= 1")
 
-    def produce(n: int) -> list[int]:
+    def produce(n: int) -> bytes:
         return _stoneham_prefix(spec, n)
 
     label = f"stoneham-b{spec.b}-c{spec.c}-s{spec.s}"
@@ -172,26 +166,23 @@ def stoneham_digits(spec: StonehamSpec, n_digits: int) -> DigitStream:
     return stream
 
 
-def _stoneham_prefix(spec: StonehamSpec, n_digits: int) -> list[int]:
-    b, c, s = spec.b, spec.c, spec.s
-    guard = _STONEHAM_GUARD
-    for _ in range(8):
-        total = Fraction(0)
-        n = 1
-        while c**n + s <= n_digits + guard:
-            total += Fraction(1, c**n * b ** (c**n + s))
-            n += 1
-        # tail < 2 * first omitted term (each successive term shrinks by > 1/2)
-        tail = Fraction(2, c**n * b ** (c**n + s))
-        scaled = total * b**n_digits
-        ipart = scaled.numerator // scaled.denominator
-        if (scaled - ipart) + tail * b**n_digits < 1:
-            out = []
-            v = ipart
-            for _ in range(n_digits):
-                v, d = divmod(v, b)
-                out.append(d)
-            return out[::-1]
-        guard += 10
-    raise ArithmeticError("tail bound failed to certify digits after widening the guard")
+def _stoneham_prefix(spec: StonehamSpec, n_digits: int) -> bytes:
+    """The first N = n_digits base-b digits of alpha = sum_{n>=1} 1/(c^n b^(c^n+s)).
 
+    With M the number of n >= 1 having c^n + s <= N, floor(alpha b^N) = A // c^M
+    where A = sum_{n=1..M} b^(N-c^n-s) c^(M-n), so alpha b^N = A/c^M + T with T
+    the omitted terms.  Each omitted term is at most 1/8 of the one before it
+    (the ratio is 1/(c b^(c^n (c-1))) <= 1/(2 * 2^2)), and the first has
+    b-exponent c^(M+1) + s - N >= 1, so T < (8/7) / (b c^(M+1)) < 1/c^M because
+    b c >= 6 for coprime b, c >= 2.  The fractional part of A/c^M is at most
+    1 - 1/c^M, so adding T never carries into the integer part.
+    """
+    b, c, s = spec.b, spec.c, spec.s
+    m = 0
+    while c ** (m + 1) + s <= n_digits:
+        m += 1
+    a = sum(b ** (n_digits - c**n - s) * c ** (m - n) for n in range(1, m + 1))
+    floor = a // c**m
+    if b == 10:
+        return digits_from_text(str(floor).rjust(n_digits, "0"))
+    return _digits_in_base(floor, b).rjust(n_digits, b"\0")

@@ -1,8 +1,9 @@
 """Multiplicative orders, subgroups of (Z/mZ)*, and Artin primitive-root scans.
 
-Order computation factors the totient (trial division, then Brent's rho with
-deterministic parameters) and descends through divisors; anything left
-unfactored aborts loudly rather than risking a wrong order.
+Order computation factors the totient (trial division by the sieved primes
+below 10^4, then Brent's rho with deterministic parameters) and descends
+through divisors; anything left unfactored aborts loudly rather than risking a
+wrong order.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import numpy as np
 from . import primes
 
 DEFAULT_ELEMENT_CAP = 1 << 16
-_TRIAL_LIMIT = 10**6
+_TRIAL_LIMIT = 10**4
+_TRIAL_PRIMES = primes.primes_upto(_TRIAL_LIMIT)  # factorize trial-divides by these
 LANE_MAX = math.isqrt(2**63 - 1)  # int64 lanes multiply residues exactly while q <= LANE_MAX
 # coset_structure holds three power sets of ord_q(10) elements and a sorted coset.
 # q_16 (order 8 299 090, int64 lanes) peaked at 424 MB, about 50 bytes an element;
@@ -75,9 +77,7 @@ class ArtinScan:
 
 
 def _brent_rho(n: int) -> int:
-    # deterministic parameter sweep; n must be odd, composite, not a prime power handled upstream
-    if n % 2 == 0:
-        return 2
+    # deterministic parameter sweep; n must be odd and composite
     for c in range(1, 50):
         y, m = 2, 128
         g = r = q = 1
@@ -106,40 +106,27 @@ def _brent_rho(n: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization as {prime: exponent}."""
+    """Prime factorization as {prime: exponent}: trial division by the primes
+    below _TRIAL_LIMIT, then Brent's rho on what is left."""
     if n < 1:
         raise ValueError("factorize needs n >= 1")
     factors: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    d = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    prime_left = 1 < n < primes._MR_LIMIT and primes.is_prime(n)
-    while not prime_left and d * d <= n and d < _TRIAL_LIMIT:
-        if n % d == 0:
-            while n % d == 0:
-                factors[d] = factors.get(d, 0) + 1
-                n //= d
-            prime_left = 1 < n < primes._MR_LIMIT and primes.is_prime(n)
-        d += wheel[i]
-        i = (i + 1) % len(wheel)
-    if prime_left:
-        factors[n] = 1
-    elif n > 1:
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if m == 1:
-                continue
-            if primes.is_prime(m):
-                factors[m] = factors.get(m, 0) + 1
-                continue
-            if m < _TRIAL_LIMIT * _TRIAL_LIMIT:
-                # trial division already covered sqrt(m); cannot happen
-                raise FactoringError(m)
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if primes.is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+        elif m < _TRIAL_LIMIT**2:
+            # m has no prime factor below _TRIAL_LIMIT, so a composite m exceeds
+            # _TRIAL_LIMIT**2; cannot happen
+            raise FactoringError(m)
+        else:
             g = _brent_rho(m)
             stack.extend((g, m // g))
     return factors

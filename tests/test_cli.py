@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from pilab.cli import main
+from pilab.primes import next_prime
 from pilab.radix import read_digit_file
+from pilab.spectra import EXPSUM_P_MAX
 
 
 def run(capsys, *argv):
@@ -205,6 +207,13 @@ def test_expsum_rejects_c_without_a_finite_envelope(capsys, c):
     code, out, err = run(capsys, "expsum", "--p", "31", "--c", c)
     assert code == 1
     assert out == "" and err.startswith("error:") and " c " in err
+
+
+def test_expsum_refuses_p_above_cap_before_allocating(capsys):
+    p = next_prime(EXPSUM_P_MAX + 1)
+    code, out, err = run(capsys, "expsum", "--p", str(p), "--g", str(p - 1))  # order 2
+    assert code == 1
+    assert out == "" and f"p = {p} exceeds EXPSUM_P_MAX" in err
 
 
 @pytest.mark.parametrize("eps", ["-1", "nan", "inf"])

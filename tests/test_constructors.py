@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from pilab.constructors import (
     stoneham_digits,
 )
 from pilab.primes import first_primes
+from pilab.radix import text_from_digits
 
 
 def naive_concat(family, n_digits):
@@ -120,7 +122,7 @@ def stoneham_oracle(b, c, s, n_digits):
     for _ in range(n_digits):
         v, d = divmod(v, b)
         digs.append(d)
-    return "".join(str(d) for d in digs[::-1])
+    return text_from_digits(bytes(digs[::-1]))
 
 
 def test_stoneham_base_two():
@@ -145,12 +147,24 @@ def test_stoneham_gcd_violation():
         StonehamSpec(b=10, c=2, s=0)
 
 
-def test_stoneham_guard_invariance(monkeypatch):
-    spec = StonehamSpec(b=2, c=3, s=0)
-    a = stoneham_digits(spec, 64).prefix_string(64)
-    monkeypatch.setattr(constructors, "_STONEHAM_GUARD", 20)
-    b = stoneham_digits(spec, 64).prefix_string(64)
-    assert a == b
+def _stoneham_grid():
+    for b in (2, 3, 10, 36):
+        for c in range(2, 12):
+            if math.gcd(b, c) != 1:
+                continue
+            for s in (0, 1, 5):
+                n = 1
+                while c**n + s - 1 <= 600:
+                    for n_digits in (c**n + s - 1, c**n + s, c**n + s + 1):
+                        yield b, c, s, n_digits
+                    n += 1
+
+
+def test_stoneham_prefix_matches_oracle_at_every_term_boundary():
+    # the prefix is called directly: a stream would round small requests up to 64 digits
+    for b, c, s, n_digits in _stoneham_grid():
+        got = text_from_digits(constructors._stoneham_prefix(StonehamSpec(b, c, s), n_digits))
+        assert got == stoneham_oracle(b, c, s, n_digits), (b, c, s, n_digits)
 
 
 def test_prime_terms():

@@ -80,8 +80,11 @@ def test_factorize_matches_sympy():
     sympy = pytest.importorskip("sympy")
     near_lanes = sympy.prevprime(LANE_MAX + 1)
     semiprime = 1000003 * 1000033  # both factors above the trial-division limit
+    # around the trial-division limit 10^4 (9973 is the last prime below it, 10007 the first
+    # above), then three factors above it, which rho must split twice
+    edges = [9973**2, 9973 * 10007, 10007**3, 10007 * 10009 * 10037, 1000003 * 1000033 * 1000037]
     rng = random.Random(2024)
-    for n in [near_lanes, near_lanes - 1, semiprime] + [rng.randrange(2, 10**15) for _ in range(500)]:
+    for n in [near_lanes, near_lanes - 1, semiprime] + edges + [rng.randrange(2, 10**15) for _ in range(500)]:
         assert factorize(n) == sympy.factorint(n), n
 
 

@@ -1,8 +1,8 @@
 """Pinned SHA-256 digests of CLI reports that the benchmark does not digest.
 
-A refactor of the path from convergents to report bytes must leave these
-reports byte-identical; any change to one of them is a deliberate report
-change and re-pins its digest here.
+A refactor of the path from convergents to report bytes, or of the digits of
+``construct --family stoneham``, must leave these reports byte-identical; any
+change to one of them is a deliberate report change and re-pins its digest here.
 """
 
 import hashlib
@@ -15,6 +15,12 @@ GOLDEN_POINTS = "golden.txt"
 
 CASES = {
     "cf-depth-20": ("cf", "--depth", "20"),
+    "stoneham-b10-c3": ("construct", "--family", "stoneham", "--b", "10", "--c", "3", "--digits", "100000"),
+    "stoneham-b2-c3": ("construct", "--family", "stoneham", "--b", "2", "--c", "3", "--digits", "20000"),
+    "stoneham-b36-c5-s1": (
+        "construct", "--family", "stoneham", "--b", "36", "--c", "5", "--s", "1", "--digits", "5000"),
+    "stoneham-b3-c2-s1": (
+        "construct", "--family", "stoneham", "--b", "3", "--c", "2", "--s", "1", "--digits", "5000"),
     "audit-caseI-k8": ("audit", "--lemma", "caseI", "--k", "8"),
     "audit-caseII-k6-mu2.5": (
         "audit", "--lemma", "caseII", "--k", "6", "--nmax", "200", "--mu", "2.5"),
@@ -31,6 +37,10 @@ DIGESTS = {
     "audit-prime-k6": "d94739c36734fe752730d7227df3a6d89aaacd11e82abfa888e858a10a3148a2",
     "audit-prime-k6-no-scaled": "bc743d5c79c1ded62449956f484127d466aae24ea526bd3aecddb0acfd459b3e",
     "cf-depth-20": "ce696a0d5ee60a719e5257d951f32049ee32f8206dbebbb4453a5aec70baef8c",
+    "stoneham-b10-c3": "1a4bfcd71fa60dff58fc7550fbbacfdd5a282147c6db495fdd2b8fb61bff4ced",
+    "stoneham-b2-c3": "d06a52e948286c61baa6121efb27bdd86b7d411fce5ea8b90eef78774f5b2668",
+    "stoneham-b36-c5-s1": "83a80774ff0b35e6802259308c6d7d33d76207e5b51db43130e558d1c8dba991",
+    "stoneham-b3-c2-s1": "e3d526595405f72623cd75a5d387fdad6c12d032bd2022474cb896a04a48b729",
     "expsum-1999": "b5aff195d0ae85ba9c1dde9beb9dd765daa0a5e55eed6d1706a4ed581424feb3",
     "weyl-golden": "43bf0c1c09a0a1ca470c0d0b508a271591265d3a43edc84d36ee90da2f2d2a2d",
 }

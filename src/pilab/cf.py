@@ -403,20 +403,14 @@ def audit_lemma_prime_variant(
 _ROW_KEYS = {"passed": "pass", "lower_base": "lower", "upper_base": "upper"}
 
 
-def _row_jsonable(row, drop: tuple[str, ...] = ()) -> dict:
-    """A row's fields under their report keys, exact rationals as num/den strings."""
-    out = {}
-    for f in fields(row):
-        if f.name not in drop:
-            v = getattr(row, f.name)
-            if isinstance(v, Fraction):
-                v = f"{v.numerator}/{v.denominator}"
-            out[_ROW_KEYS.get(f.name, f.name)] = v
-    return out
+def _row_payload(row, drop: tuple[str, ...] = ()) -> dict:
+    """A row's fields under their report keys."""
+    return {_ROW_KEYS.get(f.name, f.name): getattr(row, f.name) for f in fields(row) if f.name not in drop}
 
 
-def audit_to_jsonable(audit, include_scaled: bool = True) -> dict:
-    """Serialize an audit with exact rationals rendered as num/den strings."""
+def audit_payload(audit, include_scaled: bool = True) -> dict:
+    """An audit's report fields; exact rationals stay ``Fraction``s, which the
+    report writer renders as num/den strings."""
     if isinstance(audit, LemmaAudit):
         return {
             "lemma": audit.lemma,
@@ -425,7 +419,7 @@ def audit_to_jsonable(audit, include_scaled: bool = True) -> dict:
             "q": str(audit.q),
             "mu": repr(audit.mu),
             "k_even": audit.k_even,
-            "rows": [_row_jsonable(row) for row in audit.rows],
+            "rows": [_row_payload(row) for row in audit.rows],
         }
     if isinstance(audit, PrimeLemmaAudit):
         drop = () if include_scaled else ("scaled_lower", "scaled_upper")
@@ -437,6 +431,6 @@ def audit_to_jsonable(audit, include_scaled: bool = True) -> dict:
             "q": str(audit.prime),
             "window": list(audit.window),
             "mu": repr(audit.mu),
-            "rows": [_row_jsonable(row, drop) for row in audit.rows],
+            "rows": [_row_payload(row, drop) for row in audit.rows],
         }
     raise TypeError(f"cannot serialize {type(audit).__name__}")

@@ -3,8 +3,10 @@
 Report files never contain timestamps, so identical parameters give byte
 identical outputs; each written output is accompanied by a manifest that
 records the parameters, tool version, input digests, and the timestamp.
-Exact rationals are serialized as "num/den" strings and reals as decimal
-strings, for cross-language reproducibility.
+Reports are JSON with sorted keys, a 2-space indent and ASCII escapes (the
+bytes of json.dumps(indent=2, sort_keys=True)); exact rationals are written
+as "num/den" strings and reals as .17g decimal strings, for cross-language
+reproducibility.
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
 """
@@ -29,21 +31,72 @@ _NOT_PARAMS = {"command", "func", "out", "manifest"}  # every other parsed argum
 _EXPSUM_KEYS = {"modulus": "p", "generator": "g", "subgroup_order": "order"}  # report field -> payload key
 
 
-def _jsonify(obj):
-    """Render reports deterministically: rationals as num/den, reals as decimal strings."""
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, float):
-        return format(obj, _REAL_FORMAT)
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
+_ENCODE = json.encoder.encode_basestring_ascii  # the C routine json.dumps quotes strings with
+_KEYWORDS = {None: "null", True: "true", False: "false"}
 
 
-def _dump(payload: dict) -> str:
-    return json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n"
+def _dump(payload) -> str:
+    """A report's text: the bytes of json.dumps(indent=2, sort_keys=True) with
+    reals as .17g strings and rationals as "num/den" strings, built in one pass
+    over a single list of parts."""
+    parts: list[str] = []
+    _render(payload, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _key(key) -> str:
+    """A dict key as json.dumps writes it: a string, or the JSON text of an int,
+    float, bool or None in quotes."""
+    if isinstance(key, str):
+        return _ENCODE(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + json.dumps(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _render(obj, newline: str, parts: list[str]) -> None:
+    """Append the text of ``obj``; ``newline`` ends the line before its closing bracket."""
+    if isinstance(obj, str):
+        parts.append(_ENCODE(obj))
+    elif obj is None or obj is True or obj is False:
+        parts.append(_KEYWORDS[obj])
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        parts.append(f'"{obj:{_REAL_FORMAT}}"')
+    elif isinstance(obj, Fraction):
+        parts.append(f'"{obj.numerator}/{obj.denominator}"')
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        items = sorted(obj.items())
+        if all(type(key) is str and type(value) is int for key, value in items):
+            # a counts table: one join, no call per entry
+            parts.append("{" + inner + ("," + inner).join([f"{_ENCODE(key)}: {value}" for key, value in items])
+                         + newline + "}")
+            return
+        sep = "{" + inner
+        for key, value in items:
+            parts.append(sep + _key(key) + ": ")
+            _render(value, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            parts.append(sep)
+            _render(value, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _sha256(path: str) -> str:
@@ -120,7 +173,7 @@ def _cmd_audit(args) -> int:
         audit = cf.audit_lemma_caseII(conv, cfg)
     else:
         audit = cf.audit_lemma_prime_variant(conv, cfg, window_factor=args.window_factor)
-    payload = cf.audit_to_jsonable(audit, include_scaled=args.scaled)
+    payload = cf.audit_payload(audit, include_scaled=args.scaled)
     _write_outputs(args, _dump(payload))
     return 0
 
@@ -175,10 +228,8 @@ def _cmd_weyl(args) -> int:
 
 def _cmd_normality(args) -> int:
     stream = read_digit_file(args.infile)
-    blocks = {}
-    for k in range(1, args.kmax + 1):
-        stats = spectra.block_frequency(stream, args.N, k)
-        blocks[str(k)] = {key: v for key, v in vars(stats).items() if key not in ("base", "block_len")}
+    table = spectra.block_frequency(stream, args.N, args.kmax)
+    blocks = {str(stats.block_len): {**stats.row(), "counts": stats.counts} for stats in table.lengths}
     payload = {"input": Path(args.infile).name, "label": stream.label, "base": stream.base,
                "n_digits": args.N, "blocks": blocks}
     _write_outputs(args, _dump(payload), inputs=[args.infile])

@@ -21,6 +21,7 @@ from .radix import (
     ProducerExhaustedError,
     digits_from_text,
     read_digit_file,
+    read_digit_header,
     write_digit_file,
 )
 
@@ -29,6 +30,10 @@ CACHE_ENV = "PI_LAB_CACHE"
 
 _INT_PARTS = {"pi": 3, "ln10": 2, "ln_pi": 1}
 _CACHE_CHECK = 1000  # a cached prefix this long is re-certified before it is served
+# A cache file carries the engine version that wrote it and a SHA-256 of its
+# digits; any other version is a miss.  Raise it when an engine or the release
+# rule changes.
+ENGINE_VERSION = "1"
 
 
 def _agree_ulp(w: int) -> int:
@@ -362,7 +367,10 @@ def _cache_load(name: str, n_digits: int) -> bytes | None:
     if path is None or not path.exists():
         return None
     try:
-        stream = read_digit_file(path)
+        header = read_digit_header(path)
+        if header.get("engine") != ENGINE_VERSION or "sha256" not in header:
+            return None  # stale or unsealed: a miss, overwritten on store
+        stream = read_digit_file(path)  # digits that do not match the digest raise
     except (ValueError, OSError):
         return None
     if stream.base != 10 or stream.label != name:
@@ -378,7 +386,8 @@ def _cache_store(name: str, digits: bytes) -> None:
         return
     path.parent.mkdir(parents=True, exist_ok=True)
     stream = DigitStream.from_digits(digits, base=10, label=name)
-    write_digit_file(path, stream, len(digits), label=name)  # atomic: readers never see a partial file
+    # atomic: readers never see a partial file
+    write_digit_file(path, stream, len(digits), label=name, engine=ENGINE_VERSION)
 
 
 def _released_digits(name: str, n_digits: int) -> bytes:

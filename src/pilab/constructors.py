@@ -18,6 +18,7 @@ from . import primes
 from .radix import DigitStream, digits_from_text
 
 _FAMILIES = ("integers", "primes", "squares")
+_LEAF = 16  # digits a base conversion peels one divmod at a time
 
 
 @dataclass(frozen=True)
@@ -54,12 +55,33 @@ class StonehamSpec:
 
 
 def _digits_in_base(m: int, base: int) -> bytes:
-    out = bytearray()
-    while m:
-        m, d = divmod(m, base)
-        out.append(d)
-    out.reverse()
-    return bytes(out)
+    """The base-``base`` digits of m >= 0, most significant first, without
+    leading zeros (none for 0).
+
+    m splits by base^(_LEAF 2^k) into a high and a low half of known width,
+    and so on down to _LEAF-digit pieces peeled one divmod per digit: the
+    big divisions are few and balanced, where one divmod per digit of m
+    costs time quadratic in its length.
+    """
+    powers = [base**_LEAF]  # powers[k] = base^(_LEAF 2^k)
+    while powers[-1] <= m:
+        powers.append(powers[-1] ** 2)
+    out = bytearray(_LEAF << (len(powers) - 1))
+    _put_digits(m, base, powers, len(powers) - 1, out, len(out))
+    return bytes(out.lstrip(b"\0"))
+
+
+def _put_digits(x: int, base: int, powers: list[int], k: int, out: bytearray, end: int) -> None:
+    """Write the digits of x < powers[k] into ``out``, the last one at end - 1;
+    the zero-filled buffer already holds the leading zeros."""
+    if k == 0:
+        while x:
+            end -= 1
+            x, out[end] = divmod(x, base)
+    elif x:
+        hi, lo = divmod(x, powers[k - 1])
+        _put_digits(lo, base, powers, k - 1, out, end)
+        _put_digits(hi, base, powers, k - 1, out, end - (_LEAF << (k - 1)))
 
 
 # pi(10^d) for d = 0..12 (OEIS A006880): the number of primes with at most d digits
@@ -182,7 +204,4 @@ def _stoneham_prefix(spec: StonehamSpec, n_digits: int) -> bytes:
     while c ** (m + 1) + s <= n_digits:
         m += 1
     a = sum(b ** (n_digits - c**n - s) * c ** (m - n) for n in range(1, m + 1))
-    floor = a // c**m
-    if b == 10:
-        return digits_from_text(str(floor).rjust(n_digits, "0"))
-    return _digits_in_base(floor, b).rjust(n_digits, b"\0")
+    return _digits_in_base(a // c**m, b).rjust(n_digits, b"\0")

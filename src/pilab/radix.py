@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sys
 import tempfile
@@ -205,22 +206,34 @@ def fractional_part(x: Union[Fraction, int], guard: int) -> Fraction:
     return frac
 
 
+def _text_sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
 def write_digit_file(
     path: Union[str, Path],
     stream: DigitStream,
     count: int,
     label: Optional[str] = None,
+    engine: Optional[str] = None,
 ) -> None:
     """Write ``count`` digits in the exchange format.
 
     One header line ``base=<b> count=<N> label=<string>``, then the digits
     with no separators, broken every 80 columns.  Bit-exact round trip.
+    Naming the ``engine`` that produced the digits seals the file: the
+    header becomes ``base=<b> count=<N> engine=<engine> sha256=<hex>
+    label=<string>``, with the SHA-256 of the digit text, which
+    read_digit_file checks.
     """
     label = label if label is not None else stream.label
     if "".join(label.splitlines()) != label:
         raise ValueError(f"digit file label {label!r} contains a line break")
+    if engine is not None and (not engine or not engine.isprintable() or " " in engine):
+        raise ValueError(f"digit file engine {engine!r} is not one printable word")
     text = stream.prefix_string(count)
-    lines = [f"base={stream.base} count={count} label={label}"]
+    seal = "" if engine is None else f" engine={engine} sha256={_text_sha256(text)}"
+    lines = [f"base={stream.base} count={count}{seal} label={label}"]
     for i in range(0, len(text), _LINE_WIDTH):
         lines.append(text[i : i + _LINE_WIDTH])
     write_text_atomic(path, "\n".join(lines) + "\n", encoding="ascii")
@@ -250,22 +263,43 @@ def write_text_atomic(path: Union[str, Path], text: str, encoding: str = "utf-8"
             os.unlink(tmp)
 
 
+def _parse_header(path: Union[str, Path], header: str) -> dict[str, str]:
+    """The fields of ``base=<b> count=<N> [key=value ...] label=<string>``;
+    the label is the rest of the line."""
+    head, found, label = header.partition(" label=")
+    tokens = [token.partition("=") for token in head.split(" ")]
+    if not found or len(tokens) < 2 or [t[0] for t in tokens[:2]] != ["base", "count"] \
+            or not all(sep for _, sep, _ in tokens):
+        raise ValueError(f"{path}: malformed header {header!r}")
+    fields = {key: value for key, _, value in tokens}
+    fields["label"] = label
+    return fields
+
+
+def read_digit_header(path: Union[str, Path]) -> dict[str, str]:
+    """The header fields of a digit file, ``base``, ``count`` and ``label`` among them."""
+    with open(path, encoding="ascii") as fh:
+        return _parse_header(path, fh.readline().rstrip("\r\n"))
+
+
 def read_digit_file(path: Union[str, Path]) -> DigitStream:
-    """Read a digit file back into a finite stream."""
+    """Read a digit file back into a finite stream; a ``sha256`` header field
+    must match the digit text."""
     lines = Path(path).read_text(encoding="ascii").splitlines()
     if not lines:
         raise ValueError(f"{path}: empty digit file")
-    header = lines[0]
+    fields = _parse_header(path, lines[0])
+    label = fields["label"]
     try:
-        base_part, count_part, label_part = header.split(" ", 2)
-        base = int(base_part.removeprefix("base="))
-        count = int(count_part.removeprefix("count="))
-        label = label_part.removeprefix("label=")
-    except (ValueError, IndexError) as exc:
-        raise ValueError(f"{path}: malformed header {header!r}") from exc
+        base = int(fields["base"])
+        count = int(fields["count"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed header {lines[0]!r}") from exc
     body = "".join(lines[1:])
     if len(body) != count:
         raise ValueError(f"{path}: header promises {count} digits, found {len(body)}")
+    if "sha256" in fields and _text_sha256(body) != fields["sha256"]:
+        raise ValueError(f"{path}: the digits do not match the header's sha256")
     try:
         return DigitStream.from_digits(digits_from_text(body), base=base, label=label)
     except ValueError as exc:

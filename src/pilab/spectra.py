@@ -4,11 +4,12 @@ block frequencies and exponential sums over subgroups of prime fields.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,12 +31,12 @@ _LIMB_MAX = 1 << 40
 _QBITS = 23
 _TINY_Q0 = 1 << (_QBITS - 14)  # a first quotient chunk below this means a value below 2^-14
 
-# Exact sums: frexp writes x = M 2^(e-53) with |M| < 2^53, split M = hi 2^26 + lo.
-# Per chunk, the float64 bincount sums of hi and lo stay below 2^43, so they are
-# exact; their int64 totals stay exact for up to 2^36 values.
-_EXP_OFFSET = 1073  # frexp exponents of finite doubles lie in [-1073, 1024]
-_EXP_BUCKETS = _EXP_OFFSET + 1025
-_EXACT_MAX = 1 << 36
+# Exact sums: every finite double is a multiple of 2^-1074.  A chunk of _CHUNK
+# values is cut into limbs of _LIMB_BITS bits on fixed grids; a limb's float64
+# sum stays below 2^(30 + 16) grid units, so it is exact.
+_LIMB_BITS = 30
+_MIN_EXP = -1074
+_GRID_MAX = 971  # the largest grid exponent g whose rounding constant 1.5 * 2^(g + 52) is finite
 
 
 class TableCapError(ValueError):
@@ -91,15 +92,43 @@ class WeylReport:
     rows: tuple[WeylRow, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockStats:
+    """Overlapping block counts of one length; all base^k patterns enter the stats."""
+
     base: int
     block_len: int
     windows: int
-    counts: dict[str, int]  # nonzero patterns only; all base^k patterns enter the stats
+    table: np.ndarray  # the count of every base^k pattern, indexed by its code
     max_abs_dev: float
     chi_square: float
     dof: int
+
+    @functools.cached_property
+    def counts(self) -> dict[str, int]:
+        """The nonzero patterns by name, in code order, which is also name order."""
+        b, k = self.base, self.block_len
+        codes = np.flatnonzero(self.table)
+        rows = codes[:, None] // b ** np.arange(k - 1, -1, -1) % b  # each code's k digits
+        names = text_from_digits(rows.astype(np.uint8).tobytes())
+        return dict(zip([names[i : i + k] for i in range(0, len(names), k)], self.table[codes].tolist()))
+
+    def row(self) -> dict:
+        """The statistics every block report prints."""
+        return {"windows": self.windows, "max_abs_dev": self.max_abs_dev,
+                "chi_square": self.chi_square, "dof": self.dof}
+
+
+@dataclass(frozen=True)
+class BlockTable:
+    """Block statistics of one digit prefix for every length k = 1..k_max."""
+
+    lengths: tuple[BlockStats, ...]  # lengths[k - 1] has block length k
+
+    @property
+    def windows(self) -> int:
+        """Windows counted over all block lengths."""
+        return sum(stats.windows for stats in self.lengths)
 
 
 @dataclass(frozen=True)
@@ -114,70 +143,91 @@ class ExpSumReport:
     ratio: float
 
 
-def _bucket_sums(x: np.ndarray) -> np.ndarray:
-    """Per-exponent sums of the high and low mantissa halves of up to _CHUNK values."""
-    frac, exp = np.frexp(x)
-    mant = frac * 2.0**53
-    hi = np.floor(mant * 2.0**-26)
-    idx = exp + _EXP_OFFSET
-    with np.errstate(invalid="ignore"):  # inf - inf: reported below
-        lo = mant - hi * 2.0**26
-    sums = np.stack([np.bincount(idx, hi, _EXP_BUCKETS), np.bincount(idx, lo, _EXP_BUCKETS)])
-    if not np.isfinite(sums).all():
+def _chunk_sum(x: np.ndarray) -> int:
+    """The exact sum of at most _CHUNK finite doubles, in units of 2^-1074.
+
+    With every |x| < 2^top and every x a multiple of 2^low (the least ulp in
+    the chunk), x is cut on the grids 2^g, g = top - 30, top - 60, ... > low:
+    (r + c) - c with c = 1.5 * 2^(g + 52) rounds the rest r to the nearest
+    multiple of 2^g, and r minus that is exact and at most 2^(g - 1).  Each
+    limb is thus at most 2^30 grid units, and so is the last rest on the grid
+    2^low, so every float64 limb sum over 2^16 values is exact.  A grid above
+    _GRID_MAX is handled on values scaled by 2^-s, which can lose only bits of
+    values that round to zero there, and those keep their rest unscaled.
+    """
+    a = np.abs(x)
+    big = float(a.max(initial=0.0))
+    if not math.isfinite(big):
         raise ValueError("exact summation needs finite values")
-    return sums.astype(np.int64)
+    if big == 0.0:
+        return 0
+    small = float(a.min())
+    if small == 0.0:
+        small = float(a.min(initial=math.inf, where=a > 0.0))
+    top = math.frexp(big)[1]
+    low = max(math.frexp(small)[1] - 53, _MIN_EXP)
+    total = 0
+    r = x
+    g = top - _LIMB_BITS
+    while g > low:
+        s = max(g - _GRID_MAX, 0)
+        c = 1.5 * 2.0 ** (g - s + 52)
+        y = r * 2.0**-s if s else r
+        hi = y + c
+        hi -= c
+        total += _units(float(hi.sum()), s)
+        if s:
+            r = np.where(hi == 0.0, r, (y - hi) * 2.0**s)
+        elif r is x:
+            r = x - hi
+        else:
+            r -= hi
+        g -= _LIMB_BITS
+    return total + _units(float(r.sum()), 0)
 
 
-def _round_buckets(sums: np.ndarray) -> float:
-    """The exact value held by int64 bucket sums, rounded once to a double."""
-    num = 0
-    for e in np.flatnonzero(sums[0] | sums[1]).tolist():
-        num += ((int(sums[0, e]) << 26) + int(sums[1, e])) << e
-    return num / (1 << (53 + _EXP_OFFSET))  # int true division rounds half to even
+def _units(v: float, s: int) -> int:
+    """v * 2^s in units of 2^-1074, for a v that is a multiple of 2^(-1074 - s)."""
+    num, den = v.as_integer_ratio()
+    return num << (s - _MIN_EXP + 1 - den.bit_length())
 
 
 def _exact_sum(x) -> float:
     """The bits of ``math.fsum(x)`` at numpy speed.
 
     The finite float64 values are summed exactly in integers and rounded
-    once, half to even.  Exact for up to 2^36 values; non-finite values
-    raise ``ValueError``, and a sum beyond the double range ``OverflowError``.
-    A sum of zeros is +0.0, as ``math.fsum`` gives.
+    once, half to even.  Non-finite values raise ``ValueError``, and a sum
+    beyond the double range ``OverflowError``.  A sum of zeros is +0.0, as
+    ``math.fsum`` gives.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size > _EXACT_MAX:
-        raise ValueError(f"exact summation holds at most {_EXACT_MAX} values")
-    sums = np.zeros((2, _EXP_BUCKETS), dtype=np.int64)
-    for lo in range(0, x.size, _CHUNK):
-        sums += _bucket_sums(x[lo : lo + _CHUNK])
-    return _round_buckets(sums)
+    total = sum(_chunk_sum(x[lo : lo + _CHUNK]) for lo in range(0, x.size, _CHUNK))
+    return total / (1 << -_MIN_EXP)  # int true division rounds half to even
 
 
 def weyl_sum(pts: PointSet, m_list: Sequence[int]) -> WeylReport:
     """Normalized magnitudes |sum e(2 pi i m u_n)| / N for each frequency m != 0.
 
-    Both sums are exactly rounded (the bits of math.fsum, see _exact_sum),
-    for up to 2^36 points; the reported error bound folds in the propagated
-    point error 2 pi |m| eps.
+    Both sums are exactly rounded (the bits of math.fsum, see _exact_sum);
+    the reported error bound folds in the propagated point error 2 pi |m| eps.
     """
     n = len(pts)
     if n < 1:
         raise ValueError("point set is empty")
-    if n > _EXACT_MAX:
-        raise ValueError(f"exact Weyl sums hold at most {_EXACT_MAX} points")
     ms = list(m_list)
     if 0 in ms:
         raise ValueError("frequency m = 0 is not admissible")
-    sums = np.zeros((len(ms), 2, 2, _EXP_BUCKETS), dtype=np.int64)
+    sums = [[0, 0] for _ in ms]
     for lo in range(0, n, _CHUNK):
         u = pts.points[lo : lo + _CHUNK]
         for j, m in enumerate(ms):
             phase = 2.0 * math.pi * m * u
-            sums[j, 0] += _bucket_sums(np.cos(phase))
-            sums[j, 1] += _bucket_sums(np.sin(phase))
+            sums[j][0] += _chunk_sum(np.cos(phase))
+            sums[j][1] += _chunk_sum(np.sin(phase))
     rows = []
-    for j, m in enumerate(ms):
-        mag = math.hypot(_round_buckets(sums[j, 0]), _round_buckets(sums[j, 1])) / n
+    unit = 1 << -_MIN_EXP
+    for m, (re, im) in zip(ms, sums):
+        mag = math.hypot(re / unit, im / unit) / n
         err = 2.0 * math.pi * abs(m) * pts.eps + _FLOAT_SLOP
         rows.append(WeylRow(m=m, magnitude=mag, error_bound=err))
     return WeylReport(n_points=n, label=pts.label, rows=tuple(rows))
@@ -193,37 +243,35 @@ def star_discrepancy(pts: PointSet) -> float:
     return float(np.maximum(i / n - u, u - (i - 1) / n).max())
 
 
-def block_frequency(digits: DigitStream, n_digits: int, block_len: int) -> BlockStats:
-    """Overlapping block counts over the first ``n_digits`` digits.
+def block_frequency(digits: DigitStream, n_digits: int, k_max: int) -> BlockTable:
+    """Overlapping block counts of every length k = 1..k_max over the first
+    ``n_digits`` digits, from one pass that extends each window by a digit.
 
     All base^k patterns enter max_abs_dev and the chi-square statistic, seen
     or not; a table of more than _TABLE_CAP patterns asks for a smaller block length.
     """
     b = digits.base
-    k = block_len
-    if k < 1:
+    if k_max < 1:
         raise ValueError("block length must be >= 1")
-    if n_digits < k:
+    if n_digits < k_max:
         raise ValueError("need at least one full window: n_digits >= block length")
-    n_patterns = b**k
-    if n_patterns > _TABLE_CAP:
+    if b**k_max > _TABLE_CAP:
         raise TableCapError(
-            f"base^k = {n_patterns} exceeds the table cap {_TABLE_CAP}; use a smaller block length"
+            f"base^k = {b**k_max} exceeds the table cap {_TABLE_CAP}; use a smaller block length"
         )
-    arr = np.frombuffer(digits.prefix(n_digits), np.uint8).astype(np.int64)
-    windows = n_digits - k + 1
-    counts = np.bincount(_digit_windows(arr, k, windows, b), minlength=n_patterns)
-    expected = windows / n_patterns
-    max_abs_dev = float(np.abs(counts / windows - 1.0 / n_patterns).max())
-    chi_square = float(((counts - expected) ** 2 / expected).sum())
-    codes = np.flatnonzero(counts)
-    rows = codes[:, None] // b ** np.arange(k - 1, -1, -1) % b  # each code's k digits
-    names = text_from_digits(rows.astype(np.uint8).tobytes())
-    nonzero = {names[i * k : i * k + k]: n for i, n in enumerate(counts[codes].tolist())}
-    return BlockStats(
-        base=b, block_len=k, windows=windows, counts=nonzero,
-        max_abs_dev=max_abs_dev, chi_square=chi_square, dof=n_patterns - 1,
-    )
+    arr = np.frombuffer(digits.prefix(n_digits), np.uint8)
+    lengths = []
+    for k, code in enumerate(_digit_windows(arr, k_max, b), start=1):
+        n_patterns = b**k
+        windows = n_digits - k + 1
+        counts = np.bincount(code, minlength=n_patterns)
+        expected = windows / n_patterns
+        lengths.append(BlockStats(
+            base=b, block_len=k, windows=windows, table=counts,
+            max_abs_dev=float(np.abs(counts / windows - 1.0 / n_patterns).max()),
+            chi_square=float(((counts - expected) ** 2 / expected).sum()), dof=n_patterns - 1,
+        ))
+    return BlockTable(tuple(lengths))
 
 
 def expsum_magnitudes(elements: Sequence[int], p: int) -> np.ndarray:
@@ -271,13 +319,19 @@ def parseval_sum(elements: Sequence[int], p: int) -> tuple[float, int]:
     return float(np.sum(mags * mags)), p * len(elements)
 
 
-def _digit_windows(d: np.ndarray, width: int, count: int, b: int) -> np.ndarray:
-    """Codes of the ``count`` width-digit windows d[n:n+width], n = 0..count-1."""
-    code = np.zeros(count, dtype=np.int64)
-    for j in range(width):
+def _digit_windows(d: np.ndarray, width: int, b: int) -> Iterator[np.ndarray]:
+    """The int64 codes of the k-digit windows d[n:n+k] for k = 1..width in turn.
+
+    code_k = code_{k-1}[:-1] * b + d[k-1:] updates one buffer in place, so
+    each array is valid only until the next one is drawn.
+    """
+    code = d.astype(np.int64)
+    yield code
+    for k in range(2, width + 1):
+        code = code[:-1]
         code *= b
-        code += d[j : j + count]
-    return code
+        code += d[k - 1 :]
+        yield code
 
 
 def _window_values(seg: np.ndarray, count: int, b: int, s: int) -> np.ndarray:
@@ -296,14 +350,14 @@ def _window_values(seg: np.ndarray, count: int, b: int, s: int) -> np.ndarray:
     while b ** (h + 1) <= _LIMB_MAX:
         h += 1
     radix = b**h
-    d = seg.astype(np.int64)
     whole, part = divmod(s, h)
     limbs = []
     if whole:
-        full = _digit_windows(d, h, count + (whole - 1) * h, b)
+        *_, full = _digit_windows(seg[: count + whole * h - 1], h, b)
         limbs = [full[i * h : i * h + count] for i in range(whole)]
     if part:
-        limbs.append(_digit_windows(d[whole * h :], part, count, b) * b ** (h - part))
+        *_, rest = _digit_windows(seg[whole * h :], part, b)
+        limbs.append(rest * b ** (h - part))
     k = len(limbs)
     rem = list(limbs)
     q = []
@@ -381,10 +435,7 @@ def wall_criterion_report(digits: DigitStream, n_points: int, k_max: int, m_max:
     pts = shifted_points(digits, n_points)
     weyl = weyl_sum(pts, list(range(1, m_max + 1)))
     disc = star_discrepancy(pts)
-    blocks = {}
-    for k in range(1, k_max + 1):
-        stats = block_frequency(digits, n_points, k)
-        blocks[str(k)] = {key: v for key, v in vars(stats).items() if key not in ("base", "block_len", "counts")}
+    blocks = block_frequency(digits, n_points, k_max)
     return {
         "label": digits.label,
         "base": digits.base,
@@ -392,7 +443,7 @@ def wall_criterion_report(digits: DigitStream, n_points: int, k_max: int, m_max:
         "point_eps": pts.eps,
         "weyl": [asdict(row) for row in weyl.rows],
         "star_discrepancy": disc,
-        "blocks": blocks,
+        "blocks": {str(stats.block_len): stats.row() for stats in blocks.lengths},
     }
 
 

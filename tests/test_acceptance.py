@@ -1,7 +1,6 @@
 """Acceptance suite: every criterion runs at its pinned tolerance and prints
 one PASS/FAIL line (visible with pytest -s or in failure output)."""
 
-import json
 import math
 import random
 import time
@@ -16,10 +15,11 @@ from pilab.cf import (
     audit_lemma_caseI,
     audit_lemma_caseII,
     audit_lemma_prime_variant,
-    audit_to_jsonable,
+    audit_payload,
     pi_convergents,
     residue_decompose,
 )
+from pilab.cli import _dump
 from pilab.constants import ConstantRequest, const_digits
 from pilab.constructors import ConcatSpec, concat_digits
 from pilab.groups import artin_scan, coset_structure, subgroup
@@ -116,12 +116,12 @@ def test_criterion_4_residue_audits():
     cfg = AuditConfig(n_max=12)
     for k in range(1, 13):
         for build in (
-            lambda: audit_to_jsonable(audit_lemma_caseI(convs[k], cfg)),
-            lambda: audit_to_jsonable(audit_lemma_caseII(convs[k], cfg)),
-            lambda: audit_to_jsonable(audit_lemma_prime_variant(convs[k], cfg)),
+            lambda: audit_payload(audit_lemma_caseI(convs[k], cfg)),
+            lambda: audit_payload(audit_lemma_caseII(convs[k], cfg)),
+            lambda: audit_payload(audit_lemma_prime_variant(convs[k], cfg)),
         ):
-            first = json.dumps(build(), sort_keys=True).encode()
-            second = json.dumps(build(), sort_keys=True).encode()
+            first = _dump(build()).encode()
+            second = _dump(build()).encode()
             ok &= first == second
     elapsed = time.perf_counter() - t0
     report(4, ok, "10^3 reconstructions exact; audits k<=12, n<=12 rerun byte-identically", elapsed, 30)
@@ -178,7 +178,7 @@ def test_criterion_8_normality_statistics():
     # 100000..185184 all lead with 1) and the max deviation is 0.079810.
     t0 = time.perf_counter()
     stream = concat_digits(ConcatSpec("integers"), 10**6)
-    stats = block_frequency(stream, 10**6, 1)
+    stats = block_frequency(stream, 10**6, 1).lengths[-1]
     naive = []
     total = 0
     k = 1
@@ -193,9 +193,9 @@ def test_criterion_8_normality_statistics():
     ok &= max(devs.values()) == pytest.approx(0.079810, abs=1e-6)
     ok &= all(dev <= 0.08 for dev in devs.values())
     constant = DigitStream(10, lambda n: [3] * n, label="thirds")
-    ok &= block_frequency(constant, 10**4, 1).max_abs_dev > 0.1
+    ok &= block_frequency(constant, 10**4, 1).lengths[-1].max_abs_dev > 0.1
     alternating = DigitStream(10, lambda n: ([0, 1] * (n // 2 + 1))[:n], label="alternating")
-    ok &= block_frequency(alternating, 10**4, 1).max_abs_dev > 0.1
+    ok &= block_frequency(alternating, 10**4, 1).lengths[-1].max_abs_dev > 0.1
     elapsed = time.perf_counter() - t0
     report(
         8, ok,

@@ -1,4 +1,3 @@
-import json
 import math
 import random
 from fractions import Fraction
@@ -16,13 +15,14 @@ from pilab.cf import (
     audit_lemma_caseI,
     audit_lemma_caseII,
     audit_lemma_prime_variant,
-    audit_to_jsonable,
+    audit_payload,
     cf_expand,
     convergents_from_quotients,
     frac_pi_shift,
     pi_convergents,
     residue_decompose,
 )
+from pilab.cli import _dump
 from pilab.groups import nearest_prime_in_window
 from pilab.radix import DigitStream, ProducerExhaustedError
 
@@ -295,14 +295,14 @@ def test_audit_reports_are_deterministic():
         lambda: audit_lemma_caseII(convs[4], cfg),
         lambda: audit_lemma_prime_variant(convs[4], cfg),
     ):
-        first = json.dumps(audit_to_jsonable(build()), sort_keys=True)
-        second = json.dumps(audit_to_jsonable(build()), sort_keys=True)
+        first = _dump(audit_payload(build()))
+        second = _dump(audit_payload(build()))
         assert first == second
 
 
 def test_audit_json_schema():
     convs = pi_convergents(4)
-    payload = audit_to_jsonable(audit_lemma_caseI(convs[2]))
+    payload = audit_payload(audit_lemma_caseI(convs[2]))
     assert payload["lemma"] == "caseI"
     assert payload["k"] == 2
     assert payload["p"] == "333" and payload["q"] == "106"
@@ -310,4 +310,5 @@ def test_audit_json_schema():
     for fieldname in ("n", "r", "s", "c", "lower", "upper", "value", "pass",
                       "margin_lower", "margin_upper"):
         assert fieldname in row
-    assert "/" in row["lower"] and "/" in row["value"]
+    assert isinstance(row["lower"], Fraction) and isinstance(row["value"], Fraction)
+    assert f'"lower": "{row["lower"].numerator}/{row["lower"].denominator}"' in _dump(payload)

@@ -167,6 +167,33 @@ def test_stoneham_prefix_matches_oracle_at_every_term_boundary():
         assert got == stoneham_oracle(b, c, s, n_digits), (b, c, s, n_digits)
 
 
+def divmod_digits(m, base):
+    """The per-digit divmod conversion: the oracle for _digits_in_base."""
+    out = bytearray()
+    while m:
+        m, d = divmod(m, base)
+        out.append(d)
+    return bytes(reversed(out))
+
+
+@pytest.mark.parametrize("base", range(2, 37))
+def test_digits_in_base_matches_divmod_oracle(base):
+    rng = random.Random(base)
+    leaf = constructors._LEAF
+    values = [0, 1, base - 1, base]
+    for e in (leaf - 1, leaf, leaf + 1, 2 * leaf, 4 * leaf + 3, 33 * leaf):
+        values += [base**e - 1, base**e, base**e + 1, rng.randrange(base**e)]
+    values += [rng.getrandbits(bits) for bits in (7, 64, 300, 3000, 20000)]
+    for m in values:
+        want = divmod_digits(m, base)
+        assert constructors._digits_in_base(m, base) == want, (base, m)
+        # the zero-padded width a Stoneham prefix asks for
+        width = len(want) + rng.randrange(1, 2 * leaf)
+        assert constructors._digits_in_base(m, base).rjust(width, b"\0") == want.rjust(width, b"\0")
+    sparse = base ** (5 * leaf) + base ** (2 * leaf - 1)  # zero runs between the halves
+    assert constructors._digits_in_base(sparse, base) == divmod_digits(sparse, base)
+
+
 def test_prime_terms():
     assert first_primes(5) == [2, 3, 5, 7, 11]
     assert first_primes(25)[-1] == 97

@@ -16,6 +16,7 @@ from pilab.radix import (
     ProducerExhaustedError,
     fractional_part,
     read_digit_file,
+    read_digit_header,
     shifted_fraction,
     truncate,
     write_digit_file,
@@ -170,6 +171,37 @@ def test_digit_file_layout(tmp_path):
     assert lines[0] == "base=10 count=200 label=thirds"
     assert all(len(line) == 80 for line in lines[1:3])
     assert len(lines[3]) == 40
+
+
+def test_digit_file_header_fields_and_digest(tmp_path):
+    s = DigitStream.from_rational(Fraction(1, 7))
+    path = tmp_path / "sealed.digits"
+    write_digit_file(path, s, 200, label="a label=with spaces", engine="7")
+    header = path.read_text().splitlines()[0]
+    assert header.startswith("base=10 count=200 engine=7 sha256=")
+    assert header.endswith(" label=a label=with spaces")
+    fields = read_digit_header(path)
+    assert (fields["base"], fields["count"], fields["engine"]) == ("10", "200", "7")
+    assert fields["label"] == "a label=with spaces"
+    back = read_digit_file(path)
+    assert back.prefix(200) == s.prefix(200) and back.label == "a label=with spaces"
+    text = path.read_text()
+    path.write_text(text[: len(header) + 1] + ("2" if text[len(header) + 1] != "2" else "3")
+                    + text[len(header) + 2 :])
+    with pytest.raises(ValueError, match="sha256"):
+        read_digit_file(path)
+    for engine in ("", "two words", "line\nbreak"):
+        with pytest.raises(ValueError, match="engine"):
+            write_digit_file(path, s, 20, engine=engine)
+
+
+@pytest.mark.parametrize("header", ["base=10 count=5", "base=10 label=x", "count=5 base=10 label=x",
+                                    "base=10 count=5 engine label=x"])
+def test_digit_file_rejects_malformed_header(tmp_path, header):
+    path = tmp_path / "bad.digits"
+    path.write_text(f"{header}\n01234\n", encoding="ascii")
+    with pytest.raises(ValueError, match="malformed header"):
+        read_digit_file(path)
 
 
 def test_digit_file_rejects_line_break_in_label(tmp_path):

@@ -1,6 +1,7 @@
-"""Pinned SHA-256 digests of CLI reports that the benchmark does not digest.
+"""Pinned SHA-256 digests of CLI reports at sizes that run in tier-1.
 
-A refactor of the path from convergents to report bytes, or of the digits of
+A refactor of the path from convergents, digit files or point files to report
+bytes (the report writer, the block and Weyl statistics), or of the digits of
 ``construct --family stoneham``, must leave these reports byte-identical; any
 change to one of them is a deliberate report change and re-pins its digest here.
 """
@@ -12,6 +13,11 @@ import pytest
 from pilab.cli import main
 
 GOLDEN_POINTS = "golden.txt"
+# digit files the --in reports read, written by `construct` beside them
+DIGIT_FILES = {
+    "int.digits": ("construct", "--family", "integers", "--digits", "20100"),
+    "hex.digits": ("construct", "--family", "integers", "--base", "16", "--digits", "8100"),
+}
 
 CASES = {
     "cf-depth-20": ("cf", "--depth", "20"),
@@ -29,6 +35,10 @@ CASES = {
         "audit", "--lemma", "prime", "--k", "6", "--nmax", "40", "--no-scaled"),
     "expsum-1999": ("expsum", "--p", "1999"),
     "weyl-golden": ("weyl", "--points", GOLDEN_POINTS, "--m", "1,2,3,5,8"),
+    "normality-int-k3": ("normality", "--in", "int.digits", "--N", "20000", "--kmax", "3"),
+    "normality-hex-k2": ("normality", "--in", "hex.digits", "--N", "8000", "--kmax", "2"),
+    "report-int": ("report", "--in", "int.digits", "--N", "20000", "--kmax", "3", "--mmax", "5"),
+    "report-hex": ("report", "--in", "hex.digits", "--N", "8000", "--kmax", "2", "--mmax", "4"),
 }
 
 DIGESTS = {
@@ -43,6 +53,10 @@ DIGESTS = {
     "stoneham-b3-c2-s1": "e3d526595405f72623cd75a5d387fdad6c12d032bd2022474cb896a04a48b729",
     "expsum-1999": "b5aff195d0ae85ba9c1dde9beb9dd765daa0a5e55eed6d1706a4ed581424feb3",
     "weyl-golden": "43bf0c1c09a0a1ca470c0d0b508a271591265d3a43edc84d36ee90da2f2d2a2d",
+    "normality-int-k3": "3ad91123f915f68f0a88538fcebaefcbdd5ebf9e07a06f8c54d9f3f07293a76c",
+    "normality-hex-k2": "06bb1ffef4de630a40a48db2d882db7355d618c10f325ad05fa6ffab458639ed",
+    "report-int": "a9ae25b33f0998fc5089669f082d56704c0ec04fc6650e69678e97d6d621b2b2",
+    "report-hex": "52458d43d9398e899b6acee729edff71725682cab336f5e5c458b96fb573e8e3",
 }
 
 
@@ -52,6 +66,10 @@ def test_report_stdout_digest(name, tmp_path, monkeypatch, capsys):
     golden = (1 + 5**0.5) / 2
     (tmp_path / GOLDEN_POINTS).write_text(
         "\n".join(repr((n * golden) % 1.0) for n in range(1, 3001)) + "\n")
-    assert main(list(CASES[name])) == 0
+    argv = CASES[name]
+    if "--in" in argv:
+        digit_file = argv[argv.index("--in") + 1]
+        assert main([*DIGIT_FILES[digit_file], "--out", digit_file]) == 0
+    assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]

@@ -90,7 +90,7 @@ def test_star_discrepancy_leveque_bounds(values):
 
 def test_blocks_constant_stream():
     s = DigitStream(10, lambda n: [3] * n, label="thirds")
-    stats = block_frequency(s, 100, 1)
+    stats = block_frequency(s, 100, 1).lengths[-1]
     assert stats.windows == 100
     assert stats.counts == {"3": 100}
     assert stats.max_abs_dev == pytest.approx(0.9)
@@ -100,7 +100,7 @@ def test_blocks_constant_stream():
 def test_blocks_periodic_pairs():
     digs = [0, 1] * 51
     s = DigitStream.from_digits(digs[:101], base=10)
-    stats = block_frequency(s, 101, 2)
+    stats = block_frequency(s, 101, 2).lengths[-1]
     assert stats.windows == 100
     assert stats.counts == {"01": 50, "10": 50}
 
@@ -108,13 +108,13 @@ def test_blocks_periodic_pairs():
 def test_blocks_count_total_invariant():
     s = concat_digits(ConcatSpec("integers"), 5000)
     for k in (1, 2, 3):
-        stats = block_frequency(s, 5000, k)
+        stats = block_frequency(s, 5000, k).lengths[-1]
         assert sum(stats.counts.values()) == 5000 - k + 1 == stats.windows
 
 
 def test_blocks_binary_base():
     s = DigitStream.from_rational(Fraction(1, 3), base=2)  # 010101...
-    stats = block_frequency(s, 1000, 2)
+    stats = block_frequency(s, 1000, 2).lengths[-1]
     assert stats.counts == {"01": 500, "10": 499}
 
 
@@ -123,10 +123,23 @@ def test_block_names_match_base_repr(base, k):
     n = 20000
     stream = concat_digits(ConcatSpec("integers", base=base), n)
     text = stream.prefix_string(n)
-    stats = block_frequency(stream, n, k)
+    stats = block_frequency(stream, n, k).lengths[-1]
     codes = sorted({int(text[i : i + k], base) for i in range(n - k + 1)})
     assert list(stats.counts) == [np.base_repr(c, base=base).rjust(k, "0").lower() for c in codes]
     assert stats.counts == Counter(text[i : i + k] for i in range(n - k + 1))
+
+
+@pytest.mark.parametrize("base,k_max", [(10, 4), (3, 7), (36, 2)])
+def test_block_table_counts_every_length_from_one_pass(base, k_max):
+    n = 3000
+    stream = concat_digits(ConcatSpec("integers", base=base), n)
+    text = stream.prefix_string(n)
+    table = block_frequency(stream, n, k_max)
+    assert [stats.block_len for stats in table.lengths] == list(range(1, k_max + 1))
+    assert table.windows == sum(n - k + 1 for k in range(1, k_max + 1))
+    for k, stats in enumerate(table.lengths, start=1):
+        assert stats.counts == Counter(text[i : i + k] for i in range(n - k + 1))
+        assert int(stats.table.sum()) == stats.windows == n - k + 1
 
 
 def test_blocks_table_cap():
@@ -137,7 +150,7 @@ def test_blocks_table_cap():
 
 def test_champernowne_digit_frequencies_at_ten_thousand():
     s = concat_digits(ConcatSpec("integers"), 10**4)
-    stats = block_frequency(s, 10**4, 1)
+    stats = block_frequency(s, 10**4, 1).lengths[-1]
     assert stats.max_abs_dev == pytest.approx(0.0858, abs=5e-4)
 
 

@@ -7,6 +7,7 @@ plus signed margins, and findings are data for the caller to interpret.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import takewhile
@@ -76,8 +77,8 @@ class AuditConfig:
     n_max: int = 12
 
     def __post_init__(self):
-        if self.mu < 2:
-            raise ValueError("mu must be >= 2")
+        if not (math.isfinite(self.mu) and self.mu >= 2):
+            raise ValueError(f"mu must be a finite number >= 2, got {self.mu}")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
 
@@ -272,13 +273,27 @@ def _nth_root_floor(x: int, n: int) -> int:
     return r
 
 
-def _inv_power(base_int: int, exponent: float, prec: int) -> tuple[Fraction, bool]:
-    """1 / base_int^exponent as a Fraction; exact when the exponent is integral,
-    otherwise a certified fixed-point value within 2 * 10^-prec."""
-    ex = Fraction(exponent).limit_denominator(10**6)
-    if ex.denominator == 1:
-        return Fraction(1, base_int ** ex.numerator), True
+def _guard_digits(q: int) -> int:
+    """Fractional digits carried beyond a row's shift n for modulus q."""
+    return 2 * len(str(q)) + 20
+
+
+def _inv_power(base_int: int, mu: float, prec: int) -> tuple[Fraction, bool]:
+    """1 / base_int^(mu - 1) as a Fraction; exact when the exponent is integral,
+    otherwise a certified fixed-point value within 2 * 10^-prec.
+
+    The exponent a/b builds base_int^a and, when b > 1, 10^(prec b); either
+    past DIGIT_CEILING digits raises ValueError before any is built.
+    """
+    ex = Fraction(mu - 1.0).limit_denominator(10**6)
     a, b = ex.numerator, ex.denominator
+    digits = max(a * len(str(base_int)), prec * b)
+    if digits > constants.DIGIT_CEILING:
+        raise ValueError(
+            f"mu = {mu} needs {digits}-digit integers, past DIGIT_CEILING = {constants.DIGIT_CEILING}"
+        )
+    if b == 1:
+        return Fraction(1, base_int**a), True
     scaled = _nth_root_floor(10 ** (prec * b) // base_int**a, b)
     return Fraction(scaled, 10**prec), False
 
@@ -295,7 +310,7 @@ def _value_with_margin(
     """
     lo_num, lo_den = lower.numerator, lower.denominator
     up_num, up_den = upper.numerator, upper.denominator
-    prec = n + 2 * len(str(q)) + 20
+    prec = n + _guard_digits(q)
     for _ in range(4):
         v = _pi_shift_scaled(n, prec)
         scale = 10**prec
@@ -353,7 +368,7 @@ def audit_lemma_caseI(conv: Convergent, cfg: AuditConfig = AuditConfig()) -> Lem
 def audit_lemma_caseII(conv: Convergent, cfg: AuditConfig = AuditConfig()) -> LemmaAudit:
     """Interval audit r/q + q^-(mu-1) <= {pi 10^n} <= s/q + c/q^2 over 10^n > q_k."""
     q = conv.q
-    term, exact = _inv_power(q, cfg.mu - 1.0, 2 * len(str(q)) + 20)
+    term, exact = _inv_power(q, cfg.mu, _guard_digits(q))
     return _lemma_audit(
         "caseII", conv, cfg, range(len(str(q)), cfg.n_max + 1),
         lambda dec: (Fraction(dec.r_n, q) + term, Fraction(dec.s_n, q) + Fraction(dec.c_n, q * q)),
@@ -361,11 +376,7 @@ def audit_lemma_caseII(conv: Convergent, cfg: AuditConfig = AuditConfig()) -> Le
     )
 
 
-def audit_lemma_prime_variant(
-    conv: Convergent,
-    cfg: AuditConfig = AuditConfig(),
-    window_factor: float = 1.0,
-) -> PrimeLemmaAudit:
+def audit_lemma_prime_variant(conv: Convergent, cfg: AuditConfig = AuditConfig()) -> PrimeLemmaAudit:
     """Prime-modulus forms of both interval audits with explicit residuals.
 
     The unspecified O(1/q^2) corrections are never assumed: each row reports
@@ -373,15 +384,16 @@ def audit_lemma_prime_variant(
     q^2 (the implied constant that would be needed).
     """
     q0 = conv.q
-    prime, window = groups.nearest_prime_in_window(q0, window_factor=window_factor)
+    prime, window = groups.nearest_prime_in_window(q0)
     rows = []
-    term, _ = _inv_power(2 * prime, cfg.mu - 1.0, 2 * len(str(prime)) + 20)
+    guard = _guard_digits(prime)
+    term, _ = _inv_power(2 * prime, cfg.mu, guard)
     for n in range(1, cfg.n_max + 1):
         dec = residue_decompose(conv, n, prime)
         case_one = 10**n <= q0
         lower = Fraction(dec.r_n, 2 * prime) + (0 if case_one else term)
         upper = Fraction(dec.r_n + 1 if case_one else dec.s_n, prime)
-        prec = n + 2 * len(str(prime)) + 20
+        prec = n + guard
         value = frac_pi_shift(n, prec)
         res_lower = value - lower
         res_upper = upper - value
@@ -400,37 +412,21 @@ def audit_lemma_prime_variant(
     )
 
 
-_ROW_KEYS = {"passed": "pass", "lower_base": "lower", "upper_base": "upper"}
+# report keys that differ from the field names
+_REPORT_KEYS = {"passed": "pass", "lower_base": "lower", "upper_base": "upper", "prime": "q"}
+# convergent and prime integers may pass 2^53, so reports carry them as strings; mu as its repr
+_AS_TEXT = {"p": str, "q": str, "q_k": str, "prime": str, "mu": repr}
 
 
-def _row_payload(row, drop: tuple[str, ...] = ()) -> dict:
-    """A row's fields under their report keys."""
-    return {_ROW_KEYS.get(f.name, f.name): getattr(row, f.name) for f in fields(row) if f.name not in drop}
-
-
-def audit_payload(audit, include_scaled: bool = True) -> dict:
-    """An audit's report fields; exact rationals stay ``Fraction``s, which the
-    report writer renders as num/den strings."""
-    if isinstance(audit, LemmaAudit):
-        return {
-            "lemma": audit.lemma,
-            "k": audit.k,
-            "p": str(audit.p),
-            "q": str(audit.q),
-            "mu": repr(audit.mu),
-            "k_even": audit.k_even,
-            "rows": [_row_payload(row) for row in audit.rows],
-        }
-    if isinstance(audit, PrimeLemmaAudit):
-        drop = () if include_scaled else ("scaled_lower", "scaled_upper")
-        return {
-            "lemma": audit.lemma,
-            "k": audit.k,
-            "p": str(audit.p),
-            "q_k": str(audit.q_k),
-            "q": str(audit.prime),
-            "window": list(audit.window),
-            "mu": repr(audit.mu),
-            "rows": [_row_payload(row, drop) for row in audit.rows],
-        }
-    raise TypeError(f"cannot serialize {type(audit).__name__}")
+def audit_payload(audit) -> dict:
+    """An audit's or a row's fields under their report keys; exact rationals
+    stay ``Fraction``s, which the report writer renders as num/den strings."""
+    payload = {}
+    for f in fields(audit):
+        value = getattr(audit, f.name)
+        if f.name == "rows":
+            value = [audit_payload(row) for row in value]
+        elif f.name in _AS_TEXT:
+            value = _AS_TEXT[f.name](value)
+        payload[_REPORT_KEYS.get(f.name, f.name)] = value
+    return payload

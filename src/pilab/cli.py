@@ -128,7 +128,7 @@ def _write_outputs(args, text: str | None, outputs: Sequence[str] = (), inputs: 
 def _cmd_constants(args) -> int:
     stream = constants.const_digits(constants.ConstantRequest(args.name, args.digits))
     if args.out:
-        write_digit_file(args.out, stream, args.digits, label=args.name)
+        write_digit_file(args.out, stream, args.digits)
         _write_outputs(args, None, [args.out])
     else:
         sys.stdout.write(f"{constants.integer_part(args.name)}.{stream.prefix_string(args.digits)}\n")
@@ -137,7 +137,7 @@ def _cmd_constants(args) -> int:
 
 def _cmd_construct(args) -> int:
     if args.family == "stoneham":
-        spec = constructors.StonehamSpec(b=args.b, c=args.c, s=args.s)
+        spec = constructors.StonehamSpec(b=args.base, c=args.c, s=args.s)
         stream = constructors.stoneham_digits(spec, args.digits)
     else:
         spec = constructors.ConcatSpec(family=args.family, base=args.base)
@@ -172,9 +172,8 @@ def _cmd_audit(args) -> int:
     elif args.lemma == "caseII":
         audit = cf.audit_lemma_caseII(conv, cfg)
     else:
-        audit = cf.audit_lemma_prime_variant(conv, cfg, window_factor=args.window_factor)
-    payload = cf.audit_payload(audit, include_scaled=args.scaled)
-    _write_outputs(args, _dump(payload))
+        audit = cf.audit_lemma_prime_variant(conv, cfg)
+    _write_outputs(args, _dump(cf.audit_payload(audit)))
     return 0
 
 
@@ -196,12 +195,12 @@ def _cmd_coset(args) -> int:
 
 def _cmd_artin(args) -> int:
     outputs = []
-    table = groups.artin_orders(args.limit)
+    qs, orders = table = groups.artin_orders(args.limit)
     scan = groups.artin_scan(args.limit, table)
     if args.csv:
         lines = ["q,ord,is_artin"]
-        for q, order, is_artin in groups.artin_rows(args.limit, table):
-            lines.append(f"{q},{order},{str(is_artin).lower()}")
+        for q, order in zip(qs.tolist(), orders.tolist()):
+            lines.append(f"{q},{order},{str(order == q - 1).lower()}")
         write_text_atomic(args.csv, "\n".join(lines) + "\n")
         outputs.append(args.csv)
     _write_outputs(args, _dump(asdict(scan)), outputs)
@@ -282,8 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("construct", help="digit streams of the concatenation/power-series families",
                         description="Concatenations of integers, primes, or squares, and the coprime power series family.")
     p.add_argument("--family", required=True, choices=["integers", "primes", "squares", "stoneham"])
-    p.add_argument("--base", type=int, default=10, help="output base for integers/squares")
-    p.add_argument("--b", type=int, default=10, help="stoneham base b")
+    p.add_argument("--base", type=int, default=10, help="output base of the digits; b for stoneham")
     p.add_argument("--c", type=int, default=3, help="stoneham parameter c, coprime to b")
     p.add_argument("--s", type=int, default=0, help="stoneham shift s >= 0")
     p.add_argument("--digits", required=True, type=int)
@@ -301,12 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                     "modulo q_k (or a nearby prime); rows record pass/fail and margins, never raise.")
     p.add_argument("--lemma", required=True, choices=["caseI", "caseII", "prime"])
     p.add_argument("--k", required=True, type=int, help="convergent index")
-    p.add_argument("--mu", type=float, default=2.0, help="irrationality-measure parameter >= 2")
+    p.add_argument("--mu", type=float, default=2.0, help="irrationality-measure parameter, finite and >= 2")
     p.add_argument("--nmax", type=int, default=12)
-    p.add_argument("--window-factor", dest="window_factor", type=float, default=1.0,
-                   help="prime search window half-width as a multiple of q/ln q")
-    p.add_argument("--scaled", action=argparse.BooleanOptionalAction, default=True,
-                   help="include q^2-scaled residual columns in prime reports")
     _add_out(p)
     p.set_defaults(func=_cmd_audit)
 

@@ -387,7 +387,7 @@ def _cache_store(name: str, digits: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     stream = DigitStream.from_digits(digits, base=10, label=name)
     # atomic: readers never see a partial file
-    write_digit_file(path, stream, len(digits), label=name, engine=ENGINE_VERSION)
+    write_digit_file(path, stream, len(digits), engine=ENGINE_VERSION)
 
 
 def _released_digits(name: str, n_digits: int) -> bytes:

@@ -142,7 +142,7 @@ def _term_digits(spec: ConcatSpec, lo: int, hi: int) -> bytes:
     elif spec.family == "squares":
         terms = (k * k for k in range(lo, hi + 1))
     else:
-        terms = primes._first_primes(hi)[lo - 1 :].tolist()  # convert only the terms read
+        terms = primes.first_primes(hi)[lo - 1 :].tolist()  # convert only the terms read
     if spec.base == 10:
         return digits_from_text("".join(map(str, terms)))
     return b"".join(_digits_in_base(m, spec.base) for m in terms)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from . import primes
 
 DEFAULT_ELEMENT_CAP = 1 << 16
 _TRIAL_LIMIT = 10**4
-_TRIAL_PRIMES = primes.primes_upto(_TRIAL_LIMIT)  # factorize trial-divides by these
+_TRIAL_PRIMES = primes.primes_upto(_TRIAL_LIMIT).tolist()  # factorize trial-divides by these
 LANE_MAX = math.isqrt(2**63 - 1)  # int64 lanes multiply residues exactly while q <= LANE_MAX
 # coset_structure holds three power sets of ord_q(10) elements and a sorted coset.
 # q_16 (order 8 299 090, int64 lanes) peaked at 424 MB, about 50 bytes an element;
@@ -37,7 +37,7 @@ class FactoringError(RuntimeError):
 
 
 class WindowExhaustedError(RuntimeError):
-    """No prime was found inside the configured search window."""
+    """No prime was found inside the search window."""
 
 
 @dataclass(frozen=True)
@@ -276,23 +276,16 @@ def orders_of_ten(qs) -> np.ndarray:
 def artin_orders(limit: int) -> ArtinTable:
     """(q, ord_q(10)) as int64 arrays over the primes q <= limit except 2 and 5.
 
-    A limit that would admit a prime above LANE_MAX raises before sieving.
+    A limit below 100, or one that would admit a prime above LANE_MAX, raises
+    before sieving.
     """
+    if limit < 100:
+        raise ValueError("limit must be >= 100")
     if limit >= primes.next_prime(LANE_MAX + 1):
         raise ValueError(f"artin limit {limit} admits primes above {LANE_MAX}, past the int64 lanes")
-    qs = np.array(primes.primes_upto(limit), dtype=np.int64)
+    qs = primes.primes_upto(limit)
     qs = qs[(qs != 2) & (qs != 5)]
     return qs, orders_of_ten(qs)
-
-
-def artin_rows(limit: int, table: Optional[ArtinTable] = None) -> Iterator[tuple[int, int, bool]]:
-    """(q, ord_q(10), is_artin) for every prime q <= limit except 2 and 5;
-    ``table`` is artin_orders(limit) when the caller already holds it."""
-    if limit < 7:
-        raise ValueError("limit must be >= 7")
-    qs, orders = artin_orders(limit) if table is None else table
-    for q, order in zip(qs.tolist(), orders.tolist()):
-        yield q, order, order == q - 1
 
 
 def artin_scan(limit: int, table: Optional[ArtinTable] = None) -> ArtinScan:
@@ -301,8 +294,6 @@ def artin_scan(limit: int, table: Optional[ArtinTable] = None) -> ArtinScan:
     Primes 2 and 5 are excluded (10 is not a unit there).  ``table`` is
     artin_orders(limit), when the caller already holds it.
     """
-    if limit < 100:
-        raise ValueError("limit must be >= 100")
     qs, orders = artin_orders(limit) if table is None else table
     artin = int(np.count_nonzero(orders == qs - 1))
     return ArtinScan(
@@ -311,11 +302,16 @@ def artin_scan(limit: int, table: Optional[ArtinTable] = None) -> ArtinScan:
     )
 
 
-def nearest_prime_in_window(q: int, window_factor: float = 1.0) -> tuple[int, tuple[int, int]]:
-    """Least prime in [q, q + ceil(window_factor * q / ln q)]; error when none."""
+def nearest_prime_in_window(q: int) -> tuple[int, tuple[int, int]]:
+    """Least prime in [q, q + ceil(q / ln q)]; error when none.
+
+    Below 396 738 the sieve's prime gaps show the window always holds one
+    (tests/test_groups.py); above, Dusart (2010, Prop. 6.8) puts a prime in
+    (x, x (1 + 1 / (25 ln^2 x))], well inside it.
+    """
     if q < 3:
         raise ValueError("window search needs q >= 3")
-    hi = q + (math.ceil(window_factor * q / math.log(q)) if window_factor > 0 else 0)
+    hi = q + math.ceil(q / math.log(q))
     p = primes.next_prime(q)
     if p > hi:
         raise WindowExhaustedError(f"no prime in [{q}, {hi}]")

@@ -1,6 +1,6 @@
 """Prime sieving and primality utilities shared across the package.
 
-Every prime list comes from one odd-only numpy sieve over a window; nothing is
+Every prime array comes from one odd-only numpy sieve over a window; nothing is
 cached between calls.
 """
 
@@ -38,23 +38,18 @@ def _sieve(lo: int, hi: int) -> np.ndarray:
     return np.concatenate(([2], odd)) if lo == 2 else odd
 
 
-def primes_upto(limit: int) -> list[int]:
-    """All primes <= limit."""
-    return _sieve(2, limit).tolist()
+def primes_upto(limit: int) -> np.ndarray:
+    """All primes <= limit as an int64 array."""
+    return _sieve(2, limit)
 
 
-def primes_in_range(lo: int, hi: int) -> list[int]:
-    """Primes in [lo, hi], sieving only the window."""
-    return _sieve(lo, hi).tolist()
+def primes_in_range(lo: int, hi: int) -> np.ndarray:
+    """Primes in [lo, hi] as an int64 array, sieving only the window."""
+    return _sieve(lo, hi)
 
 
-def first_primes(count: int) -> list[int]:
-    """The first ``count`` primes."""
-    return _first_primes(count).tolist()
-
-
-def _first_primes(count: int) -> np.ndarray:
-    """The first ``count`` primes as an int64 array, for callers that slice it."""
+def first_primes(count: int) -> np.ndarray:
+    """The first ``count`` primes as an int64 array."""
     if count < 1:
         raise ValueError("count must be >= 1")
     # Rosser: p_n < n (ln n + ln ln n) for n >= 6; p_5 = 11

@@ -214,19 +214,19 @@ def write_digit_file(
     path: Union[str, Path],
     stream: DigitStream,
     count: int,
-    label: Optional[str] = None,
     engine: Optional[str] = None,
 ) -> None:
     """Write ``count`` digits in the exchange format.
 
-    One header line ``base=<b> count=<N> label=<string>``, then the digits
-    with no separators, broken every 80 columns.  Bit-exact round trip.
+    One header line ``base=<b> count=<N> label=<string>`` with the stream's
+    label, then the digits with no separators, broken every 80 columns.
+    Bit-exact round trip.
     Naming the ``engine`` that produced the digits seals the file: the
     header becomes ``base=<b> count=<N> engine=<engine> sha256=<hex>
     label=<string>``, with the SHA-256 of the digit text, which
     read_digit_file checks.
     """
-    label = label if label is not None else stream.label
+    label = stream.label
     if "".join(label.splitlines()) != label:
         raise ValueError(f"digit file label {label!r} contains a line break")
     if engine is not None and (not engine or not engine.isprintable() or " " in engine):

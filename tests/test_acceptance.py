@@ -142,7 +142,7 @@ def test_criterion_5_artin_scan():
 def test_criterion_6_exponential_sums():
     t0 = time.perf_counter()
     ok = True
-    for p in primes.primes_upto(500):
+    for p in primes.primes_upto(500).tolist():
         mags = expsum_magnitudes(list(range(1, p)), p)
         worst = max(abs(m - 1.0) for m in mags[1:]) if p > 2 else abs(mags[1] - 1.0)
         ok &= worst < 1e-9

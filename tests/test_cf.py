@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from pilab import constants
+from pilab import constants, primes
 from pilab.cf import (
     AuditConfig,
     Convergent,
@@ -23,7 +23,7 @@ from pilab.cf import (
     residue_decompose,
 )
 from pilab.cli import _dump
-from pilab.groups import nearest_prime_in_window
+from pilab.groups import WindowExhaustedError, nearest_prime_in_window
 from pilab.radix import DigitStream, ProducerExhaustedError
 
 
@@ -247,8 +247,9 @@ def test_non_integral_mu_endpoint_value():
 
 
 def test_case_precondition_rejected():
-    with pytest.raises(ValueError):
-        AuditConfig(mu=1.5)
+    for mu in (1.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="mu"):
+            AuditConfig(mu=mu)
     with pytest.raises(ValueError):
         AuditConfig(n_max=0)
 
@@ -280,11 +281,11 @@ def test_prime_variant_collapses_on_prime_q():
             assert abs(row.residual_upper - base_rows[row.n].margin_upper) < Fraction(1, 10**20)
 
 
-def test_prime_variant_window_exhausted():
+def test_prime_variant_window_exhausted(monkeypatch):
     convs = pi_convergents(4)
-    with pytest.raises(Exception) as err:
-        audit_lemma_prime_variant(convs[2], AuditConfig(n_max=2), window_factor=0.0)
-    assert "no prime" in str(err.value)
+    monkeypatch.setattr(primes, "next_prime", lambda n: 131)  # past the window [106, 129]
+    with pytest.raises(WindowExhaustedError, match="no prime"):
+        audit_lemma_prime_variant(convs[2], AuditConfig(n_max=2))
 
 
 def test_audit_reports_are_deterministic():

@@ -1,6 +1,7 @@
 import json
 import os
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ def test_construct_primes_stdout(capsys):
 
 
 def test_construct_stoneham_stdout(capsys):
-    code, out, _ = run(capsys, "construct", "--family", "stoneham", "--b", "2", "--c", "3",
+    code, out, _ = run(capsys, "construct", "--family", "stoneham", "--base", "2", "--c", "3",
                        "--digits", "12")
     assert code == 0
     assert out.strip() == "000010101011"
@@ -94,25 +95,44 @@ def test_audit_prime_report(capsys):
     assert "scaled_lower" in payload["rows"][0]
 
 
-def test_audit_no_scaled_drops_scaled_columns(capsys):
-    argv = ("audit", "--lemma", "prime", "--k", "5", "--nmax", "3")
-    for flags, present in (((), True), (("--no-scaled",), False)):
-        code, out, _ = run(capsys, *argv, *flags)
-        assert code == 0
-        for row in json.loads(out)["rows"]:
-            assert ("scaled_lower" in row) is present
-            assert ("scaled_upper" in row) is present
+@pytest.mark.parametrize("flags", [("--window-factor", "2"), ("--scaled",), ("--no-scaled",)])
+def test_audit_removed_options_exit_two(capsys, flags):
+    code, out, _ = run(capsys, "audit", "--lemma", "prime", "--k", "2", "--nmax", "4", *flags)
+    assert code == 2 and out == ""
+
+
+def test_construct_b_abbreviates_base(capsys):
+    argv = ("construct", "--family", "stoneham", "--c", "3", "--digits", "40")
+    assert run(capsys, *argv, "--b", "2") == run(capsys, *argv, "--base", "2")
+
+
+@pytest.mark.parametrize("lemma,mu", [(lemma, mu) for lemma in ("caseI", "caseII", "prime")
+                                      for mu in ("nan", "inf")]
+                         + [(lemma, mu) for lemma in ("caseII", "prime") for mu in ("1e6", "2.1234567")])
+def test_audit_mu_fails_loudly(capsys, lemma, mu):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "audit", "--lemma", lemma, "--k", "2", "--nmax", "3", "--mu", mu)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == "" and err.startswith("error: mu")
 
 
 def test_audit_manifest_records_every_parsed_parameter(tmp_path, capsys):
     out_file = tmp_path / "prime.json"
     code, _, _ = run(capsys, "audit", "--lemma", "prime", "--k", "5", "--nmax", "3",
-                     "--no-scaled", "--out", str(out_file))
+                     "--out", str(out_file))
     assert code == 0
     params = json.loads((tmp_path / "prime.json.manifest.json").read_text())["params"]
-    assert params["scaled"] is False
-    assert params == {"lemma": "prime", "k": 5, "mu": 2.0, "nmax": 3, "window_factor": 1.0,
-                      "scaled": False}
+    assert params == {"lemma": "prime", "k": 5, "mu": 2.0, "nmax": 3}
+
+
+def test_construct_manifest_records_every_parsed_parameter(tmp_path, capsys):
+    out_file = tmp_path / "s.digits"
+    code, _, _ = run(capsys, "construct", "--family", "stoneham", "--base", "2", "--digits", "30",
+                     "--out", str(out_file))
+    assert code == 0
+    params = json.loads((tmp_path / "s.digits.manifest.json").read_text())["params"]
+    assert params == {"family": "stoneham", "base": 2, "c": 3, "s": 0, "digits": 30}
 
 
 def test_coset_json(capsys):
@@ -311,13 +331,14 @@ def test_artin_limit_past_lanes_exit_one_before_sieving(capsys, monkeypatch):
         raise AssertionError(f"sieved to {limit}")
 
     monkeypatch.setattr(primes, "primes_upto", refuse)
-    code, _, err = run(capsys, "artin", "--limit", "4000000000")
-    assert code == 1
-    assert "int64" in err
+    for limit, message in (("4000000000", "int64"), ("50", ">= 100")):
+        code, _, err = run(capsys, "artin", "--limit", limit)
+        assert code == 1
+        assert message in err
 
 
 def test_stoneham_gcd_error_exit_one(capsys):
-    code, _, err = run(capsys, "construct", "--family", "stoneham", "--b", "10", "--c", "2",
+    code, _, err = run(capsys, "construct", "--family", "stoneham", "--base", "10", "--c", "2",
                        "--digits", "10")
     assert code == 1
     assert "gcd" in err

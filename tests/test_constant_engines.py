@@ -96,7 +96,7 @@ def test_cache_entry_with_wrong_header_is_a_miss(tmp_path, monkeypatch, label, b
     monkeypatch.setenv("PI_LAB_CACHE", str(tmp_path))
     monkeypatch.setattr(constants, "_memo", {})
     cache_file = tmp_path / "pi.digits"
-    write_digit_file(cache_file, DigitStream.from_digits([9] * 200, base=base), 200, label=label)
+    write_digit_file(cache_file, DigitStream.from_digits([9] * 200, base=base, label=label), 200)
     assert const_digits(ConstantRequest("pi", 20)).prefix_string(20) == "14159265358979323846"
     stored = read_digit_file(cache_file)
     assert (stored.base, stored.label) == (10, "pi")
@@ -108,7 +108,7 @@ def test_cache_with_a_wrong_prefix_is_a_miss(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PI_LAB_CACHE", str(tmp_path))
     monkeypatch.setattr(constants, "_memo", {})
     cache_file = tmp_path / "pi.digits"
-    write_digit_file(cache_file, DigitStream.from_digits(b"\x09" * 200, label="pi"), 200, label="pi")
+    write_digit_file(cache_file, DigitStream.from_digits(b"\x09" * 200, label="pi"), 200)
     assert main(["constants", "--name", "pi", "--digits", "30"]) == 0
     assert capsys.readouterr().out == "3.141592653589793238462643383279\n"
     assert read_digit_file(cache_file).prefix_string(30) == "141592653589793238462643383279"
@@ -131,7 +131,7 @@ def test_cache_with_a_wrong_digit_past_the_checked_prefix_is_a_miss(tmp_path, mo
     monkeypatch.setattr(constants, "_memo", {})
     cache_file = tmp_path / "pi.digits"
     engine = {"three-field": None, "stale-engine": "0", "sealed": constants.ENGINE_VERSION}[header]
-    write_digit_file(cache_file, DigitStream.from_digits(true, label="pi"), 1500, label="pi", engine=engine)
+    write_digit_file(cache_file, DigitStream.from_digits(true, label="pi"), 1500, engine=engine)
     _corrupt_digit(cache_file, 1200)
     assert main(["constants", "--name", "pi", "--digits", "1500"]) == 0
     assert capsys.readouterr().out == "3." + DigitStream.from_digits(true).prefix_string(1500) + "\n"

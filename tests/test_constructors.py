@@ -195,9 +195,9 @@ def test_digits_in_base_matches_divmod_oracle(base):
 
 
 def test_prime_terms():
-    assert first_primes(5) == [2, 3, 5, 7, 11]
+    assert first_primes(5).tolist() == [2, 3, 5, 7, 11]
     assert first_primes(25)[-1] == 97
-    assert first_primes(1) == [2]
+    assert first_primes(1).tolist() == [2]
     with pytest.raises(ValueError):
         first_primes(0)
 
@@ -215,7 +215,7 @@ def test_prime_end_positions_match_cumulative_lengths():
 
     from pilab.constructors import _end_position
 
-    ps = np.array(first_primes(700_000))
+    ps = first_primes(700_000)
     cum = np.concatenate(([0], np.cumsum(np.char.str_len(ps.astype(str)))))
     spec = ConcatSpec("primes")
     # every 97th term, and every term across the run of 6-digit primes into 7 digits

@@ -14,7 +14,6 @@ from pilab.groups import (
     _power_set_sorted,
     WindowExhaustedError,
     artin_orders,
-    artin_rows,
     artin_scan,
     coset_structure,
     euler_phi,
@@ -163,16 +162,15 @@ def test_coset_full_group_when_primitive():
 
 def test_artin_scan_small():
     scan = artin_scan(100)
-    rows = list(artin_rows(50))
-    hits = [q for q, _, is_artin in rows if is_artin]
-    assert hits == [7, 17, 19, 23, 29, 47]
+    qs, orders = artin_orders(100)
+    hits = qs[(orders == qs - 1) & (qs < 50)]
+    assert hits.tolist() == [7, 17, 19, 23, 29, 47]
     assert scan.count_artin <= scan.count_primes
 
 
 def test_artin_rows_orders_match_naive():
-    for q, order, is_artin in artin_rows(300):
-        assert order == naive_order(10, q)
-        assert is_artin == (order == q - 1)
+    qs, orders = artin_orders(300)
+    assert orders.tolist() == [naive_order(10, q) for q in qs.tolist()]
 
 
 def test_artin_orders_chunked_equal_single_pass():
@@ -188,12 +186,12 @@ def test_artin_orders_chunked_equal_single_pass():
 
 
 def test_orders_of_ten_match_mult_order_below_ten_thousand():
-    qs = [q for q in primes.primes_upto(10**4) if q not in (2, 5)]
+    qs = [q for q in primes.primes_upto(10**4).tolist() if q not in (2, 5)]
     assert orders_of_ten(qs).tolist() == [mult_order(10, q) for q in qs]
 
 
 def test_orders_of_ten_at_lane_edge():
-    qs = primes.primes_in_range(LANE_MAX - 6000, LANE_MAX)[-200:]
+    qs = primes.primes_in_range(LANE_MAX - 6000, LANE_MAX)[-200:].tolist()
     assert len(qs) == 200 and qs[-1] <= LANE_MAX < qs[-1] + 6000
     assert orders_of_ten(qs).tolist() == [mult_order(10, q) for q in qs]
 
@@ -229,17 +227,28 @@ def test_artin_limit_past_lanes_raises_before_sieving(monkeypatch):
         with pytest.raises(ValueError):
             artin_orders(limit)
     # one below the boundary the sieve is reached; stand it in by its top primes
-    monkeypatch.setattr(primes, "primes_upto", lambda limit: [2, 3, 5, 7, below])
+    monkeypatch.setattr(primes, "primes_upto", lambda limit: np.array([2, 3, 5, 7, below]))
     qs, orders = artin_orders(first_past - 1)
     assert qs.tolist() == [3, 7, below]
     assert orders.tolist() == [mult_order(10, q) for q in (3, 7, below)]
 
 
-def test_nearest_prime_in_window():
+def test_nearest_prime_in_window(monkeypatch):
     assert nearest_prime_in_window(106) == (107, (106, 129))
     assert nearest_prime_in_window(113) == (113, (113, 137))  # 113 is itself prime
-    with pytest.raises(WindowExhaustedError):
-        nearest_prime_in_window(106, window_factor=0.0)
+    monkeypatch.setattr(primes, "next_prime", lambda n: 131)  # one past the window end 129
+    with pytest.raises(WindowExhaustedError, match=r"no prime in \[106, 129\]"):
+        nearest_prime_in_window(106)
+
+
+def test_window_holds_the_next_prime_below_dusart_range():
+    # For q in (p, p'] the next prime is p', and q + ceil(q / ln q) grows with q,
+    # so q = p + 1 is the tightest case of each gap.  Past 396 738, Dusart (2010,
+    # Prop. 6.8) puts a prime in (x, x (1 + 1 / (25 ln^2 x))], inside the window.
+    ps = primes.primes_upto(396_833)  # 396 833 is the first prime past 396 738
+    q = ps[:-1] + 1
+    assert ps[-2] < 396_738 < ps[-1]
+    assert np.all(ps[1:] <= q + np.ceil(q / np.log(q)))
 
 
 def test_coset_invariants_across_pi_convergents():

@@ -55,8 +55,7 @@ def test_cf_and_coset_ignore_a_corrupt_cache(tmp_path, monkeypatch, capsys):
     want = [_cli_stdout(capsys, monkeypatch, *argv) for argv in runs]
     bad = bytearray(constants.certified_digits("pi", 1000)[:1000])
     bad[11] = (bad[11] + 1) % 10  # digit 12; the header stays a valid pi entry
-    write_digit_file(tmp_path / "pi.digits", DigitStream.from_digits(bytes(bad), label="pi"),
-                     1000, label="pi")
+    write_digit_file(tmp_path / "pi.digits", DigitStream.from_digits(bytes(bad), label="pi"), 1000)
     monkeypatch.setenv("PI_LAB_CACHE", str(tmp_path))
     assert [_cli_stdout(capsys, monkeypatch, *argv) for argv in runs] == want
 

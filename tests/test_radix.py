@@ -164,9 +164,9 @@ def test_digit_file_round_trip(tmp_path):
 
 
 def test_digit_file_layout(tmp_path):
-    s = DigitStream.from_rational(Fraction(1, 3))
+    s = DigitStream.from_rational(Fraction(1, 3), label="thirds")
     path = tmp_path / "thirds.digits"
-    write_digit_file(path, s, 200, label="thirds")
+    write_digit_file(path, s, 200)
     lines = path.read_text().splitlines()
     assert lines[0] == "base=10 count=200 label=thirds"
     assert all(len(line) == 80 for line in lines[1:3])
@@ -174,9 +174,9 @@ def test_digit_file_layout(tmp_path):
 
 
 def test_digit_file_header_fields_and_digest(tmp_path):
-    s = DigitStream.from_rational(Fraction(1, 7))
+    s = DigitStream.from_rational(Fraction(1, 7), label="a label=with spaces")
     path = tmp_path / "sealed.digits"
-    write_digit_file(path, s, 200, label="a label=with spaces", engine="7")
+    write_digit_file(path, s, 200, engine="7")
     header = path.read_text().splitlines()[0]
     assert header.startswith("base=10 count=200 engine=7 sha256=")
     assert header.endswith(" label=a label=with spaces")
@@ -205,11 +205,10 @@ def test_digit_file_rejects_malformed_header(tmp_path, header):
 
 
 def test_digit_file_rejects_line_break_in_label(tmp_path):
-    s = DigitStream.from_rational(Fraction(1, 7))
     path = tmp_path / "broken.digits"
     for label in ("a\nb", "a\r", "\x0c"):
         with pytest.raises(ValueError, match="line break"):
-            write_digit_file(path, s, 40, label=label)
+            write_digit_file(path, DigitStream.from_rational(Fraction(1, 7), label=label), 40)
     assert not path.exists()
 
 
@@ -225,9 +224,9 @@ def test_write_text_atomic_follows_symlink(tmp_path):
 
 @pytest.mark.parametrize("base", [2, 10, 16, 36])
 def test_digit_file_binary_base(tmp_path, base):
-    s = DigitStream.from_rational(Fraction(5, 8), base=base)
+    s = DigitStream.from_rational(Fraction(5, 8), base=base, label="bits")
     path = tmp_path / "bits.digits"
-    write_digit_file(path, s, 12, label="bits")
+    write_digit_file(path, s, 12)
     back = read_digit_file(path)
     assert back.base == base
     assert back.prefix(12) == s.prefix(12)

@@ -21,18 +21,19 @@ DIGIT_FILES = {
 
 CASES = {
     "cf-depth-20": ("cf", "--depth", "20"),
-    "stoneham-b10-c3": ("construct", "--family", "stoneham", "--b", "10", "--c", "3", "--digits", "100000"),
-    "stoneham-b2-c3": ("construct", "--family", "stoneham", "--b", "2", "--c", "3", "--digits", "20000"),
+    "stoneham-b10-c3": ("construct", "--family", "stoneham", "--base", "10", "--c", "3", "--digits", "100000"),
+    "stoneham-b2-c3": ("construct", "--family", "stoneham", "--base", "2", "--c", "3", "--digits", "20000"),
     "stoneham-b36-c5-s1": (
-        "construct", "--family", "stoneham", "--b", "36", "--c", "5", "--s", "1", "--digits", "5000"),
+        "construct", "--family", "stoneham", "--base", "36", "--c", "5", "--s", "1", "--digits", "5000"),
     "stoneham-b3-c2-s1": (
-        "construct", "--family", "stoneham", "--b", "3", "--c", "2", "--s", "1", "--digits", "5000"),
+        "construct", "--family", "stoneham", "--base", "3", "--c", "2", "--s", "1", "--digits", "5000"),
     "audit-caseI-k8": ("audit", "--lemma", "caseI", "--k", "8"),
     "audit-caseII-k6-mu2.5": (
         "audit", "--lemma", "caseII", "--k", "6", "--nmax", "200", "--mu", "2.5"),
+    "audit-caseII-k6-mu2.123": (  # exponent 1123/1000: a 30 000-digit root, inside DIGIT_CEILING
+        "audit", "--lemma", "caseII", "--k", "6", "--nmax", "60", "--mu", "2.123"),
     "audit-prime-k6": ("audit", "--lemma", "prime", "--k", "6", "--nmax", "40"),
-    "audit-prime-k6-no-scaled": (
-        "audit", "--lemma", "prime", "--k", "6", "--nmax", "40", "--no-scaled"),
+    "audit-prime-k6-mu2.123": ("audit", "--lemma", "prime", "--k", "6", "--nmax", "40", "--mu", "2.123"),
     "expsum-1999": ("expsum", "--p", "1999"),
     "weyl-golden": ("weyl", "--points", GOLDEN_POINTS, "--m", "1,2,3,5,8"),
     "normality-int-k3": ("normality", "--in", "int.digits", "--N", "20000", "--kmax", "3"),
@@ -44,8 +45,9 @@ CASES = {
 DIGESTS = {
     "audit-caseI-k8": "3b871831db765e32c0b1a0516e75a64f4f52465591592c8562742d997945e0ff",
     "audit-caseII-k6-mu2.5": "bf92214d63602ecacc58229f42c6c6ae5ca09670dc2c2c782a08a279f482089b",
+    "audit-caseII-k6-mu2.123": "e309a2d20a75ba95b69d8a8e5967e90b9e1471090fbe431e9e05a77ec5338a63",
     "audit-prime-k6": "d94739c36734fe752730d7227df3a6d89aaacd11e82abfa888e858a10a3148a2",
-    "audit-prime-k6-no-scaled": "bc743d5c79c1ded62449956f484127d466aae24ea526bd3aecddb0acfd459b3e",
+    "audit-prime-k6-mu2.123": "8e8f85a53163b80d6a6f65a75f5dcbae546aedab04fb1170256909854f77bc30",
     "cf-depth-20": "ce696a0d5ee60a719e5257d951f32049ee32f8206dbebbb4453a5aec70baef8c",
     "stoneham-b10-c3": "1a4bfcd71fa60dff58fc7550fbbacfdd5a282147c6db495fdd2b8fb61bff4ced",
     "stoneham-b2-c3": "d06a52e948286c61baa6121efb27bdd86b7d411fce5ea8b90eef78774f5b2668",

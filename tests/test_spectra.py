@@ -219,7 +219,7 @@ def test_expsum_rejects_an_envelope_that_underflows(c):
 def test_parseval_identity_all_primes_to_thousand():
     from pilab import primes
 
-    for p in primes.primes_upto(1000):
+    for p in primes.primes_upto(1000).tolist():
         if p in (2, 5):
             continue
         rep = subgroup(10, p)

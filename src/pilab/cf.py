@@ -222,7 +222,7 @@ def _stream_certified(stream: DigitStream, integer_part: int, m: int) -> list[in
 
 def pi_convergents(depth: int) -> list[Convergent]:
     """Convergents of pi through index ``depth``, expanded from the constants
-    memo's certified digits (the digit cache is never read)."""
+    memo's certified digits."""
     digits = DigitStream(10, lambda n: constants.certified_digits("pi", n), length=constants.DIGIT_CEILING)
     return cf_expand(digits, 3, depth)
 
@@ -262,7 +262,14 @@ def _nth_root_floor(x: int, n: int) -> int:
         raise ValueError("nth root needs x >= 0, n >= 1")
     if x in (0, 1) or n == 1:
         return x
-    r = 1 << -(-x.bit_length() // n)
+    # Newton from above shrinks a far start by only about (n - 1) / n a step,
+    # so start just above the float estimate of the root.  Its relative error
+    # is a few ulp of log2(root) times ln 2; the margin covers that amply.
+    log2_root = math.log2(x) / n
+    e = max(int(log2_root) - 52, 0)  # the root's bits past a double's 53
+    r = (int(2.0 ** (log2_root - e) * (1 + 2.0**-30 + log2_root * 2.0**-48)) + 1) << e
+    if r**n <= x:  # not an upper bound after all: the safe power of two
+        r = 1 << -(-x.bit_length() // n)
     while True:
         nxt = ((n - 1) * r + x // r ** (n - 1)) // n
         if nxt >= r:

@@ -249,10 +249,8 @@ def _cmd_report(args) -> int:
     if args.infile:
         stream = read_digit_file(args.infile)
         inputs.append(args.infile)
-    elif args.const:
-        stream = constants.const_digits(constants.ConstantRequest(args.const, args.N + 30))
     else:
-        raise ValueError("either --in or --const is required")
+        stream = constants.const_digits(constants.ConstantRequest(args.const, args.N + 30))
     payload = spectra.wall_criterion_report(stream, args.N, args.kmax, args.mmax)
     _write_outputs(args, _dump(payload), inputs=inputs)
     return 0
@@ -354,8 +352,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         description="Builds the shift point set {x b^n mod 1}, runs Weyl magnitudes and star "
                                     "discrepancy, and tabulates block frequencies: both sides of the "
                                     "shift-equidistribution criterion for base-b normality.")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--const", choices=["pi", "ln10", "ln_pi"])
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="infile")
+    source.add_argument("--const", choices=["pi", "ln10", "ln_pi"])
     p.add_argument("--N", required=True, type=int)
     p.add_argument("--kmax", type=int, default=3)
     p.add_argument("--mmax", type=int, default=5)

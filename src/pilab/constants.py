@@ -11,29 +11,14 @@ every released digit is exact.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
-from .radix import (
-    DigitStream,
-    ProducerExhaustedError,
-    digits_from_text,
-    read_digit_file,
-    read_digit_header,
-    write_digit_file,
-)
+from .radix import DigitStream, ProducerExhaustedError, digits_from_text
 
 DIGIT_CEILING = 100_000
-CACHE_ENV = "PI_LAB_CACHE"
 
 _INT_PARTS = {"pi": 3, "ln10": 2, "ln_pi": 1}
-_CACHE_CHECK = 1000  # a cached prefix this long is re-certified before it is served
-# A cache file carries the engine version that wrote it and a SHA-256 of its
-# digits; any other version is a miss.  Raise it when an engine or the release
-# rule changes.
-ENGINE_VERSION = "1"
 
 
 def _agree_ulp(w: int) -> int:
@@ -339,9 +324,9 @@ def _certified_scaled(name: str, n_digits: int) -> int:
 def certified_digits(name: str, n_digits: int) -> bytes:
     """At least ``n_digits`` certified fractional digits of a constant.
 
-    The digits come from the memo, certified in this process; the cache is
-    never read.  Past DIGIT_CEILING this raises ProducerExhaustedError, as a
-    constant's stream does.
+    The digits come from the memo, certified in this process.  Past
+    DIGIT_CEILING this raises ProducerExhaustedError, as a constant's stream
+    does.
     """
     if n_digits > DIGIT_CEILING:
         raise ProducerExhaustedError(n_digits, DIGIT_CEILING)
@@ -355,59 +340,11 @@ def integer_part(name: str) -> int:
     return _INT_PARTS[name]
 
 
-def _cache_path(name: str) -> Path | None:
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    return Path(root) / f"{name}.digits"
-
-
-def _cache_load(name: str, n_digits: int) -> bytes | None:
-    path = _cache_path(name)
-    if path is None or not path.exists():
-        return None
-    try:
-        header = read_digit_header(path)
-        if header.get("engine") != ENGINE_VERSION or "sha256" not in header:
-            return None  # stale or unsealed: a miss, overwritten on store
-        stream = read_digit_file(path)  # digits that do not match the digest raise
-    except (ValueError, OSError):
-        return None
-    if stream.base != 10 or stream.label != name:
-        return None  # another constant's or base's digits: a miss, overwritten on store
-    if stream.length is not None and stream.length >= n_digits:
-        return stream.prefix(n_digits)
-    return None
-
-
-def _cache_store(name: str, digits: bytes) -> None:
-    path = _cache_path(name)
-    if path is None:
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    stream = DigitStream.from_digits(digits, base=10, label=name)
-    # atomic: readers never see a partial file
-    write_digit_file(path, stream, len(digits), engine=ENGINE_VERSION)
-
-
-def _released_digits(name: str, n_digits: int) -> bytes:
-    held = _memo.get(name)
-    if held is not None and held[0] >= n_digits:
-        return held[2][:n_digits]
-    cached = _cache_load(name, n_digits)
-    check = min(n_digits, _CACHE_CHECK)
-    if cached is not None and cached[:check] == _certify(name, check)[2][:check]:
-        return cached  # a file whose prefix is wrong is a miss, overwritten below
-    digits = _certify(name, n_digits)[2][:n_digits]
-    _cache_store(name, digits)
-    return digits
-
-
 def const_digits(req: ConstantRequest) -> DigitStream:
     """Certified fractional digits of a constant as an extensible stream.
 
-    Both engines always run; the stream is released only after they agree on
-    every digit.  The integer part is exposed via integer_part().
+    Both engines always run, in this process; the stream is released only
+    after they agree on every digit.  The integer part is exposed via integer_part().
     The stream holds at most DIGIT_CEILING digits: its doubling growth stops
     there, and extending it past that raises ProducerExhaustedError.
     """
@@ -415,7 +352,7 @@ def const_digits(req: ConstantRequest) -> DigitStream:
         raise PrecisionCeilingError(f"{req.digits} digits exceeds ceiling {DIGIT_CEILING}")
 
     def produce(n: int) -> bytes:
-        return _released_digits(req.name, n)
+        return _certify(req.name, n)[2][:n]
 
     stream = DigitStream(10, produce, label=req.name, length=DIGIT_CEILING)
     stream.ensure(req.digits)

@@ -206,34 +206,18 @@ def fractional_part(x: Union[Fraction, int], guard: int) -> Fraction:
     return frac
 
 
-def _text_sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
-
-
-def write_digit_file(
-    path: Union[str, Path],
-    stream: DigitStream,
-    count: int,
-    engine: Optional[str] = None,
-) -> None:
+def write_digit_file(path: Union[str, Path], stream: DigitStream, count: int) -> None:
     """Write ``count`` digits in the exchange format.
 
     One header line ``base=<b> count=<N> label=<string>`` with the stream's
     label, then the digits with no separators, broken every 80 columns.
     Bit-exact round trip.
-    Naming the ``engine`` that produced the digits seals the file: the
-    header becomes ``base=<b> count=<N> engine=<engine> sha256=<hex>
-    label=<string>``, with the SHA-256 of the digit text, which
-    read_digit_file checks.
     """
     label = stream.label
     if "".join(label.splitlines()) != label:
         raise ValueError(f"digit file label {label!r} contains a line break")
-    if engine is not None and (not engine or not engine.isprintable() or " " in engine):
-        raise ValueError(f"digit file engine {engine!r} is not one printable word")
     text = stream.prefix_string(count)
-    seal = "" if engine is None else f" engine={engine} sha256={_text_sha256(text)}"
-    lines = [f"base={stream.base} count={count}{seal} label={label}"]
+    lines = [f"base={stream.base} count={count} label={label}"]
     for i in range(0, len(text), _LINE_WIDTH):
         lines.append(text[i : i + _LINE_WIDTH])
     write_text_atomic(path, "\n".join(lines) + "\n", encoding="ascii")
@@ -276,15 +260,12 @@ def _parse_header(path: Union[str, Path], header: str) -> dict[str, str]:
     return fields
 
 
-def read_digit_header(path: Union[str, Path]) -> dict[str, str]:
-    """The header fields of a digit file, ``base``, ``count`` and ``label`` among them."""
-    with open(path, encoding="ascii") as fh:
-        return _parse_header(path, fh.readline().rstrip("\r\n"))
-
-
 def read_digit_file(path: Union[str, Path]) -> DigitStream:
-    """Read a digit file back into a finite stream; a ``sha256`` header field
-    must match the digit text."""
+    """Read a digit file back into a finite stream.
+
+    Fields between the count and the label are optional; a ``sha256`` field,
+    as files from earlier versions carry, must match the digit text.
+    """
     lines = Path(path).read_text(encoding="ascii").splitlines()
     if not lines:
         raise ValueError(f"{path}: empty digit file")
@@ -298,7 +279,7 @@ def read_digit_file(path: Union[str, Path]) -> DigitStream:
     body = "".join(lines[1:])
     if len(body) != count:
         raise ValueError(f"{path}: header promises {count} digits, found {len(body)}")
-    if "sha256" in fields and _text_sha256(body) != fields["sha256"]:
+    if "sha256" in fields and hashlib.sha256(body.encode("ascii")).hexdigest() != fields["sha256"]:
         raise ValueError(f"{path}: the digits do not match the header's sha256")
     try:
         return DigitStream.from_digits(digits_from_text(body), base=base, label=label)

@@ -11,6 +11,7 @@ from pilab.cf import (
     Convergent,
     InsufficientPrecisionError,
     TerminatedExpansionError,
+    _nth_root_floor,
     _stream_certified,
     audit_lemma_caseI,
     audit_lemma_caseII,
@@ -244,6 +245,39 @@ def test_non_integral_mu_endpoint_value():
     want = Fraction(row.r, 106) + Fraction(1, int(106**1.5))
     assert abs(float(row.lower) - float(want)) < 1e-4
     assert float(row.lower - Fraction(row.r, 106)) == pytest.approx(106.0**-1.5, rel=1e-9)
+
+
+def _nth_root_floor_from_power_of_two(x: int, n: int) -> int:
+    """The earlier routine, Newton from 2^ceil(bits / n): the oracle."""
+    if x in (0, 1) or n == 1:
+        return x
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        nxt = ((n - 1) * r + x // r ** (n - 1)) // n
+        if nxt >= r:
+            break
+        r = nxt
+    while r**n > x:
+        r -= 1
+    return r
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 1000, 3800, 4000])
+def test_nth_root_floor_matches_the_power_of_two_start(n):
+    rng = random.Random(n)
+    for k in (2, 3, 10, 255, 10**6 + 3, rng.getrandbits(80) | 1, 10**21 + 7):
+        if n * k.bit_length() > 100_000:
+            continue
+        for x in (k**n - 1, k**n, k**n + 1):
+            assert _nth_root_floor(x, n) == _nth_root_floor_from_power_of_two(x, n)
+    for x in (0, 1, 2, rng.getrandbits(300)):
+        assert _nth_root_floor(x, n) == _nth_root_floor_from_power_of_two(x, n)
+
+
+def test_nth_root_floor_falls_back_when_the_float_start_is_low(monkeypatch):
+    monkeypatch.setattr(math, "log2", lambda x: 0.0)  # every estimate becomes 1
+    for x, n in ((10**30, 3), (7**200 + 1, 200), (2**64 - 1, 2)):
+        assert _nth_root_floor(x, n) == _nth_root_floor_from_power_of_two(x, n)
 
 
 def test_case_precondition_rejected():

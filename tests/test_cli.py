@@ -280,6 +280,13 @@ def test_report_on_pi_stream(capsys):
     assert payload["blocks"]["1"]["windows"] == 500
 
 
+@pytest.mark.parametrize("source", [("--in", "x.digits", "--const", "pi"), ()], ids=["both", "neither"])
+def test_report_needs_exactly_one_of_in_and_const(capsys, source):
+    code, out, err = run(capsys, "report", *source, "--N", "100")
+    assert code == 2 and out == ""
+    assert "--in" in err and "--const" in err
+
+
 def test_artin_reruns_byte_identical(tmp_path, capsys):
     outs = []
     for name in ("a", "b"):

@@ -1,5 +1,5 @@
 """Each constant engine on its own against mpmath and against pinned bits,
-plus the digit-stream ceiling and the cache header and prefix checks."""
+plus the digit-stream ceiling."""
 
 import hashlib
 
@@ -7,15 +7,8 @@ import pytest
 from mpmath import mp, mpf
 
 from pilab import constants
-from pilab.cli import main
 from pilab.constants import ConstantRequest, MethodDisagreementError, const_digits
-from pilab.radix import (
-    DigitStream,
-    ProducerExhaustedError,
-    read_digit_file,
-    read_digit_header,
-    write_digit_file,
-)
+from pilab.radix import ProducerExhaustedError
 
 
 def _floor_scaled(value, w):
@@ -89,55 +82,6 @@ def test_stream_growth_clamps_to_ceiling(monkeypatch):
     assert stream.prefix_string(1000) == want
     with pytest.raises(ProducerExhaustedError):
         stream.ensure(1001)
-
-
-@pytest.mark.parametrize("label,base", [("ln10", 10), ("pi", 16)])
-def test_cache_entry_with_wrong_header_is_a_miss(tmp_path, monkeypatch, label, base):
-    monkeypatch.setenv("PI_LAB_CACHE", str(tmp_path))
-    monkeypatch.setattr(constants, "_memo", {})
-    cache_file = tmp_path / "pi.digits"
-    write_digit_file(cache_file, DigitStream.from_digits([9] * 200, base=base, label=label), 200)
-    assert const_digits(ConstantRequest("pi", 20)).prefix_string(20) == "14159265358979323846"
-    stored = read_digit_file(cache_file)
-    assert (stored.base, stored.label) == (10, "pi")
-    assert stored.prefix_string(20) == "14159265358979323846"
-
-
-def test_cache_with_a_wrong_prefix_is_a_miss(tmp_path, monkeypatch, capsys):
-    # a well-labelled pi.digits of 200 nines must not be served as pi
-    monkeypatch.setenv("PI_LAB_CACHE", str(tmp_path))
-    monkeypatch.setattr(constants, "_memo", {})
-    cache_file = tmp_path / "pi.digits"
-    write_digit_file(cache_file, DigitStream.from_digits(b"\x09" * 200, label="pi"), 200)
-    assert main(["constants", "--name", "pi", "--digits", "30"]) == 0
-    assert capsys.readouterr().out == "3.141592653589793238462643383279\n"
-    assert read_digit_file(cache_file).prefix_string(30) == "141592653589793238462643383279"
-
-
-def _corrupt_digit(path, index):
-    """Change the digit at 0-based ``index`` of a digit file in place."""
-    lines = path.read_text(encoding="ascii").splitlines()
-    row, col = 1 + index // 80, index % 80
-    line = lines[row]
-    lines[row] = line[:col] + str((int(line[col]) + 1) % 10) + line[col + 1 :]
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-@pytest.mark.parametrize("header", ["three-field", "stale-engine", "sealed"])
-def test_cache_with_a_wrong_digit_past_the_checked_prefix_is_a_miss(tmp_path, monkeypatch, capsys, header):
-    # the first 1000 digits are right, so only the engine version or the digest can tell
-    true = constants.certified_digits("pi", 1500)[:1500]
-    monkeypatch.setenv("PI_LAB_CACHE", str(tmp_path))
-    monkeypatch.setattr(constants, "_memo", {})
-    cache_file = tmp_path / "pi.digits"
-    engine = {"three-field": None, "stale-engine": "0", "sealed": constants.ENGINE_VERSION}[header]
-    write_digit_file(cache_file, DigitStream.from_digits(true, label="pi"), 1500, engine=engine)
-    _corrupt_digit(cache_file, 1200)
-    assert main(["constants", "--name", "pi", "--digits", "1500"]) == 0
-    assert capsys.readouterr().out == "3." + DigitStream.from_digits(true).prefix_string(1500) + "\n"
-    stored = read_digit_header(cache_file)
-    assert (stored["engine"], stored["label"]) == (constants.ENGINE_VERSION, "pi")
-    assert read_digit_file(cache_file).prefix(1500) == true  # overwritten, and its digest checks
 
 
 # SHA-256 of str() of each engine integer; the mpmath tests allow +-64 ulp,

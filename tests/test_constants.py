@@ -112,28 +112,3 @@ def test_exp_consistency_with_pi_powers():
         lhs = mp.e ** (mp.mpf(x.numerator) / x.denominator)
         rhs = pi_ref * mp.mpf(10) ** n
         assert abs(lhs - rhs) / rhs < mp.mpf(10) ** -(precision - n - 2)
-
-
-def test_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("PI_LAB_CACHE", str(tmp_path))
-    monkeypatch.setattr(constants, "_memo", {})
-    stream = const_digits(ConstantRequest("pi", 1500))
-    want = stream.prefix_string(1500)
-    cache_file = tmp_path / "pi.digits"
-    assert cache_file.exists()
-
-    # an engine that refuses any width past the re-verified prefix proves
-    # later reads are served from the cache
-    engine = constants._ENGINES["pi"]
-    limit = constants._working_digits(1000)
-
-    def guarded(w):
-        if w > limit:
-            raise AssertionError("engine must run only for the re-verified prefix on a cache hit")
-        return engine(w)
-
-    monkeypatch.setitem(constants._ENGINES, "pi", guarded)
-    monkeypatch.setattr(constants, "_memo", {})
-    again = const_digits(ConstantRequest("pi", 1200))
-    assert again.prefix_string(1200) == want[:1200]
-

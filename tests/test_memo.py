@@ -1,6 +1,7 @@
 """The one constants memo: prefix serving, shared binary log internals, and
 the audit rows decided on its digits by integer cross-multiplication."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from mpmath import mp, mpf
 
 from pilab import cf, cli, constants
 from pilab.cf import InsufficientPrecisionError, frac_pi_shift
-from pilab.radix import DigitStream, write_digit_file
+from pilab.radix import DigitStream, read_digit_file
 
 
 @pytest.fixture
@@ -50,18 +51,37 @@ def _cli_stdout(capsys, monkeypatch, *argv):
     return capsys.readouterr().out
 
 
+def _sealed_pi_file(path, digits):
+    """A digit file with the header earlier versions' pi cache entries carried,
+    ``engine=1`` and the SHA-256 of the digit text."""
+    text = DigitStream.from_digits(digits).prefix_string(len(digits))
+    seal = f"engine=1 sha256={hashlib.sha256(text.encode()).hexdigest()}"
+    rows = [text[i : i + 80] for i in range(0, len(text), 80)]
+    path.write_text("\n".join([f"base=10 count={len(text)} {seal} label=pi", *rows]) + "\n")
+
+
 def test_cf_and_coset_ignore_a_corrupt_cache(tmp_path, monkeypatch, capsys):
-    runs = (("cf", "--depth", "12"), ("coset", "--k", "8"))
+    # every printed digit comes from this process: a PI_LAB_CACHE directory
+    # holding a well-sealed pi.digits with one wrong digit past the first
+    # 1000 changes no output, and is neither read into nor written to
+    runs = (("constants", "--name", "pi", "--digits", "1500"),
+            ("report", "--const", "pi", "--N", "1400"),
+            ("cf", "--depth", "12"), ("coset", "--k", "8"))
     want = [_cli_stdout(capsys, monkeypatch, *argv) for argv in runs]
-    bad = bytearray(constants.certified_digits("pi", 1000)[:1000])
-    bad[11] = (bad[11] + 1) % 10  # digit 12; the header stays a valid pi entry
-    write_digit_file(tmp_path / "pi.digits", DigitStream.from_digits(bytes(bad), label="pi"), 1000)
-    monkeypatch.setenv("PI_LAB_CACHE", str(tmp_path))
+    forged = bytearray(constants.certified_digits("pi", 1500)[:1500])
+    forged[1199] = (forged[1199] + 1) % 10  # digit 1200
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    _sealed_pi_file(cache / "pi.digits", bytes(forged))
+    assert read_digit_file(cache / "pi.digits").prefix(1500) == forged  # the digest checks
+    before = {path.name: path.read_bytes() for path in cache.iterdir()}
+    monkeypatch.setenv("PI_LAB_CACHE", str(cache))
     assert [_cli_stdout(capsys, monkeypatch, *argv) for argv in runs] == want
+    assert {path.name: path.read_bytes() for path in cache.iterdir()} == before
 
     empty = tmp_path / "fresh"
     monkeypatch.setenv("PI_LAB_CACHE", str(empty))
-    assert _cli_stdout(capsys, monkeypatch, "cf", "--depth", "3")
+    assert [_cli_stdout(capsys, monkeypatch, *argv) for argv in runs[:2]] == want[:2]
     assert not empty.exists()
 
 
@@ -69,12 +89,12 @@ def test_memo_served_prefixes_equal_fresh_computation(monkeypatch, pi_calls):
     sizes = (1, 64, 1000, 11015)
     constants._certify("pi", 2 * sizes[-1])
     assert len(pi_calls) == 1
-    served = {n: (constants._certified_scaled("pi", n), constants._released_digits("pi", n))
+    served = {n: (constants._certified_scaled("pi", n), constants.certified_digits("pi", n)[:n])
               for n in sizes}
     assert len(pi_calls) == 1
     for n in sizes:
         monkeypatch.setattr(constants, "_memo", {})
-        fresh = (constants._certified_scaled("pi", n), constants._released_digits("pi", n))
+        fresh = (constants._certified_scaled("pi", n), constants.certified_digits("pi", n))
         assert served[n] == fresh
         assert len(fresh[1]) == n
 

@@ -31,10 +31,6 @@ class InsufficientPrecisionError(ArithmeticError):
         self.first_uncertified = first_uncertified
 
 
-class TerminatedExpansionError(ValueError):
-    """A rational input's expansion ended before the requested depth."""
-
-
 @dataclass(frozen=True)
 class Convergent:
     """One continued-fraction step: quotient a_k and the reduced p_k/q_k."""
@@ -43,10 +39,6 @@ class Convergent:
     a: int
     p: int
     q: int
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.p, self.q)
 
 
 @dataclass(frozen=True)
@@ -181,21 +173,12 @@ def _certified_quotients(value_lo: Fraction, width: Fraction) -> list[int]:
 def cf_expand(stream: DigitStream, integer_part: int, depth: int) -> list[Convergent]:
     """Partial quotients a_0..a_depth and their convergents.
 
-    Quotients from digit streams are certified twice: the expansion interval
-    of the truncation must pin each quotient, and a recomputation at doubled
-    precision must agree.  Streams carrying an exact rational expand by plain
-    Euclid and terminate; requesting quotients past termination is an error.
+    Each quotient is certified twice: the expansion interval of the
+    truncation must pin it, and a recomputation at doubled precision must
+    agree.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if stream.exact is not None:
-        quotients = _euclid_quotients(integer_part + stream.exact)
-        if len(quotients) < depth + 1:
-            raise TerminatedExpansionError(
-                f"expansion terminates after index {len(quotients) - 1}, depth {depth} requested"
-            )
-        return convergents_from_quotients(quotients[: depth + 1])
-
     m = 48
     best = 0
     while m <= 1 << 22:

@@ -126,7 +126,7 @@ def _write_outputs(args, text: str | None, outputs: Sequence[str] = (), inputs: 
 
 
 def _cmd_constants(args) -> int:
-    stream = constants.const_digits(constants.ConstantRequest(args.name, args.digits))
+    stream = constants.const_digits(args.name, args.digits)
     if args.out:
         write_digit_file(args.out, stream, args.digits)
         _write_outputs(args, None, [args.out])
@@ -250,7 +250,7 @@ def _cmd_report(args) -> int:
         stream = read_digit_file(args.infile)
         inputs.append(args.infile)
     else:
-        stream = constants.const_digits(constants.ConstantRequest(args.const, args.N + 30))
+        stream = constants.const_digits(args.const, args.N + 30)
     payload = spectra.wall_criterion_report(stream, args.N, args.kmax, args.mmax)
     _write_outputs(args, _dump(payload), inputs=inputs)
     return 0

@@ -11,7 +11,6 @@ every released digit is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .radix import DigitStream, ProducerExhaustedError, digits_from_text
@@ -73,20 +72,6 @@ class MethodDisagreementError(ArithmeticError):
 
 class PrecisionCeilingError(ValueError):
     """A request exceeded the configured digit ceiling."""
-
-
-@dataclass(frozen=True)
-class ConstantRequest:
-    """A named constant and a digit count."""
-
-    name: str
-    digits: int
-
-    def __post_init__(self):
-        if self.name not in _INT_PARTS:
-            raise ValueError(f"unknown constant {self.name!r}; expected one of {sorted(_INT_PARTS)}")
-        if self.digits < 1:
-            raise ValueError("digit count must be >= 1")
 
 
 def _working_digits(n: int) -> int:
@@ -340,7 +325,7 @@ def integer_part(name: str) -> int:
     return _INT_PARTS[name]
 
 
-def const_digits(req: ConstantRequest) -> DigitStream:
+def const_digits(name: str, digits: int) -> DigitStream:
     """Certified fractional digits of a constant as an extensible stream.
 
     Both engines always run, in this process; the stream is released only
@@ -348,14 +333,18 @@ def const_digits(req: ConstantRequest) -> DigitStream:
     The stream holds at most DIGIT_CEILING digits: its doubling growth stops
     there, and extending it past that raises ProducerExhaustedError.
     """
-    if req.digits > DIGIT_CEILING:
-        raise PrecisionCeilingError(f"{req.digits} digits exceeds ceiling {DIGIT_CEILING}")
+    if name not in _INT_PARTS:
+        raise ValueError(f"unknown constant {name!r}; expected one of {sorted(_INT_PARTS)}")
+    if digits < 1:
+        raise ValueError("digit count must be >= 1")
+    if digits > DIGIT_CEILING:
+        raise PrecisionCeilingError(f"{digits} digits exceeds ceiling {DIGIT_CEILING}")
 
     def produce(n: int) -> bytes:
-        return _certify(req.name, n)[2][:n]
+        return _certify(name, n)[2][:n]
 
-    stream = DigitStream(10, produce, label=req.name, length=DIGIT_CEILING)
-    stream.ensure(req.digits)
+    stream = DigitStream(10, produce, label=name, length=DIGIT_CEILING)
+    stream.ensure(digits)
     return stream
 
 

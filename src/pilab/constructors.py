@@ -2,10 +2,10 @@
 
 Three concatenation families (consecutive integers, primes, squares) plus the
 coprime power series sum(1 / (c^n * b^(c^n + s))).  All digits come from exact
-integer arithmetic; term end positions are closed-form sums over the runs of
-equal-length terms, so random access never streams from the start.  A prefix of
-the power series is one integer floor of its head terms: the omitted tail
-provably never carries into the last digit kept.
+integer arithmetic; the last term a prefix needs comes from closed-form sums
+over the runs of equal-length terms.  A prefix of the power series is one
+integer floor of its head terms: the omitted tail provably never carries into
+the last digit kept.
 """
 
 from __future__ import annotations
@@ -19,6 +19,11 @@ from .radix import DigitStream, digits_from_text
 
 _FAMILIES = ("integers", "primes", "squares")
 _LEAF = 16  # digits a base conversion peels one divmod at a time
+# Largest prefixes built.  A concatenation peaks at 12-15 bytes a digit (at
+# 5*10^7 digits, 5-6 s and 0.6-0.75 GB on 2 cores); a Stoneham prefix costs
+# time quadratic in its length (10^6 base-10 digits: about 18 s).
+CONCAT_DIGIT_CEILING = 50_000_000
+STONEHAM_DIGIT_CEILING = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -100,13 +105,6 @@ def _terms_with_digits(spec: ConcatSpec, d: int) -> int:
     return _PRIME_COUNTS[d]
 
 
-def exponent_a(family: str, n: int) -> int:
-    """Decimal position at which the family's n-th term ends in the concatenation."""
-    if n < 1:
-        raise ValueError("term index must be >= 1")
-    return _end_position(ConcatSpec(family), n)
-
-
 def _runs(spec: ConcatSpec):
     """(d, terms before, digits before, terms through) of each run of d-digit terms.
 
@@ -120,13 +118,6 @@ def _runs(spec: ConcatSpec):
         below, total = upto, total + d * (upto - below)
 
 
-def _end_position(spec: ConcatSpec, n: int) -> int:
-    """Position at which the n-th term ends in the concatenation; 0 for n = 0."""
-    for d, below, total, upto in _runs(spec):
-        if n <= upto:
-            return total + d * (n - below)
-
-
 def _term_index(spec: ConcatSpec, position: int) -> int:
     """The term holding the digit at 1-indexed ``position``: the run that
     covers it, then ceil(offset / d) terms into that run."""
@@ -135,26 +126,33 @@ def _term_index(spec: ConcatSpec, position: int) -> int:
             return below + -(-(position - total) // d)
 
 
-def _term_digits(spec: ConcatSpec, lo: int, hi: int) -> bytes:
-    """The digits of terms lo..hi, concatenated."""
+def _term_digits(spec: ConcatSpec, count: int) -> bytes:
+    """The digits of the first ``count`` terms, concatenated."""
     if spec.family == "integers":
-        terms = range(lo, hi + 1)
+        terms = range(1, count + 1)
     elif spec.family == "squares":
-        terms = (k * k for k in range(lo, hi + 1))
+        terms = (k * k for k in range(1, count + 1))
     else:
-        terms = primes.first_primes(hi)[lo - 1 :].tolist()  # convert only the terms read
+        terms = primes.first_primes(count).tolist()
     if spec.base == 10:
         return digits_from_text("".join(map(str, terms)))
     return b"".join(_digits_in_base(m, spec.base) for m in terms)
 
 
-def concat_digits(spec: ConcatSpec, n_digits: int) -> DigitStream:
-    """Stream of the first digits of the concatenation number."""
+def _check_digit_count(n_digits: int, ceiling: int, name: str) -> None:
+    """Refuse a prefix length outside 1..ceiling before anything is built."""
     if n_digits < 1:
         raise ValueError("digit count must be >= 1")
+    if n_digits > ceiling:
+        raise ValueError(f"{n_digits} digits exceeds {name} = {ceiling}")
+
+
+def concat_digits(spec: ConcatSpec, n_digits: int) -> DigitStream:
+    """Stream of the first digits of the concatenation number."""
+    _check_digit_count(n_digits, CONCAT_DIGIT_CEILING, "CONCAT_DIGIT_CEILING")
 
     def produce(n: int) -> bytes:
-        return _term_digits(spec, 1, _term_index(spec, n))[:n]
+        return _term_digits(spec, _term_index(spec, n))[:n]
 
     label = f"concat-{spec.family}-b{spec.base}"
     stream = DigitStream(spec.base, produce, label=label)
@@ -162,22 +160,9 @@ def concat_digits(spec: ConcatSpec, n_digits: int) -> DigitStream:
     return stream
 
 
-def digit_at(spec: ConcatSpec, position: int) -> int:
-    """Random access into the concatenation: the digit at 1-indexed ``position``.
-
-    The term comes from the run of equal-length terms covering the position,
-    then an index into the term.
-    """
-    if position < 1:
-        raise ValueError("position must be >= 1")
-    n = _term_index(spec, position)
-    return _term_digits(spec, n, n)[position - _end_position(spec, n - 1) - 1]
-
-
 def stoneham_digits(spec: StonehamSpec, n_digits: int) -> DigitStream:
     """First base-b digits of the series, each prefix from one exact integer floor."""
-    if n_digits < 1:
-        raise ValueError("digit count must be >= 1")
+    _check_digit_count(n_digits, STONEHAM_DIGIT_CEILING, "STONEHAM_DIGIT_CEILING")
 
     def produce(n: int) -> bytes:
         return _stoneham_prefix(spec, n)

@@ -43,11 +43,6 @@ def primes_upto(limit: int) -> np.ndarray:
     return _sieve(2, limit)
 
 
-def primes_in_range(lo: int, hi: int) -> np.ndarray:
-    """Primes in [lo, hi] as an int64 array, sieving only the window."""
-    return _sieve(lo, hi)
-
-
 def first_primes(count: int) -> np.ndarray:
     """The first ``count`` primes as an int64 array."""
     if count < 1:

@@ -60,8 +60,7 @@ class DigitStream:
     expensive per digit, so consumers should declare how many digits they
     need up front; internally requests are batched with doubling growth.
 
-    Digits are 1-indexed.  ``exact`` carries the represented value when it is
-    a known rational; ``length`` bounds finite streams.
+    Digits are 1-indexed; ``length`` bounds finite streams.
     """
 
     def __init__(
@@ -69,14 +68,12 @@ class DigitStream:
         base: int,
         produce: Callable[[int], Sequence[int]],
         label: str = "",
-        exact: Optional[Fraction] = None,
         length: Optional[int] = None,
     ):
         if not 2 <= base <= MAX_BASE:
             raise ValueError(f"base must lie in 2..{MAX_BASE}, got {base}")
         self.base = base
         self.label = label
-        self.exact = exact
         self.length = length
         self._produce = produce
         self._digits = b""
@@ -98,13 +95,6 @@ class DigitStream:
             raise ValueError(f"digit {max(new)} outside [0, {self.base})")
         self._digits = got
 
-    def digit(self, i: int) -> int:
-        """The i-th digit, 1-indexed."""
-        if i < 1:
-            raise ValueError(f"digit index must be >= 1, got {i}")
-        self.ensure(i)
-        return self._digits[i - 1]
-
     def prefix(self, n: int) -> bytes:
         """The first ``n`` digits, one digit value per byte."""
         if n < 0:
@@ -120,7 +110,8 @@ class DigitStream:
         """Exact expansion of a rational in [0,1).
 
         Long division yields the canonical form: terminating values end in
-        zeros, never in a trail of (base-1)s.
+        zeros, never in a trail of (base-1)s.  No command calls it: it stays
+        for the tests' rational streams, and perfbench/layertrace.py rebinds it.
         """
         value = Fraction(value)
         if not 0 <= value < 1:
@@ -135,19 +126,13 @@ class DigitStream:
                 out.append(d)
             return out
 
-        return cls(base, produce, label=label, exact=value)
+        return cls(base, produce, label=label)
 
     @classmethod
-    def from_digits(
-        cls,
-        digits: Iterable[int],
-        base: int = 10,
-        label: str = "",
-        exact: Optional[Fraction] = None,
-    ) -> "DigitStream":
+    def from_digits(cls, digits: Iterable[int], base: int = 10, label: str = "") -> "DigitStream":
         """A finite stream over fixed digits, checked when it is built."""
         digs = bytes(digits)
-        stream = cls(base, lambda n: digs, label=label, exact=exact, length=len(digs))
+        stream = cls(base, lambda n: digs, label=label, length=len(digs))
         stream.ensure(len(digs))
         return stream
 
@@ -160,30 +145,6 @@ def truncate(stream: DigitStream, n_digits: int) -> Fraction:
     if n_digits < 1:
         raise EmptyTruncationError("cannot truncate to zero digits")
     return Fraction(int(stream.prefix_string(n_digits), stream.base), stream.base**n_digits)
-
-
-def shifted_fraction(stream: DigitStream, shift: int, n_digits: int) -> DigitStream:
-    """The stream dropping the first ``shift`` digits: digit i becomes d_{shift+i}.
-
-    This realizes the fractional part {x * b^shift} exactly for x in (0,1).
-    ``n_digits`` declares how many digits the consumer needs, so the parent
-    can batch; shift=0 returns an equivalent stream over the same producer.
-    """
-    if shift < 0:
-        raise ValueError("shift must be >= 0")
-    if n_digits < 0:
-        raise ValueError("digit demand must be >= 0")
-    stream.ensure(shift + n_digits)
-    exact = None
-    if stream.exact is not None:
-        exact = (stream.exact * stream.base**shift) % 1
-    length = None if stream.length is None else max(stream.length - shift, 0)
-
-    def produce(n: int) -> list[int]:
-        return stream.prefix(shift + n)[shift:]
-
-    label = stream.label and f"{stream.label}<<{shift}"
-    return DigitStream(stream.base, produce, label=label, exact=exact, length=length)
 
 
 def fractional_part(x: Union[Fraction, int], guard: int) -> Fraction:

@@ -20,7 +20,7 @@ from pilab.cf import (
     residue_decompose,
 )
 from pilab.cli import _dump
-from pilab.constants import ConstantRequest, const_digits
+from pilab.constants import const_digits
 from pilab.constructors import ConcatSpec, concat_digits
 from pilab.groups import artin_scan, coset_structure, subgroup
 from pilab.radix import DigitStream
@@ -45,7 +45,7 @@ def test_criterion_1_constant_engines():
     t0 = time.perf_counter()
     w = constants._working_digits(1000)
     machin, chudnovsky = constants._ENGINES["pi"](w)
-    released = const_digits(ConstantRequest("pi", 1000)).prefix_string(1000)
+    released = const_digits("pi", 1000).prefix_string(1000)
     elapsed = time.perf_counter() - t0
     shift = 10 ** (w - 1000)
     ok = (str(machin // shift) == str(chudnovsky // shift) == "3" + released
@@ -83,7 +83,7 @@ def test_criterion_3_cf_layer():
         depth += 2
         convs = pi_convergents(depth)
     pi_ref = Fraction(3) + Fraction(
-        int(const_digits(ConstantRequest("pi", 80)).prefix_string(80)), 10**80
+        int(const_digits("pi", 80).prefix_string(80)), 10**80
     )
     ok = convs[-1].q > 10**6
     for k in range(len(convs)):

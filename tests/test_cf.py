@@ -10,7 +10,6 @@ from pilab.cf import (
     AuditConfig,
     Convergent,
     InsufficientPrecisionError,
-    TerminatedExpansionError,
     _nth_root_floor,
     _stream_certified,
     audit_lemma_caseI,
@@ -49,7 +48,7 @@ def test_pi_convergents_match_printed_table():
 
 
 def test_pi_quotients_match_truncation_oracle():
-    digits = constants.const_digits(constants.ConstantRequest("pi", 50))
+    digits = constants.const_digits("pi", 50)
     truncation = Fraction(3) + Fraction(int(digits.prefix_string(50)), 10**50)
     oracle = brute_force_quotients(truncation, 10)
     got = [c.a for c in pi_convergents(9)]
@@ -65,14 +64,6 @@ def test_recurrence_and_unimodularity():
         assert convs[k].p * convs[k - 1].q - convs[k - 1].p * convs[k].q == (-1) ** (k - 1)
         assert math.gcd(convs[k].p, convs[k].q) == 1
         assert convs[k].q > convs[k - 1].q or k == 1
-
-
-def test_rational_expansion_terminates():
-    stream = DigitStream.from_rational(Fraction(355, 113) - 3, label="355/113")
-    convs = cf_expand(stream, 3, 2)
-    assert [(c.a, c.p, c.q) for c in convs] == [(3, 3, 1), (7, 22, 7), (16, 355, 113)]
-    with pytest.raises(TerminatedExpansionError):
-        cf_expand(stream, 3, 5)
 
 
 def test_golden_ratio_quotients_all_ones():

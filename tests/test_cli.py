@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from pilab.cli import main
+from pilab.constructors import CONCAT_DIGIT_CEILING, STONEHAM_DIGIT_CEILING
 from pilab.primes import next_prime
 from pilab.radix import read_digit_file
 from pilab.spectra import EXPSUM_P_MAX
@@ -234,6 +235,21 @@ def test_expsum_refuses_p_above_cap_before_allocating(capsys):
     code, out, err = run(capsys, "expsum", "--p", str(p), "--g", str(p - 1))  # order 2
     assert code == 1
     assert out == "" and f"p = {p} exceeds EXPSUM_P_MAX" in err
+
+
+@pytest.mark.parametrize("family,name,ceiling", [
+    ("integers", "CONCAT_DIGIT_CEILING", CONCAT_DIGIT_CEILING),
+    ("primes", "CONCAT_DIGIT_CEILING", CONCAT_DIGIT_CEILING),
+    ("squares", "CONCAT_DIGIT_CEILING", CONCAT_DIGIT_CEILING),
+    ("stoneham", "STONEHAM_DIGIT_CEILING", STONEHAM_DIGIT_CEILING),
+])
+def test_construct_refuses_digits_above_the_ceiling(tmp_path, capsys, family, name, ceiling):
+    out_file = tmp_path / "digits.txt"
+    code, out, err = run(capsys, "construct", "--family", family, "--digits", str(ceiling + 1),
+                         "--out", str(out_file))
+    assert code == 1
+    assert out == "" and err == f"error: {ceiling + 1} digits exceeds {name} = {ceiling}\n"
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("eps", ["-1", "nan", "inf"])

@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp, mpf
 
 from pilab import constants
-from pilab.constants import ConstantRequest, MethodDisagreementError, const_digits
+from pilab.constants import MethodDisagreementError, const_digits
 from pilab.radix import ProducerExhaustedError
 
 
@@ -70,12 +70,12 @@ def test_perturbed_ln2_in_one_method_is_caught(monkeypatch, ln2):
     monkeypatch.setattr(constants, ln2, lambda bits: exact(bits) + (1 << bits - 200))
     monkeypatch.setattr(constants, "_memo", {})
     with pytest.raises(MethodDisagreementError):
-        const_digits(ConstantRequest("ln10", 100))
+        const_digits("ln10", 100)
 
 
 def test_stream_growth_clamps_to_ceiling(monkeypatch):
     monkeypatch.setattr(constants, "DIGIT_CEILING", 1000)
-    stream = const_digits(ConstantRequest("pi", 600))
+    stream = const_digits("pi", 600)
     stream.ensure(700)  # doubling growth would ask for 1200 digits
     mp.dps = 1020
     want = str(_floor_scaled(mp.pi, 1000))[1:]

@@ -5,7 +5,6 @@ from mpmath import mp
 
 from pilab import constants
 from pilab.constants import (
-    ConstantRequest,
     DIGIT_CEILING,
     MethodDisagreementError,
     PrecisionCeilingError,
@@ -18,24 +17,24 @@ PI_FRAC_50 = "14159265358979323846264338327950288419716939937510"
 
 
 def test_pi_first_twenty_digits():
-    stream = const_digits(ConstantRequest("pi", 20))
+    stream = const_digits("pi", 20)
     assert integer_part("pi") == 3
     assert stream.prefix_string(20) == "14159265358979323846"
 
 
 def test_pi_fifty_digits_reference():
-    stream = const_digits(ConstantRequest("pi", 50))
+    stream = const_digits("pi", 50)
     assert stream.prefix_string(50) == PI_FRAC_50
 
 
 def test_ln10_digits():
-    stream = const_digits(ConstantRequest("ln10", 10))
+    stream = const_digits("ln10", 10)
     assert integer_part("ln10") == 2
     assert stream.prefix_string(10) == "3025850929"
 
 
 def test_ln_pi_digits():
-    stream = const_digits(ConstantRequest("ln_pi", 10))
+    stream = const_digits("ln_pi", 10)
     assert integer_part("ln_pi") == 1
     assert stream.prefix_string(10) == "1447298858"
 
@@ -46,7 +45,7 @@ def test_dual_methods_agree_on_release(name, n_digits):
     w = constants._working_digits(n_digits)
     v1, v2 = constants._ENGINES[name](w)
     shift = 10 ** (w - n_digits)
-    released = const_digits(ConstantRequest(name, n_digits)).prefix_string(n_digits)
+    released = const_digits(name, n_digits).prefix_string(n_digits)
     assert str(v1 // shift) == str(v2 // shift) == f"{integer_part(name)}{released}"
 
 
@@ -57,7 +56,7 @@ def test_dual_methods_agree_on_release(name, n_digits):
 def test_digits_against_external_oracle(name, compute):
     mp.dps = 220
     want = mp.nstr(+compute(), 205, strip_zeros=False).replace(".", "")[1:201]
-    stream = const_digits(ConstantRequest(name, 200))
+    stream = const_digits(name, 200)
     assert stream.prefix_string(200) == want
 
 
@@ -70,17 +69,17 @@ def test_method_disagreement_names_first_index(monkeypatch):
     monkeypatch.setitem(constants._ENGINES, "pi", broken)
     monkeypatch.setattr(constants, "_memo", {})
     with pytest.raises(MethodDisagreementError) as err:
-        const_digits(ConstantRequest("pi", 40))
+        const_digits("pi", 40)
     assert err.value.index > 0
 
 
 def test_invalid_requests():
-    with pytest.raises(ValueError):
-        ConstantRequest("tau", 10)
-    with pytest.raises(ValueError):
-        ConstantRequest("pi", 0)
+    with pytest.raises(ValueError, match="unknown constant 'tau'"):
+        const_digits("tau", 10)
+    with pytest.raises(ValueError, match="digit count must be >= 1"):
+        const_digits("pi", 0)
     with pytest.raises(PrecisionCeilingError):
-        const_digits(ConstantRequest("pi", DIGIT_CEILING + 1))
+        const_digits("pi", DIGIT_CEILING + 1)
 
 
 def test_x_sequence_values():

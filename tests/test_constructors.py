@@ -9,8 +9,6 @@ from pilab.constructors import (
     ConcatSpec,
     StonehamSpec,
     concat_digits,
-    digit_at,
-    exponent_a,
     stoneham_digits,
 )
 from pilab.primes import first_primes
@@ -67,47 +65,6 @@ def test_concat_binary_base():
 def test_primes_family_is_base_ten_only():
     with pytest.raises(ValueError):
         ConcatSpec("primes", base=2)
-
-
-@pytest.mark.parametrize(
-    "family,n,want",
-    [("integers", 9, 9), ("integers", 10, 11), ("primes", 4, 4), ("squares", 5, 7)],
-)
-def test_exponent_a_examples(family, n, want):
-    assert exponent_a(family, n) == want
-
-
-@pytest.mark.parametrize("family", ["integers", "primes", "squares"])
-def test_exponent_a_position_consistency(family):
-    # the n-th step must advance by exactly the n-th term's digit count
-    terms = {"integers": lambda n: n, "squares": lambda n: n * n}
-    ps = first_primes(10**4)
-    prev = 0
-    for n in range(1, 10**4 + 1):
-        end = exponent_a(family, n)
-        term = ps[n - 1] if family == "primes" else terms[family](n)
-        assert end - prev == len(str(term))
-        prev = end
-
-
-@pytest.mark.parametrize("pos,want", [(11, 0), (15, 2)])
-def test_digit_at_integers(pos, want):
-    assert digit_at(ConcatSpec("integers"), pos) == want
-
-
-def test_digit_at_squares():
-    assert digit_at(ConcatSpec("squares"), 5) == 6
-
-
-@pytest.mark.parametrize("family", ["integers", "primes", "squares"])
-def test_random_access_equals_streaming(family):
-    spec = ConcatSpec(family)
-    stream = concat_digits(spec, 10**6)
-    digs = stream.prefix(10**6)
-    rng = random.Random(20260808)
-    for _ in range(1000):
-        i = rng.randrange(1, 10**6 + 1)
-        assert digit_at(spec, i) == digs[i - 1]
 
 
 def stoneham_oracle(b, c, s, n_digits):
@@ -213,25 +170,23 @@ def test_prime_counts_match_sieve():
 def test_prime_end_positions_match_cumulative_lengths():
     import numpy as np
 
-    from pilab.constructors import _end_position
+    from pilab.constructors import _term_index
 
     ps = first_primes(700_000)
-    cum = np.concatenate(([0], np.cumsum(np.char.str_len(ps.astype(str)))))
+    cum = np.concatenate(([0], np.cumsum(np.char.str_len(ps.astype(str))))).tolist()
     spec = ConcatSpec("primes")
-    # every 97th term, and every term across the run of 6-digit primes into 7 digits
-    for n in sorted(set(range(0, 700_001, 97)) | set(range(663_500, 665_700))):
-        assert _end_position(spec, n) == cum[n], n
+    # the first and the last digit of every 97th term, and of every term across
+    # the run of 6-digit primes into 7 digits
+    for n in sorted(set(range(1, 700_001, 97)) | set(range(663_500, 665_700))):
+        assert _term_index(spec, cum[n]) == n, n
+        assert _term_index(spec, cum[n - 1] + 1) == n, n
 
 
 def test_prime_positions_past_the_table_raise():
-    from pilab.constructors import _PRIME_COUNTS, _end_position
+    from pilab.constructors import _PRIME_COUNTS, _term_index
 
     spec = ConcatSpec("primes")
-    last = _end_position(spec, _PRIME_COUNTS[-1])
-    assert last == sum(d * (_PRIME_COUNTS[d] - _PRIME_COUNTS[d - 1]) for d in range(1, len(_PRIME_COUNTS)))
+    last = sum(d * (_PRIME_COUNTS[d] - _PRIME_COUNTS[d - 1]) for d in range(1, len(_PRIME_COUNTS)))
+    assert _term_index(spec, last) == _PRIME_COUNTS[-1]
     with pytest.raises(ValueError):
-        _end_position(spec, _PRIME_COUNTS[-1] + 1)
-    with pytest.raises(ValueError):
-        exponent_a("primes", _PRIME_COUNTS[-1] + 1)
-    with pytest.raises(ValueError):
-        digit_at(spec, last + 1)
+        _term_index(spec, last + 1)

@@ -191,7 +191,7 @@ def test_orders_of_ten_match_mult_order_below_ten_thousand():
 
 
 def test_orders_of_ten_at_lane_edge():
-    qs = primes.primes_in_range(LANE_MAX - 6000, LANE_MAX)[-200:].tolist()
+    qs = primes._sieve(LANE_MAX - 6000, LANE_MAX)[-200:].tolist()
     assert len(qs) == 200 and qs[-1] <= LANE_MAX < qs[-1] + 6000
     assert orders_of_ten(qs).tolist() == [mult_order(10, q) for q in qs]
 

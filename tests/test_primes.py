@@ -13,7 +13,7 @@ def trial_division_primes(lo, hi):
 def test_primes_in_range_every_small_window():
     for hi in range(-2, 130):
         for lo in range(0, hi + 3):
-            assert primes.primes_in_range(lo, hi).tolist() == trial_division_primes(lo, hi), (lo, hi)
+            assert primes._sieve(lo, hi).tolist() == trial_division_primes(lo, hi), (lo, hi)
 
 
 def test_primes_in_range_random_windows():
@@ -21,12 +21,12 @@ def test_primes_in_range_random_windows():
     for _ in range(300):
         lo = rng.randrange(0, 10**6)
         hi = min(lo + rng.randrange(0, 400), 10**6 - 1)
-        assert primes.primes_in_range(lo, hi).tolist() == trial_division_primes(lo, hi), (lo, hi)
+        assert primes._sieve(lo, hi).tolist() == trial_division_primes(lo, hi), (lo, hi)
 
 
 def test_prime_lists_are_int64_arrays():
-    for ps in (primes.primes_upto(1000), primes.primes_in_range(500, 1500),
-               primes.first_primes(200), primes.primes_upto(2), primes.primes_in_range(24, 28)):
+    for ps in (primes.primes_upto(1000), primes._sieve(500, 1500),
+               primes.first_primes(200), primes.primes_upto(2), primes._sieve(24, 28)):
         assert isinstance(ps, np.ndarray) and ps.dtype == np.int64
 
 

@@ -17,7 +17,6 @@ from pilab.radix import (
     ProducerExhaustedError,
     fractional_part,
     read_digit_file,
-    shifted_fraction,
     truncate,
     write_digit_file,
     write_text_atomic,
@@ -48,43 +47,6 @@ def test_truncate_pi_five_digits():
 def test_truncate_zero_digits_rejected():
     with pytest.raises(EmptyTruncationError):
         truncate(pi_stream_50(), 0)
-
-
-def test_shift_drops_leading_digits():
-    s = DigitStream.from_digits([1, 2, 3, 4, 5, 6, 7, 8], base=10)
-    shifted = shifted_fraction(s, 2, 4)
-    assert shifted.prefix(4) == bytes([3, 4, 5, 6])
-
-
-def test_shift_zero_is_identity():
-    s = pi_stream_50()
-    assert shifted_fraction(s, 0, 10).prefix(10) == s.prefix(10)
-
-
-def test_shift_pi_by_one():
-    assert shifted_fraction(pi_stream_50(), 1, 7).prefix(7) == bytes([4, 1, 5, 9, 2, 6, 5])
-
-
-def test_shift_preserves_exact_value():
-    s = DigitStream.from_rational(Fraction(1, 7))
-    shifted = shifted_fraction(s, 3, 10)
-    assert shifted.exact == Fraction(1, 7) * 1000 % 1
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    num=st.integers(min_value=0, max_value=10**6 - 1),
-    den=st.integers(min_value=1, max_value=10**6),
-    shift=st.integers(min_value=0, max_value=50),
-    n_digits=st.integers(min_value=1, max_value=50),
-)
-def test_shift_truncate_round_trip(num, den, shift, n_digits):
-    # truncate(shift(s, n), N) must equal truncate(s, n+N) * b^n mod 1 exactly
-    value = Fraction(num % den, den)
-    s = DigitStream.from_rational(value, base=10)
-    lhs = truncate(shifted_fraction(s, shift, n_digits), n_digits)
-    rhs = (truncate(s, shift + n_digits) * 10**shift) % 1
-    assert lhs == rhs
 
 
 @settings(max_examples=60, deadline=None)
@@ -123,13 +85,12 @@ def test_deterministic_reread():
     s = DigitStream.from_rational(Fraction(22, 700))
     first = s.prefix(200)
     assert s.prefix(200) == first
-    assert s.digit(137) == first[136]
 
 
 def test_finite_stream_exhaustion():
     s = DigitStream.from_digits([1, 2, 3])
     with pytest.raises(ProducerExhaustedError):
-        s.digit(4)
+        s.prefix(4)
 
 
 def test_fractional_part_exact_values():
@@ -254,4 +215,4 @@ def test_truncate_long_stream_with_radix_alone():
 def test_bad_digit_rejected():
     s = DigitStream(10, lambda n: [11] * n)
     with pytest.raises(ValueError):
-        s.digit(1)
+        s.prefix(1)

@@ -29,6 +29,8 @@ from .radix import read_digit_file, write_digit_file, write_text_atomic
 _REAL_FORMAT = ".17g"
 _NOT_PARAMS = {"command", "func", "out", "manifest"}  # every other parsed argument enters the manifest
 _EXPSUM_KEYS = {"modulus": "p", "generator": "g", "subgroup_order": "order"}  # report field -> payload key
+_REPORT_GUARD_DIGITS = 30  # report --const certifies this many digits past N
+REPORT_CONST_N_MAX = constants.DIGIT_CEILING - _REPORT_GUARD_DIGITS
 
 
 _ENCODE = json.encoder.encode_basestring_ascii  # the C routine json.dumps quotes strings with
@@ -195,7 +197,7 @@ def _cmd_coset(args) -> int:
 
 def _cmd_artin(args) -> int:
     outputs = []
-    qs, orders = table = groups.artin_orders(args.limit)
+    qs, orders = table = groups.artin_orders(args.limit, bounded=True)
     scan = groups.artin_scan(args.limit, table)
     if args.csv:
         lines = ["q,ord,is_artin"]
@@ -250,7 +252,10 @@ def _cmd_report(args) -> int:
         stream = read_digit_file(args.infile)
         inputs.append(args.infile)
     else:
-        stream = constants.const_digits(args.const, args.N + 30)
+        if args.N > REPORT_CONST_N_MAX:
+            raise ValueError(f"report --const certifies N + {_REPORT_GUARD_DIGITS} digits; "
+                             f"N = {args.N} exceeds {REPORT_CONST_N_MAX} (DIGIT_CEILING - {_REPORT_GUARD_DIGITS})")
+        stream = constants.const_digits(args.const, args.N + _REPORT_GUARD_DIGITS)
     payload = spectra.wall_criterion_report(stream, args.N, args.kmax, args.mmax)
     _write_outputs(args, _dump(payload), inputs=inputs)
     return 0

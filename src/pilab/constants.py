@@ -6,11 +6,20 @@ Chudnovsky binary splitting for pi, and a bit-burst atanh series against the
 AGM logarithm for the logarithms.  Digits are released only where both
 computations agree and the guard digits sit far from a rounding boundary, so
 every released digit is exact.
+
+The two engines of a pair share no state, so where a fork pays, one half of
+the pair runs in a forked child while this process runs the other (see
+_spawn); the values are bit for bit those of running them one after the other.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import signal
+import threading
+import warnings
 from fractions import Fraction
 
 from .radix import DigitStream, ProducerExhaustedError, digits_from_text
@@ -113,8 +122,12 @@ def _arc_series(p: int, q: int, one: int, sign: int) -> int:
     return one * p * (t >> cut) // (q * (bq >> cut))
 
 
+def _machin(atan_5: int, atan_239: int) -> int:
+    return 16 * atan_5 - 4 * atan_239
+
+
 def _pi_machin(one: int) -> int:
-    return 16 * _arc_series(1, 5, one, -1) - 4 * _arc_series(1, 239, one, -1)
+    return _machin(_arc_series(1, 5, one, -1), _arc_series(1, 239, one, -1))
 
 
 def _chud_leaf(k: int) -> tuple[int, int, int, int]:
@@ -209,6 +222,36 @@ def _ln_rational_atanh(num: int, den: int, w: int) -> int:
     return _bin_to_decimal(total, bits, w)
 
 
+def _agm_start(num: int, den: int, w: int) -> tuple[int, int, int, int]:
+    """(1, 4/s, m, f) for _ln_rational_agm: the AGM's two starting values at f
+    fractional bits, with s = (num/den) 2^m."""
+    if num <= 0 or den <= 0:
+        raise ValueError("log argument must be positive")
+    bits = _bits_for(w)
+    log2_s = bits // 2 + 33
+    m = log2_s - (num.bit_length() - den.bit_length())  # s >= 2^(log2_s - 1)
+    f = bits + log2_s + bits.bit_length() + 32
+    return 1 << f, (den << f + 2 + max(-m, 0)) // (num << max(m, 0)), m, f
+
+
+def _agm(a: int, b: int) -> int:
+    """The arithmetic-geometric mean of fixed-point a >= b, to within one ulp."""
+    while a - b > 1:  # b <= a throughout; the gap squares each step
+        a, b = (a + b) >> 1, math.isqrt(a * b)
+    return a
+
+
+def _agm_log(mean, m: int, f: int, w: int) -> int:
+    """ln s - m ln 2 scaled by 10^w, with ln s = pi / (2 mean()).  mean() is
+    called once pi and ln 2 are in hand, so an AGM running elsewhere overlaps
+    them."""
+    bits = _bits_for(w)
+    pi_f = _pi_bin(f)
+    ln2_f = _ln2_acoth_bin(f)
+    ln_s = (pi_f << f) // (2 * mean())
+    return _bin_to_decimal((ln_s - m * ln2_f) >> f - bits, bits, w)
+
+
 def _ln_rational_agm(num: int, den: int, w: int) -> int:
     """ln(num/den) * 10^w as ln s - m ln 2, ln s ~ pi / (2 AGM(1, 4/s)) (Brent 1976).
 
@@ -219,37 +262,126 @@ def _ln_rational_agm(num: int, den: int, w: int) -> int:
     F = bits + log2(s) + bitlen(bits) + 32.  Pi comes from Chudnovsky and
     ln 2 from _ln2_acoth_bin, independent of the bit-burst primary.
     """
-    if num <= 0 or den <= 0:
-        raise ValueError("log argument must be positive")
-    bits = _bits_for(w)
-    log2_s = bits // 2 + 33
-    m = log2_s - (num.bit_length() - den.bit_length())  # s >= 2^(log2_s - 1)
-    f = bits + log2_s + bits.bit_length() + 32
-    a, b = 1 << f, (den << f + 2 + max(-m, 0)) // (num << max(m, 0))  # 4/s
-    while a - b > 1:  # b <= a throughout; the gap squares each step
-        a, b = (a + b) >> 1, math.isqrt(a * b)
-    ln_s = (_pi_bin(f) << f) // (2 * a)
-    return _bin_to_decimal((ln_s - m * _ln2_acoth_bin(f)) >> f - bits, bits, w)
+    a, b, m, f = _agm_start(num, den, w)
+    return _agm_log(lambda: _agm(a, b), m, f, w)
+
+
+# Below this many working digits a pair runs in this process alone.  On a
+# 2-core host (CPython 3.11.7, pilab and numpy loaded) fork, pipe and waitpid
+# took 3.4 ms (median of 50), while atan(1/5) took 4.6 ms at w = 3000 and
+# 7.1 ms at w = 4000, and Chudnovsky with atan(1/239) 3.4 and 5.2 ms: the
+# overlap starts to repay the fork near w = 3000.
+_FORK_MIN_DIGITS = 4000
+
+
+def _fork_pays(w: int) -> bool:
+    """Whether half of a pair at w working digits runs in a forked child: fork
+    exists, a second CPU is ours, no other Python thread could hold a lock
+    across the fork, and w clears _FORK_MIN_DIGITS."""
+    if w < _FORK_MIN_DIGITS or not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+def _child(fd: int, fn, args) -> None:
+    """In a forked child: write fn(*args) to fd as an 8-byte length and the
+    int's signed little-endian bytes, then leave by os._exit (status 1 if
+    anything raised), never flushing inherited stdio or running atexit."""
+    status = 1
+    try:
+        value = fn(*args)
+        data = value.to_bytes(value.bit_length() // 8 + 1, "little", signed=True)
+        view = memoryview(len(data).to_bytes(8, "little") + data)
+        while view:
+            view = view[os.write(fd, view):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+@contextlib.contextmanager
+def _spawn(name: str, w: int, fn, *args):
+    """Compute the int fn(*args) beside the context's body, which gets a
+    join() returning it.
+
+    When _fork_pays(w), a forked child computes it and sends it back through a
+    pipe; join() reads it and reaps the child.  Otherwise, or if the fork
+    fails, it is computed here before the body runs.  Leaving the context
+    without a join (the body raised) kills and reaps the child.  A child that
+    raises, dies or sends a short result makes join() raise ArithmeticError
+    naming the constant ``name``.
+    """
+    pid = None
+    if _fork_pays(w):
+        rfd, wfd = os.pipe()
+        try:
+            with warnings.catch_warnings():
+                # 3.12+ warns on fork while any other OS thread (numpy's BLAS
+                # workers) runs; the child only does int arithmetic and write.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            os.close(rfd)
+        if pid == 0:
+            _child(wfd, fn, args)
+        os.close(wfd)
+    if pid is None:
+        value = fn(*args)
+        yield lambda: value
+        return
+    pipe = open(rfd, "rb")
+    reaped = False
+
+    def join() -> int:
+        nonlocal reaped
+        data = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+        what = f"{name}: the forked {fn.__name__}"
+        if code < 0:
+            raise ArithmeticError(f"{what} was killed by signal {-code}")
+        if code:
+            raise ArithmeticError(f"{what} exited with status {code}")
+        size = 8 + int.from_bytes(data[:8], "little")
+        if len(data) != size:
+            raise ArithmeticError(f"{what} sent {len(data)} bytes, not {size}")
+        return int.from_bytes(data[8:], "little", signed=True)
+
+    try:
+        yield join
+    finally:
+        pipe.close()
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _pi_scaled_pair(w: int) -> tuple[int, int]:
     one = 10**w
-    return _pi_machin(one), _pi_chudnovsky(one, w)
+    with _spawn("pi", w, _arc_series, 1, 5, one, -1) as atan_5:
+        chudnovsky = _pi_chudnovsky(one, w)
+        atan_239 = _arc_series(1, 239, one, -1)
+        return _machin(atan_5(), atan_239), chudnovsky
+
+
+def _ln_scaled_pair(name: str, num: int, den: int, w: int) -> tuple[int, int]:
+    """The two engines' ln(num/den) * 10^w; the AGM loop, which touches no
+    memo, is the half that may run in a forked child."""
+    a, b, m, f = _agm_start(num, den, w)
+    with _spawn(name, w, _agm, a, b) as mean:
+        return _ln_rational_atanh(num, den, w), _agm_log(mean, m, f, w)
 
 
 def _ln10_scaled_pair(w: int) -> tuple[int, int]:
-    return _ln_rational_atanh(10, 1, w), _ln_rational_agm(10, 1, w)
+    return _ln_scaled_pair("ln10", 10, 1, w)
 
 
 def _ln_pi_scaled_pair(w: int) -> tuple[int, int]:
     # ln(pi_hat) with pi_hat = P/10^(w+5); the substitution error is below
     # 10^-(w+4) and the truncation P is itself dual-certified.
-    p_scaled = _certified_scaled("pi", w + 5)
-    den = 10 ** (w + 5)
-    return (
-        _ln_rational_atanh(p_scaled, den, w),
-        _ln_rational_agm(p_scaled, den, w),
-    )
+    return _ln_scaled_pair("ln_pi", _certified_scaled("pi", w + 5), 10 ** (w + 5), w)
 
 
 _ENGINES = {

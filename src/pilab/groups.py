@@ -25,6 +25,10 @@ LANE_MAX = math.isqrt(2**63 - 1)  # int64 lanes multiply residues exactly while 
 # 2^23 admits that largest order for k <= 18 and refuses q_20 (order 33 166 008,
 # Python ints past LANE_MAX), which would take several GB.
 COSET_ORDER_MAX = 1 << 23
+# artin --limit 10**8 peaked at 657 MiB RSS (2 cores, CPython 3.11.7, numpy
+# 2.4.6): the sieve and the int64 prime and order arrays take about 6.9 bytes
+# per unit of limit.  ARTIN_LIMIT_MAX is where that rate reaches 2 GiB.
+ARTIN_LIMIT_MAX = 2048 * 10**8 // 657
 ArtinTable = tuple[np.ndarray, np.ndarray]  # (q, ord_q(10)) over the scanned primes
 
 
@@ -273,16 +277,20 @@ def orders_of_ten(qs) -> np.ndarray:
     return orders
 
 
-def artin_orders(limit: int) -> ArtinTable:
+def artin_orders(limit: int, *, bounded: bool = False) -> ArtinTable:
     """(q, ord_q(10)) as int64 arrays over the primes q <= limit except 2 and 5.
 
-    A limit below 100, or one that would admit a prime above LANE_MAX, raises
-    before sieving.
+    A limit below 100, one that would admit a prime above LANE_MAX, or, when
+    ``bounded`` (as the CLI asks), one above ARTIN_LIMIT_MAX, raises before
+    sieving.
     """
     if limit < 100:
         raise ValueError("limit must be >= 100")
     if limit >= primes.next_prime(LANE_MAX + 1):
         raise ValueError(f"artin limit {limit} admits primes above {LANE_MAX}, past the int64 lanes")
+    if bounded and limit > ARTIN_LIMIT_MAX:
+        raise ValueError(f"artin limit {limit} exceeds ARTIN_LIMIT_MAX = {ARTIN_LIMIT_MAX}: "
+                         "its in-memory sieve would pass 2 GiB")
     qs = primes.primes_upto(limit)
     qs = qs[(qs != 2) & (qs != 5)]
     return qs, orders_of_ten(qs)

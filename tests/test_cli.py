@@ -396,3 +396,33 @@ def test_help_texts_exist(capsys):
         code, out, _ = run(capsys, sub, "--help")
         assert code == 0
         assert "usage" in out.lower()
+
+
+def test_report_const_refuses_n_past_its_ceiling_before_certifying(capsys, monkeypatch):
+    from pilab import constants
+    from pilab.cli import REPORT_CONST_N_MAX
+
+    def refuse(name, n_digits):
+        raise AssertionError(f"certified {n_digits} digits of {name}")
+
+    monkeypatch.setattr(constants, "_certify", refuse)
+    assert REPORT_CONST_N_MAX == constants.DIGIT_CEILING - 30
+    code, out, err = run(capsys, "report", "--const", "pi", "--N", str(REPORT_CONST_N_MAX + 1))
+    assert code == 1 and out == ""
+    assert err == (f"error: report --const certifies N + 30 digits; N = {REPORT_CONST_N_MAX + 1} "
+                   f"exceeds {REPORT_CONST_N_MAX} (DIGIT_CEILING - 30)\n")
+
+
+def test_artin_limit_past_memory_ceiling_exit_one_before_sieving(capsys, monkeypatch):
+    from pilab import primes
+    from pilab.groups import ARTIN_LIMIT_MAX
+
+    def refuse(limit):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(primes, "primes_upto", refuse)
+    for limit in (ARTIN_LIMIT_MAX + 1, 3037000500):
+        code, _, err = run(capsys, "artin", "--limit", str(limit))
+        assert code == 1
+        assert err == (f"error: artin limit {limit} exceeds ARTIN_LIMIT_MAX = {ARTIN_LIMIT_MAX}: "
+                       "its in-memory sieve would pass 2 GiB\n")

@@ -197,7 +197,7 @@ def _cmd_coset(args) -> int:
 
 def _cmd_artin(args) -> int:
     outputs = []
-    qs, orders = table = groups.artin_orders(args.limit, bounded=True)
+    qs, orders = table = groups.artin_orders(args.limit)
     scan = groups.artin_scan(args.limit, table)
     if args.csv:
         lines = ["q,ord,is_artin"]

@@ -332,13 +332,13 @@ def _spawn(name: str, w: int, fn, *args):
         yield lambda: value
         return
     pipe = open(rfd, "rb")
-    reaped = False
 
     def join() -> int:
-        nonlocal reaped
+        nonlocal pid
         data = pipe.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        reaped = True
+        status = os.waitpid(pid, 0)[1]
+        pid = None  # reaped
+        code = os.waitstatus_to_exitcode(status)
         what = f"{name}: the forked {fn.__name__}"
         if code < 0:
             raise ArithmeticError(f"{what} was killed by signal {-code}")
@@ -353,9 +353,20 @@ def _spawn(name: str, w: int, fn, *args):
         yield join
     finally:
         pipe.close()
-        if not reaped:
+        if pid is not None:
+            _kill_unreaped(pid)
+
+
+def _kill_unreaped(pid: int) -> None:
+    """Kill and reap the forked child pid, unless an interrupt landed in join()
+    after waitpid reaped it but before pid was cleared: the WNOHANG probe finds
+    it gone then, and a pid that may have been reused is never signalled."""
+    try:
+        if os.waitpid(pid, os.WNOHANG)[0] == 0:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    except ChildProcessError:
+        pass
 
 
 def _pi_scaled_pair(w: int) -> tuple[int, int]:

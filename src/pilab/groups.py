@@ -277,18 +277,17 @@ def orders_of_ten(qs) -> np.ndarray:
     return orders
 
 
-def artin_orders(limit: int, *, bounded: bool = False) -> ArtinTable:
+def artin_orders(limit: int) -> ArtinTable:
     """(q, ord_q(10)) as int64 arrays over the primes q <= limit except 2 and 5.
 
-    A limit below 100, one that would admit a prime above LANE_MAX, or, when
-    ``bounded`` (as the CLI asks), one above ARTIN_LIMIT_MAX, raises before
-    sieving.
+    A limit below 100, one that would admit a prime above LANE_MAX, or one
+    above ARTIN_LIMIT_MAX raises before sieving.
     """
     if limit < 100:
         raise ValueError("limit must be >= 100")
     if limit >= primes.next_prime(LANE_MAX + 1):
         raise ValueError(f"artin limit {limit} admits primes above {LANE_MAX}, past the int64 lanes")
-    if bounded and limit > ARTIN_LIMIT_MAX:
+    if limit > ARTIN_LIMIT_MAX:
         raise ValueError(f"artin limit {limit} exceeds ARTIN_LIMIT_MAX = {ARTIN_LIMIT_MAX}: "
                          "its in-memory sieve would pass 2 GiB")
     qs = primes.primes_upto(limit)

@@ -83,6 +83,26 @@ def test_parent_interrupt_kills_and_reaps_the_child(forks):
     assert len(forks) == 1 and time.monotonic() - start < 10
 
 
+def test_interrupt_just_after_the_reap_neither_signals_nor_masks(monkeypatch, forks):
+    waitpid = os.waitpid
+
+    def reap_then_interrupt(pid, options):
+        result = waitpid(pid, options)
+        if options == 0:
+            raise KeyboardInterrupt  # as if Ctrl-C landed before join() cleared pid
+        return result
+
+    def refuse_kill(pid, sig):
+        raise AssertionError(f"signalled reaped pid {pid}")
+
+    monkeypatch.setattr(os, "waitpid", reap_then_interrupt)
+    monkeypatch.setattr(os, "kill", refuse_kill)
+    with pytest.raises(KeyboardInterrupt):
+        with constants._spawn("pi", W, int, 7) as join:
+            join()
+    assert len(forks) == 1
+
+
 @pytest.mark.parametrize("failure", ["raise", "exit"])
 def test_cli_exits_one_when_the_forked_agm_fails(monkeypatch, capsys, forks, failure):
     def broken(a, b):

@@ -226,8 +226,10 @@ def test_artin_limit_past_lanes_raises_before_sieving(monkeypatch):
     for limit in (first_past, LANE_MAX + 10**6, 4 * 10**9):
         with pytest.raises(ValueError):
             artin_orders(limit)
-    # one below the boundary the sieve is reached; stand it in by its top primes
+    # one below the boundary the sieve is reached; stand it in by its top primes,
+    # and lift the memory ceiling that a real sieve that large would pass
     monkeypatch.setattr(primes, "primes_upto", lambda limit: np.array([2, 3, 5, 7, below]))
+    monkeypatch.setattr(groups, "ARTIN_LIMIT_MAX", first_past)
     qs, orders = artin_orders(first_past - 1)
     assert qs.tolist() == [3, 7, below]
     assert orders.tolist() == [mult_order(10, q) for q in (3, 7, below)]

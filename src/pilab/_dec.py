@@ -1,0 +1,165 @@
+"""Exact integer arithmetic on stdlib ``decimal``, and exact rationals
+N / (d 10^e) built on it.
+
+CPython 3.11 converts int to text and text to int in quadratic time; libmpdec
+does both in linear time, and multiplies by number-theoretic transform.
+Values are built from digit text or from small ints, never converted from a
+full-width int (that conversion is quadratic too: 25.6 s at 10^6 digits).
+"""
+
+from __future__ import annotations
+
+import decimal
+import functools
+import math
+from decimal import Decimal
+from fractions import Fraction
+
+_ONE = Decimal(1)
+_TRAPS = [decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow]
+
+
+def exact_context(digits: int) -> decimal.Context:
+    """A context for integer results of at most ``digits`` digits.
+
+    ``Inexact`` and ``Rounded`` are trapped, so a result that does not fit
+    raises instead of rounding; so does an integer division whose quotient
+    does not fit.
+    """
+    return decimal.Context(prec=digits, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX, traps=_TRAPS)
+
+
+@functools.lru_cache(maxsize=None)
+def _power_of_two_context(bits: int) -> decimal.Context:
+    return exact_context(1 << bits)
+
+
+def context_for(digits: int) -> decimal.Context:
+    """A shared exact context of at least ``digits`` digits (the next power of two)."""
+    return _power_of_two_context(max(digits, 1).bit_length())
+
+
+def _digits(x: Decimal) -> int:
+    """Digit count of a nonzero integer-valued Decimal with exponent 0 (1 for 0)."""
+    return x.adjusted() + 1
+
+
+def parts(x: int | Fraction) -> tuple[Decimal, int, int]:
+    """(N, d, e) with x = N / (d 10^e): a DecimalFraction's own, else e = 0."""
+    if isinstance(x, DecimalFraction):
+        return x.num, x.den, x.exp
+    return Decimal(x.numerator), x.denominator, 0
+
+
+class DecimalFraction(Fraction):
+    """The exact rational num / (den 10^exp), held unreduced.
+
+    ``num`` is an integer-valued Decimal with exponent 0, ``den`` a positive
+    int, ``exp`` >= 0.  It is a ``Fraction``: ``numerator`` and
+    ``denominator`` give lowest terms on first use, which converts ``num``
+    to an int.  ``text()`` gives the same lowest terms as "num/den" without
+    that conversion.  ``+`` and ``-`` with an int or a Fraction, and ``*``
+    by an int, stay in this form.
+    """
+
+    __slots__ = ("num", "den", "exp", "_terms")
+
+    def __new__(cls, num, den: int = 1, exp: int = 0):
+        if den < 1 or exp < 0:
+            raise ValueError(f"need den >= 1 and exp >= 0, got {den}, {exp}")
+        self = object.__new__(cls)
+        self.num = num if isinstance(num, Decimal) else Decimal(num)
+        self.den, self.exp, self._terms = den, exp, None
+        return self
+
+    def _lowest_terms(self) -> tuple[int, int]:
+        if self._terms is None:
+            reduced = Fraction(int(self.num), self.den * 10**self.exp)
+            self._terms = (reduced.numerator, reduced.denominator)
+        return self._terms
+
+    # Fraction's own methods read these, so they all see lowest terms
+    numerator = _numerator = property(lambda self: self._lowest_terms()[0])
+    denominator = _denominator = property(lambda self: self._lowest_terms()[1])
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def __neg__(self):
+        return DecimalFraction(self.num.copy_negate(), self.den, self.exp)
+
+    def _combine(self, other, sign: int):
+        """self + sign * other, or None when ``other`` is not an int or Fraction."""
+        if not isinstance(other, (int, Fraction)):
+            return None
+        (na, da, ea), (nb, db, eb) = parts(self), parts(other)
+        g = math.gcd(da, db)
+        fa, fb = Decimal(db // g), Decimal(da // g)
+        top = max(ea, eb)
+        ctx = context_for(max(_digits(na) + _digits(fa) + top - ea, _digits(nb) + _digits(fb) + top - eb) + 1)
+        a = ctx.scaleb(ctx.multiply(na, fa), top - ea)
+        b = ctx.scaleb(ctx.multiply(nb, fb), top - eb)
+        return DecimalFraction(ctx.add(a, b) if sign > 0 else ctx.subtract(a, b), da // g * db, top)
+
+    def __add__(self, other):
+        result = self._combine(other, 1)
+        return super().__add__(other) if result is None else result
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        result = self._combine(other, -1)
+        return super().__sub__(other) if result is None else result
+
+    def __rsub__(self, other):
+        result = self._combine(other, -1)
+        return super().__rsub__(other) if result is None else -result
+
+    def __mul__(self, other):
+        if not isinstance(other, int):
+            return super().__mul__(other)
+        factor = Decimal(other)
+        ctx = context_for(_digits(self.num) + _digits(factor))
+        return DecimalFraction(ctx.multiply(self.num, factor), self.den, self.exp)
+
+    __rmul__ = __mul__
+
+    def text(self) -> str:
+        """Lowest terms as "num/den", reduced in decimal.
+
+        Write N = num, d = den, e = exp.  Every factor 2 and 5 that N shares
+        with d 10^e is already shared with d 10^T, T = min(e, max(v2(N),
+        v5(N))), so g = gcd(N mod d 10^T, d 10^T) is the whole gcd.
+        """
+        n, d, e = self.num, self.den, self.exp
+        if not n:
+            return "0/1"
+        big_d = Decimal(d)
+        ctx = context_for(max(_digits(n), _digits(big_d)))
+        t = _max_valuation(n, e, ctx)
+        modulus = d * 10**t
+        g = math.gcd(int(ctx.remainder(n, ctx.scaleb(big_d, t))), modulus)
+        if g > 1:
+            n = ctx.divide_int(n, Decimal(g))
+        return f"{n}/{modulus // g}{'0' * (e - t)}"
+
+
+def _max_valuation(n: Decimal, cap: int, ctx: decimal.Context) -> int:
+    """min(cap, max(v2(n), v5(n))) for a nonzero integer n, read off its last
+    digits: n = w mod 10^width, so a valuation of w below width is n's own.
+    The window doubles while it does not settle."""
+    width = 16
+    while True:
+        w = abs(int(ctx.remainder(n, ctx.scaleb(_ONE, width))))
+        if w:
+            v2 = (w & -w).bit_length() - 1
+            v5 = 0
+            while w % 5 == 0:
+                w //= 5
+                v5 += 1
+            found = max(v2, v5)
+        else:
+            found = width
+        if found < width or width >= cap:
+            return min(cap, found)
+        width *= 2

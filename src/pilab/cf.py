@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from decimal import Decimal
 from fractions import Fraction
 from itertools import takewhile
 from typing import Optional, Sequence
 
 from . import constants, groups
+from ._dec import DecimalFraction, context_for, parts
 from .radix import (
     DigitStream,
     EmptyTruncationError,
@@ -21,6 +23,17 @@ from .radix import (
     text_from_digits,
     truncate,
 )
+
+# The largest audit n_max.  Row n's first pass reads 2n + guard digits of pi
+# (guard >= 22, `_guard_digits(1)`), so DIGIT_CEILING admits n <= 49 989.  The
+# report binds first: it is built in memory whole, and row n prints a few
+# values of about 2n digits each, so it grows as n_max^2.  Measured for k = 12:
+# 3.4 n_max^2 bytes for caseII (7 629 238 at n_max = 1500) and 5.5 n_max^2 for
+# the prime variant (12 402 218).  At 6 n_max^2 bytes against a 128 MiB report,
+# n_max <= 4729.  There a prime audit printed 115 MB in 2.0 s at a peak RSS of
+# 297 MB on a 2-core x86-64 host.
+_AUDIT_REPORT_BYTES_MAX = 2**27
+AUDIT_NMAX_MAX = min((constants.DIGIT_CEILING - 22) // 2, math.isqrt(_AUDIT_REPORT_BYTES_MAX // 6))
 
 
 class InsufficientPrecisionError(ArithmeticError):
@@ -73,6 +86,8 @@ class AuditConfig:
             raise ValueError(f"mu must be a finite number >= 2, got {self.mu}")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
+        if self.n_max > AUDIT_NMAX_MAX:
+            raise ValueError(f"n_max = {self.n_max} exceeds AUDIT_NMAX_MAX = {AUDIT_NMAX_MAX}")
 
 
 @dataclass(frozen=True)
@@ -210,22 +225,23 @@ def pi_convergents(depth: int) -> list[Convergent]:
     return cf_expand(digits, 3, depth)
 
 
-def _pi_shift_scaled(n: int, n_digits: int) -> int:
-    """floor({pi * 10^n} * 10^n_digits): digits n+1 .. n+n_digits of pi."""
+def _pi_shift_scaled(n: int, n_digits: int) -> Decimal:
+    """floor({pi * 10^n} * 10^n_digits): digits n+1 .. n+n_digits of pi,
+    read from their text."""
     if n < 0:
         raise ValueError("shift must be >= 0")
     if n_digits < 1:
         raise EmptyTruncationError("cannot truncate to zero digits")
     digits = constants.certified_digits("pi", n + n_digits)
-    return int(text_from_digits(digits[n : n + n_digits]))
+    return Decimal(text_from_digits(digits[n : n + n_digits]))
 
 
-def frac_pi_shift(n: int, n_digits: int) -> Fraction:
+def frac_pi_shift(n: int, n_digits: int) -> DecimalFraction:
     """Truncation of {pi * 10^n} to ``n_digits`` digits, exact via digit shift.
 
     The true fractional part lies in [result, result + 10^-n_digits).
     """
-    return Fraction(_pi_shift_scaled(n, n_digits), 10**n_digits)
+    return DecimalFraction(_pi_shift_scaled(n, n_digits), 1, n_digits)
 
 
 def residue_decompose(conv: Convergent, n: int, modulus: Optional[int] = None) -> ResidueDecomposition:
@@ -234,8 +250,9 @@ def residue_decompose(conv: Convergent, n: int, modulus: Optional[int] = None) -
     if n < 1:
         raise ValueError("n must be >= 1")
     m = conv.q if modulus is None else modulus
-    a_n, r_n = divmod(10**n * conv.p, m)
-    b_n, rem = divmod((conv.p * conv.q + 1) * 10**n, m * m)
+    scale = 10**n
+    a_n, r_n = divmod(scale * conv.p, m)
+    b_n, rem = divmod((conv.p * conv.q + 1) * scale, m * m)
     s_n, c_n = divmod(rem, m)
     return ResidueDecomposition(n=n, modulus=m, a_n=a_n, r_n=r_n, b_n=b_n, s_n=s_n, c_n=c_n)
 
@@ -288,31 +305,37 @@ def _inv_power(base_int: int, mu: float, prec: int) -> tuple[Fraction, bool]:
     return Fraction(scaled, 10**prec), False
 
 
-def _value_with_margin(
-    lower: Fraction, upper: Fraction, n: int, q: int
-) -> tuple[Fraction, int, bool]:
+def _row_value(lower: Fraction, upper: Fraction, n: int, q: int) -> tuple[DecimalFraction, bool]:
     """Certified pass/fail of lower <= {pi 10^n} <= upper, widening precision
     until the truncated value clears both endpoints decisively.
 
     With V = floor({pi 10^n} 10^prec) the true value lies in
-    [V, V + 1) / 10^prec, so each endpoint test is one integer
-    cross-multiplication.
+    [V, V + 1) / 10^prec.  For an endpoint N / (d 10^e), V / 10^prec >= it
+    exactly when (V d) 10^-prec >= N 10^-e: one exact Decimal product and
+    one comparison.  Returns V / 10^prec and the verdict.
     """
-    lo_num, lo_den = lower.numerator, lower.denominator
-    up_num, up_den = upper.numerator, upper.denominator
+    (lo_n, lo_d, lo_e), (up_n, up_d, up_e) = parts(lower), parts(upper)
+    lo_d, up_d = Decimal(lo_d), Decimal(up_d)
     prec = n + _guard_digits(q)
     for _ in range(4):
         v = _pi_shift_scaled(n, prec)
-        scale = 10**prec
-        lo_at, up_at = lo_num * scale, up_num * scale
-        lower_ok = v * lo_den >= lo_at
-        lower_fail = (v + 1) * lo_den <= lo_at
-        upper_ok = (v + 1) * up_den <= up_at
-        upper_fail = v * up_den > up_at
+        ctx = context_for(prec + max(lo_d.adjusted(), up_d.adjusted(), lo_n.adjusted(), up_n.adjusted()) + 2)
+        lo_at, up_at = ctx.scaleb(lo_n, -lo_e), ctx.scaleb(up_n, -up_e)
+        v_lo, v_up = ctx.scaleb(ctx.multiply(v, lo_d), -prec), ctx.scaleb(ctx.multiply(v, up_d), -prec)
+        lower_ok = v_lo >= lo_at
+        lower_fail = ctx.add(v_lo, ctx.scaleb(lo_d, -prec)) <= lo_at
+        upper_ok = ctx.add(v_up, ctx.scaleb(up_d, -prec)) <= up_at
+        upper_fail = v_up > up_at
         if (lower_ok or lower_fail) and (upper_ok or upper_fail):
-            return Fraction(v, scale), -prec, lower_ok and upper_ok
+            return DecimalFraction(v, 1, prec), lower_ok and upper_ok
         prec *= 2
     raise InsufficientPrecisionError(n)
+
+
+def _value_with_margin(lower: Fraction, upper: Fraction, n: int, q: int) -> tuple[Fraction, int, bool]:
+    """``_row_value`` in plain Fractions: (value, value error exponent, pass)."""
+    value, passed = _row_value(lower, upper, n, q)
+    return Fraction(value), -value.exp, passed
 
 
 def _lemma_audit(
@@ -327,11 +350,11 @@ def _lemma_audit(
     for n in ns:
         dec = residue_decompose(conv, n)
         lower, upper = bounds(dec)
-        value, err_exp, passed = _value_with_margin(lower, upper, n, q)
+        value, passed = _row_value(lower, upper, n, q)
         rows.append(
             AuditRow(
                 n=n, r=dec.r_n, s=dec.s_n if case_two else None, c=dec.c_n if case_two else None,
-                lower=lower, upper=upper, value=value, value_error_exp=err_exp, passed=passed,
+                lower=lower, upper=upper, value=value, value_error_exp=-value.exp, passed=passed,
                 margin_lower=value - lower, margin_upper=upper - value, lower_exact=lower_exact,
             )
         )
@@ -378,9 +401,10 @@ def audit_lemma_prime_variant(conv: Convergent, cfg: AuditConfig = AuditConfig()
     rows = []
     guard = _guard_digits(prime)
     term, _ = _inv_power(2 * prime, cfg.mu, guard)
+    q0_digits = len(str(q0))
     for n in range(1, cfg.n_max + 1):
         dec = residue_decompose(conv, n, prime)
-        case_one = 10**n <= q0
+        case_one = n < q0_digits  # 10^n <= q0
         lower = Fraction(dec.r_n, 2 * prime) + (0 if case_one else term)
         upper = Fraction(dec.r_n + 1 if case_one else dec.s_n, prime)
         prec = n + guard
@@ -410,7 +434,9 @@ _AS_TEXT = {"p": str, "q": str, "q_k": str, "prime": str, "mu": repr}
 
 def audit_payload(audit) -> dict:
     """An audit's or a row's fields under their report keys; exact rationals
-    stay ``Fraction``s, which the report writer renders as num/den strings."""
+    stay ``Fraction``s, which the report writer renders as num/den strings
+    (row values, margins and residuals as ``DecimalFraction``s, reduced in
+    decimal)."""
     payload = {}
     for f in fields(audit):
         value = getattr(audit, f.name)

@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__, cf, constants, constructors, groups, spectra
+from ._dec import DecimalFraction
 from .radix import read_digit_file, write_digit_file, write_text_atomic
 
 _REAL_FORMAT = ".17g"
@@ -67,6 +68,8 @@ def _render(obj, newline: str, parts: list[str]) -> None:
         parts.append(int.__repr__(obj))
     elif isinstance(obj, float):
         parts.append(f'"{obj:{_REAL_FORMAT}}"')
+    elif isinstance(obj, DecimalFraction):
+        parts.append(f'"{obj.text()}"')  # lowest terms without a full-width int
     elif isinstance(obj, Fraction):
         parts.append(f'"{obj.numerator}/{obj.denominator}"')
     elif isinstance(obj, dict):
@@ -166,9 +169,8 @@ def _cmd_cf(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    convs = cf.pi_convergents(args.k)
-    conv = convs[args.k]
-    cfg = cf.AuditConfig(mu=args.mu, n_max=args.nmax)
+    cfg = cf.AuditConfig(mu=args.mu, n_max=args.nmax)  # refuses an n_max past AUDIT_NMAX_MAX first
+    conv = cf.pi_convergents(args.k)[args.k]
     if args.lemma == "caseI":
         audit = cf.audit_lemma_caseI(conv, cfg)
     elif args.lemma == "caseII":

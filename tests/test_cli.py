@@ -426,3 +426,17 @@ def test_artin_limit_past_memory_ceiling_exit_one_before_sieving(capsys, monkeyp
         assert code == 1
         assert err == (f"error: artin limit {limit} exceeds ARTIN_LIMIT_MAX = {ARTIN_LIMIT_MAX}: "
                        "its in-memory sieve would pass 2 GiB\n")
+
+
+@pytest.mark.parametrize("lemma", ["caseI", "caseII", "prime"])
+def test_audit_refuses_nmax_past_its_ceiling_before_any_row(capsys, monkeypatch, lemma):
+    from pilab import cf
+
+    def refuse(depth):
+        raise AssertionError(f"expanded pi to depth {depth}")
+
+    monkeypatch.setattr(cf, "pi_convergents", refuse)
+    assert cf.AUDIT_NMAX_MAX == 4729
+    code, out, err = run(capsys, "audit", "--lemma", lemma, "--k", "12", "--nmax", str(cf.AUDIT_NMAX_MAX + 1))
+    assert code == 1 and out == ""
+    assert err == f"error: n_max = {cf.AUDIT_NMAX_MAX + 1} exceeds AUDIT_NMAX_MAX = {cf.AUDIT_NMAX_MAX}\n"

@@ -32,6 +32,8 @@ CASES = {
         "audit", "--lemma", "caseII", "--k", "6", "--nmax", "200", "--mu", "2.5"),
     "audit-caseII-k6-mu2.123": (  # exponent 1123/1000: a 30 000-digit root, inside DIGIT_CEILING
         "audit", "--lemma", "caseII", "--k", "6", "--nmax", "60", "--mu", "2.123"),
+    "audit-caseII-k12": ("audit", "--lemma", "caseII", "--k", "12", "--nmax", "400"),  # default mu
+    "audit-caseII-k1-mu2": ("audit", "--lemma", "caseII", "--k", "1", "--mu", "2"),  # 12 failing rows
     "audit-prime-k6": ("audit", "--lemma", "prime", "--k", "6", "--nmax", "40"),
     "audit-prime-k6-mu2.123": ("audit", "--lemma", "prime", "--k", "6", "--nmax", "40", "--mu", "2.123"),
     "expsum-1999": ("expsum", "--p", "1999"),
@@ -46,6 +48,8 @@ DIGESTS = {
     "audit-caseI-k8": "3b871831db765e32c0b1a0516e75a64f4f52465591592c8562742d997945e0ff",
     "audit-caseII-k6-mu2.5": "bf92214d63602ecacc58229f42c6c6ae5ca09670dc2c2c782a08a279f482089b",
     "audit-caseII-k6-mu2.123": "e309a2d20a75ba95b69d8a8e5967e90b9e1471090fbe431e9e05a77ec5338a63",
+    "audit-caseII-k12": "627f653f9089b405cacb52495e20d484935f385961a03ee40215295d32974dbc",
+    "audit-caseII-k1-mu2": "050804d64fae969c0e6e66ee21ff5f310f33e76106043413959bb86af7c78ee3",
     "audit-prime-k6": "d94739c36734fe752730d7227df3a6d89aaacd11e82abfa888e858a10a3148a2",
     "audit-prime-k6-mu2.123": "8e8f85a53163b80d6a6f65a75f5dcbae546aedab04fb1170256909854f77bc30",
     "cf-depth-20": "ce696a0d5ee60a719e5257d951f32049ee32f8206dbebbb4453a5aec70baef8c",

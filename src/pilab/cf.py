@@ -7,6 +7,7 @@ plus signed margins, and findings are data for the caller to interpret.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from decimal import Decimal
@@ -56,15 +57,28 @@ class Convergent:
 
 @dataclass(frozen=True)
 class ResidueDecomposition:
-    """Exact division data: 10^n p = a_n q + r_n and (p q + 1) 10^n = b_n q^2 + s_n q + c_n."""
+    """Exact division data: 10^n p = a_n q + r_n and (p q + 1) 10^n = b_n q^2 + s_n q + c_n.
+
+    The residues are fields; the full-width quotients a_n and b_n, which no
+    audit row reads, are computed from p and q on first access.
+    """
 
     n: int
     modulus: int
-    a_n: int
     r_n: int
-    b_n: int
     s_n: int
     c_n: int
+    p: int
+    q: int
+
+    @functools.cached_property
+    def a_n(self) -> int:
+        return (10**self.n * self.p - self.r_n) // self.modulus
+
+    @functools.cached_property
+    def b_n(self) -> int:
+        m = self.modulus
+        return ((self.p * self.q + 1) * 10**self.n - self.s_n * m - self.c_n) // (m * m)
 
     def reconstructs(self, p: int, q: int) -> bool:
         first = 10**self.n * p == self.a_n * self.modulus + self.r_n
@@ -249,12 +263,11 @@ def residue_decompose(conv: Convergent, n: int, modulus: Optional[int] = None) -
     ``modulus``: q_k by default, the window prime in the prime-modulus audit."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = conv.q if modulus is None else modulus
-    scale = 10**n
-    a_n, r_n = divmod(scale * conv.p, m)
-    b_n, rem = divmod((conv.p * conv.q + 1) * scale, m * m)
-    s_n, c_n = divmod(rem, m)
-    return ResidueDecomposition(n=n, modulus=m, a_n=a_n, r_n=r_n, b_n=b_n, s_n=s_n, c_n=c_n)
+    p, q = conv.p, conv.q
+    m = q if modulus is None else modulus
+    r_n = pow(10, n, m) * p % m
+    s_n, c_n = divmod(pow(10, n, m * m) * (p * q + 1) % (m * m), m)
+    return ResidueDecomposition(n=n, modulus=m, r_n=r_n, s_n=s_n, c_n=c_n, p=p, q=q)
 
 
 def _nth_root_floor(x: int, n: int) -> int:

@@ -274,15 +274,21 @@ def _ln_rational_agm(num: int, den: int, w: int) -> int:
 _FORK_MIN_DIGITS = 4000
 
 
+def _second_cpu() -> bool:
+    """Whether a second CPU is ours: in the affinity mask where the platform
+    has one, else in os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
 def _fork_pays(w: int) -> bool:
     """Whether half of a pair at w working digits runs in a forked child: fork
     exists, a second CPU is ours, no other Python thread could hold a lock
     across the fork, and w clears _FORK_MIN_DIGITS."""
     if w < _FORK_MIN_DIGITS or not hasattr(os, "fork") or threading.active_count() > 1:
         return False
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) >= 2
-    return (os.cpu_count() or 1) >= 2
+    return _second_cpu()
 
 
 def _child(fd: int, fn, args) -> None:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import threading
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -205,6 +206,40 @@ def _exact_sum(x) -> float:
     return total / (1 << -_MIN_EXP)  # int true division rounds half to even
 
 
+def _split_chunks(work, count: int) -> list:
+    """[work(i) for i in range(count)], run on two CPUs when a second is ours.
+
+    The calling thread runs the lower half of the indices and one helper
+    thread the upper half, joined before this returns; numpy's loops release
+    the GIL, so the halves overlap.  An exception raised in the helper is
+    raised here after the join.  ``work`` must touch only numpy and private
+    helpers of this module, and each index only its own output.
+    """
+    # on one CPU the two halves only take turns: shifted_points and weyl_sum
+    # over 10^6 points ran 8-14% slower split than serial, pinned to one
+    # core of a 2-core VM
+    if count < 2 or not constants._second_cpu():
+        return [work(i) for i in range(count)]
+    half = (count + 1) // 2
+    upper, failed = [], []
+
+    def run():
+        try:
+            upper.extend(work(i) for i in range(half, count))
+        except BaseException as exc:
+            failed.append(exc)
+
+    helper = threading.Thread(target=run, name="spectra-chunks")
+    helper.start()
+    try:
+        lower = [work(i) for i in range(half)]
+    finally:
+        helper.join()
+    if failed:
+        raise failed[0]
+    return lower + upper
+
+
 def weyl_sum(pts: PointSet, m_list: Sequence[int]) -> WeylReport:
     """Normalized magnitudes |sum e(2 pi i m u_n)| / N for each frequency m != 0.
 
@@ -217,16 +252,19 @@ def weyl_sum(pts: PointSet, m_list: Sequence[int]) -> WeylReport:
     ms = list(m_list)
     if 0 in ms:
         raise ValueError("frequency m = 0 is not admissible")
-    sums = [[0, 0] for _ in ms]
-    for lo in range(0, n, _CHUNK):
-        u = pts.points[lo : lo + _CHUNK]
-        for j, m in enumerate(ms):
-            phase = 2.0 * math.pi * m * u
-            sums[j][0] += _chunk_sum(np.cos(phase))
-            sums[j][1] += _chunk_sum(np.sin(phase))
+    points = pts.points
+
+    def chunk(i):
+        u = points[i * _CHUNK : (i + 1) * _CHUNK]
+        return [(_chunk_sum(np.cos(phase)), _chunk_sum(np.sin(phase)))
+                for phase in (2.0 * math.pi * m * u for m in ms)]
+
+    chunks = _split_chunks(chunk, -(-n // _CHUNK))
     rows = []
     unit = 1 << -_MIN_EXP
-    for m, (re, im) in zip(ms, sums):
+    for j, m in enumerate(ms):
+        re = sum(part[j][0] for part in chunks)
+        im = sum(part[j][1] for part in chunks)
         mag = math.hypot(re / unit, im / unit) / n
         err = 2.0 * math.pi * abs(m) * pts.eps + _FLOAT_SLOP
         rows.append(WeylRow(m=m, magnitude=mag, error_bound=err))
@@ -406,11 +444,15 @@ def shifted_points(digits: DigitStream, n_points: int, shift_digits: int = 24) -
     digits.ensure(n_points + shift_digits)
     digs = np.frombuffer(digits.prefix(n_points + shift_digits), np.uint8)
     pts = np.empty(n_points, dtype=np.float64)
-    for lo in range(0, n_points, _CHUNK):
+
+    def chunk(i):
+        lo = i * _CHUNK
         count = min(_CHUNK, n_points - lo)
         # points n = lo+1 .. lo+count read the digits n .. n+S-1
         seg = digs[lo + 1 : lo + count + shift_digits]
         pts[lo : lo + count] = _window_values(seg, count, b, shift_digits)
+
+    _split_chunks(chunk, -(-n_points // _CHUNK))
     np.minimum(pts, math.nextafter(1.0, 0.0), out=pts)
     pts.flags.writeable = False
     eps = 1.0 / b**shift_digits + 2e-16

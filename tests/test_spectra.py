@@ -1,6 +1,9 @@
 import cmath
 import math
 import re
+import sys
+import threading
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pilab import cli, constants, spectra
 from pilab.constructors import ConcatSpec, concat_digits
 from pilab.groups import subgroup
 from pilab.radix import DigitStream
@@ -478,3 +482,76 @@ def test_weyl_sum_matches_fsum_reference():
         phase = 2.0 * math.pi * row.m * pts.points
         want = math.hypot(math.fsum(np.cos(phase)), math.fsum(np.sin(phase))) / len(pts)
         assert row.magnitude.hex() == want.hex()
+
+
+def _threads_seen(monkeypatch):
+    """Record the thread of every _window_values and _chunk_sum call."""
+    seen = set()
+    for name in ("_window_values", "_chunk_sum"):
+        inner = getattr(spectra, name)
+
+        def spy(*args, inner=inner):
+            seen.add(threading.current_thread())
+            return inner(*args)
+
+        monkeypatch.setattr(spectra, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("n_points", [1, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 5, 10**6])
+def test_split_chunks_bit_identical_to_serial(monkeypatch, n_points):
+    # 10^6 points is the `report --in` stream of the stats benchmark
+    s = concat_digits(ConcatSpec("integers"), n_points + 24)
+    ms = [1, -1, 3, 3, -7, 2, -7]
+    seen = _threads_seen(monkeypatch)
+    runs = []
+    interval = sys.getswitchinterval()
+    for second_cpu in (False, True):
+        monkeypatch.setattr(constants, "_second_cpu", lambda on=second_cpu: on)
+        seen.clear()
+        sys.setswitchinterval(1e-5)  # interleave the two threads finely
+        try:
+            pts = shifted_points(s, n_points)
+            mags = _hexes(row.magnitude for row in weyl_sum(pts, ms).rows)
+        finally:
+            sys.setswitchinterval(interval)
+        runs.append((pts.points.view(np.uint64), mags, set(seen)))
+    (serial, serial_mags, serial_threads), (split, split_mags, split_threads) = runs
+    assert serial_threads == {threading.main_thread()}
+    helpers = split_threads - {threading.main_thread()}
+    assert len(helpers) == (0 if n_points <= 1 << 16 else 2)  # one per call when chunks are split
+    assert np.array_equal(serial, split)
+    assert serial_mags == split_mags
+
+
+class _LastChunkError(Exception):
+    pass
+
+
+def test_split_chunks_raise_helper_errors_and_leave_no_thread(monkeypatch, tmp_path):
+    monkeypatch.setattr(constants, "_second_cpu", lambda: True)
+    n_points = 3 * (1 << 16) + 5
+    s = concat_digits(ConcatSpec("integers"), n_points + 24)
+    window_values = spectra._window_values
+    raised_in = []
+
+    def fail_last_chunk(seg, count, b, shift):
+        if count == 5:  # the last chunk, in the helper thread's half
+            raised_in.append(threading.current_thread())
+            time.sleep(0.1)  # long after the caller's half: only a join sees this
+            raise _LastChunkError
+        return window_values(seg, count, b, shift)
+
+    before = threading.active_count()
+    monkeypatch.setattr(spectra, "_window_values", fail_last_chunk)
+    with pytest.raises(_LastChunkError):
+        shifted_points(s, n_points)
+    assert raised_in and raised_in[0] is not threading.main_thread()
+    assert threading.active_count() == before
+
+    monkeypatch.setattr(spectra, "_window_values", window_values)
+    digits, report = tmp_path / "int.digits", tmp_path / "report.json"
+    assert cli.main(["construct", "--family", "integers", "--digits", "200064", "--out", str(digits)]) == 0
+    assert cli.main(["report", "--in", str(digits), "--N", "200000", "--kmax", "3", "--mmax", "5",
+                     "--out", str(report)]) == 0
+    assert threading.active_count() == before

@@ -23,9 +23,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import __version__, cf, constants, constructors, groups, spectra
 from ._dec import DecimalFraction
-from .radix import read_digit_file, write_digit_file, write_text_atomic
+from .radix import join_rows, numerals, read_digit_file, write_digit_file, write_text_atomic
 
 _REAL_FORMAT = ".17g"
 _NOT_PARAMS = {"command", "func", "out", "manifest"}  # every other parsed argument enters the manifest
@@ -36,6 +38,7 @@ REPORT_CONST_N_MAX = constants.DIGIT_CEILING - _REPORT_GUARD_DIGITS
 
 _ENCODE = json.encoder.encode_basestring_ascii  # the C routine json.dumps quotes strings with
 _KEYWORDS = {None: "null", True: "true", False: "false"}
+_CSV_FLAGS = np.frombuffer(b"false\0true", np.uint8).reshape(2, 5)  # is_artin, NUL-padded for join_rows
 
 
 def _dump(payload) -> str:
@@ -77,18 +80,14 @@ def _render(obj, newline: str, parts: list[str]) -> None:
             parts.append("{}")
             return
         inner = newline + "  "
-        items = sorted(obj.items())
-        if all(type(key) is str and type(value) is int for key, value in items):
-            # a counts table: one join, no call per entry
-            parts.append("{" + inner + ("," + inner).join([f"{_ENCODE(key)}: {value}" for key, value in items])
-                         + newline + "}")
-            return
         sep = "{" + inner
-        for key, value in items:
+        for key, value in sorted(obj.items()):
             parts.append(sep + _key(key) + ": ")
             _render(value, inner, parts)
             sep = "," + inner
         parts.append(newline + "}")
+    elif isinstance(obj, spectra.BlockStats):
+        parts.append(_counts_text(obj, newline))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             parts.append("[]")
@@ -102,6 +101,16 @@ def _render(obj, newline: str, parts: list[str]) -> None:
         parts.append(newline + "]")
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _counts_text(stats: spectra.BlockStats, newline: str) -> str:
+    """The text of ``stats.counts`` as _render writes a dict, built from the
+    table array: code order is name order, and a name needs no escape."""
+    codes = np.flatnonzero(stats.table)
+    lead = f',{newline}  "'.encode()
+    text = join_rows(len(codes), lambda s: (lead, numerals(codes[s], stats.base, stats.block_len),
+                                            b'": ', numerals(stats.table[codes[s]])))
+    return "{" + text[1:].decode("ascii") + newline + "}"
 
 
 def _sha256(path: str) -> str:
@@ -202,10 +211,9 @@ def _cmd_artin(args) -> int:
     qs, orders = table = groups.artin_orders(args.limit)
     scan = groups.artin_scan(args.limit, table)
     if args.csv:
-        lines = ["q,ord,is_artin"]
-        for q, order in zip(qs.tolist(), orders.tolist()):
-            lines.append(f"{q},{order},{str(order == q - 1).lower()}")
-        write_text_atomic(args.csv, "\n".join(lines) + "\n")
+        rows = join_rows(len(qs), lambda s: (numerals(qs[s]), b",", numerals(orders[s]), b",",
+                                             _CSV_FLAGS[(orders[s] == qs[s] - 1).astype(np.intp)], b"\n"))
+        write_text_atomic(args.csv, "q,ord,is_artin\n" + rows.decode("ascii"))
         outputs.append(args.csv)
     _write_outputs(args, _dump(asdict(scan)), outputs)
     return 0
@@ -232,7 +240,7 @@ def _cmd_weyl(args) -> int:
 def _cmd_normality(args) -> int:
     stream = read_digit_file(args.infile)
     table = spectra.block_frequency(stream, args.N, args.kmax)
-    blocks = {str(stats.block_len): {**stats.row(), "counts": stats.counts} for stats in table.lengths}
+    blocks = {str(stats.block_len): {**stats.row(), "counts": stats} for stats in table.lengths}
     payload = {"input": Path(args.infile).name, "label": stream.label, "base": stream.base,
                "n_digits": args.N, "blocks": blocks}
     _write_outputs(args, _dump(payload), inputs=[args.infile])

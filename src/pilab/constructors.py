@@ -14,13 +14,15 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import primes
-from .radix import DigitStream, digits_from_text
+from .radix import DigitStream, digit_matrix
 
 _FAMILIES = ("integers", "primes", "squares")
-_LEAF = 16  # digits a base conversion peels one divmod at a time
-# Largest prefixes built.  A concatenation peaks at 12-15 bytes a digit (at
-# 5*10^7 digits, 5-6 s and 0.6-0.75 GB on 2 cores); a Stoneham prefix costs
+_LEAF = 12  # digits of a base conversion's int64 leaves: 36^12 < 2^63
+# Largest prefixes built.  A concatenation peaks at 3-4 bytes a digit (at
+# 5*10^7 digits, 0.6-1.8 s and 150-190 MB on 2 cores); a Stoneham prefix costs
 # time quadratic in its length (10^6 base-10 digits: about 18 s).
 CONCAT_DIGIT_CEILING = 50_000_000
 STONEHAM_DIGIT_CEILING = 1_000_000
@@ -64,29 +66,17 @@ def _digits_in_base(m: int, base: int) -> bytes:
     leading zeros (none for 0).
 
     m splits by base^(_LEAF 2^k) into a high and a low half of known width,
-    and so on down to _LEAF-digit pieces peeled one divmod per digit: the
-    big divisions are few and balanced, where one divmod per digit of m
-    costs time quadratic in its length.
+    and so on down to _LEAF-digit int64 leaves that one digit_matrix pass
+    converts: the big divisions are few and balanced, where one divmod per
+    digit of m costs time quadratic in its length.
     """
     powers = [base**_LEAF]  # powers[k] = base^(_LEAF 2^k)
     while powers[-1] <= m:
         powers.append(powers[-1] ** 2)
-    out = bytearray(_LEAF << (len(powers) - 1))
-    _put_digits(m, base, powers, len(powers) - 1, out, len(out))
-    return bytes(out.lstrip(b"\0"))
-
-
-def _put_digits(x: int, base: int, powers: list[int], k: int, out: bytearray, end: int) -> None:
-    """Write the digits of x < powers[k] into ``out``, the last one at end - 1;
-    the zero-filled buffer already holds the leading zeros."""
-    if k == 0:
-        while x:
-            end -= 1
-            x, out[end] = divmod(x, base)
-    elif x:
-        hi, lo = divmod(x, powers[k - 1])
-        _put_digits(lo, base, powers, k - 1, out, end)
-        _put_digits(hi, base, powers, k - 1, out, end - (_LEAF << (k - 1)))
+    leaves = [m]
+    for power in reversed(powers[:-1]):  # each level halves every piece
+        leaves = [part for x in leaves for part in divmod(x, power)]
+    return digit_matrix(leaves, base, _LEAF).tobytes().lstrip(b"\0")
 
 
 # pi(10^d) for d = 0..12 (OEIS A006880): the number of primes with at most d digits
@@ -127,16 +117,19 @@ def _term_index(spec: ConcatSpec, position: int) -> int:
 
 
 def _term_digits(spec: ConcatSpec, count: int) -> bytes:
-    """The digits of the first ``count`` terms, concatenated."""
-    if spec.family == "integers":
-        terms = range(1, count + 1)
-    elif spec.family == "squares":
-        terms = (k * k for k in range(1, count + 1))
+    """The digits of the first ``count`` terms, concatenated: each run of
+    d-digit terms is one digit matrix of width d, in every base."""
+    if spec.family == "primes":
+        terms = primes.first_primes(count)
     else:
-        terms = primes.first_primes(count).tolist()
-    if spec.base == 10:
-        return digits_from_text("".join(map(str, terms)))
-    return b"".join(_digits_in_base(m, spec.base) for m in terms)
+        terms = np.arange(1, count + 1, dtype=np.int64)
+        if spec.family == "squares":
+            terms *= terms
+    parts = []
+    for d, below, _, upto in _runs(spec):
+        parts.append(digit_matrix(terms[below:upto], spec.base, d).tobytes())
+        if upto >= count:
+            return b"".join(parts)
 
 
 def _check_digit_count(n_digits: int, ceiling: int, name: str) -> None:

@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Union
 
+import numpy as np
+
 if hasattr(sys, "set_int_max_str_digits"):
     # big-integer digit strings are the whole point; lift the conversion limit
     sys.set_int_max_str_digits(0)
@@ -20,7 +22,9 @@ MAX_BASE = len(_ALPHABET)  # every stream can be written, printed and parsed
 # 0xff (find's -1), which no base accepts.
 _TO_TEXT = bytes.maketrans(bytes(range(MAX_BASE)), _ALPHABET)
 _FROM_TEXT = bytes(_ALPHABET.find(c) & 0xFF for c in range(256))
+_TEXT_CODES = np.frombuffer(_ALPHABET, np.uint8)
 _LINE_WIDTH = 80
+_CHUNK = 1 << 16  # rows per numpy pass, so int64 temporaries stay near half a megabyte
 
 
 def digits_from_text(text: str) -> bytes:
@@ -31,6 +35,54 @@ def digits_from_text(text: str) -> bytes:
 def text_from_digits(digits: bytes) -> str:
     """The characters (0-9 then a-z) of digit values below MAX_BASE."""
     return digits.translate(_TO_TEXT).decode("ascii")
+
+
+def digit_matrix(values, base: int, width: int) -> np.ndarray:
+    """The base-``base`` digits of int64 ``values`` as an (n, width) uint8
+    matrix, most significant first, zero-padded on the left; 2^16 rows a pass.
+
+    Needs 2 <= base <= 256, so a digit fits a byte; a value outside
+    0 <= v < base**width (v < 2^63 in int64) raises ValueError.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    out = np.empty((len(values), width), np.uint8)
+    for lo in range(0, len(values), _CHUNK):
+        q = values[lo : lo + _CHUNK]
+        for j in range(width - 1, -1, -1):
+            q, out[lo : lo + _CHUNK, j] = np.divmod(q, base)
+        if q.any():  # what is left of a negative value or one of more than width digits
+            raise ValueError(f"values must lie in [0, {base}**{width})")
+    return out
+
+
+def numerals(values, base: int = 10, width: Optional[int] = None) -> np.ndarray:
+    """The numerals (0-9 then a-z) of int64 ``values`` as an ASCII matrix of
+    right-aligned rows, base <= 36.  With ``width``, rows are zero-padded to
+    it; without, the widest numeral sets the width and the leading zeros are
+    NUL pad, which join_rows drops.
+    """
+    if width is not None:
+        return _TEXT_CODES[digit_matrix(values, base, width)]
+    values = np.asarray(values, dtype=np.int64)
+    width = len(np.base_repr(int(values.max(initial=0)), base))
+    text = _TEXT_CODES[digit_matrix(values, base, width)]
+    text[:, :-1][values[:, None] < base ** np.arange(width - 1, 0, -1)] = 0  # digit j pads v < b^(w-1-j)
+    return text
+
+
+def join_rows(n: int, row_blocks: Callable[[slice], Sequence]) -> bytes:
+    """The text of ``n`` rows, each its blocks side by side with the NUL pad
+    dropped.  ``row_blocks(s)`` gives the blocks of the rows in slice ``s``,
+    at most 2^16 at a time: ASCII matrices with a row per row of ``s``, or
+    bytes that every row holds.
+    """
+    parts = []
+    for lo in range(0, n, _CHUNK):
+        s = slice(lo, min(lo + _CHUNK, n))
+        text = np.concatenate([np.broadcast_to(np.frombuffer(b, np.uint8), (s.stop - lo, len(b)))
+                               if isinstance(b, bytes) else b for b in row_blocks(s)], axis=1)
+        parts.append(text[text != 0].tobytes())
+    return b"".join(parts)
 
 
 class EmptyTruncationError(ValueError):
@@ -90,9 +142,9 @@ class DigitStream:
         got = bytes(self._produce(want))
         if len(got) < n:
             raise ProducerExhaustedError(n, len(got))
-        new = got[len(self._digits):]
-        if new and max(new) >= self.base:
-            raise ValueError(f"digit {max(new)} outside [0, {self.base})")
+        bad = got[len(self._digits):].translate(None, bytes(range(self.base)))
+        if bad:
+            raise ValueError(f"digit {max(bad)} outside [0, {self.base})")
         self._digits = got
 
     def prefix(self, n: int) -> bytes:

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import constants, primes
-from .radix import DigitStream, fractional_part, text_from_digits
+from .radix import DigitStream, fractional_part, numerals
 from .groups import SubgroupReport
 
 _FLOAT_SLOP = 5e-16  # per-point trig rounding folded into reported error bounds
@@ -108,10 +108,9 @@ class BlockStats:
     @functools.cached_property
     def counts(self) -> dict[str, int]:
         """The nonzero patterns by name, in code order, which is also name order."""
-        b, k = self.base, self.block_len
+        k = self.block_len
         codes = np.flatnonzero(self.table)
-        rows = codes[:, None] // b ** np.arange(k - 1, -1, -1) % b  # each code's k digits
-        names = text_from_digits(rows.astype(np.uint8).tobytes())
+        names = numerals(codes, self.base, k).tobytes().decode("ascii")
         return dict(zip([names[i : i + k] for i in range(0, len(names), k)], self.table[codes].tolist()))
 
     def row(self) -> dict:
@@ -320,8 +319,7 @@ def expsum_magnitudes(elements: Sequence[int], p: int) -> np.ndarray:
         raise ValueError(f"p = {p} exceeds EXPSUM_P_MAX = {EXPSUM_P_MAX}: "
                          "the length-p FFT needs about 157 bytes per unit of p")
     v = np.zeros(p, dtype=np.float64)
-    for x in elements:
-        v[x % p] += 1.0
+    np.add.at(v, np.asarray(elements, dtype=np.int64) % p, 1.0)
     return np.abs(np.fft.fft(v))
 
 

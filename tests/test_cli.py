@@ -440,3 +440,16 @@ def test_audit_refuses_nmax_past_its_ceiling_before_any_row(capsys, monkeypatch,
     code, out, err = run(capsys, "audit", "--lemma", lemma, "--k", "12", "--nmax", str(cf.AUDIT_NMAX_MAX + 1))
     assert code == 1 and out == ""
     assert err == f"error: n_max = {cf.AUDIT_NMAX_MAX + 1} exceeds AUDIT_NMAX_MAX = {cf.AUDIT_NMAX_MAX}\n"
+
+
+@pytest.mark.parametrize("limit", [10**4, 10**5])
+def test_artin_csv_matches_row_loop(limit, tmp_path, capsys):
+    from pilab.groups import artin_orders
+
+    csv_path = tmp_path / "artin.csv"
+    assert run(capsys, "artin", "--limit", str(limit), "--csv", str(csv_path))[0] == 0
+    qs, orders = artin_orders(limit)
+    lines = ["q,ord,is_artin"]
+    for q, order in zip(qs.tolist(), orders.tolist()):
+        lines.append(f"{q},{order},{str(order == q - 1).lower()}")
+    assert csv_path.read_bytes() == ("\n".join(lines) + "\n").encode()

@@ -12,7 +12,7 @@ from pilab.constructors import (
     stoneham_digits,
 )
 from pilab.primes import first_primes
-from pilab.radix import text_from_digits
+from pilab.radix import digits_from_text, text_from_digits
 
 
 def naive_concat(family, n_digits):
@@ -190,3 +190,33 @@ def test_prime_positions_past_the_table_raise():
     assert _term_index(spec, last) == _PRIME_COUNTS[-1]
     with pytest.raises(ValueError):
         _term_index(spec, last + 1)
+
+
+def term_oracle(family, base, n_digits):
+    """The concatenation's first n_digits, one term at a time through str or
+    divmod_digits, and the digit count after each term."""
+    terms = first_primes(n_digits).tolist() if family == "primes" else range(1, n_digits + 1)
+    out, ends, total = [], [], 0
+    for t in terms:
+        t = t * t if family == "squares" else t
+        digs = digits_from_text(str(t)) if base == 10 else divmod_digits(t, base)
+        out.append(digs)
+        total += len(digs)
+        ends.append(total)
+        if total >= n_digits:
+            return b"".join(out)[:n_digits], ends
+
+
+@pytest.mark.parametrize("family,base", [
+    *((family, base) for family in ("integers", "squares") for base in (2, 3, 10, 16, 36)),
+    ("primes", 10),  # the primes family is base 10 only
+])
+def test_concat_prefixes_match_term_oracle(family, base):
+    n_max = 10**5
+    want, ends = term_oracle(family, base, n_max)
+    # the last digit of each run of equal-length terms (b^d - 1 for the
+    # integers), the first digit of the next run, a digit inside its first term
+    firsts = [end for i, end in enumerate(ends[:-1]) if ends[i + 1] - end > end - (ends[i - 1] if i else 0)]
+    sizes = {n for end in firsts for n in (end, end + 1, end + 2) if n <= n_max} | {1, 77, n_max}
+    for n in sorted(sizes):
+        assert concat_digits(ConcatSpec(family, base), n).prefix(n) == want[:n], (family, base, n)

@@ -216,3 +216,14 @@ def test_bad_digit_rejected():
     s = DigitStream(10, lambda n: [11] * n)
     with pytest.raises(ValueError):
         s.prefix(1)
+
+
+@pytest.mark.parametrize("base", [2, 10, 16, 36])
+def test_from_digits_checks_every_digit_below_base(base):
+    assert DigitStream.from_digits([0, base - 1, 1], base=base).prefix(3) == bytes([0, base - 1, 1])
+    for bad in (base, 255):
+        with pytest.raises(ValueError, match=rf"^digit {bad} outside \[0, {base}\)$"):
+            DigitStream.from_digits([base - 1] * 1000 + [bad, 0], base=base)
+    # the message names the largest digit outside the base
+    with pytest.raises(ValueError, match=rf"^digit 255 outside \[0, {base}\)$"):
+        DigitStream.from_digits([base, 255, base + 1], base=base)

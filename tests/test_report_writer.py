@@ -1,14 +1,18 @@
-"""The report writer against json.dumps over the rendering it replaced."""
+"""The report writer, and the normality report's counts tables, against
+json.dumps over the rendering they replaced."""
 
 import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pilab.cli import _dump
+from pilab.cli import _dump, main
+from pilab.radix import DigitStream, text_from_digits, write_digit_file
+from pilab.spectra import block_frequency
 
 _REAL_FORMAT = ".17g"
 
@@ -83,3 +87,40 @@ def test_writer_rejects_what_json_rejects(obj):
         reference(obj)
     with pytest.raises(TypeError):
         _dump(obj)
+
+
+def oracle_counts(stats):
+    """The counts dict and its pattern names as the dict-based writer built them."""
+    b, k = stats.base, stats.block_len
+    codes = np.flatnonzero(stats.table)
+    rows = codes[:, None] // b ** np.arange(k - 1, -1, -1) % b  # each code's k digits
+    names = text_from_digits(rows.astype(np.uint8).tobytes())
+    return dict(zip([names[i : i + k] for i in range(0, len(names), k)], stats.table[codes].tolist()))
+
+
+def oracle_normality(stream, n, k_max, name):
+    """The normality report through json.dumps, its counts from oracle_counts."""
+    table = block_frequency(stream, n, k_max)
+    blocks = {str(s.block_len): {**s.row(), "counts": oracle_counts(s)} for s in table.lengths}
+    return reference({"input": name, "label": stream.label, "base": stream.base,
+                      "n_digits": n, "blocks": blocks})
+
+
+def skewed_digits(base, n, seed):
+    """Digit 0 nine times, 1 ten, 2 ninety-nine and 3 a hundred times, then
+    uniform digits: counts cross 9/10 and 99/100 at every block length."""
+    head = [0] * 9 + [1] * 10 + [2] * 99 + [3] * 100 if base > 3 else [0] * 99 + [1] * 100
+    rng = np.random.default_rng(seed)
+    return head + rng.integers(base, size=n - len(head)).tolist()
+
+
+@pytest.mark.parametrize("base,n,k_max", [
+    (2, 4000, 8), (10, 20000, 4), (16, 30000, 3), (36, 150000, 4),  # base 36, k 4: rows past 2^16
+])
+def test_normality_counts_match_dict_writer(base, n, k_max, tmp_path, capsys):
+    path = tmp_path / f"b{base}.digits"
+    for label, digits in (("skewed", skewed_digits(base, n, base)), ("zeros", [0] * n)):
+        stream = DigitStream.from_digits(digits, base=base, label=label)
+        write_digit_file(path, stream, n)
+        assert main(["normality", "--in", str(path), "--N", str(n), "--kmax", str(k_max)]) == 0
+        assert capsys.readouterr().out == oracle_normality(stream, n, k_max, path.name), (base, label)

@@ -189,6 +189,15 @@ def test_expsum_p31_subgroup_of_ten():
     assert result.ratio == pytest.approx(result.max_magnitude / result.bound, rel=1e-12)
 
 
+def test_expsum_indicator_matches_element_loop():
+    p = 101
+    elements = [0, 1, 1, 5, 100, 101, 205, -3, -101, 10**12 + 7]
+    v = np.zeros(p)
+    for x in elements:
+        v[x % p] += 1.0
+    assert np.array_equal(expsum_magnitudes(elements, p), np.abs(np.fft.fft(v)))
+
+
 def test_expsum_fft_matches_naive():
     for p in (31, 97, 113):
         rep = subgroup(10, p)

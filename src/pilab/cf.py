@@ -33,8 +33,17 @@ from .radix import (
 # the prime variant (12 402 218).  At 6 n_max^2 bytes against a 128 MiB report,
 # n_max <= 4729.  There a prime audit printed 115 MB in 2.0 s at a peak RSS of
 # 297 MB on a 2-core x86-64 host.
-_AUDIT_REPORT_BYTES_MAX = 2**27
-AUDIT_NMAX_MAX = min((constants.DIGIT_CEILING - 22) // 2, math.isqrt(_AUDIT_REPORT_BYTES_MAX // 6))
+_REPORT_BYTES_MAX = 2**27
+AUDIT_NMAX_MAX = min((constants.DIGIT_CEILING - 22) // 2, math.isqrt(_REPORT_BYTES_MAX // 6))
+
+# The largest `cf --depth`.  The report prints p_k and q_k for every k <= d,
+# about 0.515 k digits each (Levy's constant), so it grows as 0.515 d^2 bytes
+# plus about 50 bytes of JSON per row.  Measured: 0.549 d^2 at d = 2000, 0.533
+# at 4000 and 0.522 at 8000.  At 0.53 d^2 against the same 128 MiB budget,
+# d <= 15 913, well inside the certifiable depth (48 415 at DIGIT_CEILING).
+# There the report was 130 988 657 bytes (0.517 d^2), written in 25 s at a
+# peak RSS of 481 MB on the same host.
+CF_DEPTH_MAX = math.isqrt(_REPORT_BYTES_MAX * 100 // 53)
 
 
 class InsufficientPrecisionError(ArithmeticError):

@@ -165,6 +165,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_cf(args) -> int:
+    if args.depth > cf.CF_DEPTH_MAX:
+        raise ValueError(f"depth = {args.depth} exceeds CF_DEPTH_MAX = {cf.CF_DEPTH_MAX}")
     convs = cf.pi_convergents(args.depth)
     payload = {
         "const": "pi",

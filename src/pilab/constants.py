@@ -2,14 +2,18 @@
 
 Each constant is evaluated by two independent integer-only fixed-point
 methods: Machin's arctangent formula summed by binary splitting against
-Chudnovsky binary splitting for pi, and a bit-burst atanh series against the
-AGM logarithm for the logarithms.  Digits are released only where both
-computations agree and the guard digits sit far from a rounding boundary, so
-every released digit is exact.
+Chudnovsky binary splitting for pi, a bit-burst atanh series against the
+acoth formula 46 acoth 31 + 34 acoth 49 + 20 acoth 161 for ln 10, and the
+bit-burst series against the AGM logarithm for ln pi.  Digits are released
+only where both computations agree and the guard digits sit far from a
+rounding boundary, so every released digit is exact.
 
 The two engines of a pair share no state, so where a fork pays, one half of
 the pair runs in a forked child while this process runs the other (see
-_spawn); the values are bit for bit those of running them one after the other.
+_spawn): atan(1/5) for pi, the acoth formula for ln 10 and the whole AGM
+engine for ln pi.  The values are bit for bit those of running them one
+after the other; the AGM's pi and ln 2 memo entries filled in a child die
+with it.
 """
 
 from __future__ import annotations
@@ -35,13 +39,17 @@ def _agree_ulp(w: int) -> int:
     Each _arc_series sum is within 2 ulp: one floor division, operands cut at
     a cost under 2^-30 ulp, and a series tail below 1 ulp.  Machin,
     16 atan(1/5) - 4 atan(1/239), is thus within 40 ulp; Chudnovsky within 2
-    (an isqrt floor scaled by pi/sqrt(10005), then a division floor).  The
-    logarithms work in binary with 64 guard bits: the bit-burst sum of k ln 2
-    and at most log2(bits) + 2 stages errs by 4 (|k| + stages) binary ulp,
-    and the AGM log's formula, working-precision and ln 2 errors stay under
-    one binary ulp (see _ln_rational_agm), so each is within 2 ulp after the
-    floor to decimal.  Pi pairs therefore differ by at most 42 ulp and
-    logarithm pairs by at most 4.  None of these bounds grows with w.
+    (an isqrt floor scaled by pi/sqrt(10005), then a division floor, with Q
+    and T cut first to one's width plus 64 bits at a cost under 2^-30 ulp).
+    The logarithms work in binary with 64 guard bits: the bit-burst sum of
+    k ln 2 and at most log2(bits) + 2 stages errs by 4 (|k| + stages) binary
+    ulp; the acoth ln 10, three _arc_series sums weighted 46, 34 and 20, by
+    2 (46 + 34 + 20) = 200 binary ulp, under 2^-55 decimal ulp behind the
+    guard bits; and the AGM log's formula, loop, pi and ln 2 errors stay
+    under one binary ulp (see _ln_rational_agm).  After the floor to
+    decimal each is within 2 ulp.  Pi pairs therefore differ by at most
+    42 ulp and logarithm pairs by at most 4.  None of these bounds grows
+    with w.
 
     The logarithms' ln 2 values and the AGM's pi are computed once, at the
     highest precision asked for, and served lower by a right shift (see
@@ -141,6 +149,8 @@ def _chud_leaf(k: int) -> tuple[int, int, int, int]:
 def _pi_chudnovsky(one: int, w: int) -> int:
     terms = w // 14 + 2
     _, q, _, t = _split(_chud_leaf, 0, terms)
+    cut = max(0, q.bit_length() - one.bit_length() - 64)  # costs under 2^-30 ulp
+    q, t = q >> cut, t >> cut
     s = math.isqrt(10005 * one * one)
     return 426880 * q * s // t
 
@@ -222,55 +232,81 @@ def _ln_rational_atanh(num: int, den: int, w: int) -> int:
     return _bin_to_decimal(total, bits, w)
 
 
-def _agm_start(num: int, den: int, w: int) -> tuple[int, int, int, int]:
-    """(1, 4/s, m, f) for _ln_rational_agm: the AGM's two starting values at f
-    fractional bits, with s = (num/den) 2^m."""
-    if num <= 0 or den <= 0:
-        raise ValueError("log argument must be positive")
-    bits = _bits_for(w)
-    log2_s = bits // 2 + 33
-    m = log2_s - (num.bit_length() - den.bit_length())  # s >= 2^(log2_s - 1)
-    f = bits + log2_s + bits.bit_length() + 32
-    return 1 << f, (den << f + 2 + max(-m, 0)) // (num << max(m, 0)), m, f
+def _agm(a: int, b: int, p: int) -> tuple[int, int]:
+    """(mean, e) with AGM(a, b) ~ mean * 2^e, for a >= b >= 2^(p-1).
 
-
-def _agm(a: int, b: int) -> int:
-    """The arithmetic-geometric mean of fixed-point a >= b, to within one ulp."""
+    After each step a and b are shifted right together so that b keeps p
+    bits; b only grows before the shift, so the shift is never negative.
+    A step's floor and the shift's floor compose into one floor per value,
+    under 2^(1-p) relative (see _ln_rational_agm).
+    """
+    e = 0
     while a - b > 1:  # b <= a throughout; the gap squares each step
         a, b = (a + b) >> 1, math.isqrt(a * b)
-    return a
-
-
-def _agm_log(mean, m: int, f: int, w: int) -> int:
-    """ln s - m ln 2 scaled by 10^w, with ln s = pi / (2 mean()).  mean() is
-    called once pi and ln 2 are in hand, so an AGM running elsewhere overlaps
-    them."""
-    bits = _bits_for(w)
-    pi_f = _pi_bin(f)
-    ln2_f = _ln2_acoth_bin(f)
-    ln_s = (pi_f << f) // (2 * mean())
-    return _bin_to_decimal((ln_s - m * ln2_f) >> f - bits, bits, w)
+        cut = b.bit_length() - p
+        a, b, e = a >> cut, b >> cut, e + cut
+    return a, e
 
 
 def _ln_rational_agm(num: int, den: int, w: int) -> int:
     """ln(num/den) * 10^w as ln s - m ln 2, ln s ~ pi / (2 AGM(1, 4/s)) (Brent 1976).
 
-    s = (num/den) 2^m >= 2^(bits/2 + 32), so the formula's error, below
-    4 ln(s) / s^2, is under 2^-bits.  At F fractional bits 4/s keeps only
-    F - log2(s) significant bits and the AGM's relative error grows into
-    ln s's absolute error by a factor ln s, so everything runs at
-    F = bits + log2(s) + bitlen(bits) + 32.  Pi comes from Chudnovsky and
-    ln 2 from _ln2_acoth_bin, independent of the bit-burst primary.
+    s = (num/den) 2^m lies in (2^(h-1), 2^(h+1)), h = bits/2 + 33, so the
+    formula's error, below 4 ln(s) / s^2, is under 2^-(bits+40).  The AGM
+    needs bits + O(log bits) bits of relative precision only: with
+    L = bitlen(bits), it starts from 2^e0 and floor(4/s 2^e0), which has p
+    or p + 1 bits for e0 = p + h - 2 and p = bits + L + 40, and _agm keeps b
+    at p bits.  The start and each step floor a and b by under one unit of a
+    value of at least 2^(p-1) units, 2^(1-p) relative.  The AGM is
+    homogeneous and nondecreasing in each argument, so these errors add:
+    each step lowers the mean by at most a factor 1 - 2^(1-p), whatever came
+    before.  The ratio a/b, below 2^h, is at least square-rooted each step
+    and its excess over 1 squared (over 8) once below 2, so the loop stops
+    within 2L + 4 steps (33 at DIGIT_CEILING's working digits, L = 19), and
+    the a it stops at is within one unit above the mean of its last pair.
+    The mean is thus within (2L + 6) 2^(1-p) <= 2^(L+1-p) relative, and
+    ln s = pi / (2 mean), below bits < 2^L, within 2^(2L+1-p) =
+    2^(L-bits-39) <= 2^-(bits+20) for bits < 2^19, which covers every w up
+    to DIGIT_CEILING's.  Pi (Chudnovsky) and ln 2 (_ln2_acoth_bin,
+    independent of the bit-burst primary) are taken at
+    g = bits + bitlen(max(bits, |m|)) + 32 bits: pi's few ulp at g cost
+    ln s under 2^-(bits+30), and |m| times ln 2's 56 ulp under
+    2^-(bits+26).  Whatever is left stays under one binary ulp before the
+    final shift to bits.
     """
-    a, b, m, f = _agm_start(num, den, w)
-    return _agm_log(lambda: _agm(a, b), m, f, w)
+    if num <= 0 or den <= 0:
+        raise ValueError("log argument must be positive")
+    bits = _bits_for(w)
+    h = bits // 2 + 33
+    m = h - (num.bit_length() - den.bit_length())
+    p = bits + bits.bit_length() + 40
+    g = bits + max(bits, abs(m)).bit_length() + 32
+    e0 = p + h - 2
+    mean, e = _agm(1 << e0, (den << e0 + 2 + max(-m, 0)) // (num << max(m, 0)), p)
+    ln_s = (_pi_bin(g) << e0 - e) // (2 * mean)
+    return _bin_to_decimal(ln_s - m * _ln2_acoth_bin(g) >> g - bits, bits, w)
+
+
+def _ln10_acoth(w: int) -> int:
+    """ln 10 * 10^w as 46 acoth 31 + 34 acoth 49 + 20 acoth 161 in binary.
+
+    The bit-burst primary for 10 is 3 ln 2 + ln(5/4) = 6 atanh(1/3) +
+    2 atanh(1/9), so the two share no series argument.
+    """
+    bits = _bits_for(w)
+    one = 1 << bits
+    return _bin_to_decimal(46 * _arc_series(1, 31, one, 1) + 34 * _arc_series(1, 49, one, 1)
+                           + 20 * _arc_series(1, 161, one, 1), bits, w)
 
 
 # Below this many working digits a pair runs in this process alone.  On a
 # 2-core host (CPython 3.11.7, pilab and numpy loaded) fork, pipe and waitpid
-# took 3.4 ms (median of 50), while atan(1/5) took 4.6 ms at w = 3000 and
-# 7.1 ms at w = 4000, and Chudnovsky with atan(1/239) 3.4 and 5.2 ms: the
-# overlap starts to repay the fork near w = 3000.
+# took 3.4-4.2 ms (median of 50).  Atan(1/5) took 4.6 ms at w = 3000 and
+# 7.1 ms at w = 4000; the forked halves of the logarithms, median of 7, took
+# 5.2 and 9.7 ms (acoth ln 10) and 12.3 and 27.8 ms (the AGM engine of
+# ln pi), against 8.0 and 18.0 ms, and 22.9 and 50.0 ms, for the bit-burst
+# halves left in the parent.  The overlap starts to repay the fork near
+# w = 3000, for ln 10 last.
 _FORK_MIN_DIGITS = 4000
 
 
@@ -383,22 +419,20 @@ def _pi_scaled_pair(w: int) -> tuple[int, int]:
         return _machin(atan_5(), atan_239), chudnovsky
 
 
-def _ln_scaled_pair(name: str, num: int, den: int, w: int) -> tuple[int, int]:
-    """The two engines' ln(num/den) * 10^w; the AGM loop, which touches no
-    memo, is the half that may run in a forked child."""
-    a, b, m, f = _agm_start(num, den, w)
-    with _spawn(name, w, _agm, a, b) as mean:
-        return _ln_rational_atanh(num, den, w), _agm_log(mean, m, f, w)
-
-
 def _ln10_scaled_pair(w: int) -> tuple[int, int]:
-    return _ln_scaled_pair("ln10", 10, 1, w)
+    """(bit-burst, acoth formula); the acoth half may run in a forked child."""
+    with _spawn("ln10", w, _ln10_acoth, w) as acoth:
+        return _ln_rational_atanh(10, 1, w), acoth()
 
 
 def _ln_pi_scaled_pair(w: int) -> tuple[int, int]:
-    # ln(pi_hat) with pi_hat = P/10^(w+5); the substitution error is below
-    # 10^-(w+4) and the truncation P is itself dual-certified.
-    return _ln_scaled_pair("ln_pi", _certified_scaled("pi", w + 5), 10 ** (w + 5), w)
+    """(bit-burst, AGM) for ln(pi_hat), pi_hat = P/10^(w+5): the substitution
+    error is below 10^-(w+4) and the truncation P is itself dual-certified.
+    The whole AGM engine, its pi and ln 2 included, may run in a forked
+    child; memo entries it fills there die with the child."""
+    num, den = _certified_scaled("pi", w + 5), 10 ** (w + 5)
+    with _spawn("ln_pi", w, _ln_rational_agm, num, den, w) as agm:
+        return _ln_rational_atanh(num, den, w), agm()
 
 
 _ENGINES = {

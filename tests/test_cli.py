@@ -442,6 +442,19 @@ def test_audit_refuses_nmax_past_its_ceiling_before_any_row(capsys, monkeypatch,
     assert err == f"error: n_max = {cf.AUDIT_NMAX_MAX + 1} exceeds AUDIT_NMAX_MAX = {cf.AUDIT_NMAX_MAX}\n"
 
 
+def test_cf_refuses_depth_past_its_ceiling_before_expanding(capsys, monkeypatch):
+    from pilab import cf
+
+    def refuse(depth):
+        raise AssertionError(f"expanded pi to depth {depth}")
+
+    monkeypatch.setattr(cf, "pi_convergents", refuse)
+    assert cf.CF_DEPTH_MAX == 15913
+    code, out, err = run(capsys, "cf", "--depth", str(cf.CF_DEPTH_MAX + 1))
+    assert code == 1 and out == ""
+    assert err == f"error: depth = {cf.CF_DEPTH_MAX + 1} exceeds CF_DEPTH_MAX = {cf.CF_DEPTH_MAX}\n"
+
+
 @pytest.mark.parametrize("limit", [10**4, 10**5])
 def test_artin_csv_matches_row_loop(limit, tmp_path, capsys):
     from pilab.groups import artin_orders

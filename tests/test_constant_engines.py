@@ -64,13 +64,55 @@ def test_log_engines_on_edge_arguments(arg, engine, w):
     assert abs(engine(num, den, w) - want) <= 2
 
 
-@pytest.mark.parametrize("ln2", ["_ln2_bin", "_ln2_acoth_bin"])
+# Each ln 2 form and the constant whose pair reads it in one engine only: the
+# bit-burst primary reads 2 atanh(1/3), and only ln pi's AGM the acoth form.
+LN2_READERS = {"_ln2_bin": "ln10", "_ln2_acoth_bin": "ln_pi"}
+
+
+@pytest.mark.parametrize("ln2", sorted(LN2_READERS))
 def test_perturbed_ln2_in_one_method_is_caught(monkeypatch, ln2):
     exact = getattr(constants, ln2)
     monkeypatch.setattr(constants, ln2, lambda bits: exact(bits) + (1 << bits - 200))
     monkeypatch.setattr(constants, "_memo", {})
     with pytest.raises(MethodDisagreementError):
+        const_digits(LN2_READERS[ln2], 100)
+
+
+@pytest.mark.parametrize("q", [31, 49, 161])
+def test_perturbed_acoth_series_in_ln10_is_caught(monkeypatch, q):
+    exact = constants._arc_series
+
+    def perturbed(p, q_, one, sign):
+        return exact(p, q_, one, sign) + (one >> 200 if (p, q_) == (1, q) else 0)
+
+    monkeypatch.setattr(constants, "_arc_series", perturbed)
+    monkeypatch.setattr(constants, "_memo", {})
+    with pytest.raises(MethodDisagreementError):
         const_digits("ln10", 100)
+
+
+def test_ln10_halves_share_no_series_argument(monkeypatch):
+    exact = constants._arc_series
+    calls = []
+
+    def recording(p, q, one, sign):
+        calls.append((p, q, sign))
+        return exact(p, q, one, sign)
+
+    monkeypatch.setattr(constants, "_arc_series", recording)
+    monkeypatch.setattr(constants, "_memo", {})  # a held ln 2 would hide its series
+    constants._ln_rational_atanh(10, 1, 600)
+    primary, calls[:] = set(calls), []
+    constants._ln10_acoth(600)
+    assert not primary & set(calls)
+    assert primary == {(1, 3, 1), (1, 9, 1)}
+    assert set(calls) == {(1, 31, 1), (1, 49, 1), (1, 161, 1)}
+
+
+def test_ln10_certified_against_mpmath_at_30000_digits(monkeypatch):
+    monkeypatch.setattr(constants, "_memo", {})
+    mp.dps = 30020
+    assert constants._certify("ln10", 30000)[1] == _floor_scaled(mp.log(10), 30000)
 
 
 def test_stream_growth_clamps_to_ceiling(monkeypatch):
@@ -86,7 +128,7 @@ def test_stream_growth_clamps_to_ceiling(monkeypatch):
 
 # SHA-256 of str() of each engine integer; the mpmath tests allow +-64 ulp,
 # these pin the exact bits.  At these widths Machin and Chudnovsky land on the
-# same integer, and so do the two ln 10 engines.
+# same integer, and so do the three ln 10 engines.
 ENGINE_BITS = {
     "machin": ("0b54fe20ef4d7676270cf6ff74c69cd2ef87921bfddbdd149617d8016d066879",
                lambda: constants._pi_machin(10**3010)),
@@ -98,6 +140,8 @@ ENGINE_BITS = {
                    lambda: constants._ln_rational_atanh(10, 1, 3010)),
     "ln10_agm": ("a82884a6f80b4449734333f941b19aae70f862ae28b9475544a44fe1fbbcfeec",
                  lambda: constants._ln_rational_agm(10, 1, 3010)),
+    "ln10_acoth": ("a82884a6f80b4449734333f941b19aae70f862ae28b9475544a44fe1fbbcfeec",
+                   lambda: constants._ln10_acoth(3010)),
 }
 
 

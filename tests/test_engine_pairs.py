@@ -46,7 +46,9 @@ def _serial(name, w):
     if name == "pi":
         one = 10**w
         return constants._pi_machin(one), constants._pi_chudnovsky(one, w)
-    num, den = (10, 1) if name == "ln10" else (constants._certified_scaled("pi", w + 5), 10 ** (w + 5))
+    if name == "ln10":
+        return constants._ln_rational_atanh(10, 1, w), constants._ln10_acoth(w)
+    num, den = constants._certified_scaled("pi", w + 5), 10 ** (w + 5)
     return constants._ln_rational_atanh(num, den, w), constants._ln_rational_agm(num, den, w)
 
 
@@ -103,18 +105,19 @@ def test_interrupt_just_after_the_reap_neither_signals_nor_masks(monkeypatch, fo
     assert len(forks) == 1
 
 
+@pytest.mark.parametrize("name,half", [("ln10", "_ln10_acoth"), ("ln_pi", "_ln_rational_agm")], ids=["ln10", "ln_pi"])
 @pytest.mark.parametrize("failure", ["raise", "exit"])
-def test_cli_exits_one_when_the_forked_agm_fails(monkeypatch, capsys, forks, failure):
-    def broken(a, b):
+def test_cli_exits_one_when_the_forked_agm_fails(monkeypatch, capsys, forks, failure, name, half):
+    def broken(*args):
         if failure == "raise":
             raise MemoryError
         os._exit(3)
 
-    monkeypatch.setattr(constants, "_agm", broken)
-    assert cli.main(["constants", "--name", "ln10", "--digits", "4000"]) == 1
+    monkeypatch.setattr(constants, half, broken)
+    assert cli.main(["constants", "--name", name, "--digits", str(constants._FORK_MIN_DIGITS)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ln10: the forked broken ")
+    assert captured.err.startswith(f"error: {name}: the forked broken ")
     assert "Traceback" not in captured.err
 
 

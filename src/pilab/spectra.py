@@ -21,8 +21,10 @@ from .groups import SubgroupReport
 _FLOAT_SLOP = 5e-16  # per-point trig rounding folded into reported error bounds
 _TABLE_CAP = 10**7  # most base^k patterns one block-frequency table may hold
 _CHUNK = 1 << 16  # points per numpy pass, so temporaries stay near half a megabyte
-# expsum_magnitudes holds a length-p vector and its prime-length FFT, about 157
-# bytes per unit of p: peaks of 186 MB at p = 1 000 003 and 1255 MB at 8 000 009.
+# expsum_magnitudes transforms one length-p complex128 vector in place; with
+# pocketfft's Bluestein buffers, whose padded length varies with p, the process
+# rises 128 to 144 bytes per unit of p: peaks of 170 MB at p = 1 000 003 and
+# 1010 MB at 8 000 009.
 EXPSUM_P_MAX = 1 << 23
 
 # Shift points: a window code is a fraction in radix b^h <= 2^40, so a limb
@@ -317,15 +319,22 @@ def expsum_magnitudes(elements: Sequence[int], p: int) -> np.ndarray:
     A p above EXPSUM_P_MAX raises ValueError before anything is allocated."""
     if p > EXPSUM_P_MAX:
         raise ValueError(f"p = {p} exceeds EXPSUM_P_MAX = {EXPSUM_P_MAX}: "
-                         "the length-p FFT needs about 157 bytes per unit of p")
-    v = np.zeros(p, dtype=np.float64)
-    np.add.at(v, np.asarray(elements, dtype=np.int64) % p, 1.0)
-    return np.abs(np.fft.fft(v))
+                         "the length-p FFT needs about 144 bytes per unit of p")
+    # One complex128 array, transformed in place: pocketfft makes no complex copy
+    # of a float64 input and no separate output.  The c2c transform sees the
+    # same values, so every magnitude keeps its bits.
+    s = np.zeros(p, dtype=np.complex128)
+    np.add.at(s.real, np.asarray(elements, dtype=np.int64) % p, 1.0)
+    np.fft.fft(s, out=s)
+    return np.abs(s)
 
 
 def subgroup_expsum(report: SubgroupReport, c: float = 0.5) -> ExpSumReport:
     """Exhaustive max over a = 1..p-1 of the subgroup exponential sum magnitude,
-    with the reference envelope exp(-(log p)^c) * #H and their ratio."""
+    with the reference envelope exp(-(log p)^c) * #H and their ratio.  argmax is
+    the least a in 1..p-1 that reaches the largest magnitude the FFT returns:
+    S(a) and S(p-a) are conjugate, so in exact arithmetic a maximum is always
+    shared with its mirror, and the FFT's rounding decides any near tie."""
     p = report.modulus
     if not primes.is_prime(p):
         raise ValueError(f"modulus {p} is not prime")

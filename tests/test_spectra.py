@@ -1,11 +1,14 @@
 import cmath
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,7 +198,63 @@ def test_expsum_indicator_matches_element_loop():
     v = np.zeros(p)
     for x in elements:
         v[x % p] += 1.0
-    assert np.array_equal(expsum_magnitudes(elements, p), np.abs(np.fft.fft(v)))
+    got = expsum_magnitudes(elements, p)
+    assert np.array_equal(got.view(np.uint64), np.abs(np.fft.fft(v)).view(np.uint64))
+
+
+@pytest.mark.parametrize("p", [31, 1999, 65537, 1_000_039])
+def test_expsum_in_place_transform_matches_float64_input_bit_for_bit(p):
+    # the in-place complex128 transform against the FFT of a float64 indicator
+    rep = subgroup(10, p)
+    v = np.zeros(p)
+    np.add.at(v, np.asarray(rep.elements, dtype=np.int64), 1.0)
+    want = np.abs(np.fft.fft(v))
+    got = expsum_magnitudes(rep.elements, p)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    result = subgroup_expsum(rep)
+    a_max = int(np.argmax(want[1:]) + 1)
+    assert result.argmax == a_max
+    assert result.max_magnitude.hex() == float(want[a_max]).hex()
+
+
+@pytest.mark.parametrize("p, want", [(13, 6), (31, 15), (101, 51)])
+def test_expsum_argmax_is_least_a_reaching_the_fft_maximum(p, want):
+    # H = {1, p-1}: |S(a)| = |2 cos(2 pi a / p)| peaks at the mirrors (p-1)/2 and
+    # (p+1)/2.  At 13 and 31 the FFT gives both the same float and the lesser
+    # wins; at 101 its rounding puts (p+1)/2 one ulp higher.
+    rep = subgroup(p - 1, p)
+    assert rep.elements == (1, p - 1)
+    mags = expsum_magnitudes(rep.elements, p)
+    top = mags[1:].max()
+    result = subgroup_expsum(rep)
+    assert result.argmax == want == min(a for a in range(1, p) if mags[a] == top)
+    assert result.max_magnitude == top
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_expsum_peak_memory_per_unit_of_p():
+    # ru_maxrss would carry the spawning process's peak across exec on Linux,
+    # so the child reads its own high-water mark, VmHWM, before and after.
+    p = 1_000_003
+    code = (
+        "import re\n"
+        "from pilab.spectra import expsum_magnitudes\n"
+        "def hwm():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        status = f.read()\n"
+        "    return int(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1)) * 1024\n"
+        "expsum_magnitudes([1], 31)\n"
+        "before = hwm()\n"
+        f"expsum_magnitudes(list(range(1, 200)), {p})\n"
+        "print(hwm() - before)\n"
+    )
+    src = str(Path(spectra.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    # the in-place transform rises ~144 bytes per unit of p here, a float64
+    # indicator cast to complex128 with a separate output ~160
+    assert int(result.stdout) / p < 150
 
 
 def test_expsum_fft_matches_naive():

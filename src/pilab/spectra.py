@@ -241,6 +241,11 @@ def _split_chunks(work, count: int) -> list:
     return lower + upper
 
 
+# Working set of the stats kernels (shifted_points, weyl_sum, star_discrepancy,
+# block_frequency): beside the digit prefix, the point array, star_discrepancy's
+# one sorted copy and the count tables, every temporary is O(max(_CHUNK, b^k))
+# elements.  Points go _CHUNK a pass; block_frequency goes max(_CHUNK, b^k_max)
+# windows a pass, so a count table is not re-added every _CHUNK windows.
 def weyl_sum(pts: PointSet, m_list: Sequence[int]) -> WeylReport:
     """Normalized magnitudes |sum e(2 pi i m u_n)| / N for each frequency m != 0.
 
@@ -273,18 +278,29 @@ def weyl_sum(pts: PointSet, m_list: Sequence[int]) -> WeylReport:
 
 
 def star_discrepancy(pts: PointSet) -> float:
-    """Exact 1-D star discrepancy D*_N via the sorted-points formula."""
+    """Exact 1-D star discrepancy D*_N via the sorted-points formula
+    max_i max(i/N - u_(i), u_(i) - (i-1)/N), taken _CHUNK points a pass."""
     n = len(pts)
     if n < 1:
         raise ValueError("point set is empty")
     u = np.sort(pts.points)
-    i = np.arange(1, n + 1, dtype=np.float64)
-    return float(np.maximum(i / n - u, u - (i - 1) / n).max())
+    worst = -math.inf
+    for lo in range(0, n, _CHUNK):
+        v = u[lo : lo + _CHUNK]
+        i = np.arange(lo + 1, lo + v.size + 1, dtype=np.float64)
+        above = i / n
+        above -= v
+        i -= 1.0  # exact: every i is an integer below 2^53
+        i /= n
+        below = np.subtract(v, i, out=i)
+        worst = max(worst, float(np.maximum(above, below, out=above).max()))
+    return worst
 
 
 def block_frequency(digits: DigitStream, n_digits: int, k_max: int) -> BlockTable:
     """Overlapping block counts of every length k = 1..k_max over the first
-    ``n_digits`` digits, from one pass that extends each window by a digit.
+    ``n_digits`` digits, from one pass that extends each window by a digit,
+    over slices of max(_CHUNK, base^k_max) windows.
 
     All base^k patterns enter max_abs_dev and the chi-square statistic, seen
     or not; a table of more than _TABLE_CAP patterns asks for a smaller block length.
@@ -299,11 +315,19 @@ def block_frequency(digits: DigitStream, n_digits: int, k_max: int) -> BlockTabl
             f"base^k = {b**k_max} exceeds the table cap {_TABLE_CAP}; use a smaller block length"
         )
     arr = np.frombuffer(digits.prefix(n_digits), np.uint8)
+    tables = [np.zeros(b**k, dtype=np.int64) for k in range(1, k_max + 1)]
+    # a slice holds at least b^k_max windows, so adding its bincount to a
+    # table costs no more than counting them
+    step = max(_CHUNK, b**k_max)
+    for lo in range(0, n_digits, step):
+        # the windows that start at lo .. lo+step-1; the last slice holds fewer
+        seg = arr[lo : lo + step + k_max - 1]
+        for table, code in zip(tables, _digit_windows(seg, k_max, b)):
+            table += np.bincount(code[:step], minlength=table.size)
     lengths = []
-    for k, code in enumerate(_digit_windows(arr, k_max, b), start=1):
+    for k, counts in enumerate(tables, start=1):
         n_patterns = b**k
         windows = n_digits - k + 1
-        counts = np.bincount(code, minlength=n_patterns)
         expected = windows / n_patterns
         lengths.append(BlockStats(
             base=b, block_len=k, windows=windows, table=counts,
@@ -402,29 +426,50 @@ def _window_values(seg: np.ndarray, count: int, b: int, s: int) -> np.ndarray:
         limbs = [full[i * h : i * h + count] for i in range(whole)]
     if part:
         *_, rest = _digit_windows(seg[whole * h :], part, b)
-        limbs.append(rest * b ** (h - part))
+        rest *= b ** (h - part)
+        limbs.append(rest)
     k = len(limbs)
-    rem = list(limbs)
+    # the long division writes into t and k rests, which every step reuses;
+    # each step's last carry is its quotient chunk
+    t = np.empty(count, dtype=np.int64)
+    rem = [np.empty(count, dtype=np.int64) for _ in range(k)]
     q = []
+    src = limbs
     for _ in range(3):
-        carry = 0
+        carry = np.empty(count, dtype=np.int64)
         for i in reversed(range(k)):
-            t = (rem[i] << _QBITS) + carry
-            carry = t // radix
-            rem[i] = t - carry * radix
+            np.left_shift(src[i], _QBITS, out=t)
+            if i < k - 1:
+                t += carry
+            np.floor_divide(t, radix, out=carry)
+            np.multiply(carry, radix, out=rem[i])
+            np.subtract(t, rem[i], out=rem[i])
         q.append(carry)
+        src = rem
     sticky = rem[0] != 0
-    for rest in rem[1:]:
-        sticky |= rest != 0
-    head = ((q[0] << _QBITS) | q[1]).astype(np.float64) * 2.0 ** (-2 * _QBITS)
-    tail = q[2].astype(np.float64) * 2.0 ** (-3 * _QBITS)
+    for i in range(1, k):
+        sticky |= rem[i] != 0
+    del t, rem, src  # free the division's buffers before the float ones
+    tiny = q[0] < _TINY_Q0  # before q[0] is shifted in place
+    top = q[0]
+    top <<= _QBITS
+    top |= q[1]
+    head = top.astype(np.float64)
+    head *= 2.0 ** (-2 * _QBITS)
+    tail = q[2].astype(np.float64)
+    tail *= 2.0 ** (-3 * _QBITS)
+    del q, top, carry
     val = head + tail
-    resid = tail - (val - head)  # exact where kept: head >= 2^-14 > tail
+    gap = np.subtract(val, head, out=head)
+    resid = np.subtract(tail, gap, out=tail)  # exact where kept: head >= 2^-14 > tail
     up = np.nextafter(val, 2.0)
-    tie = sticky & (resid > 0.0) & (resid + resid == up - val)
-    val[tie] = up[tie]
+    resid += resid
+    tie = resid == np.subtract(up, val, out=gap)  # resid is half an ulp
+    tie &= resid > 0.0
+    tie &= sticky
+    np.copyto(val, up, where=tie)
     scale = radix**k
-    for n in np.flatnonzero((q[0] < _TINY_Q0) & ((val != 0.0) | sticky)).tolist():
+    for n in np.flatnonzero(tiny & ((val != 0.0) | sticky)).tolist():
         code = 0
         for limb in limbs:
             code = code * radix + int(limb[n])

@@ -95,6 +95,77 @@ def test_star_discrepancy_leveque_bounds(values):
     assert 1.0 / (2 * len(values)) <= d <= 1.0
 
 
+def _star_oracle(points) -> float:
+    # the whole-array formula over N-length temporaries
+    u = np.sort(np.asarray(points, dtype=np.float64))
+    n = u.size
+    i = np.arange(1, n + 1, dtype=np.float64)
+    return float(np.maximum(i / n - u, u - (i - 1) / n).max())
+
+
+@pytest.mark.parametrize("n", [1, 2, 65535, 65536, 65537, 3 * 65536 + 1])
+def test_star_discrepancy_chunked_equals_whole_array_formula(n):
+    rng = np.random.default_rng(n)
+    special = np.array([0.0, 1.0 - 2.0**-53, 0.0, 0.25, 0.25])
+    u = np.concatenate([special, rng.random(max(n - special.size, 0))])[:n]
+    if n > 65536:
+        # a run of duplicates across the slice edge at sorted index 2^16
+        u[special.size : special.size + 1000] = np.sort(u)[65536]
+        edge = np.sort(u)[65535:65537]
+        assert edge[0] == edge[1]
+    for points in (u, np.sort(u)[::-1], (np.arange(n) + 0.5) / n):
+        want = np.float64(_star_oracle(points)).view(np.uint64)
+        got = np.float64(star_discrepancy(PointSet(points=points, eps=0.0))).view(np.uint64)
+        assert got == want
+
+
+def _block_oracle(stream, n, k_max):
+    # one bincount of every window code over the whole prefix, for each k
+    b = stream.base
+    d = np.frombuffer(stream.prefix(n), np.uint8).astype(np.int64)
+    tables = []
+    for k in range(1, k_max + 1):
+        code = np.zeros(n - k + 1, dtype=np.int64)
+        for j in range(k):
+            code = code * b + d[j : n - k + 1 + j]
+        tables.append(np.bincount(code, minlength=b**k))
+    return tables
+
+
+def _random_digits(base, n, seed):
+    rng = np.random.default_rng(seed)
+    return DigitStream.from_digits(rng.integers(0, base, n, dtype=np.uint8).tobytes(), base=base)
+
+
+# a slice holds max(2^16, base^k_max) windows: these N end just before, on and
+# just after slice edges, with tails shorter than k_max
+@pytest.mark.parametrize("base,k_max,n", [
+    (2, 16, 16), (2, 16, 65535), (2, 16, 65536), (2, 16, 65537), (2, 16, 65536 + 15),
+    (2, 17, 2 * 131072 + 3),
+    (10, 5, 99_999), (10, 5, 100_000), (10, 5, 100_003), (10, 5, 300_002),
+    (10, 3, 3 * 65536 + 1),
+    (36, 2, 65536 + 1), (36, 3, 46_656 * 2 + 2),
+])
+def test_block_frequency_chunked_equals_one_bincount(base, k_max, n):
+    stream = _random_digits(base, n, seed=base * n + k_max)
+    table = block_frequency(stream, n, k_max)
+    for stats, want in zip(table.lengths, _block_oracle(stream, n, k_max), strict=True):
+        assert stats.table.dtype == want.dtype
+        assert np.array_equal(stats.table, want)
+        assert stats.windows == int(want.sum()) == n - stats.block_len + 1
+
+
+def test_block_frequency_base_36_four_digit_table():
+    # 36^4 = 1 679 616 patterns, so a slice holds that many windows
+    n = 2 * 36**4 + 2
+    stream = _random_digits(36, n, seed=36)
+    table = block_frequency(stream, n, 4)
+    for stats, want in zip(table.lengths, _block_oracle(stream, n, 4), strict=True):
+        assert np.array_equal(stats.table, want)
+    k4 = table.lengths[-1]
+    assert k4.table.size == 36**4 and int(k4.table.sum()) == n - 3
+
+
 def test_blocks_constant_stream():
     s = DigitStream(10, lambda n: [3] * n, label="thirds")
     stats = block_frequency(s, 100, 1).lengths[-1]
@@ -231,30 +302,62 @@ def test_expsum_argmax_is_least_a_reaching_the_fft_maximum(p, want):
     assert result.max_magnitude == top
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
-def test_expsum_peak_memory_per_unit_of_p():
-    # ru_maxrss would carry the spawning process's peak across exec on Linux,
-    # so the child reads its own high-water mark, VmHWM, before and after.
-    p = 1_000_003
+def _child_peak_rise(setup: str, call: str) -> int:
+    """How far a fresh interpreter's peak RSS rises, in bytes, over ``call``
+    after ``setup`` has run.
+
+    ru_maxrss would carry the spawning process's peak across exec on Linux,
+    so the child reads its own high-water mark, VmHWM, before and after.
+    """
     code = (
         "import re\n"
-        "from pilab.spectra import expsum_magnitudes\n"
+        f"{setup}\n"
         "def hwm():\n"
         "    with open('/proc/self/status') as f:\n"
         "        status = f.read()\n"
         "    return int(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1)) * 1024\n"
-        "expsum_magnitudes([1], 31)\n"
         "before = hwm()\n"
-        f"expsum_magnitudes(list(range(1, 200)), {p})\n"
+        f"{call}\n"
         "print(hwm() - before)\n"
     )
     src = str(Path(spectra.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+    return int(result.stdout)
+
+
+needs_vmhwm = pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+
+
+@needs_vmhwm
+def test_expsum_peak_memory_per_unit_of_p():
+    p = 1_000_003
+    rise = _child_peak_rise("from pilab.spectra import expsum_magnitudes\n"
+                            "expsum_magnitudes([1], 31)",
+                            f"expsum_magnitudes(list(range(1, 200)), {p})")
     # the in-place transform rises ~144 bytes per unit of p here, a float64
     # indicator cast to complex128 with a separate output ~160
-    assert int(result.stdout) / p < 150
+    assert rise / p < 150
+
+
+@needs_vmhwm
+def test_wall_report_peak_memory_per_point():
+    # the digits are made with little garbage, so the high-water mark before
+    # the call is close to the resident set
+    n = 10**6
+    rise = _child_peak_rise(
+        "import numpy as np\n"
+        "from pilab.radix import DigitStream\n"
+        "from pilab.spectra import wall_criterion_report\n"
+        f"digits = np.random.default_rng(5).integers(0, 10, {n + 24}, dtype=np.uint8).tobytes()\n"
+        "stream = DigitStream.from_digits(digits)\n"
+        "wall_criterion_report(stream, 1000, 4, 5)",
+        f"wall_criterion_report(stream, {n}, 4, 5)")
+    # the points and their sorted copy take 16 bytes a point and every other
+    # temporary is chunk-sized: ~20 here; N-length discrepancy temporaries
+    # and window codes took ~52
+    assert rise / n < 32
 
 
 def test_expsum_fft_matches_naive():

@@ -21,13 +21,13 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import __version__, cf, constants, constructors, groups, spectra
 from ._dec import DecimalFraction
-from .radix import join_rows, numerals, read_digit_file, write_digit_file, write_text_atomic
+from .radix import numerals, open_text_atomic, read_digit_file, row_texts, write_digit_file, write_text_atomic
 
 _REAL_FORMAT = ".17g"
 _NOT_PARAMS = {"command", "func", "out", "manifest"}  # every other parsed argument enters the manifest
@@ -38,17 +38,52 @@ REPORT_CONST_N_MAX = constants.DIGIT_CEILING - _REPORT_GUARD_DIGITS
 
 _ENCODE = json.encoder.encode_basestring_ascii  # the C routine json.dumps quotes strings with
 _KEYWORDS = {None: "null", True: "true", False: "false"}
-_CSV_FLAGS = np.frombuffer(b"false\0true", np.uint8).reshape(2, 5)  # is_artin, NUL-padded for join_rows
+_CSV_FLAGS = np.frombuffer(b"false\0true", np.uint8).reshape(2, 5)  # is_artin, NUL-padded for row_texts
+
+
+# Rendered text is handed to the destination in pieces of at least this many
+# characters: big enough that the file or stream sees few writes, small
+# enough that a report never sits in memory whole beside its payload.
+_FLUSH_CHARS = 1 << 16
+
+
+class _Pieces:
+    """Report text on its way to ``write``: parts wait in a list and are
+    joined and written together once they hold _FLUSH_CHARS characters."""
+
+    def __init__(self, write: Callable[[str], object]):
+        self._write = write
+        self._parts: list[str] = []
+        self._size = 0
+
+    def add(self, text: str) -> None:
+        self._parts.append(text)
+        self._size += len(text)
+        if self._size >= _FLUSH_CHARS:
+            self.flush()
+
+    def flush(self) -> None:
+        if self._parts:
+            self._write("".join(self._parts))
+            self._parts.clear()
+            self._size = 0
+
+
+def _emit(payload, write: Callable[[str], object]) -> None:
+    """Write a report's text through ``write``, in pieces: the bytes of
+    json.dumps(indent=2, sort_keys=True) with reals as .17g strings and
+    rationals as "num/den" strings, any other iterator written as a list."""
+    out = _Pieces(write)
+    _render(payload, "\n", out)
+    out.add("\n")
+    out.flush()
 
 
 def _dump(payload) -> str:
-    """A report's text: the bytes of json.dumps(indent=2, sort_keys=True) with
-    reals as .17g strings and rationals as "num/den" strings, built in one pass
-    over a single list of parts."""
-    parts: list[str] = []
-    _render(payload, "\n", parts)
-    parts.append("\n")
-    return "".join(parts)
+    """A report's text as one string, from the renderer that writes reports."""
+    pieces: list[str] = []
+    _emit(payload, pieces.append)
+    return "".join(pieces)
 
 
 def _key(key) -> str:
@@ -61,71 +96,79 @@ def _key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _render(obj, newline: str, parts: list[str]) -> None:
-    """Append the text of ``obj``; ``newline`` ends the line before its closing bracket."""
+def _render(obj, newline: str, out: _Pieces) -> None:
+    """Add the text of ``obj``; ``newline`` ends the line before its closing bracket."""
     if isinstance(obj, str):
-        parts.append(_ENCODE(obj))
+        out.add(_ENCODE(obj))
     elif obj is None or obj is True or obj is False:
-        parts.append(_KEYWORDS[obj])
+        out.add(_KEYWORDS[obj])
     elif isinstance(obj, int):
-        parts.append(int.__repr__(obj))
+        out.add(int.__repr__(obj))
     elif isinstance(obj, float):
-        parts.append(f'"{obj:{_REAL_FORMAT}}"')
+        out.add(f'"{obj:{_REAL_FORMAT}}"')
     elif isinstance(obj, DecimalFraction):
-        parts.append(f'"{obj.text()}"')  # lowest terms without a full-width int
+        out.add(f'"{obj.text()}"')  # lowest terms without a full-width int
     elif isinstance(obj, Fraction):
-        parts.append(f'"{obj.numerator}/{obj.denominator}"')
+        out.add(f'"{obj.numerator}/{obj.denominator}"')
     elif isinstance(obj, dict):
         if not obj:
-            parts.append("{}")
+            out.add("{}")
             return
         inner = newline + "  "
         sep = "{" + inner
         for key, value in sorted(obj.items()):
-            parts.append(sep + _key(key) + ": ")
-            _render(value, inner, parts)
+            out.add(sep + _key(key) + ": ")
+            _render(value, inner, out)
             sep = "," + inner
-        parts.append(newline + "}")
+        out.add(newline + "}")
     elif isinstance(obj, spectra.BlockStats):
-        parts.append(_counts_text(obj, newline))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            parts.append("[]")
-            return
+        _render_counts(obj, newline, out)
+    elif isinstance(obj, (list, tuple, Iterator)):
         inner = newline + "  "
-        sep = "[" + inner
+        first = sep = "[" + inner
         for value in obj:
-            parts.append(sep)
-            _render(value, inner, parts)
+            out.add(sep)
+            _render(value, inner, out)
             sep = "," + inner
-        parts.append(newline + "]")
+        out.add("[]" if sep is first else newline + "]")
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _counts_text(stats: spectra.BlockStats, newline: str) -> str:
-    """The text of ``stats.counts`` as _render writes a dict, built from the
-    table array: code order is name order, and a name needs no escape."""
+def _render_counts(stats: spectra.BlockStats, newline: str, out: _Pieces) -> None:
+    """Add the text of ``stats.counts`` as _render writes a dict, 2^16 names at
+    a time from the table array: code order is name order, and a name needs
+    no escape."""
     codes = np.flatnonzero(stats.table)
     lead = f',{newline}  "'.encode()
-    text = join_rows(len(codes), lambda s: (lead, numerals(codes[s], stats.base, stats.block_len),
-                                            b'": ', numerals(stats.table[codes[s]])))
-    return "{" + text[1:].decode("ascii") + newline + "}"
+    out.add("{")
+    skip = 1  # the first row's lead comma is the opening brace
+    for text in row_texts(len(codes), lambda s: (lead, numerals(codes[s], stats.base, stats.block_len),
+                                                 b'": ', numerals(stats.table[codes[s]]))):
+        out.add(text[skip:].decode("ascii"))
+        skip = 0
+    out.add(newline + "}")
 
 
 def _sha256(path: str) -> str:
     h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            h.update(block)
     return "sha256:" + h.hexdigest()
 
 
-def _write_outputs(args, text: str | None, outputs: Sequence[str] = (), inputs: Sequence[str] = ()) -> None:
+def _write_outputs(args, payload, outputs: Sequence[str] = (), inputs: Sequence[str] = ()) -> None:
+    """Write ``payload``'s report to ``--out`` (atomically) or to standard
+    output, then a manifest when any file was written.  Everything in the
+    payload is computed before the call; only its text is made while writing."""
     out = getattr(args, "out", None)
-    if text is not None and out:
-        write_text_atomic(out, text)
+    if payload is not None and out:
+        with open_text_atomic(out) as fh:
+            _emit(payload, fh.write)
         outputs = [out, *outputs]
-    elif text is not None:
-        sys.stdout.write(text)
+    elif payload is not None:
+        _emit(payload, sys.stdout.write)  # looked up now: tests and callers swap sys.stdout
     if outputs:
         manifest = {
             "subcommand": args.command,
@@ -168,14 +211,8 @@ def _cmd_cf(args) -> int:
     if args.depth > cf.CF_DEPTH_MAX:
         raise ValueError(f"depth = {args.depth} exceeds CF_DEPTH_MAX = {cf.CF_DEPTH_MAX}")
     convs = cf.pi_convergents(args.depth)
-    payload = {
-        "const": "pi",
-        "depth": args.depth,
-        "convergents": [
-            {"k": c.k, "a": str(c.a), "p": str(c.p), "q": str(c.q)} for c in convs
-        ],
-    }
-    _write_outputs(args, _dump(payload))
+    rows = ({"k": c.k, "a": str(c.a), "p": str(c.p), "q": str(c.q)} for c in convs)  # one at a time, as written
+    _write_outputs(args, {"const": "pi", "depth": args.depth, "convergents": rows})
     return 0
 
 
@@ -188,7 +225,7 @@ def _cmd_audit(args) -> int:
         audit = cf.audit_lemma_caseII(conv, cfg)
     else:
         audit = cf.audit_lemma_prime_variant(conv, cfg)
-    _write_outputs(args, _dump(cf.audit_payload(audit)))
+    _write_outputs(args, cf.audit_payload(audit))
     return 0
 
 
@@ -204,7 +241,7 @@ def _cmd_coset(args) -> int:
     base = report.base
     payload.update(k=args.k, p=str(report.p), q=str(report.q),
                    order=base.order if base else None, totient=base.totient if base else None)
-    _write_outputs(args, _dump(payload))
+    _write_outputs(args, payload)
     return 0
 
 
@@ -213,11 +250,13 @@ def _cmd_artin(args) -> int:
     qs, orders = table = groups.artin_orders(args.limit)
     scan = groups.artin_scan(args.limit, table)
     if args.csv:
-        rows = join_rows(len(qs), lambda s: (numerals(qs[s]), b",", numerals(orders[s]), b",",
-                                             _CSV_FLAGS[(orders[s] == qs[s] - 1).astype(np.intp)], b"\n"))
-        write_text_atomic(args.csv, "q,ord,is_artin\n" + rows.decode("ascii"))
+        with open_text_atomic(args.csv) as fh:
+            fh.write("q,ord,is_artin\n")
+            for rows in row_texts(len(qs), lambda s: (numerals(qs[s]), b",", numerals(orders[s]), b",",
+                                                      _CSV_FLAGS[(orders[s] == qs[s] - 1).astype(np.intp)], b"\n")):
+                fh.write(rows.decode("ascii"))
         outputs.append(args.csv)
-    _write_outputs(args, _dump(asdict(scan)), outputs)
+    _write_outputs(args, asdict(scan), outputs)
     return 0
 
 
@@ -235,7 +274,7 @@ def _cmd_weyl(args) -> int:
         "n_points": report.n_points,
         "rows": [asdict(row) for row in report.rows],
     }
-    _write_outputs(args, _dump(payload), inputs=[args.points])
+    _write_outputs(args, payload, inputs=[args.points])
     return 0
 
 
@@ -245,7 +284,7 @@ def _cmd_normality(args) -> int:
     blocks = {str(stats.block_len): {**stats.row(), "counts": stats} for stats in table.lengths}
     payload = {"input": Path(args.infile).name, "label": stream.label, "base": stream.base,
                "n_digits": args.N, "blocks": blocks}
-    _write_outputs(args, _dump(payload), inputs=[args.infile])
+    _write_outputs(args, payload, inputs=[args.infile])
     return 0
 
 
@@ -254,7 +293,7 @@ def _cmd_expsum(args) -> int:
     result = spectra.subgroup_expsum(report, c=args.c)
     payload = {_EXPSUM_KEYS.get(key, key): value for key, value in vars(result).items()}
     payload["method"] = "fft"
-    _write_outputs(args, _dump(payload))
+    _write_outputs(args, payload)
     return 0
 
 
@@ -269,7 +308,7 @@ def _cmd_report(args) -> int:
                              f"N = {args.N} exceeds {REPORT_CONST_N_MAX} (DIGIT_CEILING - {_REPORT_GUARD_DIGITS})")
         stream = constants.const_digits(args.const, args.N + _REPORT_GUARD_DIGITS)
     payload = spectra.wall_criterion_report(stream, args.N, args.kmax, args.mmax)
-    _write_outputs(args, _dump(payload), inputs=inputs)
+    _write_outputs(args, payload, inputs=inputs)
     return 0
 
 

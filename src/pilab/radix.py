@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -24,6 +26,8 @@ _TO_TEXT = bytes.maketrans(bytes(range(MAX_BASE)), _ALPHABET)
 _FROM_TEXT = bytes(_ALPHABET.find(c) & 0xFF for c in range(256))
 _TEXT_CODES = np.frombuffer(_ALPHABET, np.uint8)
 _LINE_WIDTH = 80
+_LINE_BREAKS = b"\n\r\x0b\x0c\x1c\x1d\x1e"  # the ASCII characters str.splitlines breaks on
+_HEADER = re.compile(b"[^" + re.escape(_LINE_BREAKS) + b"]*")  # a digit file's first line
 _CHUNK = 1 << 16  # rows per numpy pass, so int64 temporaries stay near half a megabyte
 
 
@@ -70,19 +74,17 @@ def numerals(values, base: int = 10, width: Optional[int] = None) -> np.ndarray:
     return text
 
 
-def join_rows(n: int, row_blocks: Callable[[slice], Sequence]) -> bytes:
-    """The text of ``n`` rows, each its blocks side by side with the NUL pad
-    dropped.  ``row_blocks(s)`` gives the blocks of the rows in slice ``s``,
-    at most 2^16 at a time: ASCII matrices with a row per row of ``s``, or
-    bytes that every row holds.
+def row_texts(n: int, row_blocks: Callable[[slice], Sequence]) -> Iterator[bytes]:
+    """The text of ``n`` rows, 2^16 rows a piece, each row its blocks side by
+    side with the NUL pad dropped.  ``row_blocks(s)`` gives the blocks of the
+    rows in slice ``s``: ASCII matrices with a row per row of ``s``, or bytes
+    that every row holds.
     """
-    parts = []
     for lo in range(0, n, _CHUNK):
         s = slice(lo, min(lo + _CHUNK, n))
         text = np.concatenate([np.broadcast_to(np.frombuffer(b, np.uint8), (s.stop - lo, len(b)))
                                if isinstance(b, bytes) else b for b in row_blocks(s)], axis=1)
-        parts.append(text[text != 0].tobytes())
-    return b"".join(parts)
+        yield text[text != 0].tobytes()
 
 
 class EmptyTruncationError(ValueError):
@@ -236,21 +238,26 @@ def write_digit_file(path: Union[str, Path], stream: DigitStream, count: int) ->
     write_text_atomic(path, "\n".join(lines) + "\n", encoding="ascii")
 
 
-def write_text_atomic(path: Union[str, Path], text: str, encoding: str = "utf-8") -> None:
-    """Write ``text`` through a temporary file in the same directory and
+@contextlib.contextmanager
+def open_text_atomic(path: Union[str, Path], encoding: str = "utf-8") -> Iterator[TextIO]:
+    """A text file that replaces ``path`` when the block ends: it is written
+    as a temporary file in the same directory and moved over ``path`` with
     ``os.replace``, so readers see the old file or the new one, never a part.
+    If the block raises, the temporary file is removed and ``path`` is left
+    as it was.
 
     A symlink is followed, and a pipe or device (``/dev/stdout``) is written
     in place, since a rename would replace the link or the device node.
     """
     if os.path.exists(path) and not os.path.isfile(path):
-        Path(path).write_text(text, encoding=encoding)
+        with open(path, "w", encoding=encoding) as fh:
+            yield fh
         return
     path = Path(os.path.realpath(path))
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding=encoding) as fh:
-            fh.write(text)
+            yield fh
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes 0600; keep the mode a plain open gives
@@ -258,6 +265,12 @@ def write_text_atomic(path: Union[str, Path], text: str, encoding: str = "utf-8"
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def write_text_atomic(path: Union[str, Path], text: str, encoding: str = "utf-8") -> None:
+    """Write ``text`` to ``path`` through open_text_atomic."""
+    with open_text_atomic(path, encoding) as fh:
+        fh.write(text)
 
 
 def _parse_header(path: Union[str, Path], header: str) -> dict[str, str]:
@@ -277,24 +290,32 @@ def read_digit_file(path: Union[str, Path]) -> DigitStream:
     """Read a digit file back into a finite stream.
 
     Fields between the count and the label are optional; a ``sha256`` field,
-    as files from earlier versions carry, must match the digit text.
+    as files from earlier versions carry, must match the digit text.  Lines
+    break where ``str.splitlines`` breaks ASCII text, so ``\r\n`` endings and
+    blank lines read as they always have.
     """
-    lines = Path(path).read_text(encoding="ascii").splitlines()
-    if not lines:
+    data = Path(path).read_bytes()
+    if not data:
         raise ValueError(f"{path}: empty digit file")
-    fields = _parse_header(path, lines[0])
+    if not data.isascii():
+        raise ValueError(f"{path}: not an ASCII digit file")
+    end = _HEADER.match(data).end()
+    header = data[:end].decode("ascii")
+    fields = _parse_header(path, header)
     label = fields["label"]
     try:
         base = int(fields["base"])
         count = int(fields["count"])
     except ValueError as exc:
-        raise ValueError(f"{path}: malformed header {lines[0]!r}") from exc
-    body = "".join(lines[1:])
+        raise ValueError(f"{path}: malformed header {header!r}") from exc
+    body = data[end + 1 :]
+    del data  # at most two copies of the digit text at a time
+    body = body.translate(None, _LINE_BREAKS)
     if len(body) != count:
         raise ValueError(f"{path}: header promises {count} digits, found {len(body)}")
-    if "sha256" in fields and hashlib.sha256(body.encode("ascii")).hexdigest() != fields["sha256"]:
+    if "sha256" in fields and hashlib.sha256(body).hexdigest() != fields["sha256"]:
         raise ValueError(f"{path}: the digits do not match the header's sha256")
     try:
-        return DigitStream.from_digits(digits_from_text(body), base=base, label=label)
+        return DigitStream.from_digits(body.translate(_FROM_TEXT), base=base, label=label)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shlex
@@ -5,7 +6,9 @@ import time
 from pathlib import Path
 
 import pytest
+from test_spectra import _child_peak_rise, needs_vmhwm
 
+from pilab import cli
 from pilab.cli import main
 from pilab.constructors import CONCAT_DIGIT_CEILING, STONEHAM_DIGIT_CEILING
 from pilab.primes import next_prime
@@ -328,6 +331,51 @@ def test_failed_report_write_keeps_old_file(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "cf", "--depth", "5", "--out", str(out_file))
     assert code == 1 and "replace refused" in err
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
+
+
+def test_render_error_after_a_flush_keeps_old_file(tmp_path, monkeypatch):
+    target = tmp_path / "target.json"
+    target.write_bytes(b"old report\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    monkeypatch.setattr(cli, "_FLUSH_CHARS", 1)
+    written = []
+
+    def rows():
+        yield from range(5000)
+        # some 40 kB of rows are past the text buffer by now, in the temporary file
+        written.extend(p.stat().st_size for p in tmp_path.glob(".target.json.*"))
+        yield object()
+
+    args = argparse.Namespace(command="cf", out=str(link), manifest=None)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._write_outputs(args, {"rows": rows()})
+    assert written and written[0] > 0
+    assert target.read_bytes() == b"old report\n" and link.is_symlink()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+
+def test_report_out_follows_symlink(tmp_path, capsys):
+    target = tmp_path / "target.json"
+    target.write_bytes(b"old report\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, stdout, _ = run(capsys, "cf", "--depth", "30")
+    assert code == 0
+    assert run(capsys, "cf", "--depth", "30", "--out", str(link))[0] == 0
+    assert link.is_symlink() and target.read_text() == stdout
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "link.json.manifest.json", "target.json"]
+
+
+@needs_vmhwm
+def test_audit_report_is_written_without_its_whole_text(tmp_path):
+    path = tmp_path / "audit.json"
+    argv = ["audit", "--lemma", "caseII", "--k", "12", "--out", str(path), "--nmax"]
+    rise = _child_peak_rise(f"from pilab.cli import main\nmain({argv + ['40']!r})", f"main({argv + ['1500']!r})")
+    size = path.stat().st_size
+    assert size > 7_000_000
+    # rises ~4 MB, the rows and their payload; with its parts and joined text held it rose ~21 MB
+    assert rise < size
 
 
 def test_report_byte_identical(tmp_path, capsys):

@@ -15,6 +15,8 @@ from pilab.radix import (
     DigitStream,
     EmptyTruncationError,
     ProducerExhaustedError,
+    _parse_header,
+    digits_from_text,
     fractional_part,
     read_digit_file,
     truncate,
@@ -173,6 +175,73 @@ def test_write_text_atomic_follows_symlink(tmp_path):
     write_text_atomic(link, "new")
     assert link.is_symlink() and target.read_text() == "new"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
+
+
+def oracle_read_digit_file(path) -> DigitStream:
+    """The text-based parser read_digit_file replaced: read_text, splitlines, join."""
+    lines = Path(path).read_text(encoding="ascii").splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty digit file")
+    fields = _parse_header(path, lines[0])
+    try:
+        base = int(fields["base"])
+        count = int(fields["count"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed header {lines[0]!r}") from exc
+    body = "".join(lines[1:])
+    if len(body) != count:
+        raise ValueError(f"{path}: header promises {count} digits, found {len(body)}")
+    if "sha256" in fields and hashlib.sha256(body.encode("ascii")).hexdigest() != fields["sha256"]:
+        raise ValueError(f"{path}: the digits do not match the header's sha256")
+    try:
+        return DigitStream.from_digits(digits_from_text(body), base=base, label=fields["label"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+_DIGEST_12 = hashlib.sha256(b"012345678901").hexdigest()
+
+
+_PARSER_CASES = {
+    "crlf": b"base=10 count=12 label=crlf\r\n01234\r\n5678901\r\n",
+    "cr": b"base=10 count=12 label=cr\r0123456789\r01",
+    "form-feed": b"base=10 count=12 label=ff\n012345\x0c678901\n",
+    "form-feed-header": b"base=10 count=12 label=ff\x0c012345678901",
+    "vt-fs-gs-rs": b"base=10 count=12 label=x\x0b0123\x1c4567\x1d8901\x1e",
+    "blank-tail": b"base=10 count=12 label=x\n012345678901\n\n\r\n\n",
+    "blank-head": b"base=10 count=12 label=x\n\n\n012345678901\n",
+    "short": b"base=10 count=12 label=x\n01234567890\n",
+    "long": b"base=10 count=12 label=x\n0123456789012\n",
+    "no-body": b"base=10 count=12 label=x",
+    "empty-body": b"base=10 count=0 label=x",
+    "tab": b"base=10 count=12 label=x\n012345\t678901\n",
+    "non-ascii-body": b"base=10 count=12 label=x\n01234567890\xc3\xa9\n",
+    "non-ascii-label": b"base=10 count=12 label=caf\xc3\xa9\n012345678901\n",
+    "nel": b"base=10 count=12 label=x\n012345\xc2\x85678901\n",
+    "sha256": b"base=10 count=12 sha256=" + _DIGEST_12.encode() + b" label=x\r\n012345678901\r\n",
+    "bad-sha256": b"base=10 count=12 sha256=" + _DIGEST_12[::-1].encode() + b" label=x\n012345678901\n",
+    "outside-base": b"base=2 count=12 label=x\n012345678901\n",
+    "bad-base": b"base=x count=12 label=x\n012345678901\n",
+    "no-header": b"\n012345678901\n",
+    "empty": b"",
+}
+
+
+@pytest.mark.parametrize("data", _PARSER_CASES.values(), ids=_PARSER_CASES.keys())
+def test_digit_file_parser_matches_text_parser(tmp_path, data):
+    path = tmp_path / "d.digits"
+    path.write_bytes(data)
+    got = []
+    for parse in (oracle_read_digit_file, read_digit_file):
+        try:
+            stream = parse(path)
+        except ValueError as exc:  # the text parser's UnicodeDecodeError is one
+            got.append(ValueError)
+            if parse is read_digit_file:
+                assert str(path) in str(exc)
+        else:
+            got.append((stream.base, stream.label, stream.prefix(stream.length)))
+    assert got[0] == got[1]
 
 
 @pytest.mark.parametrize("base", [2, 10, 16, 36])

@@ -4,12 +4,14 @@ json.dumps over the rendering they replaced."""
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pilab import cli
 from pilab.cli import _dump, main
 from pilab.radix import DigitStream, text_from_digits, write_digit_file
 from pilab.spectra import block_frequency
@@ -81,6 +83,43 @@ def test_writer_edge_cases(obj):
     assert _dump(obj) == reference(obj)
 
 
+def streamed(obj, flush_chars=1) -> list[str]:
+    """The pieces the report writer hands its destination, flushing once
+    ``flush_chars`` characters wait: at 1, every part is its own piece."""
+    pieces = []
+    with mock.patch.object(cli, "_FLUSH_CHARS", flush_chars):
+        cli._emit(obj, pieces.append)
+    return pieces
+
+
+@settings(max_examples=200, deadline=None)
+@given(values)
+def test_streamed_pieces_join_to_the_dumped_text(obj):
+    pieces = streamed(obj)
+    assert "".join(pieces) == _dump(obj) == reference(obj)
+    assert all(pieces)
+
+
+@pytest.mark.parametrize("make,listed", [
+    (lambda: iter(()), []),
+    (lambda: {"a": (i for i in ())}, {"a": []}),
+    (lambda: {"a": {}, "b": [], "c": iter([{}, [], iter(())])}, {"a": {}, "b": [], "c": [{}, [], []]}),
+    (lambda: [map(str, range(3)), (x for x in [Fraction(1, 3), 0.5])], [["0", "1", "2"], ["1/3", 0.5]]),
+], ids=["empty", "empty-in-dict", "nested-empties", "items"])
+@pytest.mark.parametrize("flush_chars", [1, cli._FLUSH_CHARS])
+def test_writer_renders_any_iterator_as_a_list(make, listed, flush_chars):
+    assert "".join(streamed(make(), flush_chars)) == reference(listed)
+
+
+def test_writer_hands_on_bounded_pieces():
+    rows = [{"k": k, "p": str(7**k), "r": Fraction(k, 3)} for k in range(2000)]
+    pieces = streamed({"rows": rows}, cli._FLUSH_CHARS)
+    assert "".join(pieces) == reference({"rows": rows})
+    assert len(pieces) > 10
+    # each piece is flushed as soon as it reaches the size, so it passes it by less than one part
+    assert all(cli._FLUSH_CHARS <= len(p) < cli._FLUSH_CHARS + 2000 for p in pieces[:-1])
+
+
 @pytest.mark.parametrize("obj", [{"a": object()}, {(1, 2): 3}, {"a": {1, 2}}])
 def test_writer_rejects_what_json_rejects(obj):
     with pytest.raises(TypeError):
@@ -124,3 +163,13 @@ def test_normality_counts_match_dict_writer(base, n, k_max, tmp_path, capsys):
         write_digit_file(path, stream, n)
         assert main(["normality", "--in", str(path), "--N", str(n), "--kmax", str(k_max)]) == 0
         assert capsys.readouterr().out == oracle_normality(stream, n, k_max, path.name), (base, label)
+
+
+def test_counts_table_slices_with_every_part_flushed():
+    # base 36, k 4: 2^16 names a slice, so the table is several slices
+    stream = DigitStream.from_digits(skewed_digits(36, 150000, 36), base=36, label="skewed")
+    stats = block_frequency(stream, 150000, 4).lengths[-1]
+    assert np.count_nonzero(stats.table) > 2 * 2**16
+    pieces = streamed({"counts": stats})
+    assert "".join(pieces) == reference({"counts": oracle_counts(stats)})
+    assert sum(len(p) > 2**16 for p in pieces) > 2  # the slices, each one piece

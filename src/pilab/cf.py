@@ -354,12 +354,6 @@ def _row_value(lower: Fraction, upper: Fraction, n: int, q: int) -> tuple[Decima
     raise InsufficientPrecisionError(n)
 
 
-def _value_with_margin(lower: Fraction, upper: Fraction, n: int, q: int) -> tuple[Fraction, int, bool]:
-    """``_row_value`` in plain Fractions: (value, value error exponent, pass)."""
-    value, passed = _row_value(lower, upper, n, q)
-    return Fraction(value), -value.exp, passed
-
-
 def _lemma_audit(
     lemma: str, conv: Convergent, cfg: AuditConfig, ns: range, bounds, lower_exact: bool = True
 ) -> LemmaAudit:

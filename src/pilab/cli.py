@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, cf, constants, constructors, groups, spectra
 from ._dec import DecimalFraction
-from .radix import numerals, open_text_atomic, read_digit_file, row_texts, write_digit_file, write_text_atomic
+from .radix import numerals, open_text_atomic, read_digit_file, row_texts, write_digit_file
 
 _REAL_FORMAT = ".17g"
 _NOT_PARAMS = {"command", "func", "out", "manifest"}  # every other parsed argument enters the manifest
@@ -136,9 +136,9 @@ def _render(obj, newline: str, out: _Pieces) -> None:
 
 
 def _render_counts(stats: spectra.BlockStats, newline: str, out: _Pieces) -> None:
-    """Add the text of ``stats.counts`` as _render writes a dict, 2^16 names at
-    a time from the table array: code order is name order, and a name needs
-    no escape."""
+    """Add the nonzero patterns of ``stats`` by name, with their counts, as
+    _render writes a dict, 2^16 names at a time from the table array: code
+    order is name order, and a name needs no escape."""
     codes = np.flatnonzero(stats.table)
     lead = f',{newline}  "'.encode()
     out.add("{")
@@ -179,17 +179,24 @@ def _write_outputs(args, payload, outputs: Sequence[str] = (), inputs: Sequence[
             "generated_at": datetime.now(timezone.utc).isoformat(),
         }
         manifest_path = getattr(args, "manifest", None) or outputs[0] + ".manifest.json"
-        write_text_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        with open_text_atomic(manifest_path) as fh:
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _cmd_constants(args) -> int:
-    stream = constants.const_digits(args.name, args.digits)
+def _write_digits(args, stream, head: str = "") -> int:
+    """Write ``--digits`` digits of ``stream`` as a digit file to ``--out``,
+    or print them after ``head``."""
     if args.out:
         write_digit_file(args.out, stream, args.digits)
         _write_outputs(args, None, [args.out])
     else:
-        sys.stdout.write(f"{constants.integer_part(args.name)}.{stream.prefix_string(args.digits)}\n")
+        sys.stdout.write(f"{head}{stream.prefix_string(args.digits)}\n")
     return 0
+
+
+def _cmd_constants(args) -> int:
+    stream = constants.const_digits(args.name, args.digits)
+    return _write_digits(args, stream, f"{constants.integer_part(args.name)}.")
 
 
 def _cmd_construct(args) -> int:
@@ -199,12 +206,7 @@ def _cmd_construct(args) -> int:
     else:
         spec = constructors.ConcatSpec(family=args.family, base=args.base)
         stream = constructors.concat_digits(spec, args.digits)
-    if args.out:
-        write_digit_file(args.out, stream, args.digits)
-        _write_outputs(args, None, [args.out])
-    else:
-        sys.stdout.write(stream.prefix_string(args.digits) + "\n")
-    return 0
+    return _write_digits(args, stream)
 
 
 def _cmd_cf(args) -> int:

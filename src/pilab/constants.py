@@ -12,8 +12,8 @@ The two engines of a pair share no state, so where a fork pays, one half of
 the pair runs in a forked child while this process runs the other (see
 _spawn): atan(1/5) for pi, the acoth formula for ln 10 and the whole AGM
 engine for ln pi.  The values are bit for bit those of running them one
-after the other; the AGM's pi and ln 2 memo entries filled in a child die
-with it.
+after the other.  Only the bit-burst ln 2 is held between calls (see
+_memo); the AGM's pi and ln 2 are computed afresh on each call.
 """
 
 from __future__ import annotations
@@ -33,48 +33,39 @@ DIGIT_CEILING = 100_000
 _INT_PARTS = {"pi": 3, "ln10": 2, "ln_pi": 1}
 
 
-def _agree_ulp(w: int) -> int:
-    """How far apart (in 10^-w units) the two engines of a constant may land.
+# How far apart (in 10^-w units) the two engines of a constant may land.
+#
+# Each _arc_series sum is within 2 ulp: one floor division, operands cut at a
+# cost under 2^-30 ulp, and a series tail below 1 ulp.  Machin,
+# 16 atan(1/5) - 4 atan(1/239), is thus within 40 ulp; Chudnovsky within 2 (an
+# isqrt floor scaled by pi/sqrt(10005), then a division floor, with Q and T cut
+# first to one's width plus 64 bits at a cost under 2^-30 ulp).  The logarithms
+# work in binary with 64 guard bits: the bit-burst sum of k ln 2 and at most
+# log2(bits) + 2 stages errs by 4 (|k| + stages) binary ulp; the acoth ln 10,
+# three _arc_series sums weighted 46, 34 and 20, by 2 (46 + 34 + 20) = 200
+# binary ulp, under 2^-55 decimal ulp behind the guard bits; and the AGM log's
+# formula, loop, pi and ln 2 errors stay under one binary ulp (see
+# _ln_rational_agm).  After the floor to decimal each is within 2 ulp.  Pi
+# pairs therefore differ by at most 42 ulp and logarithm pairs by at most 4.
+# None of these bounds grows with w.
+#
+# The bit-burst ln 2 is computed once, at the most bits asked for, and served
+# lower by a right shift (see _ln2_bin).  The shift's floor adds at most one
+# binary ulp to an error the shift has at least halved, so e / 2 + 1 <= e for
+# every error e >= 2 above: each bound holds unchanged, and so do the budgets.
+_AGREE_ULP = 64
 
-    Each _arc_series sum is within 2 ulp: one floor division, operands cut at
-    a cost under 2^-30 ulp, and a series tail below 1 ulp.  Machin,
-    16 atan(1/5) - 4 atan(1/239), is thus within 40 ulp; Chudnovsky within 2
-    (an isqrt floor scaled by pi/sqrt(10005), then a division floor, with Q
-    and T cut first to one's width plus 64 bits at a cost under 2^-30 ulp).
-    The logarithms work in binary with 64 guard bits: the bit-burst sum of
-    k ln 2 and at most log2(bits) + 2 stages errs by 4 (|k| + stages) binary
-    ulp; the acoth ln 10, three _arc_series sums weighted 46, 34 and 20, by
-    2 (46 + 34 + 20) = 200 binary ulp, under 2^-55 decimal ulp behind the
-    guard bits; and the AGM log's formula, loop, pi and ln 2 errors stay
-    under one binary ulp (see _ln_rational_agm).  After the floor to
-    decimal each is within 2 ulp.  Pi pairs therefore differ by at most
-    42 ulp and logarithm pairs by at most 4.  None of these bounds grows
-    with w.
-
-    The logarithms' ln 2 values and the AGM's pi are computed once, at the
-    highest precision asked for, and served lower by a right shift (see
-    _held_binary).  The shift's floor adds at most one binary ulp to an
-    error the shift has at least halved, so e / 2 + 1 <= e for every
-    error e >= 2 above: each bound holds unchanged, and so do the budgets.
-    """
-    return 64
-
-
-def _boundary_ulp(w: int) -> int:
-    """Distance (in 10^-w units) the primary must keep from a digit boundary.
-
-    If the cross-check meets its bound, the true value lies within
-    _agree_ulp + 2 <= 66 ulp of the primary even should the primary's own
-    bound fail; ln(pi_hat) stands in for ln(pi) with under 0.01 ulp more.
-    The guard is >= 0.1 N + 10 digits, so 128 ulp never reaches a released
-    digit.
-    """
-    return 2 * _agree_ulp(w)
+# Distance (in 10^-w units) the primary must keep from a digit boundary.  If
+# the cross-check meets its bound, the true value lies within _AGREE_ULP + 2 =
+# 66 ulp of the primary even should the primary's own bound fail; ln(pi_hat)
+# stands in for ln(pi) with under 0.01 ulp more.  The guard is >= 0.1 N + 10
+# digits, so 128 ulp never reaches a released digit.
+_BOUNDARY_ULP = 2 * _AGREE_ULP
 
 # The one memo, keyed by name.  A constant ("pi", "ln10", "ln_pi") maps to
 # (N, floor(value * 10^N), its N fractional digits) for the largest N
-# certified so far; a binary internal ("ln2", "ln2_acoth", "pi_bin") maps to
-# (bits, value * 2^bits, b"") for the most bits computed so far.
+# certified so far; the bit-burst ln 2 ("ln2") maps to (bits, ln 2 * 2^bits,
+# b"") for the most bits computed so far.
 _memo: dict[str, tuple[int, int, bytes]] = {}
 
 
@@ -169,35 +160,27 @@ def _bin_to_decimal(v_bin: int, bits: int, w: int) -> int:
     return v_bin * 10**w >> bits
 
 
-def _held_binary(key: str, bits: int, compute) -> int:
-    """compute(bits), served from the memo's value at the most bits computed
-    so far by a right shift, which adds at most one binary ulp."""
-    held = _memo.get(key)
-    if held is None or held[0] < bits:
-        held = (bits, compute(bits), b"")
-        _memo[key] = held
-    return held[1] >> held[0] - bits
-
-
 def _ln2_bin(bits: int) -> int:
-    return _held_binary("ln2", bits, lambda b: 2 * _arc_series(1, 3, 1 << b, 1))
-
-
-def _ln2_acoth(bits: int) -> int:
-    one = 1 << bits
-    return (18 * _arc_series(1, 26, one, 1) - 2 * _arc_series(1, 4801, one, 1)
-            + 8 * _arc_series(1, 8749, one, 1))
+    """2 atanh(1/3) * 2^bits, served from the memo's value at the most bits
+    computed so far by a right shift, which adds at most one binary ulp."""
+    held = _memo.get("ln2")
+    if held is None or held[0] < bits:
+        held = (bits, 2 * _arc_series(1, 3, 1 << bits, 1), b"")
+        _memo["ln2"] = held
+    return held[1] >> held[0] - bits
 
 
 def _ln2_acoth_bin(bits: int) -> int:
     """ln 2 * 2^bits as 18 acoth 26 - 2 acoth 4801 + 8 acoth 8749, sharing no
     series with the primary's 2 atanh(1/3)."""
-    return _held_binary("ln2_acoth", bits, _ln2_acoth)
+    one = 1 << bits
+    return (18 * _arc_series(1, 26, one, 1) - 2 * _arc_series(1, 4801, one, 1)
+            + 8 * _arc_series(1, 8749, one, 1))
 
 
 def _pi_bin(bits: int) -> int:
     """pi * 2^bits by Chudnovsky, for the AGM logarithm."""
-    return _held_binary("pi_bin", bits, lambda b: _pi_chudnovsky(1 << b, b // 3 + 1))
+    return _pi_chudnovsky(1 << bits, bits // 3 + 1)
 
 
 def _ln_rational_atanh(num: int, den: int, w: int) -> int:
@@ -429,7 +412,7 @@ def _ln_pi_scaled_pair(w: int) -> tuple[int, int]:
     """(bit-burst, AGM) for ln(pi_hat), pi_hat = P/10^(w+5): the substitution
     error is below 10^-(w+4) and the truncation P is itself dual-certified.
     The whole AGM engine, its pi and ln 2 included, may run in a forked
-    child; memo entries it fills there die with the child."""
+    child."""
     num, den = _certified_scaled("pi", w + 5), 10 ** (w + 5)
     with _spawn("ln_pi", w, _ln_rational_agm, num, den, w) as agm:
         return _ln_rational_atanh(num, den, w), agm()
@@ -466,12 +449,11 @@ def _certify(name: str, n_digits: int) -> tuple[int, int, bytes]:
     w = _working_digits(n_digits)
     for _ in range(10):
         v1, v2 = _ENGINES[name](w)
-        if abs(v1 - v2) > _agree_ulp(w):
+        if abs(v1 - v2) > _AGREE_ULP:
             raise MethodDisagreementError(name, _first_diff_index(v1, v2, w))
         shift = 10 ** (w - n_digits)
-        margin = _boundary_ulp(w)
         rem = v1 % shift
-        if margin < rem < shift - margin:
+        if _BOUNDARY_ULP < rem < shift - _BOUNDARY_ULP:
             released = v1 // shift
             frac = released - _INT_PARTS[name] * 10**n_digits
             if not 0 <= frac < 10**n_digits:

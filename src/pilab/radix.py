@@ -26,6 +26,7 @@ _TO_TEXT = bytes.maketrans(bytes(range(MAX_BASE)), _ALPHABET)
 _FROM_TEXT = bytes(_ALPHABET.find(c) & 0xFF for c in range(256))
 _TEXT_CODES = np.frombuffer(_ALPHABET, np.uint8)
 _LINE_WIDTH = 80
+_PIECE_DIGITS = 819 * _LINE_WIDTH  # a digit file is written 819 whole lines, about 64 KiB, at a time
 _LINE_BREAKS = b"\n\r\x0b\x0c\x1c\x1d\x1e"  # the ASCII characters str.splitlines breaks on
 _HEADER = re.compile(b"[^" + re.escape(_LINE_BREAKS) + b"]*")  # a digit file's first line
 _CHUNK = 1 << 16  # rows per numpy pass, so int64 temporaries stay near half a megabyte
@@ -231,11 +232,12 @@ def write_digit_file(path: Union[str, Path], stream: DigitStream, count: int) ->
     label = stream.label
     if "".join(label.splitlines()) != label:
         raise ValueError(f"digit file label {label!r} contains a line break")
-    text = stream.prefix_string(count)
-    lines = [f"base={stream.base} count={count} label={label}"]
-    for i in range(0, len(text), _LINE_WIDTH):
-        lines.append(text[i : i + _LINE_WIDTH])
-    write_text_atomic(path, "\n".join(lines) + "\n", encoding="ascii")
+    digits = stream.prefix(count)
+    with open_text_atomic(path, encoding="ascii") as fh:
+        fh.write(f"base={stream.base} count={count} label={label}\n")
+        for lo in range(0, count, _PIECE_DIGITS):
+            text = text_from_digits(digits[lo : lo + _PIECE_DIGITS])
+            fh.write("".join(text[i : i + _LINE_WIDTH] + "\n" for i in range(0, len(text), _LINE_WIDTH)))
 
 
 @contextlib.contextmanager
@@ -265,12 +267,6 @@ def open_text_atomic(path: Union[str, Path], encoding: str = "utf-8") -> Iterato
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-
-
-def write_text_atomic(path: Union[str, Path], text: str, encoding: str = "utf-8") -> None:
-    """Write ``text`` to ``path`` through open_text_atomic."""
-    with open_text_atomic(path, encoding) as fh:
-        fh.write(text)
 
 
 def _parse_header(path: Union[str, Path], header: str) -> dict[str, str]:

@@ -4,7 +4,6 @@ block frequencies and exponential sums over subgroups of prime fields.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 import threading
@@ -15,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import constants, primes
-from .radix import DigitStream, fractional_part, numerals
+from .radix import DigitStream, fractional_part
 from .groups import SubgroupReport
 
 _FLOAT_SLOP = 5e-16  # per-point trig rounding folded into reported error bounds
@@ -106,14 +105,6 @@ class BlockStats:
     max_abs_dev: float
     chi_square: float
     dof: int
-
-    @functools.cached_property
-    def counts(self) -> dict[str, int]:
-        """The nonzero patterns by name, in code order, which is also name order."""
-        k = self.block_len
-        codes = np.flatnonzero(self.table)
-        names = numerals(codes, self.base, k).tobytes().decode("ascii")
-        return dict(zip([names[i : i + k] for i in range(0, len(names), k)], self.table[codes].tolist()))
 
     def row(self) -> dict:
         """The statistics every block report prints."""
@@ -242,10 +233,11 @@ def _split_chunks(work, count: int) -> list:
 
 
 # Working set of the stats kernels (shifted_points, weyl_sum, star_discrepancy,
-# block_frequency): beside the digit prefix, the point array, star_discrepancy's
-# one sorted copy and the count tables, every temporary is O(max(_CHUNK, b^k))
-# elements.  Points go _CHUNK a pass; block_frequency goes max(_CHUNK, b^k_max)
-# windows a pass, so a count table is not re-added every _CHUNK windows.
+# block_frequency): beside the digit prefix, the point array (which the reports
+# sort in place; star_discrepancy sorts a copy) and the count tables, every
+# temporary is O(max(_CHUNK, b^k)) elements.  Points go _CHUNK a pass;
+# block_frequency goes max(_CHUNK, b^k_max) windows a pass, so a count table is
+# not re-added every _CHUNK windows.
 def weyl_sum(pts: PointSet, m_list: Sequence[int]) -> WeylReport:
     """Normalized magnitudes |sum e(2 pi i m u_n)| / N for each frequency m != 0.
 
@@ -280,10 +272,14 @@ def weyl_sum(pts: PointSet, m_list: Sequence[int]) -> WeylReport:
 def star_discrepancy(pts: PointSet) -> float:
     """Exact 1-D star discrepancy D*_N via the sorted-points formula
     max_i max(i/N - u_(i), u_(i) - (i-1)/N), taken _CHUNK points a pass."""
-    n = len(pts)
-    if n < 1:
+    if len(pts) < 1:
         raise ValueError("point set is empty")
-    u = np.sort(pts.points)
+    return _sorted_discrepancy(np.sort(pts.points))
+
+
+def _sorted_discrepancy(u: np.ndarray) -> float:
+    """star_discrepancy of the points ``u``, given in ascending order."""
+    n = len(u)
     worst = -math.inf
     for lo in range(0, n, _CHUNK):
         v = u[lo : lo + _CHUNK]
@@ -493,7 +489,6 @@ def shifted_points(digits: DigitStream, n_points: int, shift_digits: int = 24) -
     if shift_digits < 1:
         raise ValueError("need shift_digits >= 1")
     b = digits.base
-    digits.ensure(n_points + shift_digits)
     digs = np.frombuffer(digits.prefix(n_points + shift_digits), np.uint8)
     pts = np.empty(n_points, dtype=np.float64)
 
@@ -526,19 +521,11 @@ def wall_criterion_report(digits: DigitStream, n_points: int, k_max: int, m_max:
         raise ValueError("need n_points >= 10 * k_max for meaningful block statistics")
     if not any(digits.prefix(n_points)):
         raise ValueError("degenerate stream: all digits are zero")
-    pts = shifted_points(digits, n_points)
-    weyl = weyl_sum(pts, list(range(1, m_max + 1)))
-    disc = star_discrepancy(pts)
+    report = _equidistribution(shifted_points(digits, n_points), range(1, m_max + 1))
     blocks = block_frequency(digits, n_points, k_max)
-    return {
-        "label": digits.label,
-        "base": digits.base,
-        "n_points": n_points,
-        "point_eps": pts.eps,
-        "weyl": [asdict(row) for row in weyl.rows],
-        "star_discrepancy": disc,
-        "blocks": {str(stats.block_len): stats.row() for stats in blocks.lengths},
-    }
+    report.update(label=digits.label, base=digits.base,
+                  blocks={str(stats.block_len): stats.row() for stats in blocks.lengths})
+    return report
 
 
 def x_sequence_audit(n_max: int) -> dict:
@@ -549,13 +536,19 @@ def x_sequence_audit(n_max: int) -> dict:
     precision = 30
     xs = constants.x_sequence(n_max, precision=precision)
     fracs = [fractional_part(x, precision) for x in xs]
-    pts = PointSet.from_fractions(fracs, eps=10.0**-precision, label="log-lattice")
-    weyl = weyl_sum(pts, [1, 2, 3, 4, 5])
-    return {
-        "label": pts.label,
-        "n_points": n_max,
-        "point_eps": pts.eps,
-        "precision": precision,
-        "weyl": [asdict(row) for row in weyl.rows],
-        "star_discrepancy": star_discrepancy(pts),
-    }
+    report = _equidistribution(PointSet.from_fractions(fracs, eps=10.0**-precision), range(1, 6))
+    report.update(label="log-lattice", precision=precision)
+    return report
+
+
+def _equidistribution(pts: PointSet, m_list: Sequence[int]) -> dict:
+    """The report fields of a point set a report built for itself: its size,
+    eps, Weyl rows for ``m_list`` and star discrepancy.  The Weyl sums are
+    exact, so they do not depend on the order of the points, and D* is then
+    taken from the set's own array, sorted in place: no N-length copy."""
+    weyl = weyl_sum(pts, m_list)
+    u = pts.points
+    u.flags.writeable = True  # the set was built by the caller and dies with this call
+    u.sort()
+    return {"n_points": len(pts), "point_eps": pts.eps,
+            "weyl": [asdict(row) for row in weyl.rows], "star_discrepancy": _sorted_discrepancy(u)}

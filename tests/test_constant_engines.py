@@ -31,7 +31,7 @@ def test_pi_engine_against_mpmath(engine, w):
     one = 10**w
     got = constants._pi_machin(one) if engine == "machin" else constants._pi_chudnovsky(one, w)
     mp.dps = w + 20
-    assert abs(got - _floor_scaled(mp.pi, w)) <= constants._agree_ulp(w)
+    assert abs(got - _floor_scaled(mp.pi, w)) <= constants._AGREE_ULP
 
 
 @pytest.mark.parametrize("w", LOG_SCALES)
@@ -41,7 +41,7 @@ def test_log_engine_against_mpmath(name, engine, w):
     num, den = (10, 1) if name == "ln10" else _pi_hat(w)
     mp.dps = w + 20
     want = _floor_scaled(mp.log(10) if name == "ln10" else mp.log(mp.pi), w)
-    assert abs(engine(num, den, w) - want) <= constants._agree_ulp(w)
+    assert abs(engine(num, den, w) - want) <= constants._AGREE_ULP
 
 
 EDGE_ARGUMENTS = {
@@ -147,6 +147,6 @@ ENGINE_BITS = {
 
 @pytest.mark.parametrize("name", sorted(ENGINE_BITS))
 def test_engine_bits_are_pinned(monkeypatch, name):
-    monkeypatch.setattr(constants, "_memo", {})  # ln 2 and pi held at more bits would shift down
+    monkeypatch.setattr(constants, "_memo", {})  # ln 2 held at more bits would shift down
     want, compute = ENGINE_BITS[name]
     assert hashlib.sha256(str(compute()).encode()).hexdigest() == want

@@ -107,10 +107,9 @@ def test_memo_grows_geometrically(pi_calls):
 
 
 # name -> (a fresh computation, its error bound in binary ulp):
-# 2 atanh(1/3) is two _arc_series ulp, the acoth form 2 (18 + 2 + 8)
+# 2 atanh(1/3) is two _arc_series ulp
 LN2_FORMS = {
     "_ln2_bin": (lambda bits: 2 * constants._arc_series(1, 3, 1 << bits, 1), 4),
-    "_ln2_acoth_bin": (constants._ln2_acoth, 56),
 }
 
 
@@ -128,6 +127,17 @@ def test_shifted_down_ln2_within_derived_bound(monkeypatch, form, drop):
     err = abs(mpf(served) - mp.ln2 * mpf(2) ** bits)
     assert err <= mpf(ulp) / 2**drop + 1  # a shift adds at most one ulp
     assert err <= ulp  # so the unshifted bound still holds
+
+
+def test_memo_holds_only_what_is_read_back(monkeypatch):
+    # the certify sequence with every pair in this process: the AGM's pi and
+    # ln 2 are computed at a width that only grows, so holding them would
+    # serve nothing; the bit-burst ln 2 is read back, by ln_pi at ln10's bits
+    monkeypatch.setattr(constants, "_memo", {})
+    monkeypatch.setattr(constants, "_fork_pays", lambda w: False)
+    for name, digits in (("pi", 30000), ("ln10", 10000), ("ln_pi", 10000)):
+        constants.certified_digits(name, digits)
+    assert set(constants._memo) == {"pi", "ln10", "ln_pi", "ln2"}
 
 
 def _fraction_value_with_margin(lower, upper, n, q):
@@ -172,11 +182,10 @@ def test_integer_row_decision_matches_fraction_logic(n, q):
             want = _fraction_value_with_margin(lower, upper, n, q)
         except InsufficientPrecisionError:
             with pytest.raises(InsufficientPrecisionError):
-                cf._value_with_margin(lower, upper, n, q)
+                cf._row_value(lower, upper, n, q)
             exps.add(None)
             continue
-        got = cf._value_with_margin(lower, upper, n, q)
-        assert got == want
-        assert type(got[0]) is Fraction
-        exps.add(got[1])
+        value, passed = cf._row_value(lower, upper, n, q)
+        assert (Fraction(value), -value.exp, passed) == want
+        exps.add(-value.exp)
     assert {-prec, -2 * prec, -4 * prec, None} <= exps

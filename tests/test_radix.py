@@ -18,11 +18,12 @@ from pilab.radix import (
     _parse_header,
     digits_from_text,
     fractional_part,
+    open_text_atomic,
     read_digit_file,
     truncate,
     write_digit_file,
-    write_text_atomic,
 )
+from test_spectra import _child_peak_rise, needs_vmhwm
 
 # reference digits of pi - 3, checked against the constants engines elsewhere
 PI_FRAC_50 = "14159265358979323846264338327950288419716939937510"
@@ -167,14 +168,30 @@ def test_digit_file_rejects_line_break_in_label(tmp_path):
     assert not path.exists()
 
 
-def test_write_text_atomic_follows_symlink(tmp_path):
+def test_open_text_atomic_follows_symlink(tmp_path):
     target = tmp_path / "target.txt"
     target.write_text("old")
     link = tmp_path / "link.txt"
     link.symlink_to(target)
-    write_text_atomic(link, "new")
+    with open_text_atomic(link) as fh:
+        fh.write("new")
     assert link.is_symlink() and target.read_text() == "new"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
+
+
+@needs_vmhwm
+def test_digit_file_is_written_without_its_whole_text(tmp_path):
+    n = 10**7
+    path = str(tmp_path / "int.digits")
+    rise = _child_peak_rise(
+        "from pilab.constructors import ConcatSpec, concat_digits\n"
+        "from pilab.radix import write_digit_file\n"
+        f"stream = concat_digits(ConcatSpec('integers'), {n})\n"
+        f"write_digit_file({path!r}, stream, 1000)",
+        f"write_digit_file({path!r}, stream, {n})")
+    # the text, its 80-column lines and their join took 3.2 bytes a digit
+    assert rise / n < 1
+    assert os.path.getsize(path) == len(f"base=10 count={n} label=concat-integers-b10\n") + n + -(-n // 80)
 
 
 def oracle_read_digit_file(path) -> DigitStream:

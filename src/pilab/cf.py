@@ -13,17 +13,11 @@ from dataclasses import dataclass, fields
 from decimal import Decimal
 from fractions import Fraction
 from itertools import takewhile
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import constants, groups
 from ._dec import DecimalFraction, context_for, parts
-from .radix import (
-    DigitStream,
-    EmptyTruncationError,
-    ProducerExhaustedError,
-    text_from_digits,
-    truncate,
-)
+from .radix import text_from_digits
 
 # The largest audit n_max.  Row n's first pass reads 2n + guard digits of pi
 # (guard >= 22, `_guard_digits(1)`), so DIGIT_CEILING admits n <= 49 989.  The
@@ -41,8 +35,8 @@ AUDIT_NMAX_MAX = min((constants.DIGIT_CEILING - 22) // 2, math.isqrt(_REPORT_BYT
 # plus about 50 bytes of JSON per row.  Measured: 0.549 d^2 at d = 2000, 0.533
 # at 4000 and 0.522 at 8000.  At 0.53 d^2 against the same 128 MiB budget,
 # d <= 15 913, well inside the certifiable depth (48 415 at DIGIT_CEILING).
-# There the report was 130 988 657 bytes (0.517 d^2), written in 25 s at a
-# peak RSS of 481 MB on the same host.
+# There the report was 130 988 657 bytes (0.517 d^2), written in 19 s at a
+# peak RSS of 92 MB on the same host.
 CF_DEPTH_MAX = math.isqrt(_REPORT_BYTES_MAX * 100 // 53)
 
 
@@ -169,9 +163,8 @@ class PrimeLemmaAudit:
     rows: tuple[PrimeAuditRow, ...]
 
 
-def _euclid_quotients(x: Fraction) -> list[int]:
+def _euclid_quotients(num: int, den: int) -> list[int]:
     out = []
-    num, den = x.numerator, x.denominator
     while den:
         a, rem = divmod(num, den)
         out.append(a)
@@ -200,52 +193,50 @@ def _agreed_prefix(xs: list[int], ys: list[int]) -> list[int]:
     return [a for a, _ in takewhile(lambda ab: ab[0] == ab[1], zip(xs, ys))]
 
 
-def _certified_quotients(value_lo: Fraction, width: Fraction) -> list[int]:
+def _certified_quotients(lo: int, den: int) -> list[int]:
     # Quotients shared by the continued fractions of both interval endpoints
-    # are quotients of every number in between (fundamental-interval nesting);
-    # the last quotient of each terminating expansion may still move, so it is
-    # dropped.
-    return _agreed_prefix(_euclid_quotients(value_lo)[:-1], _euclid_quotients(value_lo + width)[:-1])
+    # lo/den and (lo + 1)/den are quotients of every number in between
+    # (fundamental-interval nesting); the last quotient of each terminating
+    # expansion may still move, so it is dropped.
+    return _agreed_prefix(_euclid_quotients(lo, den)[:-1], _euclid_quotients(lo + 1, den)[:-1])
 
 
-def cf_expand(stream: DigitStream, integer_part: int, depth: int) -> list[Convergent]:
-    """Partial quotients a_0..a_depth and their convergents.
+def cf_expand(digits: Callable[[int], bytes], integer_part: int, depth: int) -> list[Convergent]:
+    """Partial quotients a_0..a_depth and their convergents, for the real
+    ``integer_part`` plus the decimal fraction whose first n digits
+    ``digits(n)`` returns, or fewer if the expansion has no more.
 
-    Each quotient is certified twice: the expansion interval of the
-    truncation must pin it, and a recomputation at doubled precision must
-    agree.
+    Each pass reads 2m digits, and each quotient is certified twice: the
+    intervals of the m-digit and of the 2m-digit truncation must both pin
+    it.  A pass that gets fewer than 2m digits is the last, at half the
+    length it got.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     m = 48
     best = 0
     while m <= 1 << 22:
-        width = m if stream.length is None else min(m, stream.length // 2)
-        try:
-            cert = _stream_certified(stream, integer_part, width)
-        except (ProducerExhaustedError, EmptyTruncationError):  # ran short, or length < 2
-            break
+        text = digits(2 * m)
+        last = len(text) < 2 * m
+        if last:
+            m = len(text) // 2
+        one = 10**m
+        head = integer_part * one + int("0" + text_from_digits(text[:m]))
+        full = head * one + int("0" + text_from_digits(text[m : 2 * m]))
+        cert = _agreed_prefix(_certified_quotients(head, one), _certified_quotients(full, one * one))
         if len(cert) >= depth + 1:
             return convergents_from_quotients(cert[: depth + 1])
         best = max(best, len(cert))
-        if width < m:
-            break  # a finite stream's widest pass is done
+        if last:
+            break
         m *= 2
     raise InsufficientPrecisionError(best)
-
-
-def _stream_certified(stream: DigitStream, integer_part: int, m: int) -> list[int]:
-    base = stream.base
-    once = _certified_quotients(integer_part + truncate(stream, m), Fraction(1, base**m))
-    twice = _certified_quotients(integer_part + truncate(stream, 2 * m), Fraction(1, base ** (2 * m)))
-    return _agreed_prefix(once, twice)
 
 
 def pi_convergents(depth: int) -> list[Convergent]:
     """Convergents of pi through index ``depth``, expanded from the constants
     memo's certified digits."""
-    digits = DigitStream(10, lambda n: constants.certified_digits("pi", n), length=constants.DIGIT_CEILING)
-    return cf_expand(digits, 3, depth)
+    return cf_expand(lambda n: constants.certified_digits("pi", min(n, constants.DIGIT_CEILING)), 3, depth)
 
 
 def _pi_shift_scaled(n: int, n_digits: int) -> Decimal:
@@ -253,8 +244,6 @@ def _pi_shift_scaled(n: int, n_digits: int) -> Decimal:
     read from their text."""
     if n < 0:
         raise ValueError("shift must be >= 0")
-    if n_digits < 1:
-        raise EmptyTruncationError("cannot truncate to zero digits")
     digits = constants.certified_digits("pi", n + n_digits)
     return Decimal(text_from_digits(digits[n : n + n_digits]))
 
@@ -311,10 +300,15 @@ def _inv_power(base_int: int, mu: float, prec: int) -> tuple[Fraction, bool]:
     """1 / base_int^(mu - 1) as a Fraction; exact when the exponent is integral,
     otherwise a certified fixed-point value within 2 * 10^-prec.
 
-    The exponent a/b builds base_int^a and, when b > 1, 10^(prec b); either
-    past DIGIT_CEILING digits raises ValueError before any is built.
+    The exponent is the fraction a/b nearest mu - 1 with b <= 10^6.  When it
+    is more than an ulp of mu from mu - 1, the audit would not be of the
+    stated mu, and ValueError is raised.  The exponent builds base_int^a and,
+    when b > 1, 10^(prec b); either past DIGIT_CEILING digits raises
+    ValueError before any is built.
     """
     ex = Fraction(mu - 1.0).limit_denominator(10**6)
+    if abs(ex + 1 - Fraction(mu)) > math.ulp(mu):
+        raise ValueError(f"mu = {mu} is more than an ulp from 1 + {ex}, its nearest exponent with denominator <= 10^6")
     a, b = ex.numerator, ex.denominator
     digits = max(a * len(str(base_int)), prec * b)
     if digits > constants.DIGIT_CEILING:

@@ -495,8 +495,7 @@ def const_digits(name: str, digits: int) -> DigitStream:
 
     Both engines always run, in this process; the stream is released only
     after they agree on every digit.  The integer part is exposed via integer_part().
-    The stream holds at most DIGIT_CEILING digits: its doubling growth stops
-    there, and extending it past that raises ProducerExhaustedError.
+    Extending the stream past DIGIT_CEILING digits raises ProducerExhaustedError.
     """
     if name not in _INT_PARTS:
         raise ValueError(f"unknown constant {name!r}; expected one of {sorted(_INT_PARTS)}")
@@ -506,9 +505,9 @@ def const_digits(name: str, digits: int) -> DigitStream:
         raise PrecisionCeilingError(f"{digits} digits exceeds ceiling {DIGIT_CEILING}")
 
     def produce(n: int) -> bytes:
-        return _certify(name, n)[2][:n]
+        return certified_digits(name, n)[:n]
 
-    stream = DigitStream(10, produce, label=name, length=DIGIT_CEILING)
+    stream = DigitStream(10, produce, label=name)
     stream.ensure(digits)
     return stream
 

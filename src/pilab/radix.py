@@ -88,10 +88,6 @@ def row_texts(n: int, row_blocks: Callable[[slice], Sequence]) -> Iterator[bytes
         yield text[text != 0].tobytes()
 
 
-class EmptyTruncationError(ValueError):
-    """A zero-digit truncation was requested."""
-
-
 class ProducerExhaustedError(RuntimeError):
     """A stream cannot supply the requested digit index."""
 
@@ -111,25 +107,18 @@ class DigitStream:
     Digits are held as ``bytes``, one digit value per byte, for bases 2..36.
 
     ``produce(n)`` must deterministically return at least the first ``n``
-    digits of the expansion.  Producers are assumed cheap in bulk and
-    expensive per digit, so consumers should declare how many digits they
-    need up front; internally requests are batched with doubling growth.
+    digits of the expansion, or fewer if the expansion has no more.  Producers
+    are assumed cheap in bulk and expensive per digit, so consumers should
+    declare how many digits they need up front.
 
-    Digits are 1-indexed; ``length`` bounds finite streams.
+    Digits are 1-indexed.
     """
 
-    def __init__(
-        self,
-        base: int,
-        produce: Callable[[int], Sequence[int]],
-        label: str = "",
-        length: Optional[int] = None,
-    ):
+    def __init__(self, base: int, produce: Callable[[int], Sequence[int]], label: str = ""):
         if not 2 <= base <= MAX_BASE:
             raise ValueError(f"base must lie in 2..{MAX_BASE}, got {base}")
         self.base = base
         self.label = label
-        self.length = length
         self._produce = produce
         self._digits = b""
 
@@ -137,12 +126,7 @@ class DigitStream:
         """Materialize at least the first ``n`` digits."""
         if n <= len(self._digits):
             return
-        if self.length is not None and n > self.length:
-            raise ProducerExhaustedError(n, self.length)
-        want = max(n, 64, 2 * len(self._digits))
-        if self.length is not None:
-            want = min(want, self.length)
-        got = bytes(self._produce(want))
+        got = bytes(self._produce(n))
         if len(got) < n:
             raise ProducerExhaustedError(n, len(got))
         bad = got[len(self._digits):].translate(None, bytes(range(self.base)))
@@ -187,19 +171,9 @@ class DigitStream:
     def from_digits(cls, digits: Iterable[int], base: int = 10, label: str = "") -> "DigitStream":
         """A finite stream over fixed digits, checked when it is built."""
         digs = bytes(digits)
-        stream = cls(base, lambda n: digs, label=label, length=len(digs))
+        stream = cls(base, lambda n: digs, label=label)
         stream.ensure(len(digs))
         return stream
-
-
-def truncate(stream: DigitStream, n_digits: int) -> Fraction:
-    """Exact value of the first ``n_digits`` digits: sum of d_i * b^-i.
-
-    The represented real lies in [result, result + b^-n_digits).
-    """
-    if n_digits < 1:
-        raise EmptyTruncationError("cannot truncate to zero digits")
-    return Fraction(int(stream.prefix_string(n_digits), stream.base), stream.base**n_digits)
 
 
 def fractional_part(x: Union[Fraction, int], guard: int) -> Fraction:

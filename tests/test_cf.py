@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import takewhile
 
 import pytest
 from mpmath import mp
@@ -11,7 +12,6 @@ from pilab.cf import (
     Convergent,
     InsufficientPrecisionError,
     _nth_root_floor,
-    _stream_certified,
     audit_lemma_caseI,
     audit_lemma_caseII,
     audit_lemma_prime_variant,
@@ -24,7 +24,6 @@ from pilab.cf import (
 )
 from pilab.cli import _dump
 from pilab.groups import WindowExhaustedError, nearest_prime_in_window
-from pilab.radix import DigitStream, ProducerExhaustedError
 
 
 def brute_force_quotients(value: Fraction, count: int) -> list[int]:
@@ -69,34 +68,43 @@ def test_recurrence_and_unimodularity():
 def test_golden_ratio_quotients_all_ones():
     m = 80
     phi_scaled = (10**m + math.isqrt(5 * 10 ** (2 * m))) // 2
-    digits = [int(c) for c in str(phi_scaled)[1:]]
-    stream = DigitStream.from_digits(digits, base=10, label="phi")
-    convs = cf_expand(stream, 1, 6)
+    digits = bytes(int(c) for c in str(phi_scaled)[1:])
+    convs = cf_expand(lambda n: digits[:n], 1, 6)
     assert [c.a for c in convs] == [1] * 7
 
 
 def test_finite_stream_insufficient_precision():
-    stream = DigitStream.from_digits([1, 4, 1, 5], base=10)
     with pytest.raises(InsufficientPrecisionError) as err:
-        cf_expand(stream, 3, 30)
+        cf_expand(lambda n: bytes([1, 4, 1, 5])[:n], 3, 30)
     assert err.value.first_uncertified >= 0
 
 
-def _two_branch_cf_expand(stream, integer_part, depth):
-    """cf_expand's digit-stream loop with a separate exhausted-stream pass,
-    the reference for the single clamped loop."""
+def _width_certified(digits, integer_part, m):
+    """The quotients shared by the continued fractions of both ends of the
+    m-digit and of the 2m-digit truncation intervals, on reduced Fractions;
+    each expansion's last quotient may still move and is dropped."""
+    ends = []
+    for width in (m, 2 * m):
+        lo = integer_part + Fraction(int("".join(map(str, digits[:width]))), 10**width)
+        ends += [brute_force_quotients(end, math.inf)[:-1] for end in (lo, lo + Fraction(1, 10**width))]
+    return [column[0] for column in takewhile(lambda column: len(set(column)) == 1, zip(*ends))]
+
+
+def _two_branch_cf_expand(digits, integer_part, depth):
+    """cf_expand's loop with a separate pass for a source that runs short,
+    certifying each width on reduced Fractions: the reference for the single
+    clamped loop on integer endpoints."""
     m, best = 48, 0
     while True:
-        try:
-            stream.ensure(2 * m)
-        except ProducerExhaustedError:
-            if stream.length is not None and stream.length >= 2:
-                cert = _stream_certified(stream, integer_part, stream.length // 2)
+        text = digits(2 * m)
+        if len(text) < 2 * m:
+            if len(text) >= 2:
+                cert = _width_certified(text, integer_part, len(text) // 2)
                 if len(cert) >= depth + 1:
                     return convergents_from_quotients(cert[: depth + 1])
                 best = max(best, len(cert))
             raise InsufficientPrecisionError(best)
-        cert = _stream_certified(stream, integer_part, m)
+        cert = _width_certified(text, integer_part, m)
         if len(cert) >= depth + 1:
             return convergents_from_quotients(cert[: depth + 1])
         best = max(best, len(cert))
@@ -105,7 +113,7 @@ def _two_branch_cf_expand(stream, integer_part, depth):
 
 def _expand_outcome(expand, digits, depth):
     try:
-        return expand(DigitStream.from_digits(digits), 3, depth)
+        return expand(lambda n: digits[:n], 3, depth)
     except InsufficientPrecisionError as err:
         return err.first_uncertified
 
@@ -123,13 +131,13 @@ def test_finite_pi_streams_match_two_branch_loop():
     }
 
 
-@pytest.mark.parametrize("length", [None, 400])
-def test_short_producer_is_insufficient_precision(length):
+def test_short_producer_is_insufficient_precision():
+    # the source never gives more than 150 digits and declares no length:
+    # its short pass is the last, at 75 digits
     pi = constants.certified_digits("pi", 150)[:150]
-    stream = DigitStream(10, lambda n: pi[:n], length=length)  # never more than 150 digits
     with pytest.raises(InsufficientPrecisionError) as err:
-        cf_expand(stream, 3, 500)
-    assert err.value.first_uncertified == 43
+        cf_expand(lambda n: pi[:n], 3, 500)
+    assert err.value.first_uncertified == 75
 
 
 def test_residue_decompose_hand_values():

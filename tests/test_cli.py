@@ -12,7 +12,7 @@ from pilab import cli
 from pilab.cli import main
 from pilab.constructors import CONCAT_DIGIT_CEILING, STONEHAM_DIGIT_CEILING
 from pilab.primes import next_prime
-from pilab.radix import read_digit_file
+from pilab.radix import ProducerExhaustedError, read_digit_file
 from pilab.spectra import EXPSUM_P_MAX
 
 
@@ -53,7 +53,9 @@ def test_constants_digit_file_and_manifest(tmp_path, capsys):
                      "--out", str(out_file))
     assert code == 0
     stream = read_digit_file(out_file)
-    assert stream.length == 200
+    assert stream.prefix_string(200).startswith("14159")
+    with pytest.raises(ProducerExhaustedError):  # the file holds 200 digits, no more
+        stream.prefix(201)
     assert stream.label == "pi"
     manifest = json.loads((tmp_path / "pi.digits.manifest.json").read_text())
     assert manifest["subcommand"] == "constants"
@@ -112,7 +114,7 @@ def test_construct_b_abbreviates_base(capsys):
 
 @pytest.mark.parametrize("lemma,mu", [(lemma, mu) for lemma in ("caseI", "caseII", "prime")
                                       for mu in ("nan", "inf")]
-                         + [(lemma, mu) for lemma in ("caseII", "prime") for mu in ("1e6", "2.1234567")])
+                         + [(lemma, mu) for lemma in ("caseII", "prime") for mu in ("1e6", "2.1234567", "2.0000001", "2.0000009")])
 def test_audit_mu_fails_loudly(capsys, lemma, mu):
     start = time.perf_counter()
     code, out, err = run(capsys, "audit", "--lemma", lemma, "--k", "2", "--nmax", "3", "--mu", mu)

@@ -118,7 +118,7 @@ def test_ln10_certified_against_mpmath_at_30000_digits(monkeypatch):
 def test_stream_growth_clamps_to_ceiling(monkeypatch):
     monkeypatch.setattr(constants, "DIGIT_CEILING", 1000)
     stream = const_digits("pi", 600)
-    stream.ensure(700)  # doubling growth would ask for 1200 digits
+    stream.ensure(700)  # the memo's doubling growth would ask for 1200 digits
     mp.dps = 1020
     want = str(_floor_scaled(mp.pi, 1000))[1:]
     assert stream.prefix_string(1000) == want

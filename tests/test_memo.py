@@ -31,7 +31,7 @@ def test_standalone_audit_runs_pi_engines_log_times(tmp_path, pi_calls):
     argv = ["audit", "--lemma", "caseII", "--k", "12", "--nmax", "1500",
             "--out", str(tmp_path / "audit.json")]
     assert cli.main(argv) == 0
-    assert 1 <= len(pi_calls) <= 7  # 64, 128, ..., 4096 digits
+    assert 1 <= len(pi_calls) <= 7  # 96, 192, ..., 3072 digits
 
 
 def test_certify_sequence_runs_pi_engines_once(tmp_path, pi_calls):

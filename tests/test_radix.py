@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,14 +14,12 @@ import pilab.radix
 from pilab.radix import (
     AmbiguousFloorError,
     DigitStream,
-    EmptyTruncationError,
     ProducerExhaustedError,
     _parse_header,
     digits_from_text,
     fractional_part,
     open_text_atomic,
     read_digit_file,
-    truncate,
     write_digit_file,
 )
 from test_spectra import _child_peak_rise, needs_vmhwm
@@ -35,21 +34,16 @@ def pi_stream_50():
 
 def test_truncate_repeating_threes():
     s = DigitStream(10, lambda n: [3] * n)
-    assert truncate(s, 3) == Fraction(333, 1000)
+    assert Fraction(int(s.prefix_string(3)), 10**3) == Fraction(333, 1000)
 
 
 def test_truncate_binary_place_value():
     s = DigitStream.from_digits([1, 0, 1], base=2)
-    assert truncate(s, 3) == Fraction(5, 8)
+    assert Fraction(int(s.prefix_string(3), 2), 2**3) == Fraction(5, 8)
 
 
 def test_truncate_pi_five_digits():
-    assert truncate(pi_stream_50(), 5) == Fraction(14159, 100000)
-
-
-def test_truncate_zero_digits_rejected():
-    with pytest.raises(EmptyTruncationError):
-        truncate(pi_stream_50(), 0)
+    assert Fraction(int(pi_stream_50().prefix_string(5)), 10**5) == Fraction(14159, 100000)
 
 
 @settings(max_examples=60, deadline=None)
@@ -60,11 +54,13 @@ def test_truncate_zero_digits_rejected():
     base=st.sampled_from([2, 3, 10, 16]),
 )
 def test_monotone_refinement(num, den, n_digits, base):
+    # the value of the first n digits, and of n + 1, bracket the same real
     value = Fraction(num % den, den)
     s = DigitStream.from_rational(value, base=base)
-    t0 = truncate(s, n_digits)
-    t1 = truncate(s, n_digits + 1)
+    t0 = Fraction(int(s.prefix_string(n_digits), base), base**n_digits)
+    t1 = Fraction(int(s.prefix_string(n_digits + 1), base), base ** (n_digits + 1))
     assert t0 <= t1 < t0 + Fraction(1, base**n_digits)
+    assert t0 <= value < t0 + Fraction(1, base**n_digits)
 
 
 @pytest.mark.parametrize(
@@ -122,9 +118,10 @@ def test_digit_file_round_trip(tmp_path):
     write_digit_file(path, s, 200)
     back = read_digit_file(path)
     assert back.base == 10
-    assert back.length == 200
     assert back.label == "one-seventh"
     assert back.prefix(200) == s.prefix(200)
+    with pytest.raises(ProducerExhaustedError):  # the file holds 200 digits, no more
+        back.prefix(201)
 
 
 def test_digit_file_layout(tmp_path):
@@ -257,7 +254,8 @@ def test_digit_file_parser_matches_text_parser(tmp_path, data):
             if parse is read_digit_file:
                 assert str(path) in str(exc)
         else:
-            got.append((stream.base, stream.label, stream.prefix(stream.length)))
+            count = int(re.search(rb"count=(\d+)", data)[1])  # every case that parses declares it
+            got.append((stream.base, stream.label, stream.prefix(count)))
     assert got[0] == got[1]
 
 
@@ -280,16 +278,15 @@ def test_digit_file_rejects_characters_outside_base(tmp_path, header, body):
 
 
 def test_truncate_long_stream_with_radix_alone():
-    # truncate parses digit text with int(), so radix must lift the int-string limit itself
+    # cf parses digit text with int(), so radix must lift the int-string limit itself
     code = (
         "import sys\n"
-        "from fractions import Fraction\n"
-        "from pilab.radix import DigitStream, truncate\n"
+        "from pilab.radix import DigitStream\n"
         "digs = [(7 * i + 3) % 10 for i in range(5000)]\n"
         "val = 0\n"
         "for d in digs:\n"
         "    val = val * 10 + d\n"
-        "assert truncate(DigitStream.from_digits(digs), 5000) == Fraction(val, 10**5000)\n"
+        "assert int(DigitStream.from_digits(digs).prefix_string(5000)) == val\n"
         "assert sorted(m for m in sys.modules if m.startswith('pilab')) == ['pilab', 'pilab.radix']\n"
     )
     src = str(Path(pilab.radix.__file__).parents[1])

@@ -414,14 +414,12 @@ def test_shifted_points_match_truncation():
     # exactly at the rational level, and to float resolution after conversion
     import random
 
-    from pilab.radix import truncate
-
     s = concat_digits(ConcatSpec("integers"), 1100)
     pts = shifted_points(s, 1000, shift_digits=20)
     rng = random.Random(7799)
     for n in rng.sample(range(1, 1001), 100):
         window = Fraction(int(s.prefix_string(n + 20)[n:]), 10**20)
-        recomputed = (truncate(s, n + 20) * 10**n) % 1
+        recomputed = (Fraction(int(s.prefix_string(n + 20)), 10 ** (n + 20)) * 10**n) % 1
         assert window == recomputed  # b^-20 truncations agree exactly
         assert abs(pts.points[n - 1] - float(window)) < 1e-15
 

@@ -1,5 +1,7 @@
-"""The caseII audit the benchmark's certify workload runs, every row derived
-again by tests/verdicts.py, which shares no code with pilab."""
+"""Reports at the sizes the benchmark and CI run, every row derived again by
+tests/verdicts.py, which shares no code with pilab: the caseII audit of the
+certify workload, the ``cf --depth 2000`` convergents CI pins, and the Artin
+scans of the scan workload."""
 
 import copy
 import json
@@ -11,6 +13,10 @@ import verdicts
 from pilab import cli
 
 NMAX = 1500
+CF_DEPTH = 2000
+ARTIN_COUNT_LIMIT = 10**5  # every prime's order derived again
+ARTIN_CSV_LIMIT = 10**6  # the scan workload's size; ARTIN_SAMPLE rows derived again
+ARTIN_SAMPLE = 2000
 
 
 @pytest.fixture(scope="module")
@@ -63,3 +69,100 @@ def test_mutated_row_is_caught(audit_report, mutation):
     change(row)
     with pytest.raises(AssertionError, match=f"^row {row['n']}: {field}$"):
         verdicts.check_caseII_audit(report, NMAX)
+
+
+def _report(tmp_path_factory, *argv):
+    path = tmp_path_factory.mktemp("report") / "report.json"
+    assert cli.main([*argv, "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+@pytest.fixture(scope="module")
+def cf_report(tmp_path_factory):
+    return _report(tmp_path_factory, "cf", "--depth", str(CF_DEPTH))
+
+
+@pytest.fixture(scope="module")
+def artin_count_report(tmp_path_factory):
+    return _report(tmp_path_factory, "artin", "--limit", str(ARTIN_COUNT_LIMIT))
+
+
+@pytest.fixture(scope="module")
+def artin_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("artin") / "artin.csv"
+    argv = ["artin", "--limit", str(ARTIN_CSV_LIMIT), "--csv", str(path), "--out", str(path.with_suffix(".json"))]
+    assert cli.main(argv) == 0
+    return path.read_text()
+
+
+def test_pi_convergents_are_derived_again(cf_report):
+    verdicts.check_pi_convergents(cf_report, CF_DEPTH)
+
+
+def _swap_rows(rows, k):
+    rows[k], rows[k + 1] = rows[k + 1], rows[k]
+
+
+def _bump(key, by):
+    def bump(rows, k):
+        rows[k][key] = str(int(rows[k][key]) + by)
+    return bump
+
+
+# name -> (the change to the rows at index k, the field the check names)
+CF_MUTATIONS = {
+    "a_plus_one": (_bump("a", 1), "a"),
+    "a_minus_one": (_bump("a", -1), "a"),
+    "rows_swapped": (_swap_rows, "k"),
+    "q_plus_one": (_bump("q", 1), "q"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(CF_MUTATIONS))
+def test_mutated_convergent_is_caught(cf_report, mutation):
+    change, field = CF_MUTATIONS[mutation]
+    report = copy.deepcopy(cf_report)
+    k = CF_DEPTH // 2 + 1
+    change(report["convergents"], k)
+    with pytest.raises(AssertionError, match=f"^row {k}: {field}$"):
+        verdicts.check_pi_convergents(report, CF_DEPTH)
+
+
+def test_artin_count_is_derived_again(artin_count_report):
+    verdicts.check_artin_count(artin_count_report, ARTIN_COUNT_LIMIT)
+    assert (artin_count_report["count_artin"], artin_count_report["count_primes"]) == (3617, 9590)
+
+
+@pytest.mark.parametrize("by", [1, -1])
+def test_moved_artin_count_is_caught(artin_count_report, by):
+    report = dict(artin_count_report, count_artin=artin_count_report["count_artin"] + by)
+    with pytest.raises(AssertionError, match="^count_artin$"):
+        verdicts.check_artin_count(report, ARTIN_COUNT_LIMIT)
+
+
+def test_artin_csv_rows_are_derived_again(artin_csv):
+    verdicts.check_artin_csv(artin_csv, ARTIN_CSV_LIMIT, ARTIN_SAMPLE)
+
+
+def _mutated_csv(text, row, change):
+    """The CSV with data row ``row`` (0 is the first after the header) changed."""
+    lines = text.splitlines(keepends=True)
+    q, order, flag = lines[row + 1].rstrip("\n").split(",")
+    lines[row + 1] = ",".join(change(q, int(order), flag)) + "\n"
+    return "".join(lines), q
+
+
+# name -> (the change to a sampled row's fields, the field the check names)
+ARTIN_MUTATIONS = {
+    "ord_changed": (lambda q, order, flag: (q, str(order + 1), flag), "ord"),
+    "is_artin_flipped": (lambda q, order, flag: (q, str(order), "false" if flag == "true" else "true"), "is_artin"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(ARTIN_MUTATIONS))
+def test_mutated_artin_row_is_caught(artin_csv, mutation):
+    change, field = ARTIN_MUTATIONS[mutation]
+    sampled = verdicts.sampled_rows(artin_csv.count("\n") - 1, ARTIN_SAMPLE)
+    text, q = _mutated_csv(artin_csv, sampled[len(sampled) // 2], change)
+    with pytest.raises(AssertionError, match=f"^row q={q}: {field}$"):
+        verdicts.check_artin_csv(text, ARTIN_CSV_LIMIT, ARTIN_SAMPLE)

@@ -1,15 +1,20 @@
-"""Audit verdicts derived again from a report's JSON, independently of pilab.
+"""Verdicts derived again from pilab's reports, independently of pilab.
 
-Nothing here imports pilab.  The convergent comes from the continued
-fraction of an mpmath interval around pi, the residues from ``pow``, the
+Nothing here imports pilab.  Convergents come from the continued fractions
+of both ends of an mpmath interval around pi; audit residues from ``pow``,
 endpoints from the lemma statements in ``Fraction``s, and every comparison
-with {pi 10^n} from mpmath's digits of pi.  ``check_caseII_audit`` raises
-AssertionError at the first field that does not follow.
+with {pi 10^n} from mpmath's digits of pi; multiplicative orders from
+``sympy.n_order``.  Each ``check_*`` raises AssertionError at the first
+field that does not follow, naming its row.
 """
 
+import functools
+import random
 from fractions import Fraction
 
+import sympy
 from mpmath import mp, mpf
+from sympy.ntheory import n_order
 
 
 def _expect(ok: bool, what: str) -> None:
@@ -23,20 +28,100 @@ def pi_digits(count: int) -> int:
         return int(mp.floor(mp.pi * mpf(10) ** count))
 
 
+def pi_quotients(digits: int) -> list[int]:
+    """The quotients a_0, a_1, ... shared by the continued fractions of both
+    ends of [P, P + 1] / 10^digits, P = floor(pi 10^digits), which holds pi.
+    The last quotient of each terminating expansion may still move, so it is
+    left out."""
+    big, one = pi_digits(digits), 10**digits
+    expansions = []
+    for num, den in ((big, one), (big + 1, one)):
+        quotients = []
+        while den:
+            a, rem = divmod(num, den)
+            quotients.append(a)
+            num, den = den, rem
+        expansions.append(quotients[:-1])
+    shared = []
+    for a, b in zip(*expansions):
+        if a != b:
+            break
+        shared.append(a)
+    return shared
+
+
 def pi_convergent(k: int, digits: int = 100) -> tuple[int, int]:
-    """(p_k, q_k) of pi: the quotients a_0..a_k shared by the continued
-    fractions of both ends of [P, P + 1] / 10^digits, which holds pi."""
-    big = pi_digits(digits)
-    ends = [Fraction(big, 10**digits), Fraction(big + 1, 10**digits)]
+    """(p_k, q_k) of pi, folded from the quotients a_0..a_k of pi_quotients."""
+    quotients = pi_quotients(digits)
+    if len(quotients) <= k:
+        raise ValueError(f"{digits} digits of pi do not pin quotient {len(quotients)}")
     p, p_prev, q, q_prev = 1, 0, 0, 1
-    for i in range(k + 1):
-        a = {end.numerator // end.denominator for end in ends}
-        if len(a) != 1:
-            raise ValueError(f"{digits} digits of pi do not pin quotient {i}")
-        a = a.pop()
+    for a in quotients[: k + 1]:
         p, p_prev, q, q_prev = a * p + p_prev, p, a * q + q_prev, q
-        ends = [1 / (end - a) for end in ends]
     return p, q
+
+
+def check_pi_convergents(report: dict, depth: int) -> None:
+    """Every row of a ``cf --depth`` report: a_k is pi's quotient k, p_k and
+    q_k follow x_k = a_k x_(k-1) + x_(k-2) from the report's previous rows,
+    and p_k q_(k-1) - p_(k-1) q_k = (-1)^(k-1)."""
+    _expect((report["const"], report["depth"]) == ("pi", depth), "const and depth")
+    rows = report["convergents"]
+    _expect(len(rows) == depth + 1, "row count")
+    digits = depth * 11 // 10 + 100  # about 0.97 quotients a digit (Lochs), with room
+    quotients = pi_quotients(digits)
+    if len(quotients) <= depth:
+        raise ValueError(f"{digits} digits of pi do not pin quotient {len(quotients)}; take more")
+    p, p_prev, q, q_prev = 1, 0, 0, 1
+    for k, row in enumerate(rows):
+        _expect(row["k"] == k, f"row {k}: k")
+        a = int(row["a"])
+        _expect(a == quotients[k], f"row {k}: a")
+        p_k, q_k = int(row["p"]), int(row["q"])
+        _expect(p_k == a * p + p_prev, f"row {k}: p")
+        _expect(q_k == a * q + q_prev, f"row {k}: q")
+        _expect(k == 0 or p_k * q - p * q_k == (-1) ** (k - 1), f"row {k}: determinant")
+        p, p_prev, q, q_prev = p_k, p, q_k, q
+
+
+@functools.cache
+def _artin_counts(limit: int) -> tuple[int, int]:
+    """(primes, primes with 10 of order q - 1 mod q) over the primes q <= limit
+    that an Artin scan covers: all but 2 and 5."""
+    primes = [q for q in sympy.primerange(3, limit + 1) if q != 5]
+    return len(primes), sum(n_order(10, q) == q - 1 for q in primes)
+
+
+def check_artin_count(report: dict, limit: int) -> None:
+    """The counts of an ``artin --limit`` report, derived again over every
+    prime it covers."""
+    primes, artin = _artin_counts(limit)
+    _expect(report["limit"] == limit, "limit")
+    _expect(report["count_primes"] == primes, "count_primes")
+    _expect(report["count_artin"] == artin, "count_artin")
+    _expect(float(report["density"]) == artin / primes, "density")
+
+
+def sampled_rows(count: int, size: int) -> list[int]:
+    """The indices, ascending, of ``size`` of ``count`` rows drawn with seed 0."""
+    return sorted(random.Random(0).sample(range(count), min(size, count)))
+
+
+def check_artin_csv(text: str, limit: int, size: int) -> None:
+    """The rows of ``artin --limit --csv``: one per prime the scan covers, q
+    increasing, and is_artin true exactly when ord = q - 1; on ``size``
+    seeded rows, q is prime and ord is sympy.n_order(10, q)."""
+    header, *lines = text.splitlines()
+    _expect(header == "q,ord,is_artin", "header")
+    rows = [(int(q), int(order), flag) for q, order, flag in (line.split(",") for line in lines)]
+    _expect(len(rows) == sympy.primepi(limit) - 2, "row count")
+    _expect(all(a[0] < b[0] for a, b in zip(rows, rows[1:])), "q increasing")
+    for i in sampled_rows(len(rows), size):
+        q, order, _ = rows[i]
+        _expect(sympy.isprime(q), f"row q={q}: q")
+        _expect(order == n_order(10, q), f"row q={q}: ord")
+    for q, order, flag in rows:
+        _expect(flag == ("true" if order == q - 1 else "false"), f"row q={q}: is_artin")
 
 
 def _below(bound: Fraction, x: int, places: int) -> bool:

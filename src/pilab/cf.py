@@ -35,7 +35,7 @@ AUDIT_NMAX_MAX = min((constants.DIGIT_CEILING - 22) // 2, math.isqrt(_REPORT_BYT
 # plus about 50 bytes of JSON per row.  Measured: 0.549 d^2 at d = 2000, 0.533
 # at 4000 and 0.522 at 8000.  At 0.53 d^2 against the same 128 MiB budget,
 # d <= 15 913, well inside the certifiable depth (48 415 at DIGIT_CEILING).
-# There the report was 130 988 657 bytes (0.517 d^2), written in 19 s at a
+# There the report was 130 988 657 bytes (0.517 d^2), written in 16 s at a
 # peak RSS of 92 MB on the same host.
 CF_DEPTH_MAX = math.isqrt(_REPORT_BYTES_MAX * 100 // 53)
 
@@ -163,15 +163,6 @@ class PrimeLemmaAudit:
     rows: tuple[PrimeAuditRow, ...]
 
 
-def _euclid_quotients(num: int, den: int) -> list[int]:
-    out = []
-    while den:
-        a, rem = divmod(num, den)
-        out.append(a)
-        num, den = den, rem
-    return out
-
-
 def convergents_from_quotients(quotients: Sequence[int]) -> list[Convergent]:
     """Fold partial quotients into convergents via the standard recurrence."""
     out = []
@@ -188,17 +179,24 @@ def convergents_from_quotients(quotients: Sequence[int]) -> list[Convergent]:
     return out
 
 
-def _agreed_prefix(xs: list[int], ys: list[int]) -> list[int]:
-    """The entries of ``xs`` before its first mismatch with ``ys``."""
-    return [a for a, _ in takewhile(lambda ab: ab[0] == ab[1], zip(xs, ys))]
-
-
-def _certified_quotients(lo: int, den: int) -> list[int]:
-    # Quotients shared by the continued fractions of both interval endpoints
-    # lo/den and (lo + 1)/den are quotients of every number in between
-    # (fundamental-interval nesting); the last quotient of each terminating
-    # expansion may still move, so it is dropped.
-    return _agreed_prefix(_euclid_quotients(lo, den)[:-1], _euclid_quotients(lo + 1, den)[:-1])
+def _certified_quotients(integer_part: int, text: bytes) -> list[int]:
+    # Quotients shared by the continued fractions of both ends lo/den and
+    # (lo + 1)/den of the truncation interval are quotients of every number
+    # in between (fundamental-interval nesting).  Euclid runs on both ends in
+    # lockstep up to the first step whose quotients differ; a quotient that
+    # leaves remainder 0 ends its expansion and may still move, so it is not
+    # released.
+    den = 10 ** len(text)
+    lo = integer_part * den + int("0" + text_from_digits(text))
+    x, dx, y, dy = lo, den, lo + 1, den
+    out = []
+    while True:
+        a, rx = divmod(x, dx)
+        b, ry = divmod(y, dy)
+        if a != b or not (rx and ry):
+            return out
+        out.append(a)
+        x, dx, y, dy = dx, rx, dy, ry
 
 
 def cf_expand(digits: Callable[[int], bytes], integer_part: int, depth: int) -> list[Convergent]:
@@ -206,30 +204,28 @@ def cf_expand(digits: Callable[[int], bytes], integer_part: int, depth: int) -> 
     ``integer_part`` plus the decimal fraction whose first n digits
     ``digits(n)`` returns, or fewer if the expansion has no more.
 
-    Each pass reads 2m digits, and each quotient is certified twice: the
-    intervals of the m-digit and of the 2m-digit truncation must both pin
-    it.  A pass that gets fewer than 2m digits is the last, at half the
-    length it got.
+    Pass j reads n = 96 * 2^j digits, and each quotient is certified twice:
+    the intervals of the n/2-digit and of the n-digit truncation must both
+    pin it.  The n/2-digit quotients are the previous pass's.  A pass that
+    gets fewer than n digits is the last, and pairs the first half of what
+    it got with all of it.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    m = 48
-    best = 0
-    while m <= 1 << 22:
-        text = digits(2 * m)
-        last = len(text) < 2 * m
-        if last:
-            m = len(text) // 2
-        one = 10**m
-        head = integer_part * one + int("0" + text_from_digits(text[:m]))
-        full = head * one + int("0" + text_from_digits(text[m : 2 * m]))
-        cert = _agreed_prefix(_certified_quotients(head, one), _certified_quotients(full, one * one))
+    n, best, half = 96, 0, None
+    while n <= 1 << 23:
+        text = digits(n)[:n]
+        last = len(text) < n
+        if half is None or last:
+            half = _certified_quotients(integer_part, text[: len(text) // 2])
+        full = _certified_quotients(integer_part, text)
+        cert = [a for a, _ in takewhile(lambda ab: ab[0] == ab[1], zip(half, full))]
         if len(cert) >= depth + 1:
             return convergents_from_quotients(cert[: depth + 1])
         best = max(best, len(cert))
         if last:
             break
-        m *= 2
+        half, n = full, 2 * n
     raise InsufficientPrecisionError(best)
 
 

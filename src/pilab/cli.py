@@ -41,42 +41,13 @@ _KEYWORDS = {None: "null", True: "true", False: "false"}
 _CSV_FLAGS = np.frombuffer(b"false\0true", np.uint8).reshape(2, 5)  # is_artin, NUL-padded for row_texts
 
 
-# Rendered text is handed to the destination in pieces of at least this many
-# characters: big enough that the file or stream sees few writes, small
-# enough that a report never sits in memory whole beside its payload.
-_FLUSH_CHARS = 1 << 16
-
-
-class _Pieces:
-    """Report text on its way to ``write``: parts wait in a list and are
-    joined and written together once they hold _FLUSH_CHARS characters."""
-
-    def __init__(self, write: Callable[[str], object]):
-        self._write = write
-        self._parts: list[str] = []
-        self._size = 0
-
-    def add(self, text: str) -> None:
-        self._parts.append(text)
-        self._size += len(text)
-        if self._size >= _FLUSH_CHARS:
-            self.flush()
-
-    def flush(self) -> None:
-        if self._parts:
-            self._write("".join(self._parts))
-            self._parts.clear()
-            self._size = 0
-
-
 def _emit(payload, write: Callable[[str], object]) -> None:
-    """Write a report's text through ``write``, in pieces: the bytes of
-    json.dumps(indent=2, sort_keys=True) with reals as .17g strings and
-    rationals as "num/den" strings, any other iterator written as a list."""
-    out = _Pieces(write)
-    _render(payload, "\n", out)
-    out.add("\n")
-    out.flush()
+    """Write a report's text through ``write``, one part at a time: the bytes
+    of json.dumps(indent=2, sort_keys=True) with reals as .17g strings and
+    rationals as "num/den" strings, any other iterator written as a list.
+    The destination's own buffer gathers the parts."""
+    _render(payload, "\n", write)
+    write("\n")
 
 
 def _dump(payload) -> str:
@@ -96,58 +67,58 @@ def _key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _render(obj, newline: str, out: _Pieces) -> None:
-    """Add the text of ``obj``; ``newline`` ends the line before its closing bracket."""
+def _render(obj, newline: str, write: Callable[[str], object]) -> None:
+    """Write the text of ``obj``; ``newline`` ends the line before its closing bracket."""
     if isinstance(obj, str):
-        out.add(_ENCODE(obj))
+        write(_ENCODE(obj))
     elif obj is None or obj is True or obj is False:
-        out.add(_KEYWORDS[obj])
+        write(_KEYWORDS[obj])
     elif isinstance(obj, int):
-        out.add(int.__repr__(obj))
+        write(int.__repr__(obj))
     elif isinstance(obj, float):
-        out.add(f'"{obj:{_REAL_FORMAT}}"')
+        write(f'"{obj:{_REAL_FORMAT}}"')
     elif isinstance(obj, DecimalFraction):
-        out.add(f'"{obj.text()}"')  # lowest terms without a full-width int
+        write(f'"{obj.text()}"')  # lowest terms without a full-width int
     elif isinstance(obj, Fraction):
-        out.add(f'"{obj.numerator}/{obj.denominator}"')
+        write(f'"{obj.numerator}/{obj.denominator}"')
     elif isinstance(obj, dict):
         if not obj:
-            out.add("{}")
+            write("{}")
             return
         inner = newline + "  "
         sep = "{" + inner
         for key, value in sorted(obj.items()):
-            out.add(sep + _key(key) + ": ")
-            _render(value, inner, out)
+            write(sep + _key(key) + ": ")
+            _render(value, inner, write)
             sep = "," + inner
-        out.add(newline + "}")
+        write(newline + "}")
     elif isinstance(obj, spectra.BlockStats):
-        _render_counts(obj, newline, out)
+        _render_counts(obj, newline, write)
     elif isinstance(obj, (list, tuple, Iterator)):
         inner = newline + "  "
         first = sep = "[" + inner
         for value in obj:
-            out.add(sep)
-            _render(value, inner, out)
+            write(sep)
+            _render(value, inner, write)
             sep = "," + inner
-        out.add("[]" if sep is first else newline + "]")
+        write("[]" if sep is first else newline + "]")
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _render_counts(stats: spectra.BlockStats, newline: str, out: _Pieces) -> None:
-    """Add the nonzero patterns of ``stats`` by name, with their counts, as
+def _render_counts(stats: spectra.BlockStats, newline: str, write: Callable[[str], object]) -> None:
+    """Write the nonzero patterns of ``stats`` by name, with their counts, as
     _render writes a dict, 2^16 names at a time from the table array: code
     order is name order, and a name needs no escape."""
     codes = np.flatnonzero(stats.table)
     lead = f',{newline}  "'.encode()
-    out.add("{")
+    write("{")
     skip = 1  # the first row's lead comma is the opening brace
     for text in row_texts(len(codes), lambda s: (lead, numerals(codes[s], stats.base, stats.block_len),
                                                  b'": ', numerals(stats.table[codes[s]]))):
-        out.add(text[skip:].decode("ascii"))
+        write(text[skip:].decode("ascii"))
         skip = 0
-    out.add(newline + "}")
+    write(newline + "}")
 
 
 def _sha256(path: str) -> str:

@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import takewhile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from pilab import constants, primes
@@ -11,6 +13,7 @@ from pilab.cf import (
     AuditConfig,
     Convergent,
     InsufficientPrecisionError,
+    _certified_quotients,
     _nth_root_floor,
     audit_lemma_caseI,
     audit_lemma_caseII,
@@ -138,6 +141,29 @@ def test_short_producer_is_insufficient_precision():
     with pytest.raises(InsufficientPrecisionError) as err:
         cf_expand(lambda n: pi[:n], 3, 500)
     assert err.value.first_uncertified == 75
+
+
+def _shared_quotients_of_both_expansions(integer_part, text):
+    """Both ends of the truncation interval expanded in full, each without
+    its last quotient, and their agreed prefix."""
+    den = 10 ** len(text)
+    lo = integer_part * den + int("0" + "".join(map(str, text)))
+    ends = [brute_force_quotients(Fraction(end, den), math.inf)[:-1] for end in (lo, lo + 1)]
+    return [column[0] for column in takewhile(lambda column: column[0] == column[1], zip(*ends))]
+
+
+_digit_lists = st.lists(st.integers(0, 9), max_size=4)
+# a few digits, then a run of 0s or 9s, then a few more: both ends of such an
+# interval have short expansions, and a quotient on either may leave remainder 0
+_runs = st.tuples(_digit_lists, st.sampled_from([0, 9]), st.integers(0, 296), _digit_lists).map(
+    lambda t: (t[0] + [t[1]] * t[2] + t[3])[:300])
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.integers(0, 5), st.lists(st.integers(0, 9), max_size=300) | _runs)
+def test_lockstep_quotients_match_both_full_expansions(integer_part, digits):
+    text = bytes(digits)
+    assert _certified_quotients(integer_part, text) == _shared_quotients_of_both_expansions(integer_part, text)
 
 
 def test_residue_decompose_hand_values():

@@ -335,12 +335,11 @@ def test_failed_report_write_keeps_old_file(tmp_path, capsys, monkeypatch):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
 
 
-def test_render_error_after_a_flush_keeps_old_file(tmp_path, monkeypatch):
+def test_render_error_after_a_flush_keeps_old_file(tmp_path):
     target = tmp_path / "target.json"
     target.write_bytes(b"old report\n")
     link = tmp_path / "link.json"
     link.symlink_to(target)
-    monkeypatch.setattr(cli, "_FLUSH_CHARS", 1)
     written = []
 
     def rows():

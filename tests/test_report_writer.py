@@ -1,10 +1,10 @@
 """The report writer, and the normality report's counts tables, against
 json.dumps over the rendering they replaced."""
 
+import io
 import json
 import math
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -83,12 +83,10 @@ def test_writer_edge_cases(obj):
     assert _dump(obj) == reference(obj)
 
 
-def streamed(obj, flush_chars=1) -> list[str]:
-    """The pieces the report writer hands its destination, flushing once
-    ``flush_chars`` characters wait: at 1, every part is its own piece."""
+def streamed(obj) -> list[str]:
+    """The parts the report writer hands its destination, one write each."""
     pieces = []
-    with mock.patch.object(cli, "_FLUSH_CHARS", flush_chars):
-        cli._emit(obj, pieces.append)
+    cli._emit(obj, pieces.append)
     return pieces
 
 
@@ -106,18 +104,15 @@ def test_streamed_pieces_join_to_the_dumped_text(obj):
     (lambda: {"a": {}, "b": [], "c": iter([{}, [], iter(())])}, {"a": {}, "b": [], "c": [{}, [], []]}),
     (lambda: [map(str, range(3)), (x for x in [Fraction(1, 3), 0.5])], [["0", "1", "2"], ["1/3", 0.5]]),
 ], ids=["empty", "empty-in-dict", "nested-empties", "items"])
-@pytest.mark.parametrize("flush_chars", [1, cli._FLUSH_CHARS])
-def test_writer_renders_any_iterator_as_a_list(make, listed, flush_chars):
-    assert "".join(streamed(make(), flush_chars)) == reference(listed)
-
-
-def test_writer_hands_on_bounded_pieces():
-    rows = [{"k": k, "p": str(7**k), "r": Fraction(k, 3)} for k in range(2000)]
-    pieces = streamed({"rows": rows}, cli._FLUSH_CHARS)
-    assert "".join(pieces) == reference({"rows": rows})
-    assert len(pieces) > 10
-    # each piece is flushed as soon as it reaches the size, so it passes it by less than one part
-    assert all(cli._FLUSH_CHARS <= len(p) < cli._FLUSH_CHARS + 2000 for p in pieces[:-1])
+@pytest.mark.parametrize("buffer_size", [1, 1 << 16])
+def test_writer_renders_any_iterator_as_a_list(make, listed, buffer_size):
+    assert "".join(streamed(make())) == reference(listed)
+    # through a text file whose binary buffer passes on every byte, or holds 64 KiB
+    raw = io.BytesIO()
+    fh = io.TextIOWrapper(io.BufferedWriter(raw, buffer_size), encoding="utf-8")
+    cli._emit(make(), fh.write)
+    fh.flush()
+    assert raw.getvalue().decode() == reference(listed)
 
 
 @pytest.mark.parametrize("obj", [{"a": object()}, {(1, 2): 3}, {"a": {1, 2}}])

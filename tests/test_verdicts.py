@@ -1,7 +1,8 @@
 """Reports at the sizes the benchmark and CI run, every row derived again by
 tests/verdicts.py, which shares no code with pilab: the caseII audit of the
-certify workload, the ``cf --depth 2000`` convergents CI pins, and the Artin
-scans of the scan workload."""
+certify workload, the caseI audits of k = 1..30, the ``cf --depth 2000``
+convergents CI pins, and the coset structure and Artin scans of the scan
+workload."""
 
 import copy
 import json
@@ -17,6 +18,9 @@ CF_DEPTH = 2000
 ARTIN_COUNT_LIMIT = 10**5  # every prime's order derived again
 ARTIN_CSV_LIMIT = 10**6  # the scan workload's size; ARTIN_SAMPLE rows derived again
 ARTIN_SAMPLE = 2000
+CASEI_KS = range(1, 31)
+CASEI_NMAX = 30  # past every row: q_30 has 17 digits
+COSET_K = 14
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +73,31 @@ def test_mutated_row_is_caught(audit_report, mutation):
     change(row)
     with pytest.raises(AssertionError, match=f"^row {row['n']}: {field}$"):
         verdicts.check_caseII_audit(report, NMAX)
+
+
+@pytest.fixture(scope="module")
+def caseI_reports(tmp_path_factory):
+    return {k: _report(tmp_path_factory, "audit", "--lemma", "caseI", "--k", str(k), "--nmax", str(CASEI_NMAX))
+            for k in CASEI_KS}
+
+
+def test_caseI_audit_rows_are_derived_again(caseI_reports):
+    for report in caseI_reports.values():
+        verdicts.check_caseI_audit(report, CASEI_NMAX)
+    assert {row["pass"] for report in caseI_reports.values() for row in report["rows"]} == {True, False}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_mutated_caseI_row_is_caught(caseI_reports, mutation):
+    passed, change, field = MUTATIONS[mutation]
+    # the middle row with that verdict of the largest k that has one
+    k = max(k for k, report in caseI_reports.items() if any(row["pass"] is passed for row in report["rows"]))
+    report = copy.deepcopy(caseI_reports[k])
+    rows = [row for row in report["rows"] if row["pass"] is passed]
+    row = rows[len(rows) // 2]
+    change(row)
+    with pytest.raises(AssertionError, match=f"^row {row['n']}: {field}$"):
+        verdicts.check_caseI_audit(report, CASEI_NMAX)
 
 
 def _report(tmp_path_factory, *argv):
@@ -166,3 +195,31 @@ def test_mutated_artin_row_is_caught(artin_csv, mutation):
     text, q = _mutated_csv(artin_csv, sampled[len(sampled) // 2], change)
     with pytest.raises(AssertionError, match=f"^row q={q}: {field}$"):
         verdicts.check_artin_csv(text, ARTIN_CSV_LIMIT, ARTIN_SAMPLE)
+
+
+@pytest.fixture(scope="module")
+def coset_report(tmp_path_factory):
+    return _report(tmp_path_factory, "coset", "--k", str(COSET_K))
+
+
+def test_coset_structure_is_derived_again(coset_report):
+    assert (coset_report["q"], coset_report["order"]) == ("78256779", 531648)
+    verdicts.check_coset(coset_report)
+
+
+# name -> (the change to the report, the field the check names)
+COSET_MUTATIONS = {
+    "g_equals_coset_flipped": (lambda report: report.update(g_equals_coset=not report["g_equals_coset"]),
+                               "g_equals_coset"),
+    "order_plus_one": (lambda report: report.update(order=report["order"] + 1), "order"),
+    "h_size_minus_one": (lambda report: report.update(h_size=report["h_size"] - 1), "h_size"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(COSET_MUTATIONS))
+def test_mutated_coset_report_is_caught(coset_report, mutation):
+    change, field = COSET_MUTATIONS[mutation]
+    report = copy.deepcopy(coset_report)
+    change(report)
+    with pytest.raises(AssertionError, match=f"^{field}$"):
+        verdicts.check_coset(report)

@@ -4,7 +4,7 @@ Nothing here imports pilab.  Convergents come from the continued fractions
 of both ends of an mpmath interval around pi; audit residues from ``pow``,
 endpoints from the lemma statements in ``Fraction``s, and every comparison
 with {pi 10^n} from mpmath's digits of pi; multiplicative orders from
-``sympy.n_order``.  Each ``check_*`` raises AssertionError at the first
+``sympy.n_order`` and totients from ``sympy.totient``.  Each ``check_*`` raises AssertionError at the first
 field that does not follow, naming its row.
 """
 
@@ -141,35 +141,27 @@ def _equals(text: str, num: int, den: int) -> bool:
     return int(a) * den == num * int(b or 1)
 
 
-def check_caseII_audit(report: dict, n_max: int) -> None:
-    """Every row of a caseII audit report of pi's convergent ``report["k"]``,
-    n from the first with 10^n > q_k to ``n_max``.
-
-    For r = 10^n p mod q, 10^n (p q + 1) = b q^2 + s q + c with 0 <= s, c < q,
-    and integral mu, row n checks {pi 10^n} between r/q + q^-(mu-1) and
-    s/q + c/q^2; its value must be {pi 10^n} truncated to -value_error_exp
-    digits, and its margins value - lower and upper - value exactly.
+def _check_lemma_audit(report: dict, lemma: str, ns, endpoints) -> None:
+    """What every interval audit report of pi's convergent ``report["k"]``
+    must follow: rows n over ``ns(q)``, and on row n the residues and both
+    endpoints of ``endpoints(n, p, q)``, as ((r, s, c), lower, upper).  The
+    row's value must be {pi 10^n} truncated to -value_error_exp digits,
+    ``pass`` must say whether {pi 10^n} lies between the endpoints, and its
+    margins must be value - lower and upper - value exactly.
     """
-    _expect(report["lemma"] == "caseII", "not a caseII audit")
+    _expect(report["lemma"] == lemma, f"not a {lemma} audit")
     k = report["k"]
     p, q = pi_convergent(k)
     _expect((report["p"], report["q"]) == (str(p), str(q)), f"p/q is not pi's convergent {k}")
     _expect(report["k_even"] == (k % 2 == 0), "k_even")
-    mu = Fraction(report["mu"])
-    if mu.denominator != 1:
-        raise ValueError(f"mu = {report['mu']} is not integral; its endpoint is not derived here")
-    term = Fraction(1, q ** int(mu - 1))
     rows = report["rows"]
-    _expect([row["n"] for row in rows] == list(range(len(str(q)), n_max + 1)), "row indices")
-    width = max(row["n"] - row["value_error_exp"] for row in rows) + 10
+    _expect([row["n"] for row in rows] == list(ns(q)), "row indices")
+    width = max((row["n"] - row["value_error_exp"] for row in rows), default=0) + 10
     decimals = str(pi_digits(width))[1:]  # pi's first ``width`` decimals
     for row in rows:
         n, e = row["n"], -row["value_error_exp"]  # the value is within 10^-e
-        r = pow(10, n, q) * p % q
-        s, c = divmod(pow(10, n, q * q) * (p * q + 1) % (q * q), q)
-        _expect((row["r"], row["s"], row["c"]) == (r, s, c), f"row {n}: residues")
-        lower = Fraction(r, q) + term
-        upper = Fraction(s, q) + Fraction(c, q * q)
+        residues, lower, upper = endpoints(n, p, q)
+        _expect((row["r"], row["s"], row["c"]) == residues, f"row {n}: residues")
         _expect((Fraction(row["lower"]), Fraction(row["upper"])) == (lower, upper), f"row {n}: endpoints")
         _expect(row["lower_exact"] is True, f"row {n}: lower_exact")
         places = e + 10  # the row was decided at e digits, so these decide it too
@@ -182,3 +174,56 @@ def check_caseII_audit(report: dict, n_max: int) -> None:
         up_num, up_den = upper.numerator, upper.denominator
         _expect(_equals(row["margin_lower"], value * lo_den - lo_num * one, one * lo_den), f"row {n}: margin_lower")
         _expect(_equals(row["margin_upper"], up_num * one - value * up_den, one * up_den), f"row {n}: margin_upper")
+
+
+def check_caseI_audit(report: dict, n_max: int) -> None:
+    """Every row of a caseI audit report, n from 1 to ``n_max`` while
+    10^n <= q_k: with r = 10^n p mod q, {pi 10^n} between r/q + 10^n/(2q^2)
+    and (r + 1)/q."""
+
+    def endpoints(n, p, q):
+        r = pow(10, n, q) * p % q
+        return (r, None, None), Fraction(r, q) + Fraction(10**n, 2 * q * q), Fraction(r + 1, q)
+
+    _check_lemma_audit(report, "caseI", lambda q: [n for n in range(1, n_max + 1) if 10**n <= q], endpoints)
+
+
+def check_caseII_audit(report: dict, n_max: int) -> None:
+    """Every row of a caseII audit report, n from the first with 10^n > q_k
+    to ``n_max``: for r = 10^n p mod q, 10^n (p q + 1) = b q^2 + s q + c with
+    0 <= s, c < q, and integral mu, {pi 10^n} between r/q + q^-(mu-1) and
+    s/q + c/q^2."""
+    mu = Fraction(report["mu"])
+    if mu.denominator != 1:
+        raise ValueError(f"mu = {report['mu']} is not integral; its endpoint is not derived here")
+
+    def endpoints(n, p, q):
+        r = pow(10, n, q) * p % q
+        s, c = divmod(pow(10, n, q * q) * (p * q + 1) % (q * q), q)
+        return (r, s, c), Fraction(r, q) + Fraction(1, q ** int(mu - 1)), Fraction(s, q) + Fraction(c, q * q)
+
+    _check_lemma_audit(report, "caseII", lambda q: range(len(str(q)), n_max + 1), endpoints)
+
+
+def check_coset(report: dict) -> None:
+    """A ``coset --k`` report of pi's convergent p_k/q_k: H = {(p q + 1) 10^n
+    mod q} and G = {p 10^n mod q}, built as Python sets over one period of
+    10, against <10> and the coset p <10>; the order from sympy.n_order and
+    the totient from sympy.totient."""
+    k = report["k"]
+    p, q = pi_convergent(k)
+    _expect((report["p"], report["q"]) == (str(p), str(q)), f"p/q is not pi's convergent {k}")
+    _expect(report["hypothesis_ok"] is True, "hypothesis_ok")
+    order = n_order(10, q)
+    _expect(report["order"] == order, "order")
+    _expect(report["totient"] == sympy.totient(q), "totient")
+    powers = [pow(10, n, q) for n in range(order)]
+    ten = set(powers)
+    h = {(p * q + 1) * x % q for x in powers}
+    g = {p * x % q for x in powers}
+    _expect(report["h_size"] == len(h), "h_size")
+    _expect(report["g_size"] == len(g), "g_size")
+    _expect(report["h_equals_subgroup"] is (h == ten), "h_equals_subgroup")
+    _expect(report["g_equals_coset"] is (g == {p * x % q for x in ten}), "g_equals_coset")
+    for key, elements in (("h_elements", h), ("g_elements", g)):
+        _expect(report[key] is None or report[key] == sorted(elements), key)

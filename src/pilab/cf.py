@@ -10,13 +10,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
-from decimal import Decimal
 from fractions import Fraction
 from itertools import takewhile
 from typing import Callable, Optional, Sequence
 
 from . import constants, groups
-from ._dec import DecimalFraction, context_for, parts
+from ._dec import DecimalFraction
 from .radix import text_from_digits
 
 # The largest audit n_max.  Row n's first pass reads 2n + guard digits of pi
@@ -235,21 +234,16 @@ def pi_convergents(depth: int) -> list[Convergent]:
     return cf_expand(lambda n: constants.certified_digits("pi", min(n, constants.DIGIT_CEILING)), 3, depth)
 
 
-def _pi_shift_scaled(n: int, n_digits: int) -> Decimal:
-    """floor({pi * 10^n} * 10^n_digits): digits n+1 .. n+n_digits of pi,
-    read from their text."""
-    if n < 0:
-        raise ValueError("shift must be >= 0")
-    digits = constants.certified_digits("pi", n + n_digits)
-    return Decimal(text_from_digits(digits[n : n + n_digits]))
-
-
 def frac_pi_shift(n: int, n_digits: int) -> DecimalFraction:
-    """Truncation of {pi * 10^n} to ``n_digits`` digits, exact via digit shift.
+    """Truncation of {pi * 10^n} to ``n_digits`` digits: digits n+1 .. n+n_digits
+    of pi, read from their text.
 
     The true fractional part lies in [result, result + 10^-n_digits).
     """
-    return DecimalFraction(_pi_shift_scaled(n, n_digits), 1, n_digits)
+    if n < 0:
+        raise ValueError("shift must be >= 0")
+    digits = constants.certified_digits("pi", n + n_digits)
+    return DecimalFraction(text_from_digits(digits[n : n + n_digits]), 1, n_digits)
 
 
 def residue_decompose(conv: Convergent, n: int, modulus: Optional[int] = None) -> ResidueDecomposition:
@@ -317,29 +311,25 @@ def _inv_power(base_int: int, mu: float, prec: int) -> tuple[Fraction, bool]:
     return Fraction(scaled, 10**prec), False
 
 
-def _row_value(lower: Fraction, upper: Fraction, n: int, q: int) -> tuple[DecimalFraction, bool]:
+def _row_value(
+    lower: Fraction, upper: Fraction, n: int, q: int
+) -> tuple[DecimalFraction, DecimalFraction, DecimalFraction, bool]:
     """Certified pass/fail of lower <= {pi 10^n} <= upper, widening precision
     until the truncated value clears both endpoints decisively.
 
-    With V = floor({pi 10^n} 10^prec) the true value lies in
-    [V, V + 1) / 10^prec.  For an endpoint N / (d 10^e), V / 10^prec >= it
-    exactly when (V d) 10^-prec >= N 10^-e: one exact Decimal product and
-    one comparison.  Returns V / 10^prec and the verdict.
+    The true value lies in [value, value + ulp), ulp = 10^-prec, so the exact
+    margins below = value - lower and above = upper - value decide each
+    endpoint by the sign of a numerator over a positive denominator.  Returns
+    the value, both margins and the verdict.
     """
-    (lo_n, lo_d, lo_e), (up_n, up_d, up_e) = parts(lower), parts(upper)
-    lo_d, up_d = Decimal(lo_d), Decimal(up_d)
     prec = n + _guard_digits(q)
     for _ in range(4):
-        v = _pi_shift_scaled(n, prec)
-        ctx = context_for(prec + max(lo_d.adjusted(), up_d.adjusted(), lo_n.adjusted(), up_n.adjusted()) + 2)
-        lo_at, up_at = ctx.scaleb(lo_n, -lo_e), ctx.scaleb(up_n, -up_e)
-        v_lo, v_up = ctx.scaleb(ctx.multiply(v, lo_d), -prec), ctx.scaleb(ctx.multiply(v, up_d), -prec)
-        lower_ok = v_lo >= lo_at
-        lower_fail = ctx.add(v_lo, ctx.scaleb(lo_d, -prec)) <= lo_at
-        upper_ok = ctx.add(v_up, ctx.scaleb(up_d, -prec)) <= up_at
-        upper_fail = v_up > up_at
+        value, ulp = frac_pi_shift(n, prec), DecimalFraction(1, 1, prec)
+        below, above = value - lower, upper - value
+        lower_ok, lower_fail = below.num >= 0, (below + ulp).num <= 0
+        upper_ok, upper_fail = (above - ulp).num >= 0, above.num < 0
         if (lower_ok or lower_fail) and (upper_ok or upper_fail):
-            return DecimalFraction(v, 1, prec), lower_ok and upper_ok
+            return value, below, above, lower_ok and upper_ok
         prec *= 2
     raise InsufficientPrecisionError(n)
 
@@ -356,12 +346,12 @@ def _lemma_audit(
     for n in ns:
         dec = residue_decompose(conv, n)
         lower, upper = bounds(dec)
-        value, passed = _row_value(lower, upper, n, q)
+        value, below, above, passed = _row_value(lower, upper, n, q)
         rows.append(
             AuditRow(
                 n=n, r=dec.r_n, s=dec.s_n if case_two else None, c=dec.c_n if case_two else None,
                 lower=lower, upper=upper, value=value, value_error_exp=-value.exp, passed=passed,
-                margin_lower=value - lower, margin_upper=upper - value, lower_exact=lower_exact,
+                margin_lower=below, margin_upper=above, lower_exact=lower_exact,
             )
         )
     return LemmaAudit(

@@ -63,7 +63,7 @@ class CosetReport:
     p: int
     q: int
     hypothesis_ok: bool  # gcd(10, q) == 1
-    base: Optional[SubgroupReport]
+    base: Optional[SubgroupReport]  # order and totient of <10>; its elements are not built
     g_size: int
     h_size: int
     h_equals_subgroup: bool
@@ -206,7 +206,7 @@ def coset_structure(conv, element_cap: int = DEFAULT_ELEMENT_CAP) -> CosetReport
             h_equals_subgroup=False, g_equals_coset=False,
             g_elements=None, h_elements=None,
         )
-    base = subgroup(10, q, element_cap=min(element_cap, COSET_ORDER_MAX))
+    base = subgroup(10, q, element_cap=0)  # order and totient; ten_set below is <10> itself
     order = base.order
     if order > COSET_ORDER_MAX:
         raise ValueError(f"ord_{q}(10) = {order} exceeds COSET_ORDER_MAX = {COSET_ORDER_MAX}")

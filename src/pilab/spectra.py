@@ -353,8 +353,9 @@ def subgroup_expsum(report: SubgroupReport, c: float = 0.5) -> ExpSumReport:
     """Exhaustive max over a = 1..p-1 of the subgroup exponential sum magnitude,
     with the reference envelope exp(-(log p)^c) * #H and their ratio.  argmax is
     the least a in 1..p-1 that reaches the largest magnitude the FFT returns:
-    S(a) and S(p-a) are conjugate, so in exact arithmetic a maximum is always
-    shared with its mirror, and the FFT's rounding decides any near tie."""
+    |S(a h)| = |S(a)| for every h in H and |S(-a)| = |S(a)|, so in exact
+    arithmetic every member of a maximal coset a H and of its mirror -a H
+    ties, and the FFT's rounding picks the member."""
     p = report.modulus
     if not primes.is_prime(p):
         raise ValueError(f"modulus {p} is not prime")

@@ -310,6 +310,21 @@ def _refuse_power_sets(monkeypatch):
     monkeypatch.setattr(groups, "_power_set_sorted", refuse)
 
 
+def test_coset_structure_builds_each_power_set_once(monkeypatch):
+    # <10>, H and G once each; the subgroup report gives only order and totient
+    conv = pi_convergents(8)[8]  # q = 265 381, ord_q(10) = 88 460, above the default cap
+    counts = []
+
+    def counting(start, g, m, count):
+        counts.append(count)
+        return _power_set_sorted(start, g, m, count)
+
+    monkeypatch.setattr(groups, "_power_set_sorted", counting)
+    rep = coset_structure(conv, element_cap=1 << 20)
+    assert counts == [rep.base.order] * 3 and rep.base.order <= 1 << 20
+    assert rep.base.elements is None and len(rep.g_elements) == rep.g_size
+
+
 def test_coset_order_bound_raises_before_building_power_sets(monkeypatch):
     conv = pi_convergents(20)[20]  # q = 6 701 487 259, ord_q(10) = 33 166 008
     _refuse_power_sets(monkeypatch)

@@ -159,10 +159,12 @@ def _fraction_value_with_margin(lower, upper, n, q):
 def _rows(n, q):
     """Endpoints on {pi 10^n} truncated to P digits, which the first pass at
     prec digits cannot decide when P > prec: P <= 2 prec needs one doubling,
-    P <= 4 prec two, and P > 8 prec exhausts the four passes."""
+    P <= 4 prec two, and P > 8 prec exhausts the four passes.  At P = prec an
+    endpoint equals the first pass's value or that value plus 10^-prec, so a
+    margin is exactly 0 or +-10^-prec there."""
     prec = n + 2 * len(str(q)) + 20
     rows = []
-    for places in (prec // 2, prec + 5, 2 * prec, 2 * prec + 3, 4 * prec, 9 * prec):
+    for places in (prec // 2, prec, prec + 5, 2 * prec, 2 * prec + 3, 4 * prec, 9 * prec):
         below = frac_pi_shift(n, places)
         above = below + Fraction(1, 10**places)
         rows += [
@@ -185,7 +187,8 @@ def test_integer_row_decision_matches_fraction_logic(n, q):
                 cf._row_value(lower, upper, n, q)
             exps.add(None)
             continue
-        value, passed = cf._row_value(lower, upper, n, q)
+        value, below, above, passed = cf._row_value(lower, upper, n, q)
         assert (Fraction(value), -value.exp, passed) == want
+        assert (below, above) == (Fraction(value) - lower, upper - Fraction(value))
         exps.add(-value.exp)
     assert {-prec, -2 * prec, -4 * prec, None} <= exps

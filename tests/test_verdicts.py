@@ -1,14 +1,16 @@
 """Reports at the sizes the benchmark and CI run, every row derived again by
 tests/verdicts.py, which shares no code with pilab: the caseII audit of the
-certify workload, the caseI audits of k = 1..30, the ``cf --depth 2000``
-convergents CI pins, and the coset structure and Artin scans of the scan
-workload."""
+certify workload and at two non-integral mu, the caseI audits of k = 1..30,
+the prime audits CI pins and of k = 1..20, the ``cf --depth 2000``
+convergents CI pins, and the coset structure, Artin scans and exponential
+sum maximum of the scan workload."""
 
 import copy
 import json
 from fractions import Fraction
 
 import pytest
+import sympy
 
 import verdicts
 from pilab import cli
@@ -21,6 +23,10 @@ ARTIN_SAMPLE = 2000
 CASEI_KS = range(1, 31)
 CASEI_NMAX = 30  # past every row: q_30 has 17 digits
 COSET_K = 14
+PRIME_KS = range(1, 21)  # primes from 7 to 11 digits, both cases at NMAX_SMALL
+NMAX_SMALL = 30
+MU_NMAX = 400
+EXPSUM_P = 4_004_023  # the scan workload's default prime: 93 cosets of <10>, of order 43 054
 
 
 @pytest.fixture(scope="module")
@@ -117,11 +123,17 @@ def artin_count_report(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def artin_csv(tmp_path_factory):
+def artin_csv_run(tmp_path_factory):
+    """The CSV and the report of one ``artin --csv`` run."""
     path = tmp_path_factory.mktemp("artin") / "artin.csv"
     argv = ["artin", "--limit", str(ARTIN_CSV_LIMIT), "--csv", str(path), "--out", str(path.with_suffix(".json"))]
     assert cli.main(argv) == 0
-    return path.read_text()
+    return path.read_text(), json.loads(path.with_suffix(".json").read_text())
+
+
+@pytest.fixture(scope="module")
+def artin_csv(artin_csv_run):
+    return artin_csv_run[0]
 
 
 def test_pi_convergents_are_derived_again(cf_report):
@@ -171,6 +183,13 @@ def test_moved_artin_count_is_caught(artin_count_report, by):
 
 def test_artin_csv_rows_are_derived_again(artin_csv):
     verdicts.check_artin_csv(artin_csv, ARTIN_CSV_LIMIT, ARTIN_SAMPLE)
+
+
+def test_artin_summary_matches_its_csv(artin_csv_run):
+    text, report = artin_csv_run
+    verdicts.check_artin_summary(report, text)
+    with pytest.raises(AssertionError, match="^count_artin$"):
+        verdicts.check_artin_summary(dict(report, count_artin=report["count_artin"] + 1), text)
 
 
 def _mutated_csv(text, row, change):
@@ -223,3 +242,123 @@ def test_mutated_coset_report_is_caught(coset_report, mutation):
     change(report)
     with pytest.raises(AssertionError, match=f"^{field}$"):
         verdicts.check_coset(report)
+
+
+@pytest.fixture(scope="module")
+def prime_report(tmp_path_factory):
+    return _report(tmp_path_factory, "audit", "--lemma", "prime", "--k", "12", "--nmax", str(NMAX))
+
+
+def test_prime_audit_rows_are_derived_again(prime_report):
+    verdicts.check_prime_audit(prime_report, NMAX)
+    assert (prime_report["q_k"], prime_report["q"]) == ("25510582", "25510609")
+    assert {row["case"] for row in prime_report["rows"]} == {"I", "II"}
+
+
+def test_small_prime_audits_are_derived_again(tmp_path_factory):
+    for k in PRIME_KS:
+        report = _report(tmp_path_factory, "audit", "--lemma", "prime", "--k", str(k), "--nmax", str(NMAX_SMALL))
+        verdicts.check_prime_audit(report, NMAX_SMALL)
+
+
+def _scaled_by_q_k(row, report):
+    # the residual scaled by the convergent's q_k^2 instead of the prime's
+    row["scaled_upper"] = str(Fraction(row["residual_upper"]) * int(report["q_k"]) ** 2)
+
+
+def _flip_case(row, report):
+    row["case"] = "I" if row["case"] == "II" else "II"
+
+
+# name -> (the case of the row it changes, the change, the field the check names)
+PRIME_MUTATIONS = {
+    "residual_moved": ("II", lambda row, report: _moved("residual_lower")(row), "residual_lower"),
+    "case_flipped": ("I", _flip_case, "case"),
+    "r_plus_one": ("II", lambda row, report: row.update(r=row["r"] + 1), "residues"),
+    "r_minus_one": ("I", lambda row, report: row.update(r=row["r"] - 1), "residues"),
+    "scaled_by_q_k": ("II", _scaled_by_q_k, "scaled_upper"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(PRIME_MUTATIONS))
+def test_mutated_prime_row_is_caught(prime_report, mutation):
+    case, change, field = PRIME_MUTATIONS[mutation]
+    report = copy.deepcopy(prime_report)
+    rows = [row for row in report["rows"] if row["case"] == case]
+    row = rows[len(rows) // 2]
+    change(row, report)
+    with pytest.raises(AssertionError, match=f"^row {row['n']}: {field}$"):
+        verdicts.check_prime_audit(report, NMAX)
+
+
+def test_prime_replaced_by_the_next_is_caught(prime_report):
+    report = dict(prime_report, q=str(sympy.nextprime(int(prime_report["q"]))))
+    with pytest.raises(AssertionError, match="^q$"):
+        verdicts.check_prime_audit(report, NMAX)
+
+
+@pytest.fixture(scope="module", params=["2.5", "2.123"])
+def mu_report(request, tmp_path_factory):
+    return _report(tmp_path_factory, "audit", "--lemma", "caseII", "--k", "12", "--nmax", str(MU_NMAX),
+                   "--mu", request.param)
+
+
+def test_caseII_audit_at_non_integral_mu_is_derived_again(mu_report):
+    verdicts.check_caseII_audit(mu_report, MU_NMAX)
+    passed = [row["pass"] for row in mu_report["rows"]]
+    assert (passed.count(True), passed.count(False)) == (77, 316)
+
+
+# each changes a report and returns the field the check names
+def _term_moved(report):
+    # every lower endpoint, so the printed term moves by one unit of its last place
+    one = Fraction(1, 10 ** (2 * len(report["q"]) + 20))
+    for row in report["rows"]:
+        row["lower"] = str(Fraction(row["lower"]) + one)
+    return "lower term"
+
+
+def _lower_exact_flipped(report):
+    row = report["rows"][len(report["rows"]) // 2]
+    row["lower_exact"] = not row["lower_exact"]
+    return f"row {row['n']}: lower_exact"
+
+
+@pytest.mark.parametrize("change", [_term_moved, _lower_exact_flipped])
+def test_mutated_non_integral_mu_report_is_caught(mu_report, change):
+    report = copy.deepcopy(mu_report)
+    field = change(report)
+    with pytest.raises(AssertionError, match=f"^{field}$"):
+        verdicts.check_caseII_audit(report, MU_NMAX)
+
+
+@pytest.fixture(scope="module")
+def expsum_report(tmp_path_factory):
+    return _report(tmp_path_factory, "expsum", "--p", str(EXPSUM_P))
+
+
+def test_expsum_maximum_is_derived_again(expsum_report):
+    assert (expsum_report["order"], expsum_report["argmax"]) == (43054, 417343)
+    verdicts.check_expsum(expsum_report)
+
+
+def _magnitude_raised(report):
+    report["max_magnitude"] = str(float(report["max_magnitude"]) * (1 + 1e-6))
+
+
+# name -> (the change to the report, the field the check names); a = 1 lies
+# in <10> itself, whose |S| is below the maximum
+EXPSUM_MUTATIONS = {
+    "max_magnitude_raised": (_magnitude_raised, "max_magnitude"),
+    "argmax_in_other_coset": (lambda report: report.update(argmax=1), "argmax"),
+    "order_plus_one": (lambda report: report.update(order=report["order"] + 1), "order"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(EXPSUM_MUTATIONS))
+def test_mutated_expsum_report_is_caught(expsum_report, mutation):
+    change, field = EXPSUM_MUTATIONS[mutation]
+    report = copy.deepcopy(expsum_report)
+    change(report)
+    with pytest.raises(AssertionError, match=f"^{field}$"):
+        verdicts.check_expsum(report)

@@ -4,14 +4,17 @@ Nothing here imports pilab.  Convergents come from the continued fractions
 of both ends of an mpmath interval around pi; audit residues from ``pow``,
 endpoints from the lemma statements in ``Fraction``s, and every comparison
 with {pi 10^n} from mpmath's digits of pi; multiplicative orders from
-``sympy.n_order`` and totients from ``sympy.totient``.  Each ``check_*`` raises AssertionError at the first
-field that does not follow, naming its row.
+``sympy.n_order``, totients from ``sympy.totient`` and exponential sums from
+direct sums over the subgroup.  Each ``check_*`` raises AssertionError at the
+first field that does not follow, naming its row.
 """
 
 import functools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import sympy
 from mpmath import mp, mpf
 from sympy.ntheory import n_order
@@ -124,6 +127,15 @@ def check_artin_csv(text: str, limit: int, size: int) -> None:
         _expect(flag == ("true" if order == q - 1 else "false"), f"row q={q}: is_artin")
 
 
+def check_artin_summary(report: dict, text: str) -> None:
+    """An ``artin --limit --csv`` report's counts against the rows of its own CSV."""
+    flags = [line.rsplit(",", 1)[1] for line in text.splitlines()[1:]]
+    primes, artin = len(flags), flags.count("true")
+    _expect(report["count_primes"] == primes, "count_primes")
+    _expect(report["count_artin"] == artin, "count_artin")
+    _expect(float(report["density"]) == artin / primes, "density")
+
+
 def _below(bound: Fraction, x: int, places: int) -> bool:
     """bound <= t for the irrational t in [x, x + 1) / 10^places."""
     scaled, den = bound.numerator * 10**places, bound.denominator
@@ -141,7 +153,37 @@ def _equals(text: str, num: int, den: int) -> bool:
     return int(a) * den == num * int(b or 1)
 
 
-def _check_lemma_audit(report: dict, lemma: str, ns, endpoints) -> None:
+def _pi_decimals(width: int) -> str:
+    """pi's first ``width`` decimals."""
+    return str(pi_digits(width))[1:]
+
+
+def _power_term(base: int, exponent: Fraction, guard: int, printed) -> Fraction:
+    """base^-exponent as an audit adds it to its lower endpoint: exact when the
+    exponent is integral; otherwise the printed fixed-point term ``printed()``,
+    which must satisfy T <= base^-exponent < T + 2 10^-guard (mpmath at
+    guard + 20 digits)."""
+    if exponent.denominator == 1:
+        return Fraction(1, base**exponent.numerator)
+    term = printed()
+    with mp.workdps(guard + 20):
+        x = mpf(base) ** (-mpf(exponent.numerator) / exponent.denominator)
+        t = mpf(term.numerator) / term.denominator
+        _expect(t <= x < t + 2 * mpf(10) ** -guard, "lower term")
+    return term
+
+
+def _exponent(report: dict) -> Fraction:
+    """mu - 1 as the audits take it: the fraction with denominator <= 10^6 nearest it."""
+    return Fraction(float(report["mu"]) - 1).limit_denominator(10**6)
+
+
+def _guard(modulus: int) -> int:
+    """Fractional digits an audit row carries past its shift n."""
+    return 2 * len(str(modulus)) + 20
+
+
+def _check_lemma_audit(report: dict, lemma: str, ns, endpoints, lower_exact: bool = True) -> None:
     """What every interval audit report of pi's convergent ``report["k"]``
     must follow: rows n over ``ns(q)``, and on row n the residues and both
     endpoints of ``endpoints(n, p, q)``, as ((r, s, c), lower, upper).  The
@@ -156,14 +198,13 @@ def _check_lemma_audit(report: dict, lemma: str, ns, endpoints) -> None:
     _expect(report["k_even"] == (k % 2 == 0), "k_even")
     rows = report["rows"]
     _expect([row["n"] for row in rows] == list(ns(q)), "row indices")
-    width = max((row["n"] - row["value_error_exp"] for row in rows), default=0) + 10
-    decimals = str(pi_digits(width))[1:]  # pi's first ``width`` decimals
+    decimals = _pi_decimals(max((row["n"] - row["value_error_exp"] for row in rows), default=0) + 10)
     for row in rows:
         n, e = row["n"], -row["value_error_exp"]  # the value is within 10^-e
         residues, lower, upper = endpoints(n, p, q)
         _expect((row["r"], row["s"], row["c"]) == residues, f"row {n}: residues")
         _expect((Fraction(row["lower"]), Fraction(row["upper"])) == (lower, upper), f"row {n}: endpoints")
-        _expect(row["lower_exact"] is True, f"row {n}: lower_exact")
+        _expect(row["lower_exact"] is lower_exact, f"row {n}: lower_exact")
         places = e + 10  # the row was decided at e digits, so these decide it too
         x = int(decimals[n : n + places])  # {pi 10^n} lies in [x, x + 1) / 10^places
         value, one = x // 10**10, 10**e  # {pi 10^n} truncated to e digits: value / one
@@ -190,19 +231,83 @@ def check_caseI_audit(report: dict, n_max: int) -> None:
 
 def check_caseII_audit(report: dict, n_max: int) -> None:
     """Every row of a caseII audit report, n from the first with 10^n > q_k
-    to ``n_max``: for r = 10^n p mod q, 10^n (p q + 1) = b q^2 + s q + c with
-    0 <= s, c < q, and integral mu, {pi 10^n} between r/q + q^-(mu-1) and
-    s/q + c/q^2."""
-    mu = Fraction(report["mu"])
-    if mu.denominator != 1:
-        raise ValueError(f"mu = {report['mu']} is not integral; its endpoint is not derived here")
+    to ``n_max``: for r = 10^n p mod q and 10^n (p q + 1) = b q^2 + s q + c
+    with 0 <= s, c < q, {pi 10^n} between r/q + q^-(mu-1) and s/q + c/q^2.
+    The exponent mu - 1 is a/b, the fraction with b <= 10^6 nearest it; when
+    b > 1 the term q^-(a/b) is the first row's printed lower minus r/q, within
+    2 10^-g below its true value, g = 2 len(str(q)) + 20, and lower_exact is
+    false."""
+    exponent = _exponent(report)
+
+    @functools.cache
+    def term(p, q):
+        first = report["rows"][0]
+        return _power_term(q, exponent, _guard(q),
+                           lambda: Fraction(first["lower"]) - Fraction(pow(10, first["n"], q) * p % q, q))
 
     def endpoints(n, p, q):
         r = pow(10, n, q) * p % q
         s, c = divmod(pow(10, n, q * q) * (p * q + 1) % (q * q), q)
-        return (r, s, c), Fraction(r, q) + Fraction(1, q ** int(mu - 1)), Fraction(s, q) + Fraction(c, q * q)
+        return (r, s, c), Fraction(r, q) + term(p, q), Fraction(s, q) + Fraction(c, q * q)
 
-    _check_lemma_audit(report, "caseII", lambda q: range(len(str(q)), n_max + 1), endpoints)
+    _check_lemma_audit(report, "caseII", lambda q: range(len(str(q)), n_max + 1), endpoints,
+                       lower_exact=exponent.denominator == 1)
+
+
+def check_prime_audit(report: dict, n_max: int) -> None:
+    """Every row of a prime-modulus audit report of pi's convergent p_k/q_k,
+    n from 1 to ``n_max``.  The modulus is the least prime >= q_k, inside
+    [q_k, q_k + ceil(q_k / ln q_k)].  Row n is case I while 10^n <= q_k and
+    case II after; with r = 10^n p mod prime and 10^n (p q_k + 1) =
+    b prime^2 + s prime + c, its endpoints are r/(2 prime), plus
+    (2 prime)^-(mu-1) in case II, and (r + 1)/prime in case I, s/prime in
+    case II.  Its value is {pi 10^n} truncated to n + 2 len(str(prime)) + 20
+    digits, its residuals are value - lower and upper - value exactly, and
+    each scaled column is its residual times prime^2."""
+    _expect(report["lemma"] == "prime", "not a prime audit")
+    k = report["k"]
+    p, q = pi_convergent(k)
+    _expect((report["p"], report["q_k"]) == (str(p), str(q)), f"p/q_k is not pi's convergent {k}")
+    prime = sympy.nextprime(q - 1)
+    _expect(report["q"] == str(prime), "q")
+    with mp.workdps(30):
+        window = [q, q + int(mp.ceil(mpf(q) / mp.log(q)))]
+    _expect(report["window"] == window and prime <= window[1], "window")
+    rows = report["rows"]
+    _expect([row["n"] for row in rows] == list(range(1, n_max + 1)), "row indices")
+    guard, modulus = _guard(prime), prime * prime
+    decimals = _pi_decimals(2 * n_max + guard)
+
+    def r_of(n):
+        return pow(10, n, prime) * p % prime
+
+    @functools.cache
+    def term():  # (2 prime)^-(mu-1), printed on the first case II row
+        first = next(row for row in rows if 10 ** row["n"] > q)
+        return _power_term(2 * prime, _exponent(report), guard,
+                           lambda: Fraction(first["lower"]) - Fraction(r_of(first["n"]), 2 * prime))
+
+    for row in rows:
+        n = row["n"]
+        r = r_of(n)
+        s, c = divmod(pow(10, n, modulus) * (p * q + 1) % modulus, prime)
+        _expect((row["r"], row["s"], row["c"]) == (r, s, c), f"row {n}: residues")
+        case_one = 10**n <= q
+        _expect(row["case"] == ("I" if case_one else "II"), f"row {n}: case")
+        lower = Fraction(r, 2 * prime) + (0 if case_one else term())
+        upper = Fraction(r + 1 if case_one else s, prime)
+        _expect((Fraction(row["lower"]), Fraction(row["upper"])) == (lower, upper), f"row {n}: endpoints")
+        e = n + guard
+        _expect(row["value_error_exp"] == -e, f"row {n}: value_error_exp")
+        value, one = int(decimals[n : n + e]), 10**e  # {pi 10^n} truncated to e digits: value / one
+        _expect(_equals(row["value"], value, one), f"row {n}: value")
+        residuals = {
+            "lower": (value * lower.denominator - lower.numerator * one, one * lower.denominator),
+            "upper": (upper.numerator * one - value * upper.denominator, one * upper.denominator),
+        }
+        for side, (num, den) in residuals.items():
+            _expect(_equals(row[f"residual_{side}"], num, den), f"row {n}: residual_{side}")
+            _expect(_equals(row[f"scaled_{side}"], num * modulus, den), f"row {n}: scaled_{side}")
 
 
 def check_coset(report: dict) -> None:
@@ -227,3 +332,39 @@ def check_coset(report: dict) -> None:
     _expect(report["g_equals_coset"] is (g == {p * x % q for x in ten}), "g_equals_coset")
     for key, elements in (("h_elements", h), ("g_elements", g)):
         _expect(report[key] is None or report[key] == sorted(elements), key)
+
+
+def check_expsum(report: dict) -> None:
+    """An ``expsum`` report: with H = <g> mod p of order sympy.n_order(g, p),
+    |S(a)| = |sum over x in H of e(a x / p)| is constant on the cosets a H,
+    so it is summed directly once per coset r^i H, r = sympy.primitive_root(p).
+    max_magnitude must lie within 1e-9 order of the largest coset value, and
+    argmax in a coset within that of it, where an mpmath sum must agree too;
+    bound = exp(-(ln p)^c) order and ratio = max_magnitude / bound to 1e-15
+    relative."""
+    p, g = report["p"], report["g"]
+    _expect(sympy.isprime(p) and p < 2**31, "p")  # products a x of residues fit int64 lanes
+    order = n_order(g, p)
+    _expect(report["order"] == order, "order")
+    xs = np.empty(order, dtype=np.int64)
+    x = 1
+    for j in range(order):
+        xs[j], x = x, x * g % p
+
+    def magnitude(a):
+        phase = 2 * np.pi * (a * xs % p) / p
+        return math.hypot(math.fsum(np.cos(phase)), math.fsum(np.sin(phase)))
+
+    # a H = b H exactly when a^order = b^order mod p: H is the subgroup of that order
+    root = sympy.primitive_root(p)
+    cosets = {pow(root, i * order, p): magnitude(pow(root, i, p)) for i in range((p - 1) // order)}
+    top, tol = max(cosets.values()), 1e-9 * order
+    mag, argmax = float(report["max_magnitude"]), report["argmax"]
+    _expect(abs(mag - top) <= tol, "max_magnitude")
+    _expect(0 < argmax < p and top - cosets[pow(argmax, order, p)] <= tol, "argmax")
+    with mp.workdps(30):
+        exact = abs(mp.fsum(mp.expjpi(mpf(2 * (argmax * int(x) % p)) / p) for x in xs))
+        _expect(abs(exact - mag) <= tol, "argmax")
+        bound = mp.exp(-mp.log(p) ** mpf(report["c"])) * order
+        _expect(abs(mpf(report["bound"]) / bound - 1) <= 1e-15, "bound")
+        _expect(abs(mpf(report["ratio"]) * bound / mpf(report["max_magnitude"]) - 1) <= 1e-15, "ratio")

@@ -2,17 +2,20 @@
 of the fractional parts {pi * 10^n}.
 
 Audits never hard-fail on inequality violations: each row records pass/fail
-plus signed margins, and findings are data for the caller to interpret.
+plus signed margins, and findings are data for the caller to interpret.  An
+audit's rows are made when they are read (AuditRows), so a report can write
+each row as it is made.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import takewhile
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from . import constants, groups
 from ._dec import DecimalFraction
@@ -20,12 +23,13 @@ from .radix import text_from_digits
 
 # The largest audit n_max.  Row n's first pass reads 2n + guard digits of pi
 # (guard >= 22, `_guard_digits(1)`), so DIGIT_CEILING admits n <= 49 989.  The
-# report binds first: it is built in memory whole, and row n prints a few
-# values of about 2n digits each, so it grows as n_max^2.  Measured for k = 12:
-# 3.4 n_max^2 bytes for caseII (7 629 238 at n_max = 1500) and 5.5 n_max^2 for
-# the prime variant (12 402 218).  At 6 n_max^2 bytes against a 128 MiB report,
-# n_max <= 4729.  There a prime audit printed 115 MB in 2.0 s at a peak RSS of
-# 297 MB on a 2-core x86-64 host.
+# report binds first: row n prints a few values of about 2n digits each, so it
+# grows as n_max^2.  Measured for k = 12: 3.4 n_max^2 bytes for caseII
+# (7 629 238 at n_max = 1500) and 5.5 n_max^2 for the prime variant
+# (12 402 218).  At 6 n_max^2 bytes against a 128 MiB report, n_max <= 4729.
+# There a prime audit printed 115 MB in 1.1 s at a peak RSS of 43 MB, its rows
+# split with a forked child, and in 1.6 s at 35 MB in one process, on a 2-core
+# x86-64 host.
 _REPORT_BYTES_MAX = 2**27
 AUDIT_NMAX_MAX = min((constants.DIGIT_CEILING - 22) // 2, math.isqrt(_REPORT_BYTES_MAX // 6))
 
@@ -130,7 +134,7 @@ class LemmaAudit:
     q: int
     mu: float
     k_even: bool
-    rows: tuple[AuditRow, ...]
+    rows: AuditRows  # of AuditRow
 
 
 @dataclass(frozen=True)
@@ -159,7 +163,7 @@ class PrimeLemmaAudit:
     prime: int
     window: tuple[int, int]
     mu: float
-    rows: tuple[PrimeAuditRow, ...]
+    rows: AuditRows  # of PrimeAuditRow
 
 
 def convergents_from_quotients(quotients: Sequence[int]) -> list[Convergent]:
@@ -319,44 +323,83 @@ def _row_value(
 
     The true value lies in [value, value + ulp), ulp = 10^-prec, so the exact
     margins below = value - lower and above = upper - value decide each
-    endpoint by the sign of a numerator over a positive denominator.  Returns
-    the value, both margins and the verdict.
+    endpoint by the sign of a numerator over a positive denominator.  Each
+    margin is N / (d 10^e) with e >= prec (value's own exp), so value + ulp
+    is decided against an endpoint by comparing N with d 10^(e - prec), the
+    ulp in the margin's units.  Returns the value, both margins and the
+    verdict.
     """
     prec = n + _guard_digits(q)
     for _ in range(4):
-        value, ulp = frac_pi_shift(n, prec), DecimalFraction(1, 1, prec)
+        value = frac_pi_shift(n, prec)
         below, above = value - lower, upper - value
-        lower_ok, lower_fail = below.num >= 0, (below + ulp).num <= 0
-        upper_ok, upper_fail = (above - ulp).num >= 0, above.num < 0
+        lower_ok, lower_fail = below.num >= 0, below.num <= -below.den * 10 ** (below.exp - prec)
+        upper_ok, upper_fail = above.num >= above.den * 10 ** (above.exp - prec), above.num < 0
         if (lower_ok or lower_fail) and (upper_ok or upper_fail):
             return value, below, above, lower_ok and upper_ok
         prec *= 2
     raise InsufficientPrecisionError(n)
 
 
+class AuditRows(Sequence):
+    """An audit's rows over the shifts ``ns``, each made when it is read.
+
+    Iterating makes the rows one at a time and holds none, so a report can
+    write each row as it is made; reading a row twice makes it twice.  A
+    slice holds the rows over part of ``ns``, so two processes can make two
+    parts of one audit.  A row's first pass reads 2 n + ``guard`` digits of
+    pi.
+    """
+
+    def __init__(self, ns: range, make: Callable[[int], object], guard: int):
+        self.ns, self._make, self.guard = ns, make, guard
+
+    def __len__(self) -> int:
+        return len(self.ns)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return AuditRows(self.ns[index], self._make, self.guard)
+        return self.row(self.ns[index])
+
+    def row(self, n: int):
+        """The row of shift n, made afresh."""
+        return self._make(n)
+
+    def map(self, fn: Callable) -> AuditRows:
+        """These rows, each passed through ``fn`` as it is made."""
+        make = self._make
+        return AuditRows(self.ns, lambda n: fn(make(n)), self.guard)
+
+    def warm(self) -> None:
+        """Certify every digit of pi the rows' first passes read, so that
+        making them runs the pi engines only for a row that widens."""
+        if self.ns:
+            constants.certified_digits("pi", min(2 * self.ns[-1] + self.guard, constants.DIGIT_CEILING))
+
+
 def _lemma_audit(
     lemma: str, conv: Convergent, cfg: AuditConfig, ns: range, bounds, lower_exact: bool = True
 ) -> LemmaAudit:
-    """One certified row per n in ``ns``, between the endpoints ``bounds(dec)``
-    built from the residues of n; s_n and c_n are recorded for case II, whose
-    upper endpoint uses them."""
+    """The audit whose row n, for n in ``ns``, is certified between the
+    endpoints ``bounds(dec)`` built from the residues of n; s_n and c_n are
+    recorded for case II, whose upper endpoint uses them."""
     q = conv.q
     case_two = lemma == "caseII"
-    rows = []
-    for n in ns:
+
+    def row(n: int) -> AuditRow:
         dec = residue_decompose(conv, n)
         lower, upper = bounds(dec)
         value, below, above, passed = _row_value(lower, upper, n, q)
-        rows.append(
-            AuditRow(
-                n=n, r=dec.r_n, s=dec.s_n if case_two else None, c=dec.c_n if case_two else None,
-                lower=lower, upper=upper, value=value, value_error_exp=-value.exp, passed=passed,
-                margin_lower=below, margin_upper=above, lower_exact=lower_exact,
-            )
+        return AuditRow(
+            n=n, r=dec.r_n, s=dec.s_n if case_two else None, c=dec.c_n if case_two else None,
+            lower=lower, upper=upper, value=value, value_error_exp=-value.exp, passed=passed,
+            margin_lower=below, margin_upper=above, lower_exact=lower_exact,
         )
+
     return LemmaAudit(
         lemma=lemma, k=conv.k, p=conv.p, q=q, mu=cfg.mu,
-        k_even=conv.k % 2 == 0, rows=tuple(rows),
+        k_even=conv.k % 2 == 0, rows=AuditRows(ns, row, _guard_digits(q)),
     )
 
 
@@ -394,11 +437,11 @@ def audit_lemma_prime_variant(conv: Convergent, cfg: AuditConfig = AuditConfig()
     """
     q0 = conv.q
     prime, window = groups.nearest_prime_in_window(q0)
-    rows = []
     guard = _guard_digits(prime)
     term, _ = _inv_power(2 * prime, cfg.mu, guard)
     q0_digits = len(str(q0))
-    for n in range(1, cfg.n_max + 1):
+
+    def row(n: int) -> PrimeAuditRow:
         dec = residue_decompose(conv, n, prime)
         case_one = n < q0_digits  # 10^n <= q0
         lower = Fraction(dec.r_n, 2 * prime) + (0 if case_one else term)
@@ -407,18 +450,17 @@ def audit_lemma_prime_variant(conv: Convergent, cfg: AuditConfig = AuditConfig()
         value = frac_pi_shift(n, prec)
         res_lower = value - lower
         res_upper = upper - value
-        rows.append(
-            PrimeAuditRow(
-                n=n, case="I" if case_one else "II", r=dec.r_n, s=dec.s_n, c=dec.c_n, value=value,
-                value_error_exp=-prec, lower_base=lower, upper_base=upper,
-                residual_lower=res_lower, residual_upper=res_upper,
-                scaled_lower=res_lower * prime * prime,
-                scaled_upper=res_upper * prime * prime,
-            )
+        return PrimeAuditRow(
+            n=n, case="I" if case_one else "II", r=dec.r_n, s=dec.s_n, c=dec.c_n, value=value,
+            value_error_exp=-prec, lower_base=lower, upper_base=upper,
+            residual_lower=res_lower, residual_upper=res_upper,
+            scaled_lower=res_lower * prime * prime,
+            scaled_upper=res_upper * prime * prime,
         )
+
     return PrimeLemmaAudit(
         lemma="prime", k=conv.k, p=conv.p, q_k=q0, prime=prime,
-        window=window, mu=cfg.mu, rows=tuple(rows),
+        window=window, mu=cfg.mu, rows=AuditRows(range(1, cfg.n_max + 1), row, guard),
     )
 
 
@@ -432,12 +474,12 @@ def audit_payload(audit) -> dict:
     """An audit's or a row's fields under their report keys; exact rationals
     stay ``Fraction``s, which the report writer renders as num/den strings
     (row values, margins and residuals as ``DecimalFraction``s, reduced in
-    decimal)."""
+    decimal).  An audit's rows stay an ``AuditRows``, of row payloads."""
     payload = {}
     for f in fields(audit):
         value = getattr(audit, f.name)
         if f.name == "rows":
-            value = [audit_payload(row) for row in value]
+            value = value.map(audit_payload)
         elif f.name in _AS_TEXT:
             value = _AS_TEXT[f.name](value)
         payload[_REPORT_KEYS.get(f.name, f.name)] = value

@@ -19,6 +19,7 @@ _memo); the AGM's pi and ln 2 are computed afresh on each call.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 import signal
@@ -58,9 +59,18 @@ _AGREE_ULP = 64
 # Distance (in 10^-w units) the primary must keep from a digit boundary.  If
 # the cross-check meets its bound, the true value lies within _AGREE_ULP + 2 =
 # 66 ulp of the primary even should the primary's own bound fail; ln(pi_hat)
-# stands in for ln(pi) with under 0.01 ulp more.  The guard is >= 0.1 N + 10
-# digits, so 128 ulp never reaches a released digit.
+# stands in for ln(pi) with under 0.01 ulp more.
 _BOUNDARY_ULP = 2 * _AGREE_ULP
+
+# Digits worked past the n released.  The n digits are released when the
+# primary's last G digits, a remainder in [0, 10^G), keep _BOUNDARY_ULP from
+# both of its ends; 128 ulp then never reaches a released digit, whatever n.
+# Otherwise the guard widens by 32 and both engines run again.  With the
+# remainder spread evenly, a widening happens with chance about
+# 2 _BOUNDARY_ULP / 10^G = 256 / 10^G per certification: 2.6e-18 at G = 20.
+# The chance depends on G alone, so a guard that grew with n would buy
+# nothing for the engine work it adds.
+_GUARD_DIGITS = 20
 
 # The one memo, keyed by name.  A constant ("pi", "ln10", "ln_pi") maps to
 # (N, floor(value * 10^N), its N fractional digits) for the largest N
@@ -83,8 +93,7 @@ class PrecisionCeilingError(ValueError):
 
 
 def _working_digits(n: int) -> int:
-    # ceil(1.1 n) + 10 guard policy
-    return -(-11 * n // 10) + 10
+    return n + _GUARD_DIGITS
 
 
 def _split(leaf, a: int, b: int) -> tuple[int, int, int, int]:
@@ -301,50 +310,66 @@ def _second_cpu() -> bool:
     return (os.cpu_count() or 1) >= 2
 
 
-def _fork_pays(w: int) -> bool:
-    """Whether half of a pair at w working digits runs in a forked child: fork
-    exists, a second CPU is ours, no other Python thread could hold a lock
-    across the fork, and w clears _FORK_MIN_DIGITS."""
-    if w < _FORK_MIN_DIGITS or not hasattr(os, "fork") or threading.active_count() > 1:
+def _fork_pays(size: int, floor: int = _FORK_MIN_DIGITS) -> bool:
+    """Whether work of ``size`` is shared with a forked child: fork exists, a
+    second CPU is ours, no other Python thread could hold a lock across the
+    fork, and size clears ``floor`` (for a pair, its working digits clear
+    _FORK_MIN_DIGITS)."""
+    if size < floor or not hasattr(os, "fork") or threading.active_count() > 1:
         return False
     return _second_cpu()
 
 
+class ForkedChildError(ArithmeticError):
+    """A forked child raised, died, sent nothing or cut a frame short."""
+
+
 def _child(fd: int, fn, args) -> None:
-    """In a forked child: write fn(*args) to fd as an 8-byte length and the
-    int's signed little-endian bytes, then leave by os._exit (status 1 if
-    anything raised), never flushing inherited stdio or running atexit."""
+    """In a forked child: send fn(*args) to fd in frames, then leave by
+    os._exit (status 1 if anything raised), never flushing inherited stdio or
+    running atexit.  An int goes as one frame tagged b"i", its signed
+    little-endian bytes; any other result, an iterable of bytes, as one frame
+    tagged b"b" per item.  A frame is an 8-byte little-endian count of the
+    bytes after it, the tag, then the bytes."""
     status = 1
     try:
         value = fn(*args)
-        data = value.to_bytes(value.bit_length() // 8 + 1, "little", signed=True)
-        view = memoryview(len(data).to_bytes(8, "little") + data)
-        while view:
-            view = view[os.write(fd, view):]
+        if isinstance(value, int):
+            frames = [(b"i", value.to_bytes(value.bit_length() // 8 + 1, "little", signed=True))]
+        else:
+            frames = ((b"b", piece) for piece in value)
+        for tag, data in frames:
+            for view in map(memoryview, ((len(data) + 1).to_bytes(8, "little") + tag, data)):
+                while view:
+                    view = view[os.write(fd, view):]
         status = 0
     finally:
         os._exit(status)
 
 
 @contextlib.contextmanager
-def _spawn(name: str, w: int, fn, *args):
-    """Compute the int fn(*args) beside the context's body, which gets a
-    join() returning it.
+def _spawn(name: str, fork: bool, fn, *args):
+    """Compute fn(*args) beside the context's body, which gets a join()
+    returning it: an int, or an iterator over the pieces of an iterable of
+    bytes.
 
-    When _fork_pays(w), a forked child computes it and sends it back through a
-    pipe; join() reads it and reaps the child.  Otherwise, or if the fork
-    fails, it is computed here before the body runs.  Leaving the context
-    without a join (the body raised) kills and reaps the child.  A child that
-    raises, dies or sends a short result makes join() raise ArithmeticError
-    naming the constant ``name``.
+    When ``fork`` is true, a forked child computes it and sends it back
+    through a pipe, each piece as soon as it is made (see _child); join()
+    reads it and reaps the child, and an iterator reaps the child after its
+    last piece.  Otherwise, or if the fork fails, fn(*args) is called here
+    before the body runs, and an iterable is iterated only as join()'s
+    caller reads it.  Leaving the context before the child is reaped (the
+    body raised) kills and reaps it.  A child that raises, dies, sends
+    nothing or cuts a frame short makes the join, or the read past its last
+    whole piece, raise ForkedChildError naming ``name``, after reaping it.
     """
     pid = None
-    if _fork_pays(w):
+    if fork:
         rfd, wfd = os.pipe()
         try:
             with warnings.catch_warnings():
                 # 3.12+ warns on fork while any other OS thread (numpy's BLAS
-                # workers) runs; the child only does int arithmetic and write.
+                # workers) runs; the child only computes and writes.
                 warnings.simplefilter("ignore", DeprecationWarning)
                 pid = os.fork()
         except OSError:
@@ -357,22 +382,38 @@ def _spawn(name: str, w: int, fn, *args):
         yield lambda: value
         return
     pipe = open(rfd, "rb")
+    what = f"{name}: the forked {fn.__name__}"
 
-    def join() -> int:
+    def frames():
+        """(tag, bytes) of each whole frame, then the child reaped."""
         nonlocal pid
-        data = pipe.read()
+        sent = 0
+        while True:
+            head = pipe.read(9)
+            count = int.from_bytes(head[:8], "little")
+            data = bytearray(max(count - 1, 0) if len(head) == 9 else 0)  # filled in place, not joined
+            got = len(head) + pipe.readinto(data)
+            if got != 8 + count:  # the end of the pipe, or a frame cut short
+                break
+            sent += got
+            yield head[8:], data
         status = os.waitpid(pid, 0)[1]
         pid = None  # reaped
         code = os.waitstatus_to_exitcode(status)
-        what = f"{name}: the forked {fn.__name__}"
         if code < 0:
-            raise ArithmeticError(f"{what} was killed by signal {-code}")
+            raise ForkedChildError(f"{what} was killed by signal {-code}")
         if code:
-            raise ArithmeticError(f"{what} exited with status {code}")
-        size = 8 + int.from_bytes(data[:8], "little")
-        if len(data) != size:
-            raise ArithmeticError(f"{what} sent {len(data)} bytes, not {size}")
-        return int.from_bytes(data[8:], "little", signed=True)
+            raise ForkedChildError(f"{what} exited with status {code}")
+        if got or not sent:
+            raise ForkedChildError(f"{what} sent {sent + got} bytes, not {sent + 8 + count}")
+
+    def join():
+        stream = frames()
+        tag, data = next(stream)
+        if tag == b"b":
+            return itertools.chain((data,), (piece for _, piece in stream))
+        next(stream, None)  # the end of the pipe: the child reaped
+        return int.from_bytes(data, "little", signed=True)
 
     try:
         yield join
@@ -396,7 +437,7 @@ def _kill_unreaped(pid: int) -> None:
 
 def _pi_scaled_pair(w: int) -> tuple[int, int]:
     one = 10**w
-    with _spawn("pi", w, _arc_series, 1, 5, one, -1) as atan_5:
+    with _spawn("pi", _fork_pays(w), _arc_series, 1, 5, one, -1) as atan_5:
         chudnovsky = _pi_chudnovsky(one, w)
         atan_239 = _arc_series(1, 239, one, -1)
         return _machin(atan_5(), atan_239), chudnovsky
@@ -404,7 +445,7 @@ def _pi_scaled_pair(w: int) -> tuple[int, int]:
 
 def _ln10_scaled_pair(w: int) -> tuple[int, int]:
     """(bit-burst, acoth formula); the acoth half may run in a forked child."""
-    with _spawn("ln10", w, _ln10_acoth, w) as acoth:
+    with _spawn("ln10", _fork_pays(w), _ln10_acoth, w) as acoth:
         return _ln_rational_atanh(10, 1, w), acoth()
 
 
@@ -414,7 +455,7 @@ def _ln_pi_scaled_pair(w: int) -> tuple[int, int]:
     The whole AGM engine, its pi and ln 2 included, may run in a forked
     child."""
     num, den = _certified_scaled("pi", w + 5), 10 ** (w + 5)
-    with _spawn("ln_pi", w, _ln_rational_agm, num, den, w) as agm:
+    with _spawn("ln_pi", _fork_pays(w), _ln_rational_agm, num, den, w) as agm:
         return _ln_rational_atanh(num, den, w), agm()
 
 

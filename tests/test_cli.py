@@ -375,7 +375,8 @@ def test_audit_report_is_written_without_its_whole_text(tmp_path):
     rise = _child_peak_rise(f"from pilab.cli import main\nmain({argv + ['40']!r})", f"main({argv + ['1500']!r})")
     size = path.stat().st_size
     assert size > 7_000_000
-    # rises ~4 MB, the rows and their payload; with its parts and joined text held it rose ~21 MB
+    # rises ~2 MB with its rows split with a forked child (a block's text), ~0.3 MB in one process;
+    # with the rows held it rose ~4 MB, with its parts and joined text ~21 MB
     assert rise < size
 
 

@@ -111,3 +111,25 @@ def test_exp_consistency_with_pi_powers():
         lhs = mp.e ** (mp.mpf(x.numerator) / x.denominator)
         rhs = pi_ref * mp.mpf(10) ** n
         assert abs(lhs - rhs) / rhs < mp.mpf(10) ** -(precision - n - 2)
+
+
+def test_boundary_retry_widens_the_guard_and_releases_exact_digits(monkeypatch):
+    # the primary's guard digits put on a rounding boundary once: both engines
+    # run again 32 digits wider, and the digits released are pi's
+    monkeypatch.setattr(constants, "_memo", {})
+    engine = constants._ENGINES["pi"]
+    widths = []
+
+    def on_boundary_first(w):
+        v1, v2 = engine(w)
+        widths.append(w)
+        if len(widths) == 1:
+            v1 = v2 = v1 - v1 % 10**constants._GUARD_DIGITS + constants._BOUNDARY_ULP
+        return v1, v2
+
+    monkeypatch.setitem(constants._ENGINES, "pi", on_boundary_first)
+    n = 1000
+    held, released, _ = constants._certify("pi", n)
+    assert widths == [n + constants._GUARD_DIGITS, n + constants._GUARD_DIGITS + 32]
+    mp.dps = n + 20
+    assert (held, released) == (n, int(mp.floor(mp.pi * mp.mpf(10) ** n)))

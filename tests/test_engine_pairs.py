@@ -72,7 +72,7 @@ def _fail_with_exception():
 ])
 def test_failed_child_raises_naming_the_constant(forks, half, message):
     with pytest.raises(ArithmeticError, match=f"^ln_pi: the forked .* {message}$"):
-        with constants._spawn("ln_pi", W, half) as join:
+        with constants._spawn("ln_pi", True, half) as join:
             join()
     assert len(forks) == 1
 
@@ -80,7 +80,7 @@ def test_failed_child_raises_naming_the_constant(forks, half, message):
 def test_parent_interrupt_kills_and_reaps_the_child(forks):
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        with constants._spawn("pi", W, time.sleep, 60):
+        with constants._spawn("pi", True, time.sleep, 60):
             raise KeyboardInterrupt
     assert len(forks) == 1 and time.monotonic() - start < 10
 
@@ -100,7 +100,7 @@ def test_interrupt_just_after_the_reap_neither_signals_nor_masks(monkeypatch, fo
     monkeypatch.setattr(os, "waitpid", reap_then_interrupt)
     monkeypatch.setattr(os, "kill", refuse_kill)
     with pytest.raises(KeyboardInterrupt):
-        with constants._spawn("pi", W, int, 7) as join:
+        with constants._spawn("pi", True, int, 7) as join:
             join()
     assert len(forks) == 1
 

@@ -348,6 +348,7 @@ def _cmd_normality(args) -> int:
 
 
 def _cmd_expsum(args) -> int:
+    spectra.check_expsum_p(args.p)  # before <g> is built: its order can reach p - 1
     report = groups.subgroup(args.g, args.p, element_cap=args.cap)
     result = spectra.subgroup_expsum(report, c=args.c)
     payload = {_EXPSUM_KEYS.get(key, key): value for key, value in vars(result).items()}

@@ -242,6 +242,20 @@ def test_expsum_refuses_p_above_cap_before_allocating(capsys):
     assert out == "" and f"p = {p} exceeds EXPSUM_P_MAX" in err
 
 
+@pytest.mark.parametrize("p, cap", [(50_000_017, 60_000_000), (10**18 + 3, 10**18)])
+def test_expsum_refuses_p_above_cap_before_building_elements(capsys, monkeypatch, p, cap):
+    # with the cap raised, <10> mod p would be built before the transform: 5 * 10^7
+    # Python ints at the first p, an array that cannot be allocated at the second
+    def subgroup(*args, **kwargs):
+        raise AssertionError("<g> built for a p above EXPSUM_P_MAX")
+
+    monkeypatch.setattr(cli.groups, "subgroup", subgroup)
+    code, out, err = run(capsys, "expsum", "--p", str(p), "--cap", str(cap))
+    assert code == 1
+    assert out == "" and err.startswith(f"error: p = {p} exceeds EXPSUM_P_MAX")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("family,name,ceiling", [
     ("integers", "CONCAT_DIGIT_CEILING", CONCAT_DIGIT_CEILING),
     ("primes", "CONCAT_DIGIT_CEILING", CONCAT_DIGIT_CEILING),

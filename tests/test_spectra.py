@@ -1,4 +1,5 @@
 import cmath
+import ctypes
 import json
 import math
 import os
@@ -280,10 +281,11 @@ def test_expsum_indicator_matches_element_loop():
     assert np.array_equal(got.view(np.uint64), np.abs(np.fft.fft(v)).view(np.uint64))
 
 
-@pytest.mark.parametrize("p", [31, 1999, 65537, 1_000_039])
+@pytest.mark.parametrize("p", [31, 1999, 65537, 1_000_039, 2_000_003])
 def test_expsum_in_place_transform_matches_float64_input_bit_for_bit(p):
-    # the in-place complex128 transform against the FFT of a float64 indicator
-    rep = subgroup(10, p)
+    # the in-place complex128 transform against the FFT of a float64 indicator;
+    # at 2 000 003 Bluestein's buffers pass glibc's 32 MiB mmap threshold ceiling
+    rep = subgroup(10, p, element_cap=p)
     v = np.zeros(p)
     np.add.at(v, np.asarray(rep.elements, dtype=np.int64), 1.0)
     want = np.abs(np.fft.fft(v))
@@ -346,6 +348,104 @@ def test_expsum_peak_memory_per_unit_of_p():
     # the in-place transform rises ~144 bytes per unit of p here, a float64
     # indicator cast to complex128 with a separate output ~160
     assert rise / p < 150
+
+
+needs_mallinfo2 = pytest.mark.skipif(  # mallinfo2 is glibc's, from 2.33
+    not (sys.platform == "linux" and hasattr(ctypes.CDLL(None), "mallinfo2")),
+    reason="reads glibc's mallinfo2 and VmRSS from /proc")
+
+
+def _malloc_child(call: str, **env: str) -> dict:
+    """The JSON object a fresh interpreter prints after ``call``, with ``env``
+    added to an environment cleared of glibc's malloc settings.
+
+    ``call`` may use: minflt(), the process's minor page faults so far;
+    rss(), its resident set in bytes; and mmapped_64mib(), the number of
+    chunks glibc maps to serve a new 64 MiB array, 1 while mmap is on.
+    """
+    code = (
+        "import ctypes, json, re, resource\n"
+        "import numpy as np\n"
+        "from pilab import spectra\n"
+        "class Mallinfo2(ctypes.Structure):\n"
+        "    _fields_ = [(name, ctypes.c_size_t) for name in ('arena', 'ordblks', 'smblks', 'hblks',\n"
+        "                'hblkhd', 'usmblks', 'fsmblks', 'uordblks', 'fordblks', 'keepcost')]\n"
+        "libc = ctypes.CDLL(None)\n"
+        "libc.mallinfo2.restype = Mallinfo2\n"
+        "def minflt():\n"
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "def rss():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        status = f.read()\n"
+        "    return int(re.search(r'VmRSS:\\s+(\\d+) kB', status).group(1)) * 1024\n"
+        "def mmapped_64mib():\n"
+        "    before = libc.mallinfo2().hblks\n"
+        "    a = np.ones(8 << 20)\n"
+        "    return libc.mallinfo2().hblks - before\n"
+        "spectra.expsum_magnitudes([1], 31)\n"
+        f"{call}\n"
+    )
+    clean = {k: v for k, v in os.environ.items() if k not in spectra._GLIBC_MALLOC_ENV}
+    src = str(Path(spectra.__file__).parents[1])
+    result = subprocess.run([sys.executable, "-c", code], env={**clean, **env, "PYTHONPATH": src},
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+@needs_mallinfo2
+def test_expsum_bluestein_buffers_reuse_one_heap():
+    # Bluestein buffers of ~64 MB each: mapped fresh and unmapped on free they
+    # took ~110 500 minor faults here, reusing one heap ~63 700
+    call = ("rss0, faults0 = rss(), minflt()\n"
+            "spectra.expsum_magnitudes(list(range(1, 200)), 2_000_003)\n"
+            "print(json.dumps({'faults': minflt() - faults0, 'rss_rise': rss() - rss0,\n"
+            "                  'mmapped': mmapped_64mib()}))")
+    reused = _malloc_child(call)
+    mapped = _malloc_child(call, MALLOC_MMAP_MAX_="65536")
+    assert reused["faults"] < 0.75 * mapped["faults"]
+    for run in (reused, mapped):
+        assert run["rss_rise"] < 8 << 20  # the heap went back to the system
+        assert run["mmapped"] == 1  # and glibc's mmap is on again
+
+
+@needs_mallinfo2
+def test_expsum_restores_malloc_defaults_when_the_transform_raises():
+    call = ("def fft(*args, **kwargs):\n"
+            "    raise MemoryError\n"
+            "np.fft.fft = fft\n"
+            "try:\n"
+            "    spectra.expsum_magnitudes([1], 1999)\n"
+            "except MemoryError:\n"
+            "    print(json.dumps({'mmapped': mmapped_64mib()}))")
+    assert _malloc_child(call) == {"mmapped": 1}
+
+
+def _forbid_mallopt():
+    raise AssertionError("mallopt called")
+
+
+@pytest.mark.parametrize("name", spectra._GLIBC_MALLOC_ENV)
+def test_expsum_leaves_a_malloc_policy_from_the_environment_alone(monkeypatch, name):
+    monkeypatch.setenv(name, "65536")
+    monkeypatch.setattr(spectra, "_glibc_malloc", _forbid_mallopt)
+    got = expsum_magnitudes([1, 2, 4], 7)
+    assert np.array_equal(got, np.abs(np.fft.fft([0, 1, 1, 0, 1, 0, 0])))
+
+
+def _confstr_unknown(name):
+    raise OSError(22, "Invalid argument")  # a C library without the name
+
+
+@pytest.mark.parametrize("confstr", [None, _confstr_unknown])
+def test_expsum_calls_no_mallopt_off_glibc(monkeypatch, confstr):
+    if confstr is None:
+        monkeypatch.delattr(os, "confstr")
+    else:
+        monkeypatch.setattr(os, "confstr", confstr)
+    monkeypatch.setattr(spectra, "_glibc_malloc", _forbid_mallopt)
+    got = expsum_magnitudes([1, 2, 4], 7)
+    assert np.array_equal(got, np.abs(np.fft.fft([0, 1, 1, 0, 1, 0, 0])))
 
 
 @needs_vmhwm

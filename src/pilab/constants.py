@@ -4,16 +4,16 @@ Each constant is evaluated by two independent integer-only fixed-point
 methods: Machin's arctangent formula summed by binary splitting against
 Chudnovsky binary splitting for pi, a bit-burst atanh series against the
 acoth formula 46 acoth 31 + 34 acoth 49 + 20 acoth 161 for ln 10, and the
-bit-burst series against the AGM logarithm for ln pi.  Digits are released
-only where both computations agree and the guard digits sit far from a
-rounding boundary, so every released digit is exact.
+bit-burst series against Newton's iteration on a bit-burst exp for ln pi.
+Digits are released only where both computations agree and the guard digits
+sit far from a rounding boundary, so every released digit is exact.
 
 The two engines of a pair share no state, so where a fork pays, one half of
 the pair runs in a forked child while this process runs the other (see
-_spawn): atan(1/5) for pi, the acoth formula for ln 10 and the whole AGM
+_spawn): atan(1/5) for pi, the acoth formula for ln 10 and the Newton
 engine for ln pi.  The values are bit for bit those of running them one
 after the other.  Only the bit-burst ln 2 is held between calls (see
-_memo); the AGM's pi and ln 2 are computed afresh on each call.
+_memo); the Newton engine reads no pi and no ln 2.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ _INT_PARTS = {"pi": 3, "ln10": 2, "ln_pi": 1}
 # work in binary with 64 guard bits: the bit-burst sum of k ln 2 and at most
 # log2(bits) + 2 stages errs by 4 (|k| + stages) binary ulp; the acoth ln 10,
 # three _arc_series sums weighted 46, 34 and 20, by 2 (46 + 34 + 20) = 200
-# binary ulp, under 2^-55 decimal ulp behind the guard bits; and the AGM log's
-# formula, loop, pi and ln 2 errors stay under one binary ulp (see
-# _ln_rational_agm).  After the floor to decimal each is within 2 ulp.  Pi
+# binary ulp, under 2^-55 decimal ulp behind the guard bits; and the Newton
+# log's last step, from its half-width iterate, by 32 binary ulp (see
+# _ln_rational_newton).  After the floor to decimal each is within 2 ulp.  Pi
 # pairs therefore differ by at most 42 ulp and logarithm pairs by at most 4.
 # None of these bounds grows with w.
 #
@@ -156,7 +156,7 @@ def _pi_chudnovsky(one: int, w: int) -> int:
 
 
 # Logarithms run on binary fixed point internally: the bit-burst stages and
-# the AGM's scalings by powers of two are then shifts.
+# the Newton steps' changes of width are then shifts.
 
 _LOG2_10 = 3.321928094887362
 
@@ -177,19 +177,6 @@ def _ln2_bin(bits: int) -> int:
         held = (bits, 2 * _arc_series(1, 3, 1 << bits, 1), b"")
         _memo["ln2"] = held
     return held[1] >> held[0] - bits
-
-
-def _ln2_acoth_bin(bits: int) -> int:
-    """ln 2 * 2^bits as 18 acoth 26 - 2 acoth 4801 + 8 acoth 8749, sharing no
-    series with the primary's 2 atanh(1/3)."""
-    one = 1 << bits
-    return (18 * _arc_series(1, 26, one, 1) - 2 * _arc_series(1, 4801, one, 1)
-            + 8 * _arc_series(1, 8749, one, 1))
-
-
-def _pi_bin(bits: int) -> int:
-    """pi * 2^bits by Chudnovsky, for the AGM logarithm."""
-    return _pi_chudnovsky(1 << bits, bits // 3 + 1)
 
 
 def _ln_rational_atanh(num: int, den: int, w: int) -> int:
@@ -224,59 +211,57 @@ def _ln_rational_atanh(num: int, den: int, w: int) -> int:
     return _bin_to_decimal(total, bits, w)
 
 
-def _agm(a: int, b: int, p: int) -> tuple[int, int]:
-    """(mean, e) with AGM(a, b) ~ mean * 2^e, for a >= b >= 2^(p-1).
+def _exp_ratio(y: int, p: int) -> tuple[int, int]:
+    """(u, v): exp(y / 2^p), y >= 0, as u / v by the bit-burst.  Stage t = 0,
+    1, 2, 4, ... takes a, what is left of y at 2^-t and above, and multiplies
+    in exp(x), x = a / 2^t (below 2^-(t/2) past t = 1), as its Taylor series
+    summed up to the first term x^K / K! <= 2^-(p+2).  That forces
+    2x <= K + 1, so the tail is under twice that term.  One shift then cuts
+    u and v alike, leaving v p + 63 bits."""
+    u, v, t = 1, 1, 0
+    while y:
+        a = y << t >> p
+        if a:
+            x = math.log2(a) - t
+            terms, size = 1, x  # size = log2(x^terms / terms!)
+            while size > -2 - p:
+                terms += 1
+                size += x - math.log2(terms)
+            _, q, _, s = _split(lambda k: (a, k << t, 1, a) if k else (1, 1, 1, 1), 0, terms)
+            cut = max(0, v.bit_length() + q.bit_length() - p - 64)
+            u, v, y = u * s >> cut, v * q >> cut, y - (a << p >> t)
+        t = max(1, 2 * t)
+    return u, v
 
-    After each step a and b are shifted right together so that b keeps p
-    bits; b only grows before the shift, so the shift is never negative.
-    A step's floor and the shift's floor compose into one floor per value,
-    under 2^(1-p) relative (see _ln_rational_agm).
-    """
-    e = 0
-    while a - b > 1:  # b <= a throughout; the gap squares each step
-        a, b = (a + b) >> 1, math.isqrt(a * b)
-        cut = b.bit_length() - p
-        a, b, e = a >> cut, b >> cut, e + cut
-    return a, e
 
+def _ln_rational_newton(num: int, den: int, w: int) -> int:
+    """ln(num/den) * 10^w by Newton's iteration y <- y + (num/den) exp(-y) - 1
+    on the bit-burst exp (Brent 1976): no pi, no ln 2 and no square root.
 
-def _ln_rational_agm(num: int, den: int, w: int) -> int:
-    """ln(num/den) * 10^w as ln s - m ln 2, ln s ~ pi / (2 AGM(1, 4/s)) (Brent 1976).
-
-    s = (num/den) 2^m lies in (2^(h-1), 2^(h+1)), h = bits/2 + 33, so the
-    formula's error, below 4 ln(s) / s^2, is under 2^-(bits+40).  The AGM
-    needs bits + O(log bits) bits of relative precision only: with
-    L = bitlen(bits), it starts from 2^e0 and floor(4/s 2^e0), which has p
-    or p + 1 bits for e0 = p + h - 2 and p = bits + L + 40, and _agm keeps b
-    at p bits.  The start and each step floor a and b by under one unit of a
-    value of at least 2^(p-1) units, 2^(1-p) relative.  The AGM is
-    homogeneous and nondecreasing in each argument, so these errors add:
-    each step lowers the mean by at most a factor 1 - 2^(1-p), whatever came
-    before.  The ratio a/b, below 2^h, is at least square-rooted each step
-    and its excess over 1 squared (over 8) once below 2, so the loop stops
-    within 2L + 4 steps (33 at DIGIT_CEILING's working digits, L = 19), and
-    the a it stops at is within one unit above the mean of its last pair.
-    The mean is thus within (2L + 6) 2^(1-p) <= 2^(L+1-p) relative, and
-    ln s = pi / (2 mean), below bits < 2^L, within 2^(2L+1-p) =
-    2^(L-bits-39) <= 2^-(bits+20) for bits < 2^19, which covers every w up
-    to DIGIT_CEILING's.  Pi (Chudnovsky) and ln 2 (_ln2_acoth_bin,
-    independent of the bit-burst primary) are taken at
-    g = bits + bitlen(max(bits, |m|)) + 32 bits: pi's few ulp at g cost
-    ln s under 2^-(bits+30), and |m| times ln 2's 56 ulp under
-    2^-(bits+26).  Whatever is left stays under one binary ulp before the
-    final shift to bits.
+    At each width p (< 2^19 for w up to DIGIT_CEILING's), _exp_ratio of |y| has
+    at most 21 stages (t up to 2^19), each under 2^-(p+1) low, and 21 cuts,
+    each flooring a value of at least 2^(p+62): its u / v, or v / u for y < 0,
+    is within 11 2^-p of exp(y), relative.  With d = ln x - y, x = num/den, the
+    quotient r is 2^p e^d within 11 (1 + 2^-19) + 1 < 13 units of 2^-p, and
+    y + r - 2^p is ln x + e^d - 1 - d, where 0 <= e^d - 1 - d <= d^2 for
+    |d| <= 1/2.  A step thus lands within 32 units once d^2 <= 19 2^-p: from
+    the float start (within 2^-20 while num and den have under 2^30 bits) at
+    p <= 44, and from the iterate at q = floor(p/2) + 16, as d^2 < 2^(10-2q)
+    <= 2^(-21-p).  At p = bits, 32 binary ulp are under 2^-58 decimal ulp
+    behind the 64 guard bits: one decimal ulp at most after the floor.
     """
     if num <= 0 or den <= 0:
         raise ValueError("log argument must be positive")
-    bits = _bits_for(w)
-    h = bits // 2 + 33
-    m = h - (num.bit_length() - den.bit_length())
-    p = bits + bits.bit_length() + 40
-    g = bits + max(bits, abs(m)).bit_length() + 32
-    e0 = p + h - 2
-    mean, e = _agm(1 << e0, (den << e0 + 2 + max(-m, 0)) // (num << max(m, 0)), p)
-    ln_s = (_pi_bin(g) << e0 - e) // (2 * mean)
-    return _bin_to_decimal(ln_s - m * _ln2_acoth_bin(g) >> g - bits, bits, w)
+    widths = [_bits_for(w)]  # each half the next plus 16, down to at most 44
+    while widths[-1] > 44:
+        widths.append(widths[-1] // 2 + 16)
+    p = widths[-1]
+    y = int(math.ldexp(math.log(num) - math.log(den), p))
+    for q in reversed(widths):
+        y, p = y << q - p, q
+        u, v = _exp_ratio(y, p) if y >= 0 else _exp_ratio(-y, p)[::-1]
+        y += (num * v << p) // (den * u) - (1 << p)  # the quotient r, less 1
+    return _bin_to_decimal(y, p, w)
 
 
 def _ln10_acoth(w: int) -> int:
@@ -293,12 +278,12 @@ def _ln10_acoth(w: int) -> int:
 
 # Below this many working digits a pair runs in this process alone.  On a
 # 2-core host (CPython 3.11.7, pilab and numpy loaded) fork, pipe and waitpid
-# took 3.4-4.2 ms (median of 50).  Atan(1/5) took 4.6 ms at w = 3000 and
-# 7.1 ms at w = 4000; the forked halves of the logarithms, median of 7, took
-# 5.2 and 9.7 ms (acoth ln 10) and 12.3 and 27.8 ms (the AGM engine of
-# ln pi), against 8.0 and 18.0 ms, and 22.9 and 50.0 ms, for the bit-burst
-# halves left in the parent.  The overlap starts to repay the fork near
-# w = 3000, for ln 10 last.
+# took 2.6-3.8 ms (median of 50).  At w = 3000 and 4000, medians of 7 over
+# five runs: atan(1/5) 2.6-5.2 and 4.1-7.7 ms; the forked halves of the logs
+# 3.4-6.2 and 5.6-8.5 ms (acoth ln 10) and 14.6-24.7 and 19.0-38.7 ms (Newton
+# ln pi), against 6.1-11.3 and 9.8-16.7 ms, and 17.8-28.3 and 28.4-44.1 ms,
+# for the bit-burst halves left in the parent.  The overlap starts to repay
+# the fork near w = 3000, for ln 10 last.
 _FORK_MIN_DIGITS = 4000
 
 
@@ -450,13 +435,13 @@ def _ln10_scaled_pair(w: int) -> tuple[int, int]:
 
 
 def _ln_pi_scaled_pair(w: int) -> tuple[int, int]:
-    """(bit-burst, AGM) for ln(pi_hat), pi_hat = P/10^(w+5): the substitution
-    error is below 10^-(w+4) and the truncation P is itself dual-certified.
-    The whole AGM engine, its pi and ln 2 included, may run in a forked
-    child."""
+    """(bit-burst, Newton) for ln(pi_hat), pi_hat = P/10^(w+5): the
+    substitution error is below 10^-(w+4) and the truncation P is itself
+    dual-certified.  The Newton engine starts from a float, not from the
+    bit-burst value, so it may run in a forked child beside it."""
     num, den = _certified_scaled("pi", w + 5), 10 ** (w + 5)
-    with _spawn("ln_pi", _fork_pays(w), _ln_rational_agm, num, den, w) as agm:
-        return _ln_rational_atanh(num, den, w), agm()
+    with _spawn("ln_pi", _fork_pays(w), _ln_rational_newton, num, den, w) as newton:
+        return _ln_rational_atanh(num, den, w), newton()
 
 
 _ENGINES = {

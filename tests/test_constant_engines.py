@@ -35,7 +35,7 @@ def test_pi_engine_against_mpmath(engine, w):
 
 
 @pytest.mark.parametrize("w", LOG_SCALES)
-@pytest.mark.parametrize("engine", [constants._ln_rational_atanh, constants._ln_rational_agm])
+@pytest.mark.parametrize("engine", [constants._ln_rational_atanh, constants._ln_rational_newton])
 @pytest.mark.parametrize("name", ["ln10", "ln_pi"])
 def test_log_engine_against_mpmath(name, engine, w):
     num, den = (10, 1) if name == "ln10" else _pi_hat(w)
@@ -55,7 +55,7 @@ EDGE_ARGUMENTS = {
 
 
 @pytest.mark.parametrize("w", [40, 600])
-@pytest.mark.parametrize("engine", [constants._ln_rational_atanh, constants._ln_rational_agm])
+@pytest.mark.parametrize("engine", [constants._ln_rational_atanh, constants._ln_rational_newton])
 @pytest.mark.parametrize("arg", sorted(EDGE_ARGUMENTS))
 def test_log_engines_on_edge_arguments(arg, engine, w):
     num, den = EDGE_ARGUMENTS[arg]
@@ -64,18 +64,52 @@ def test_log_engines_on_edge_arguments(arg, engine, w):
     assert abs(engine(num, den, w) - want) <= 2
 
 
-# Each ln 2 form and the constant whose pair reads it in one engine only: the
-# bit-burst primary reads 2 atanh(1/3), and only ln pi's AGM the acoth form.
-LN2_READERS = {"_ln2_bin": "ln10", "_ln2_acoth_bin": "ln_pi"}
+# Each ln 2 form and the constants whose pair reads it in one engine only: the
+# bit-burst primaries read 2 atanh(1/3), and neither check engine any ln 2.
+LN2_READERS = {"_ln2_bin": ("ln10", "ln_pi")}
 
 
 @pytest.mark.parametrize("ln2", sorted(LN2_READERS))
 def test_perturbed_ln2_in_one_method_is_caught(monkeypatch, ln2):
     exact = getattr(constants, ln2)
     monkeypatch.setattr(constants, ln2, lambda bits: exact(bits) + (1 << bits - 200))
+    for name in LN2_READERS[ln2]:
+        monkeypatch.setattr(constants, "_memo", {})
+        with pytest.raises(MethodDisagreementError):
+            const_digits(name, 100)
+
+
+def test_perturbed_exp_in_ln_pi_is_caught(monkeypatch):
+    exact = constants._exp_ratio
+
+    def perturbed(y, p):
+        u, v = exact(y, p)
+        return u + (v >> 200), v  # exp(y) + 2^-200 at every width
+
+    monkeypatch.setattr(constants, "_exp_ratio", perturbed)
     monkeypatch.setattr(constants, "_memo", {})
     with pytest.raises(MethodDisagreementError):
-        const_digits(LN2_READERS[ln2], 100)
+        const_digits("ln_pi", 100)
+
+
+def test_newton_without_its_last_step_is_caught(monkeypatch):
+    monkeypatch.setattr(constants, "_memo", {})
+    w = constants._working_digits(100)
+    bits, pi_hat = constants._bits_for(w), _pi_hat(w)
+    exact = constants._exp_ratio
+    # exp(y) read as pi_hat itself at the last width: that step adds exactly
+    # 0, so the engine returns its half-width iterate
+    monkeypatch.setattr(constants, "_exp_ratio", lambda y, p: pi_hat if p == bits else exact(y, p))
+    with pytest.raises(MethodDisagreementError):
+        const_digits("ln_pi", 100)
+
+
+def test_ln_pi_primary_moved_by_100_ulp_is_caught(monkeypatch):
+    exact = constants._ln_rational_atanh
+    monkeypatch.setattr(constants, "_ln_rational_atanh", lambda num, den, w: exact(num, den, w) + 100)
+    monkeypatch.setattr(constants, "_memo", {})
+    with pytest.raises(MethodDisagreementError):
+        const_digits("ln_pi", 100)
 
 
 @pytest.mark.parametrize("q", [31, 49, 161])
@@ -115,6 +149,12 @@ def test_ln10_certified_against_mpmath_at_30000_digits(monkeypatch):
     assert constants._certify("ln10", 30000)[1] == _floor_scaled(mp.log(10), 30000)
 
 
+def test_ln_pi_certified_against_mpmath_at_30000_digits(monkeypatch):
+    monkeypatch.setattr(constants, "_memo", {})
+    mp.dps = 30020
+    assert constants._certify("ln_pi", 30000)[1] == _floor_scaled(mp.log(mp.pi), 30000)
+
+
 def test_stream_growth_clamps_to_ceiling(monkeypatch):
     monkeypatch.setattr(constants, "DIGIT_CEILING", 1000)
     stream = const_digits("pi", 600)
@@ -138,8 +178,8 @@ ENGINE_BITS = {
                   lambda: constants._arc_series(1, 3, 1 << 10000, 1)),
     "ln10_atanh": ("a82884a6f80b4449734333f941b19aae70f862ae28b9475544a44fe1fbbcfeec",
                    lambda: constants._ln_rational_atanh(10, 1, 3010)),
-    "ln10_agm": ("a82884a6f80b4449734333f941b19aae70f862ae28b9475544a44fe1fbbcfeec",
-                 lambda: constants._ln_rational_agm(10, 1, 3010)),
+    "ln10_newton": ("a82884a6f80b4449734333f941b19aae70f862ae28b9475544a44fe1fbbcfeec",
+                    lambda: constants._ln_rational_newton(10, 1, 3010)),
     "ln10_acoth": ("a82884a6f80b4449734333f941b19aae70f862ae28b9475544a44fe1fbbcfeec",
                    lambda: constants._ln10_acoth(3010)),
 }

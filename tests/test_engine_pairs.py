@@ -49,7 +49,7 @@ def _serial(name, w):
     if name == "ln10":
         return constants._ln_rational_atanh(10, 1, w), constants._ln10_acoth(w)
     num, den = constants._certified_scaled("pi", w + 5), 10 ** (w + 5)
-    return constants._ln_rational_atanh(num, den, w), constants._ln_rational_agm(num, den, w)
+    return constants._ln_rational_atanh(num, den, w), constants._ln_rational_newton(num, den, w)
 
 
 @pytest.mark.parametrize("name", ["pi", "ln10", "ln_pi"])
@@ -105,9 +105,9 @@ def test_interrupt_just_after_the_reap_neither_signals_nor_masks(monkeypatch, fo
     assert len(forks) == 1
 
 
-@pytest.mark.parametrize("name,half", [("ln10", "_ln10_acoth"), ("ln_pi", "_ln_rational_agm")], ids=["ln10", "ln_pi"])
+@pytest.mark.parametrize("name,half", [("ln10", "_ln10_acoth"), ("ln_pi", "_ln_rational_newton")], ids=["ln10", "ln_pi"])
 @pytest.mark.parametrize("failure", ["raise", "exit"])
-def test_cli_exits_one_when_the_forked_agm_fails(monkeypatch, capsys, forks, failure, name, half):
+def test_cli_exits_one_when_the_forked_half_fails(monkeypatch, capsys, forks, failure, name, half):
     def broken(*args):
         if failure == "raise":
             raise MemoryError

@@ -130,9 +130,9 @@ def test_shifted_down_ln2_within_derived_bound(monkeypatch, form, drop):
 
 
 def test_memo_holds_only_what_is_read_back(monkeypatch):
-    # the certify sequence with every pair in this process: the AGM's pi and
-    # ln 2 are computed at a width that only grows, so holding them would
-    # serve nothing; the bit-burst ln 2 is read back, by ln_pi at ln10's bits
+    # the certify sequence with every pair in this process: the Newton engine
+    # reads no pi and no ln 2 of its own, so nothing of it is held; the
+    # bit-burst ln 2 is read back, by ln_pi at ln10's bits
     monkeypatch.setattr(constants, "_memo", {})
     monkeypatch.setattr(constants, "_fork_pays", lambda w: False)
     for name, digits in (("pi", 30000), ("ln10", 10000), ("ln_pi", 10000)):

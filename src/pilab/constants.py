@@ -2,9 +2,10 @@
 
 Each constant is evaluated by two independent integer-only fixed-point
 methods: Machin's arctangent formula summed by binary splitting against
-Chudnovsky binary splitting for pi, a bit-burst atanh series against the
-acoth formula 46 acoth 31 + 34 acoth 49 + 20 acoth 161 for ln 10, and the
-bit-burst series against Newton's iteration on a bit-burst exp for ln pi.
+Chudnovsky binary splitting for pi, ln 2 + ln 5 from four atanh series
+against the acoth formula 46 acoth 31 + 34 acoth 49 + 20 acoth 161 for ln 10,
+and 7 ln 7 - 18 ln 2 plus a bit-burst atanh series against Newton's iteration
+on a bit-burst exp for ln pi.
 Digits are released only where both computations agree and the guard digits
 sit far from a rounding boundary, so every released digit is exact.
 
@@ -12,8 +13,9 @@ The two engines of a pair share no state, so where a fork pays, one half of
 the pair runs in a forked child while this process runs the other (see
 _spawn): atan(1/5) for pi, the acoth formula for ln 10 and the Newton
 engine for ln pi.  The values are bit for bit those of running them one
-after the other.  Only the bit-burst ln 2 is held between calls (see
-_memo); the Newton engine reads no pi and no ln 2.
+after the other.  Of the binary internals only the four atanh series that
+give ln 2, ln 5 and ln 7 are held between calls (see _memo); the Newton
+engine reads no pi and no logarithm.
 """
 
 from __future__ import annotations
@@ -41,19 +43,26 @@ _INT_PARTS = {"pi": 3, "ln10": 2, "ln_pi": 1}
 # 16 atan(1/5) - 4 atan(1/239), is thus within 40 ulp; Chudnovsky within 2 (an
 # isqrt floor scaled by pi/sqrt(10005), then a division floor, with Q and T cut
 # first to one's width plus 64 bits at a cost under 2^-30 ulp).  The logarithms
-# work in binary with 64 guard bits: the bit-burst sum of k ln 2 and at most
-# log2(bits) + 2 stages errs by 4 (|k| + stages) binary ulp; the acoth ln 10,
-# three _arc_series sums weighted 46, 34 and 20, by 2 (46 + 34 + 20) = 200
-# binary ulp, under 2^-55 decimal ulp behind the guard bits; and the Newton
-# log's last step, from its half-width iterate, by 32 binary ulp (see
-# _ln_rational_newton).  After the floor to decimal each is within 2 ulp.  Pi
-# pairs therefore differ by at most 42 ulp and logarithm pairs by at most 4.
-# None of these bounds grows with w.
+# work in binary with 64 guard bits.  The bit-burst primary's smooth part,
+# sum c_q T_q over the four series of _smooth_bin, each within 2 binary ulp,
+# errs by 2 sum |c_q| binary ulp, and each of its at most log2(bits) + 2
+# stages, twice an _arc_series sum, by 4 more.  ln 10 = ln 2 + ln 5 weights
+# the series (239, 90, -63, 103) and runs no stage: 990 binary ulp, under
+# 2^-53 decimal ulp behind the guard bits.  ln pi's 7 ln 7 - 18 ln 2 weights
+# them (118, 46, -29, 51), 488 binary ulp, and its stages start at s = 32; a
+# generic k ln 2 costs 298 |k|.  The acoth ln 10, three _arc_series sums
+# weighted 46, 34 and 20, errs by 2 (46 + 34 + 20) = 200 binary ulp, under
+# 2^-55 decimal ulp behind the guard bits; and the Newton log's last step,
+# from its half-width iterate, by 32 binary ulp (see _ln_rational_newton).
+# After the floor to decimal each is within 2 ulp.  Pi pairs therefore differ
+# by at most 42 ulp and logarithm pairs by at most 4.  None of these bounds
+# grows with w.
 #
-# The bit-burst ln 2 is computed once, at the most bits asked for, and served
-# lower by a right shift (see _ln2_bin).  The shift's floor adds at most one
-# binary ulp to an error the shift has at least halved, so e / 2 + 1 <= e for
-# every error e >= 2 above: each bound holds unchanged, and so do the budgets.
+# The four series T_q behind ln 2, ln 5 and ln 7 are computed once, at the
+# most bits asked for, and served lower by a right shift (see _smooth_bin).
+# The shift's floor adds at most one binary ulp to an error the shift has at
+# least halved, so e / 2 + 1 <= e for every error e >= 2 above: each bound
+# holds unchanged, and so do the budgets.
 _AGREE_ULP = 64
 
 # Distance (in 10^-w units) the primary must keep from a digit boundary.  If
@@ -74,9 +83,9 @@ _GUARD_DIGITS = 20
 
 # The one memo, keyed by name.  A constant ("pi", "ln10", "ln_pi") maps to
 # (N, floor(value * 10^N), its N fractional digits) for the largest N
-# certified so far; the bit-burst ln 2 ("ln2") maps to (bits, ln 2 * 2^bits,
-# b"") for the most bits computed so far.
-_memo: dict[str, tuple[int, int, bytes]] = {}
+# certified so far; the four series of _smooth_bin ("smooth") map to (bits,
+# (T_q * 2^bits for each q)) for the most bits computed so far.
+_memo: dict[str, tuple] = {}
 
 
 class MethodDisagreementError(ArithmeticError):
@@ -169,28 +178,51 @@ def _bin_to_decimal(v_bin: int, bits: int, w: int) -> int:
     return v_bin * 10**w >> bits
 
 
-def _ln2_bin(bits: int) -> int:
-    """2 atanh(1/3) * 2^bits, served from the memo's value at the most bits
-    computed so far by a right shift, which adds at most one binary ulp."""
-    held = _memo.get("ln2")
+# ln 2, ln 5 and ln 7 come from one system of four series T_q = 2 atanh(1/q) =
+# ln((q + 1)/(q - 1)).  The ratios 126/125, 225/224, 2401/2400 and 4375/4374
+# are 2^a 3^b 5^c 7^d with (a, b, c, d) = (1, 2, -3, 1), (-5, 2, 2, -1),
+# (-5, -1, -2, 4) and (-1, -7, 4, 1).  That matrix has determinant -1, so its
+# inverse is integral, and its rows for 2, 5 and 7 weight the T_q:
+_SMOOTH_Q = (251, 449, 4801, 8749)
+_LN_WEIGHTS = ((72, 27, -19, 31), (167, 63, -44, 72), (202, 76, -53, 87))  # ln 2, ln 5, ln 7
+
+# The powers of 2, 5 and 7 each bit-burst primary divides out first (see
+# _ln_rational_atanh): 10 = 2 * 5 leaves no rest, and pi 2^18 / 7^7 lies in
+# [1, 1 + 2^-16).
+_SMOOTH = {"ln10": (1, 1, 0), "ln_pi": (-18, 0, 7)}
+
+
+def _smooth_bin(bits: int) -> tuple[int, ...]:
+    """T_q * 2^bits for each q of _SMOOTH_Q, each one _arc_series sum within 2
+    binary ulp, served from the memo's values at the most bits computed so far
+    by a right shift, which adds at most one binary ulp."""
+    held = _memo.get("smooth")
     if held is None or held[0] < bits:
-        held = (bits, 2 * _arc_series(1, 3, 1 << bits, 1), b"")
-        _memo["ln2"] = held
-    return held[1] >> held[0] - bits
+        held = (bits, tuple(_arc_series(1, q, 2 << bits, 1) for q in _SMOOTH_Q))
+        _memo["smooth"] = held
+    return tuple(t >> held[0] - bits for t in held[1])
 
 
-def _ln_rational_atanh(num: int, den: int, w: int) -> int:
+def _ln_rational_atanh(num: int, den: int, w: int, smooth: tuple[int, int, int] = (0, 0, 0)) -> int:
     """ln(num/den) * 10^w by the bit-burst atanh scheme.
 
-    Powers of two bring y = num/den into [1, 2); then stage s (1, 2, 4, ...)
-    takes a = floor((y - 1) 2^s) < 2^(s/2), adds ln(1 + a/2^s) =
-    2 atanh(a / (2^(s+1) + a)) and divides it out of y exactly, leaving
-    y - 1 < 2^-s.  Each stage's argument is below 2^-(s/2+1), so its series
-    needs about bits/s terms.  ln 10 = 3 * 2 atanh(1/3) + 2 atanh(1/9).
+    smooth = (i, j, k) divides 2^i 5^j 7^k out of num/den; powers of two then
+    bring the rest y into [1, 2), and the logarithm of all that was divided
+    out is one integer combination of the four T_q (see _smooth_bin).  Stage
+    s (1, 2, 4, ...) then takes a = floor((y - 1) 2^s) < 2^(s/2), adds
+    ln(1 + a/2^s) = 2 atanh(a / (2^(s+1) + a)) and divides it out of y
+    exactly, leaving y - 1 < 2^-s.  Each stage's argument is below
+    2^-(s/2+1), so its series needs about bits/s terms.  A rest below
+    1 + 2^-s runs no stage before s.
     """
     if num <= 0 or den <= 0:
         raise ValueError("log argument must be positive")
     bits = _bits_for(w)
+    for p, e in zip((2, 5, 7), smooth):
+        if e >= 0:
+            den *= p**e
+        else:
+            num *= p**-e
     k = num.bit_length() - den.bit_length()
     if k >= 0:
         den <<= k
@@ -199,7 +231,11 @@ def _ln_rational_atanh(num: int, den: int, w: int) -> int:
     if num < den:
         num <<= 1
         k -= 1
-    total = k * _ln2_bin(bits) if k else 0
+    e2, e5, e7 = smooth[0] + k, smooth[1], smooth[2]
+    total = 0
+    if e2 or e5 or e7:
+        total = sum((e2 * a + e5 * b + e7 * c) * t
+                    for a, b, c, t in zip(*_LN_WEIGHTS, _smooth_bin(bits)))
     s = 1
     while s < 2 * bits and num != den:  # the last stage run has s >= bits
         a = ((num - den) << s) // den
@@ -267,8 +303,8 @@ def _ln_rational_newton(num: int, den: int, w: int) -> int:
 def _ln10_acoth(w: int) -> int:
     """ln 10 * 10^w as 46 acoth 31 + 34 acoth 49 + 20 acoth 161 in binary.
 
-    The bit-burst primary for 10 is 3 ln 2 + ln(5/4) = 6 atanh(1/3) +
-    2 atanh(1/9), so the two share no series argument.
+    The primary, ln 2 + ln 5, sums 2 atanh(1/q) for q = 251, 449, 4801 and
+    8749 (see _smooth_bin), so the two share no series argument.
     """
     bits = _bits_for(w)
     one = 1 << bits
@@ -278,12 +314,18 @@ def _ln10_acoth(w: int) -> int:
 
 # Below this many working digits a pair runs in this process alone.  On a
 # 2-core host (CPython 3.11.7, pilab and numpy loaded) fork, pipe and waitpid
-# took 2.6-3.8 ms (median of 50).  At w = 3000 and 4000, medians of 7 over
-# five runs: atan(1/5) 2.6-5.2 and 4.1-7.7 ms; the forked halves of the logs
-# 3.4-6.2 and 5.6-8.5 ms (acoth ln 10) and 14.6-24.7 and 19.0-38.7 ms (Newton
-# ln pi), against 6.1-11.3 and 9.8-16.7 ms, and 17.8-28.3 and 28.4-44.1 ms,
-# for the bit-burst halves left in the parent.  The overlap starts to repay
-# the fork near w = 3000, for ln 10 last.
+# took 3.7-4.6 ms (median of 51).  At w = 3000 and 4000, medians of 15 over
+# three runs, the forked halves took 3.0-4.9 and 4.5-7.7 ms (atan(1/5)),
+# 3.8-6.2 and 5.7-9.5 ms (acoth ln 10) and 15.0-25.5 and 21.3-37.9 ms (Newton
+# ln pi), against 3.7-5.6 and 5.5-8.4 ms (ln 2 + ln 5) and 8.6-13.8 and
+# 15.4-21.8 ms (the ln pi bit-burst, series held) for the log halves left in
+# the parent.  Whole pairs, forked against inline in 31 alternating runs: at
+# w = 3000 pi and ln 10 lose (the fork faster in 3 and 1 runs) and ln pi ties
+# (14); at 4000 ln 10 and ln pi win (30 each, by 2-28 ms); at 5000 all three
+# win or tie.  Pi is the one pair left near its crossover at 4000: in three
+# sets of 41 runs the fork was faster in 7, 4 and 15, the medians 0.6-1.9 ms
+# apart either way.  A floor of its own would save that millisecond only for
+# pi requests near 4000 digits.
 _FORK_MIN_DIGITS = 4000
 
 
@@ -431,7 +473,7 @@ def _pi_scaled_pair(w: int) -> tuple[int, int]:
 def _ln10_scaled_pair(w: int) -> tuple[int, int]:
     """(bit-burst, acoth formula); the acoth half may run in a forked child."""
     with _spawn("ln10", _fork_pays(w), _ln10_acoth, w) as acoth:
-        return _ln_rational_atanh(10, 1, w), acoth()
+        return _ln_rational_atanh(10, 1, w, _SMOOTH["ln10"]), acoth()
 
 
 def _ln_pi_scaled_pair(w: int) -> tuple[int, int]:
@@ -441,7 +483,7 @@ def _ln_pi_scaled_pair(w: int) -> tuple[int, int]:
     bit-burst value, so it may run in a forked child beside it."""
     num, den = _certified_scaled("pi", w + 5), 10 ** (w + 5)
     with _spawn("ln_pi", _fork_pays(w), _ln_rational_newton, num, den, w) as newton:
-        return _ln_rational_atanh(num, den, w), newton()
+        return _ln_rational_atanh(num, den, w, _SMOOTH["ln_pi"]), newton()
 
 
 _ENGINES = {

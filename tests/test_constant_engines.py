@@ -5,6 +5,7 @@ import hashlib
 
 import pytest
 from mpmath import mp, mpf
+from sympy import factorint
 
 from pilab import constants
 from pilab.constants import MethodDisagreementError, const_digits
@@ -64,16 +65,19 @@ def test_log_engines_on_edge_arguments(arg, engine, w):
     assert abs(engine(num, den, w) - want) <= 2
 
 
-# Each ln 2 form and the constants whose pair reads it in one engine only: the
-# bit-burst primaries read 2 atanh(1/3), and neither check engine any ln 2.
-LN2_READERS = {"_ln2_bin": ("ln10", "ln_pi")}
+# Both bit-burst primaries read every series behind ln 2, ln 5 and ln 7, and
+# neither check engine reads any.
+@pytest.mark.parametrize("q", constants._SMOOTH_Q)
+def test_perturbed_ln2_in_one_method_is_caught(monkeypatch, q):
+    exact, i = constants._smooth_bin, constants._SMOOTH_Q.index(q)
 
+    def perturbed(bits):
+        series = list(exact(bits))
+        series[i] += series[i] >> 200  # 2^-200 relative
+        return tuple(series)
 
-@pytest.mark.parametrize("ln2", sorted(LN2_READERS))
-def test_perturbed_ln2_in_one_method_is_caught(monkeypatch, ln2):
-    exact = getattr(constants, ln2)
-    monkeypatch.setattr(constants, ln2, lambda bits: exact(bits) + (1 << bits - 200))
-    for name in LN2_READERS[ln2]:
+    monkeypatch.setattr(constants, "_smooth_bin", perturbed)
+    for name in ("ln10", "ln_pi"):
         monkeypatch.setattr(constants, "_memo", {})
         with pytest.raises(MethodDisagreementError):
             const_digits(name, 100)
@@ -106,7 +110,8 @@ def test_newton_without_its_last_step_is_caught(monkeypatch):
 
 def test_ln_pi_primary_moved_by_100_ulp_is_caught(monkeypatch):
     exact = constants._ln_rational_atanh
-    monkeypatch.setattr(constants, "_ln_rational_atanh", lambda num, den, w: exact(num, den, w) + 100)
+    monkeypatch.setattr(constants, "_ln_rational_atanh",
+                        lambda num, den, w, smooth: exact(num, den, w, smooth) + 100)
     monkeypatch.setattr(constants, "_memo", {})
     with pytest.raises(MethodDisagreementError):
         const_digits("ln_pi", 100)
@@ -134,13 +139,126 @@ def test_ln10_halves_share_no_series_argument(monkeypatch):
         return exact(p, q, one, sign)
 
     monkeypatch.setattr(constants, "_arc_series", recording)
-    monkeypatch.setattr(constants, "_memo", {})  # a held ln 2 would hide its series
-    constants._ln_rational_atanh(10, 1, 600)
+    monkeypatch.setattr(constants, "_memo", {})  # held series would hide their calls
+    constants._ln_rational_atanh(10, 1, 600, constants._SMOOTH["ln10"])
     primary, calls[:] = set(calls), []
     constants._ln10_acoth(600)
     assert not primary & set(calls)
-    assert primary == {(1, 3, 1), (1, 9, 1)}
+    assert primary == {(1, 251, 1), (1, 449, 1), (1, 4801, 1), (1, 8749, 1)}
     assert set(calls) == {(1, 31, 1), (1, 49, 1), (1, 161, 1)}
+
+
+def test_smooth_weights_invert_the_ratios_exponents():
+    # (q + 1)/(q - 1) = 2^a 3^b 5^c 7^d for each series, factored afresh; the
+    # weight rows of ln 2, ln 5 and ln 7 times that matrix are rows of the
+    # identity, in exact integers
+    exponents = []
+    for q in constants._SMOOTH_Q:
+        up, down = factorint(q + 1), factorint(q - 1)
+        assert set(up) | set(down) <= {2, 3, 5, 7}
+        exponents.append([up.get(p, 0) - down.get(p, 0) for p in (2, 3, 5, 7)])
+    product = [[sum(c * row[j] for c, row in zip(weights, exponents)) for j in range(4)]
+               for weights in constants._LN_WEIGHTS]
+    assert product == [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+def test_smooth_parts_leave_the_rests_the_primaries_expect():
+    i, j, k = constants._SMOOTH["ln10"]
+    assert 2**i * 5**j * 7**k == 10  # no rest
+    i, j, k = constants._SMOOTH["ln_pi"]
+    mp.dps = 50
+    rest = mp.pi / (mpf(2) ** i * mpf(5) ** j * mpf(7) ** k)
+    assert 1 <= rest < 1 + mpf(2) ** -16
+
+
+def test_weighted_series_are_ln_2_5_7_within_derived_bound(monkeypatch):
+    monkeypatch.setattr(constants, "_memo", {})
+    bits = constants._bits_for(3000)
+    series = constants._smooth_bin(bits)
+    mp.prec = bits + 64
+    for p, weights in zip((2, 5, 7), constants._LN_WEIGHTS):
+        got = sum(c * t for c, t in zip(weights, series))
+        # each series within 2 binary ulp
+        assert abs(got - mp.log(p) * mpf(2) ** bits) <= 2 * sum(map(abs, weights))
+
+
+@pytest.mark.parametrize("w", [40, 600, 10020])
+def test_ln_pi_primary_runs_no_stage_below_32(monkeypatch, w):
+    exact = constants._arc_series
+    stages = []
+
+    def recording(p, q, one, sign):
+        if (p, q) not in {(1, q_) for q_ in constants._SMOOTH_Q}:
+            stages.append(q.bit_length() - 2)  # q = 2^(s+1) + a, a < 2^(s/2)
+        return exact(p, q, one, sign)
+
+    num, den = _pi_hat(w)
+    monkeypatch.setattr(constants, "_arc_series", recording)
+    monkeypatch.setattr(constants, "_memo", {})
+    constants._ln_rational_atanh(num, den, w, constants._SMOOTH["ln_pi"])
+    assert stages and min(stages) == 32
+    assert all(s & s - 1 == 0 for s in stages)
+
+
+@pytest.mark.parametrize("w", [600, 10020])
+def test_ln10_primary_sums_only_the_four_series(monkeypatch, w):
+    exact = constants._arc_series
+    calls = []
+
+    def recording(p, q, one, sign):
+        calls.append((p, q, one.bit_length() - 1, sign))
+        return exact(p, q, one, sign)
+
+    monkeypatch.setattr(constants, "_arc_series", recording)
+    monkeypatch.setattr(constants, "_memo", {})
+    bits = constants._bits_for(w)
+    constants._ln_rational_atanh(10, 1, w, constants._SMOOTH["ln10"])
+    assert calls == [(1, q, bits + 1, 1) for q in (251, 449, 4801, 8749)]
+    constants._ln_rational_atanh(10, 1, w - 1, constants._SMOOTH["ln10"])
+    assert len(calls) == 4  # served lower from the held series
+
+
+@pytest.mark.parametrize("w", [120] + LOG_SCALES)
+@pytest.mark.parametrize("name", ["ln10", "ln_pi"])
+def test_log_primary_against_mpmath(monkeypatch, name, w):
+    monkeypatch.setattr(constants, "_memo", {})
+    num, den = (10, 1) if name == "ln10" else _pi_hat(w)
+    mp.dps = w + 20
+    want = _floor_scaled(mp.log(10) if name == "ln10" else mp.log(mp.pi), w)
+    assert abs(constants._ln_rational_atanh(num, den, w, constants._SMOOTH[name]) - want) <= 2
+
+
+def _atanh_1_3_bit_burst(num, den, w):
+    """The primary before the four series: k 2 atanh(1/3) after the
+    power-of-two reduction, then every stage from s = 1."""
+    bits = constants._bits_for(w)
+    k = num.bit_length() - den.bit_length()
+    if k >= 0:
+        den <<= k
+    else:
+        num <<= -k
+    if num < den:
+        num <<= 1
+        k -= 1
+    total = k * 2 * constants._arc_series(1, 3, 1 << bits, 1)
+    s = 1
+    while s < 2 * bits and num != den:
+        a = ((num - den) << s) // den
+        if a:
+            total += 2 * constants._arc_series(a, (1 << s + 1) + a, 1 << bits, 1)
+            num <<= s
+            den *= (1 << s) + a
+        s *= 2
+    return constants._bin_to_decimal(total, bits, w)
+
+
+@pytest.mark.parametrize("w", [3010, 10020, 30020])
+@pytest.mark.parametrize("name", ["ln10", "ln_pi"])
+def test_primary_equals_atanh_1_3_bit_burst(monkeypatch, name, w):
+    monkeypatch.setattr(constants, "_memo", {})
+    num, den = (10, 1) if name == "ln10" else _pi_hat(w)
+    got = constants._ln_rational_atanh(num, den, w, constants._SMOOTH[name])
+    assert got == _atanh_1_3_bit_burst(num, den, w)
 
 
 def test_ln10_certified_against_mpmath_at_30000_digits(monkeypatch):
@@ -168,7 +286,8 @@ def test_stream_growth_clamps_to_ceiling(monkeypatch):
 
 # SHA-256 of str() of each engine integer; the mpmath tests allow +-64 ulp,
 # these pin the exact bits.  At these widths Machin and Chudnovsky land on the
-# same integer, and so do the three ln 10 engines.
+# same integer, and so do the ln 10 engines: the primary as its pair runs it,
+# the bit-burst of 10 / 2^3 after 3 ln 2, Newton and the acoth formula.
 ENGINE_BITS = {
     "machin": ("0b54fe20ef4d7676270cf6ff74c69cd2ef87921bfddbdd149617d8016d066879",
                lambda: constants._pi_machin(10**3010)),
@@ -177,7 +296,9 @@ ENGINE_BITS = {
     "atanh_1_3": ("e6f9f0f94d1f321cf178f837c5b7746a6dada8c29e3b6e1c68325bce2001f150",
                   lambda: constants._arc_series(1, 3, 1 << 10000, 1)),
     "ln10_atanh": ("a82884a6f80b4449734333f941b19aae70f862ae28b9475544a44fe1fbbcfeec",
-                   lambda: constants._ln_rational_atanh(10, 1, 3010)),
+                   lambda: constants._ln_rational_atanh(10, 1, 3010, constants._SMOOTH["ln10"])),
+    "ln10_bit_burst": ("a82884a6f80b4449734333f941b19aae70f862ae28b9475544a44fe1fbbcfeec",
+                       lambda: constants._ln_rational_atanh(10, 1, 3010)),
     "ln10_newton": ("a82884a6f80b4449734333f941b19aae70f862ae28b9475544a44fe1fbbcfeec",
                     lambda: constants._ln_rational_newton(10, 1, 3010)),
     "ln10_acoth": ("a82884a6f80b4449734333f941b19aae70f862ae28b9475544a44fe1fbbcfeec",
@@ -187,6 +308,6 @@ ENGINE_BITS = {
 
 @pytest.mark.parametrize("name", sorted(ENGINE_BITS))
 def test_engine_bits_are_pinned(monkeypatch, name):
-    monkeypatch.setattr(constants, "_memo", {})  # ln 2 held at more bits would shift down
+    monkeypatch.setattr(constants, "_memo", {})  # series held at more bits would shift down
     want, compute = ENGINE_BITS[name]
     assert hashlib.sha256(str(compute()).encode()).hexdigest() == want

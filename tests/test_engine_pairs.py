@@ -47,9 +47,11 @@ def _serial(name, w):
         one = 10**w
         return constants._pi_machin(one), constants._pi_chudnovsky(one, w)
     if name == "ln10":
-        return constants._ln_rational_atanh(10, 1, w), constants._ln10_acoth(w)
+        return (constants._ln_rational_atanh(10, 1, w, constants._SMOOTH["ln10"]),
+                constants._ln10_acoth(w))
     num, den = constants._certified_scaled("pi", w + 5), 10 ** (w + 5)
-    return constants._ln_rational_atanh(num, den, w), constants._ln_rational_newton(num, den, w)
+    return (constants._ln_rational_atanh(num, den, w, constants._SMOOTH["ln_pi"]),
+            constants._ln_rational_newton(num, den, w))
 
 
 @pytest.mark.parametrize("name", ["pi", "ln10", "ln_pi"])

@@ -106,38 +106,33 @@ def test_memo_grows_geometrically(pi_calls):
     assert len(pi_calls) == 2
 
 
-# name -> (a fresh computation, its error bound in binary ulp):
-# 2 atanh(1/3) is two _arc_series ulp
-LN2_FORMS = {
-    "_ln2_bin": (lambda bits: 2 * constants._arc_series(1, 3, 1 << bits, 1), 4),
-}
-
-
 @pytest.mark.parametrize("drop", [1, 7, 300])
-@pytest.mark.parametrize("form", sorted(LN2_FORMS))
-def test_shifted_down_ln2_within_derived_bound(monkeypatch, form, drop):
+def test_shifted_down_ln2_within_derived_bound(monkeypatch, drop):
+    # each held series 2 atanh(1/q) is one _arc_series sum: 2 binary ulp
     monkeypatch.setattr(constants, "_memo", {})
-    exact, ulp = LN2_FORMS[form]
     bits = 2000
-    held = getattr(constants, form)(bits + drop)
-    assert held == exact(bits + drop)
-    served = getattr(constants, form)(bits)
-    assert served == held >> drop
+    held = constants._smooth_bin(bits + drop)
+    one = 2 << bits + drop  # atanh(1/q) at twice the scale is 2 atanh(1/q)
+    assert held == tuple(constants._arc_series(1, q, one, 1) for q in constants._SMOOTH_Q)
+    served = constants._smooth_bin(bits)
+    assert served == tuple(t >> drop for t in held)
     mp.prec = bits + 200
-    err = abs(mpf(served) - mp.ln2 * mpf(2) ** bits)
-    assert err <= mpf(ulp) / 2**drop + 1  # a shift adds at most one ulp
-    assert err <= ulp  # so the unshifted bound still holds
+    for q, t in zip(constants._SMOOTH_Q, served):
+        err = abs(mpf(t) - 2 * mp.atanh(mpf(1) / q) * mpf(2) ** bits)
+        assert err <= mpf(2) / 2**drop + 1  # a shift adds at most one ulp
+        assert err <= 2  # so the unshifted bound still holds
 
 
 def test_memo_holds_only_what_is_read_back(monkeypatch):
     # the certify sequence with every pair in this process: the Newton engine
-    # reads no pi and no ln 2 of its own, so nothing of it is held; the
-    # bit-burst ln 2 is read back, by ln_pi at ln10's bits
+    # reads no pi and no logarithm of its own, so nothing of it is held; the
+    # four series behind ln 2, ln 5 and ln 7 are read back, by ln_pi at ln10's
+    # bits
     monkeypatch.setattr(constants, "_memo", {})
     monkeypatch.setattr(constants, "_fork_pays", lambda w: False)
     for name, digits in (("pi", 30000), ("ln10", 10000), ("ln_pi", 10000)):
         constants.certified_digits(name, digits)
-    assert set(constants._memo) == {"pi", "ln10", "ln_pi", "ln2"}
+    assert set(constants._memo) == {"pi", "ln10", "ln_pi", "smooth"}
 
 
 def _fraction_value_with_margin(lower, upper, n, q):

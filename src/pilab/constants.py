@@ -1,8 +1,8 @@
 """Dual-certified decimal digit engines for pi, ln 10, and ln pi.
 
 Each constant is evaluated by two independent integer-only fixed-point
-methods: Machin's arctangent formula summed by binary splitting against
-Chudnovsky binary splitting for pi, ln 2 + ln 5 from four atanh series
+methods, every series summed by binary splitting: Ramanujan's rational 1/pi
+series against Chudnovsky's for pi, ln 2 + ln 5 from four atanh series
 against the acoth formula 46 acoth 31 + 34 acoth 49 + 20 acoth 161 for ln 10,
 and 7 ln 7 - 18 ln 2 plus a bit-burst atanh series against Newton's iteration
 on a bit-burst exp for ln pi.
@@ -11,9 +11,9 @@ sit far from a rounding boundary, so every released digit is exact.
 
 The two engines of a pair share no state, so where a fork pays, one half of
 the pair runs in a forked child while this process runs the other (see
-_spawn): atan(1/5) for pi, the acoth formula for ln 10 and the Newton
-engine for ln pi.  The values are bit for bit those of running them one
-after the other.  Of the binary internals only the four atanh series that
+_spawn): Ramanujan's series for pi, the acoth formula for ln 10 and the
+Newton engine for ln pi.  The values are bit for bit those of running them
+one after the other.  Of the binary internals only the four atanh series that
 give ln 2, ln 5 and ln 7 are held between calls (see _memo); the Newton
 engine reads no pi and no logarithm.
 """
@@ -39,10 +39,11 @@ _INT_PARTS = {"pi": 3, "ln10": 2, "ln_pi": 1}
 # How far apart (in 10^-w units) the two engines of a constant may land.
 #
 # Each _arc_series sum is within 2 ulp: one floor division, operands cut at a
-# cost under 2^-30 ulp, and a series tail below 1 ulp.  Machin,
-# 16 atan(1/5) - 4 atan(1/239), is thus within 40 ulp; Chudnovsky within 2 (an
-# isqrt floor scaled by pi/sqrt(10005), then a division floor, with Q and T cut
-# first to one's width plus 64 bits at a cost under 2^-30 ulp).  The logarithms
+# cost under 2^-30 ulp, and a series tail below 1 ulp.  Ramanujan's series
+# alternates, term k at most 2118 / 882^2k of 3528 / pi, so past w / 5.89 + 1
+# terms its tail moves pi under 10^-5 ulp; with Q and T cut (2^-30 ulp) and
+# one floor it is within 2 ulp, as is Chudnovsky (an isqrt floor scaled by
+# pi/sqrt(10005), then a division floor, Q and T cut alike).  The logarithms
 # work in binary with 64 guard bits.  The bit-burst primary's smooth part,
 # sum c_q T_q over the four series of _smooth_bin, each within 2 binary ulp,
 # errs by 2 sum |c_q| binary ulp, and each of its at most log2(bits) + 2
@@ -54,9 +55,8 @@ _INT_PARTS = {"pi": 3, "ln10": 2, "ln_pi": 1}
 # weighted 46, 34 and 20, errs by 2 (46 + 34 + 20) = 200 binary ulp, under
 # 2^-55 decimal ulp behind the guard bits; and the Newton log's last step,
 # from its half-width iterate, by 32 binary ulp (see _ln_rational_newton).
-# After the floor to decimal each is within 2 ulp.  Pi pairs therefore differ
-# by at most 42 ulp and logarithm pairs by at most 4.  None of these bounds
-# grows with w.
+# After the floor to decimal each is within 2 ulp.  Pi pairs and logarithm
+# pairs therefore differ by at most 4 ulp.  None of these bounds grows with w.
 #
 # The four series T_q behind ln 2, ln 5 and ln 7 are computed once, at the
 # most bits asked for, and served lower by a right shift (see _smooth_bin).
@@ -121,14 +121,14 @@ def _split(leaf, a: int, b: int) -> tuple[int, int, int, int]:
     return p1 * p2, q1 * q2, b1 * b2, b2 * q2 * t1 + b1 * p1 * t2
 
 
-def _arc_series(p: int, q: int, one: int, sign: int) -> int:
-    """atan(p/q) * one (sign -1) or atanh(p/q) * one (sign +1), 0 < 3p <= q.
+def _arc_series(p: int, q: int, one: int) -> int:
+    """atanh(p/q) * one, 0 < 3p <= q.
 
-    Terms run until (q/p)^(2n) exceeds one; the series sums to at least 2/3,
+    Terms run until (q/p)^(2n) exceeds one; the series sums to at least 1,
     so cutting T and B Q to one's width plus 32 bits costs under 2^-30 ulp.
     """
     terms = int(one.bit_length() / (2 * (math.log2(q) - math.log2(p)))) + 2
-    z_num, z_den = sign * p * p, q * q
+    z_num, z_den = p * p, q * q
 
     def leaf(k: int) -> tuple[int, int, int, int]:  # S(0, terms) = sum z^k / (2k + 1)
         return (z_num, z_den, 2 * k + 1, z_num) if k else (1, 1, 1, 1)
@@ -139,12 +139,19 @@ def _arc_series(p: int, q: int, one: int, sign: int) -> int:
     return one * p * (t >> cut) // (q * (bq >> cut))
 
 
-def _machin(atan_5: int, atan_239: int) -> int:
-    return 16 * atan_5 - 4 * atan_239
+def _ramanujan_leaf(k: int) -> tuple[int, int, int, int]:
+    if k == 0:
+        return 1, 1, 1, 1123
+    p = -(2 * k - 1) * (4 * k - 3) * (4 * k - 1)
+    return p, k * k * k * 24893568, 1, p * (1123 + 21460 * k)
 
 
-def _pi_machin(one: int) -> int:
-    return _machin(_arc_series(1, 5, one, -1), _arc_series(1, 239, one, -1))
+def _pi_ramanujan(one: int, w: int) -> int:
+    """Ramanujan's 4/pi = sum (-1)^k (1123 + 21460k) (4k)! / (k!^4 256^k 882^(2k+1))."""
+    terms = int(w / 5.89) + 2  # each term is worth log10(882^2) > 5.89 digits
+    _, q, _, t = _split(_ramanujan_leaf, 0, terms)
+    cut = max(0, q.bit_length() - one.bit_length() - 64)  # costs under 2^-30 ulp
+    return 3528 * (q >> cut) * one // (t >> cut)
 
 
 def _chud_leaf(k: int) -> tuple[int, int, int, int]:
@@ -198,7 +205,7 @@ def _smooth_bin(bits: int) -> tuple[int, ...]:
     by a right shift, which adds at most one binary ulp."""
     held = _memo.get("smooth")
     if held is None or held[0] < bits:
-        held = (bits, tuple(_arc_series(1, q, 2 << bits, 1) for q in _SMOOTH_Q))
+        held = (bits, tuple(_arc_series(1, q, 2 << bits) for q in _SMOOTH_Q))
         _memo["smooth"] = held
     return tuple(t >> held[0] - bits for t in held[1])
 
@@ -240,7 +247,7 @@ def _ln_rational_atanh(num: int, den: int, w: int, smooth: tuple[int, int, int] 
     while s < 2 * bits and num != den:  # the last stage run has s >= bits
         a = ((num - den) << s) // den
         if a:
-            total += 2 * _arc_series(a, (1 << s + 1) + a, 1 << bits, 1)
+            total += 2 * _arc_series(a, (1 << s + 1) + a, 1 << bits)
             num <<= s
             den *= (1 << s) + a
         s *= 2
@@ -308,25 +315,19 @@ def _ln10_acoth(w: int) -> int:
     """
     bits = _bits_for(w)
     one = 1 << bits
-    return _bin_to_decimal(46 * _arc_series(1, 31, one, 1) + 34 * _arc_series(1, 49, one, 1)
-                           + 20 * _arc_series(1, 161, one, 1), bits, w)
+    return _bin_to_decimal(46 * _arc_series(1, 31, one) + 34 * _arc_series(1, 49, one)
+                           + 20 * _arc_series(1, 161, one), bits, w)
 
 
-# Below this many working digits a pair runs in this process alone.  On a
-# 2-core host (CPython 3.11.7, pilab and numpy loaded) fork, pipe and waitpid
-# took 3.7-4.6 ms (median of 51).  At w = 3000 and 4000, medians of 15 over
-# three runs, the forked halves took 3.0-4.9 and 4.5-7.7 ms (atan(1/5)),
-# 3.8-6.2 and 5.7-9.5 ms (acoth ln 10) and 15.0-25.5 and 21.3-37.9 ms (Newton
-# ln pi), against 3.7-5.6 and 5.5-8.4 ms (ln 2 + ln 5) and 8.6-13.8 and
-# 15.4-21.8 ms (the ln pi bit-burst, series held) for the log halves left in
-# the parent.  Whole pairs, forked against inline in 31 alternating runs: at
-# w = 3000 pi and ln 10 lose (the fork faster in 3 and 1 runs) and ln pi ties
-# (14); at 4000 ln 10 and ln pi win (30 each, by 2-28 ms); at 5000 all three
-# win or tie.  Pi is the one pair left near its crossover at 4000: in three
-# sets of 41 runs the fork was faster in 7, 4 and 15, the medians 0.6-1.9 ms
-# apart either way.  A floor of its own would save that millisecond only for
-# pi requests near 4000 digits.
+# Below this many working digits a pair runs in this process alone; pi's pair,
+# both halves cheap next to a fork, has a floor of its own.  On a 2-core host
+# (CPython 3.11.7, numpy loaded) fork, pipe and waitpid took 5.9-6.7 ms, and
+# at w = 4020 Ramanujan's series 4.7 ms and Chudnovsky 2.9 ms.  In 31 to 61
+# alternating runs of whole pairs the fork beat inline in: pi 0 of 41 at
+# w = 4000, 21 of 61 at 6000, 22 of 41 at 7000 and 50 of 61 at 10000; ln 10,
+# series not yet held, 14 of 31 at 4000; ln pi 27 of 31 at 3000.
 _FORK_MIN_DIGITS = 4000
+_PI_FORK_MIN_DIGITS = 7000
 
 
 def _second_cpu() -> bool:
@@ -341,7 +342,7 @@ def _fork_pays(size: int, floor: int = _FORK_MIN_DIGITS) -> bool:
     """Whether work of ``size`` is shared with a forked child: fork exists, a
     second CPU is ours, no other Python thread could hold a lock across the
     fork, and size clears ``floor`` (for a pair, its working digits clear
-    _FORK_MIN_DIGITS)."""
+    _FORK_MIN_DIGITS, or pi's _PI_FORK_MIN_DIGITS)."""
     if size < floor or not hasattr(os, "fork") or threading.active_count() > 1:
         return False
     return _second_cpu()
@@ -464,10 +465,9 @@ def _kill_unreaped(pid: int) -> None:
 
 def _pi_scaled_pair(w: int) -> tuple[int, int]:
     one = 10**w
-    with _spawn("pi", _fork_pays(w), _arc_series, 1, 5, one, -1) as atan_5:
+    with _spawn("pi", _fork_pays(w, _PI_FORK_MIN_DIGITS), _pi_ramanujan, one, w) as ramanujan:
         chudnovsky = _pi_chudnovsky(one, w)
-        atan_239 = _arc_series(1, 239, one, -1)
-        return _machin(atan_5(), atan_239), chudnovsky
+        return ramanujan(), chudnovsky
 
 
 def _ln10_scaled_pair(w: int) -> tuple[int, int]:
@@ -561,9 +561,9 @@ def integer_part(name: str) -> int:
 def const_digits(name: str, digits: int) -> DigitStream:
     """Certified fractional digits of a constant as an extensible stream.
 
-    Both engines always run, in this process; the stream is released only
-    after they agree on every digit.  The integer part is exposed via integer_part().
-    Extending the stream past DIGIT_CEILING digits raises ProducerExhaustedError.
+    Digits are released where both engines agree (see _certify), one perhaps in a
+    forked child; neither runs for digits the memo holds.  The integer part is
+    exposed via integer_part().  Past DIGIT_CEILING digits it raises ProducerExhaustedError.
     """
     if name not in _INT_PARTS:
         raise ValueError(f"unknown constant {name!r}; expected one of {sorted(_INT_PARTS)}")

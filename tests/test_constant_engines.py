@@ -2,6 +2,7 @@
 plus the digit-stream ceiling."""
 
 import hashlib
+import math
 
 import pytest
 from mpmath import mp, mpf
@@ -27,12 +28,60 @@ LOG_SCALES = [3000, constants._working_digits(10000)]
 
 
 @pytest.mark.parametrize("w", PI_SCALES)
-@pytest.mark.parametrize("engine", ["machin", "chudnovsky"])
+@pytest.mark.parametrize("engine", ["ramanujan", "chudnovsky"])
 def test_pi_engine_against_mpmath(engine, w):
     one = 10**w
-    got = constants._pi_machin(one) if engine == "machin" else constants._pi_chudnovsky(one, w)
+    got = constants._pi_ramanujan(one, w) if engine == "ramanujan" else constants._pi_chudnovsky(one, w)
     mp.dps = w + 20
     assert abs(got - _floor_scaled(mp.pi, w)) <= constants._AGREE_ULP
+
+
+@pytest.mark.parametrize("w", [40, 120, 1020, 3010, 10020, 30020])
+def test_ramanujan_within_derived_bound(w):
+    mp.dps = w + 20
+    # tail under 10^-5 ulp, cut under 2^-30 ulp, one floor: within 2 ulp
+    assert abs(constants._pi_ramanujan(10**w, w) - _floor_scaled(mp.pi, w)) <= 2
+
+
+@pytest.mark.parametrize("mutation", ["1124", "21461", "three_terms_fewer"])
+def test_mutated_ramanujan_series_is_caught(monkeypatch, mutation):
+    if mutation == "three_terms_fewer":
+        exact, outer = constants._split, []
+
+        def split(leaf, a, b):
+            if leaf is constants._ramanujan_leaf and not outer:  # the top call only
+                outer.append(b)
+                b -= 3
+            return exact(leaf, a, b)
+
+        monkeypatch.setattr(constants, "_split", split)
+    else:
+        exact_leaf = constants._ramanujan_leaf
+        a, b = (1124, 21460) if mutation == "1124" else (1123, 21461)
+
+        def leaf(k):
+            p, q, _, _ = exact_leaf(k)
+            return p, q, 1, p * (a + b * k)
+
+        monkeypatch.setattr(constants, "_ramanujan_leaf", leaf)
+    monkeypatch.setattr(constants, "_memo", {})
+    with pytest.raises(MethodDisagreementError):
+        const_digits("pi", 100)
+
+
+def test_ramanujan_half_takes_no_square_root(monkeypatch):
+    exact, roots = math.isqrt, []
+
+    def recording(n):
+        roots.append(n)
+        return exact(n)
+
+    monkeypatch.setattr(math, "isqrt", recording)
+    w = 3010
+    constants._pi_ramanujan(10**w, w)
+    assert roots == []
+    constants._pi_chudnovsky(10**w, w)
+    assert len(roots) == 1  # the recording sees Chudnovsky's one root
 
 
 @pytest.mark.parametrize("w", LOG_SCALES)
@@ -121,8 +170,8 @@ def test_ln_pi_primary_moved_by_100_ulp_is_caught(monkeypatch):
 def test_perturbed_acoth_series_in_ln10_is_caught(monkeypatch, q):
     exact = constants._arc_series
 
-    def perturbed(p, q_, one, sign):
-        return exact(p, q_, one, sign) + (one >> 200 if (p, q_) == (1, q) else 0)
+    def perturbed(p, q_, one):
+        return exact(p, q_, one) + (one >> 200 if (p, q_) == (1, q) else 0)
 
     monkeypatch.setattr(constants, "_arc_series", perturbed)
     monkeypatch.setattr(constants, "_memo", {})
@@ -134,9 +183,9 @@ def test_ln10_halves_share_no_series_argument(monkeypatch):
     exact = constants._arc_series
     calls = []
 
-    def recording(p, q, one, sign):
-        calls.append((p, q, sign))
-        return exact(p, q, one, sign)
+    def recording(p, q, one):
+        calls.append((p, q))
+        return exact(p, q, one)
 
     monkeypatch.setattr(constants, "_arc_series", recording)
     monkeypatch.setattr(constants, "_memo", {})  # held series would hide their calls
@@ -144,8 +193,8 @@ def test_ln10_halves_share_no_series_argument(monkeypatch):
     primary, calls[:] = set(calls), []
     constants._ln10_acoth(600)
     assert not primary & set(calls)
-    assert primary == {(1, 251, 1), (1, 449, 1), (1, 4801, 1), (1, 8749, 1)}
-    assert set(calls) == {(1, 31, 1), (1, 49, 1), (1, 161, 1)}
+    assert primary == {(1, 251), (1, 449), (1, 4801), (1, 8749)}
+    assert set(calls) == {(1, 31), (1, 49), (1, 161)}
 
 
 def test_smooth_weights_invert_the_ratios_exponents():
@@ -187,10 +236,10 @@ def test_ln_pi_primary_runs_no_stage_below_32(monkeypatch, w):
     exact = constants._arc_series
     stages = []
 
-    def recording(p, q, one, sign):
+    def recording(p, q, one):
         if (p, q) not in {(1, q_) for q_ in constants._SMOOTH_Q}:
             stages.append(q.bit_length() - 2)  # q = 2^(s+1) + a, a < 2^(s/2)
-        return exact(p, q, one, sign)
+        return exact(p, q, one)
 
     num, den = _pi_hat(w)
     monkeypatch.setattr(constants, "_arc_series", recording)
@@ -205,15 +254,15 @@ def test_ln10_primary_sums_only_the_four_series(monkeypatch, w):
     exact = constants._arc_series
     calls = []
 
-    def recording(p, q, one, sign):
-        calls.append((p, q, one.bit_length() - 1, sign))
-        return exact(p, q, one, sign)
+    def recording(p, q, one):
+        calls.append((p, q, one.bit_length() - 1))
+        return exact(p, q, one)
 
     monkeypatch.setattr(constants, "_arc_series", recording)
     monkeypatch.setattr(constants, "_memo", {})
     bits = constants._bits_for(w)
     constants._ln_rational_atanh(10, 1, w, constants._SMOOTH["ln10"])
-    assert calls == [(1, q, bits + 1, 1) for q in (251, 449, 4801, 8749)]
+    assert calls == [(1, q, bits + 1) for q in (251, 449, 4801, 8749)]
     constants._ln_rational_atanh(10, 1, w - 1, constants._SMOOTH["ln10"])
     assert len(calls) == 4  # served lower from the held series
 
@@ -240,12 +289,12 @@ def _atanh_1_3_bit_burst(num, den, w):
     if num < den:
         num <<= 1
         k -= 1
-    total = k * 2 * constants._arc_series(1, 3, 1 << bits, 1)
+    total = k * 2 * constants._arc_series(1, 3, 1 << bits)
     s = 1
     while s < 2 * bits and num != den:
         a = ((num - den) << s) // den
         if a:
-            total += 2 * constants._arc_series(a, (1 << s + 1) + a, 1 << bits, 1)
+            total += 2 * constants._arc_series(a, (1 << s + 1) + a, 1 << bits)
             num <<= s
             den *= (1 << s) + a
         s *= 2
@@ -285,16 +334,16 @@ def test_stream_growth_clamps_to_ceiling(monkeypatch):
 
 
 # SHA-256 of str() of each engine integer; the mpmath tests allow +-64 ulp,
-# these pin the exact bits.  At these widths Machin and Chudnovsky land on the
+# these pin the exact bits.  At these widths Ramanujan and Chudnovsky land on the
 # same integer, and so do the ln 10 engines: the primary as its pair runs it,
 # the bit-burst of 10 / 2^3 after 3 ln 2, Newton and the acoth formula.
 ENGINE_BITS = {
-    "machin": ("0b54fe20ef4d7676270cf6ff74c69cd2ef87921bfddbdd149617d8016d066879",
-               lambda: constants._pi_machin(10**3010)),
+    "ramanujan": ("0b54fe20ef4d7676270cf6ff74c69cd2ef87921bfddbdd149617d8016d066879",
+                  lambda: constants._pi_ramanujan(10**3010, 3010)),
     "chudnovsky": ("0b54fe20ef4d7676270cf6ff74c69cd2ef87921bfddbdd149617d8016d066879",
                    lambda: constants._pi_chudnovsky(10**3010, 3010)),
     "atanh_1_3": ("e6f9f0f94d1f321cf178f837c5b7746a6dada8c29e3b6e1c68325bce2001f150",
-                  lambda: constants._arc_series(1, 3, 1 << 10000, 1)),
+                  lambda: constants._arc_series(1, 3, 1 << 10000)),
     "ln10_atanh": ("a82884a6f80b4449734333f941b19aae70f862ae28b9475544a44fe1fbbcfeec",
                    lambda: constants._ln_rational_atanh(10, 1, 3010, constants._SMOOTH["ln10"])),
     "ln10_bit_burst": ("a82884a6f80b4449734333f941b19aae70f862ae28b9475544a44fe1fbbcfeec",

@@ -63,7 +63,7 @@ def test_digits_against_external_oracle(name, compute):
 def test_method_disagreement_names_first_index(monkeypatch):
     def broken(w):
         one = 10**w
-        v = constants._pi_machin(one)
+        v = constants._pi_ramanujan(one, w)
         return v, v + 10**9  # force a visible mismatch beyond the agreement budget
 
     monkeypatch.setitem(constants._ENGINES, "pi", broken)

@@ -25,9 +25,10 @@ def assert_no_child_left():
 
 @pytest.fixture
 def forks(monkeypatch):
-    """A fresh memo, a fork wherever the size allows, and the list of pids forked."""
+    """A fresh memo, a fork wherever the size clears _FORK_MIN_DIGITS (pi's own
+    floor set aside), and the list of pids forked."""
     monkeypatch.setattr(constants, "_memo", {})
-    monkeypatch.setattr(constants, "_fork_pays", lambda w: w >= constants._FORK_MIN_DIGITS)
+    monkeypatch.setattr(constants, "_fork_pays", lambda w, floor=None: w >= constants._FORK_MIN_DIGITS)
     pids = []
     fork = os.fork
 
@@ -45,7 +46,7 @@ def forks(monkeypatch):
 def _serial(name, w):
     if name == "pi":
         one = 10**w
-        return constants._pi_machin(one), constants._pi_chudnovsky(one, w)
+        return constants._pi_ramanujan(one, w), constants._pi_chudnovsky(one, w)
     if name == "ln10":
         return (constants._ln_rational_atanh(10, 1, w, constants._SMOOTH["ln10"]),
                 constants._ln10_acoth(w))
@@ -154,7 +155,7 @@ def test_pairs_run_inline_while_another_thread_is_alive(monkeypatch):
 
 def test_pairs_run_inline_when_fork_fails(monkeypatch):
     monkeypatch.setattr(constants, "_memo", {})
-    monkeypatch.setattr(constants, "_fork_pays", lambda w: True)
+    monkeypatch.setattr(constants, "_fork_pays", lambda w, floor=None: True)
     monkeypatch.setattr(os, "fork", _fail_fork)
     _assert_certified("pi", W)
     _assert_certified("ln10", W)
@@ -165,6 +166,7 @@ def test_small_requests_and_one_cpu_run_inline(monkeypatch):
     monkeypatch.setattr(constants, "_memo", {})
     monkeypatch.setattr(os, "fork", _refuse_fork)
     _assert_certified("ln_pi", 200)  # the working digits of coset's pi and most tests
+    _assert_certified("pi", W)  # above the pairs' floor, below pi's own
     assert not constants._fork_pays(constants._FORK_MIN_DIGITS - 1)
     if hasattr(os, "sched_getaffinity"):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})

@@ -113,7 +113,7 @@ def test_shifted_down_ln2_within_derived_bound(monkeypatch, drop):
     bits = 2000
     held = constants._smooth_bin(bits + drop)
     one = 2 << bits + drop  # atanh(1/q) at twice the scale is 2 atanh(1/q)
-    assert held == tuple(constants._arc_series(1, q, one, 1) for q in constants._SMOOTH_Q)
+    assert held == tuple(constants._arc_series(1, q, one) for q in constants._SMOOTH_Q)
     served = constants._smooth_bin(bits)
     assert served == tuple(t >> drop for t in held)
     mp.prec = bits + 200
@@ -129,7 +129,7 @@ def test_memo_holds_only_what_is_read_back(monkeypatch):
     # four series behind ln 2, ln 5 and ln 7 are read back, by ln_pi at ln10's
     # bits
     monkeypatch.setattr(constants, "_memo", {})
-    monkeypatch.setattr(constants, "_fork_pays", lambda w: False)
+    monkeypatch.setattr(constants, "_fork_pays", lambda w, floor=None: False)
     for name, digits in (("pi", 30000), ("ln10", 10000), ("ln_pi", 10000)):
         constants.certified_digits(name, digits)
     assert set(constants._memo) == {"pi", "ln10", "ln_pi", "smooth"}

@@ -15,7 +15,6 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
-_ONE = Decimal(1)
 _TRAPS = [decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow]
 
 
@@ -44,13 +43,6 @@ def _digits(x: Decimal) -> int:
     return x.adjusted() + 1
 
 
-def parts(x: int | Fraction) -> tuple[Decimal, int, int]:
-    """(N, d, e) with x = N / (d 10^e): a DecimalFraction's own, else e = 0."""
-    if isinstance(x, DecimalFraction):
-        return x.num, x.den, x.exp
-    return Decimal(x.numerator), x.denominator, 0
-
-
 class DecimalFraction(Fraction):
     """The exact rational num / (den 10^exp), held unreduced.
 
@@ -58,8 +50,8 @@ class DecimalFraction(Fraction):
     int, ``exp`` >= 0.  It is a ``Fraction``: ``numerator`` and
     ``denominator`` give lowest terms on first use, which converts ``num``
     to an int.  ``text()`` gives the same lowest terms as "num/den" without
-    that conversion.  ``+`` and ``-`` with an int or a Fraction, and ``*``
-    by an int, stay in this form.
+    that conversion.  ``*`` by an int stays in this form; any other
+    arithmetic is Fraction's, on the lowest terms.
     """
 
     __slots__ = ("num", "den", "exp", "_terms")
@@ -85,36 +77,6 @@ class DecimalFraction(Fraction):
     def __bool__(self):
         return bool(self.num)
 
-    def __neg__(self):
-        return DecimalFraction(self.num.copy_negate(), self.den, self.exp)
-
-    def _combine(self, other, sign: int):
-        """self + sign * other, or None when ``other`` is not an int or Fraction."""
-        if not isinstance(other, (int, Fraction)):
-            return None
-        (na, da, ea), (nb, db, eb) = parts(self), parts(other)
-        g = math.gcd(da, db)
-        fa, fb = Decimal(db // g), Decimal(da // g)
-        top = max(ea, eb)
-        ctx = context_for(max(_digits(na) + _digits(fa) + top - ea, _digits(nb) + _digits(fb) + top - eb) + 1)
-        a = ctx.scaleb(ctx.multiply(na, fa), top - ea)
-        b = ctx.scaleb(ctx.multiply(nb, fb), top - eb)
-        return DecimalFraction(ctx.add(a, b) if sign > 0 else ctx.subtract(a, b), da // g * db, top)
-
-    def __add__(self, other):
-        result = self._combine(other, 1)
-        return super().__add__(other) if result is None else result
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        result = self._combine(other, -1)
-        return super().__sub__(other) if result is None else result
-
-    def __rsub__(self, other):
-        result = self._combine(other, -1)
-        return super().__rsub__(other) if result is None else -result
-
     def __mul__(self, other):
         if not isinstance(other, int):
             return super().__mul__(other)
@@ -129,37 +91,37 @@ class DecimalFraction(Fraction):
 
         Write N = num, d = den, e = exp.  Every factor 2 and 5 that N shares
         with d 10^e is already shared with d 10^T, T = min(e, max(v2(N),
-        v5(N))), so g = gcd(N mod d 10^T, d 10^T) is the whole gcd.
+        v5(N))), so g = gcd(N, d 10^T) is the whole gcd.  Both are read off
+        R = N mod d 10^W: R is N mod 10^W there, so a valuation below W is
+        N's own, and d 10^T divides d 10^W.  The window W starts at 16 digits
+        and doubles while T does not settle below it.
         """
         n, d, e = self.num, self.den, self.exp
         if not n:
             return "0/1"
         big_d = Decimal(d)
         ctx = context_for(max(_digits(n), _digits(big_d)))
-        t = _max_valuation(n, e, ctx)
+        width = 16
+        while True:
+            rem = int(ctx.remainder(n, ctx.scaleb(big_d, width)))
+            t = min(e, _max_valuation(abs(rem) % 10**width, width))
+            if t < width or width >= e:
+                break
+            width *= 2
         modulus = d * 10**t
-        g = math.gcd(int(ctx.remainder(n, ctx.scaleb(big_d, t))), modulus)
+        g = math.gcd(rem, modulus)
         if g > 1:
             n = ctx.divide_int(n, Decimal(g))
         return f"{n}/{modulus // g}{'0' * (e - t)}"
 
 
-def _max_valuation(n: Decimal, cap: int, ctx: decimal.Context) -> int:
-    """min(cap, max(v2(n), v5(n))) for a nonzero integer n, read off its last
-    digits: n = w mod 10^width, so a valuation of w below width is n's own.
-    The window doubles while it does not settle."""
-    width = 16
-    while True:
-        w = abs(int(ctx.remainder(n, ctx.scaleb(_ONE, width))))
-        if w:
-            v2 = (w & -w).bit_length() - 1
-            v5 = 0
-            while w % 5 == 0:
-                w //= 5
-                v5 += 1
-            found = max(v2, v5)
-        else:
-            found = width
-        if found < width or width >= cap:
-            return min(cap, found)
-        width *= 2
+def _max_valuation(w: int, width: int) -> int:
+    """max(v2(w), v5(w)) for w > 0, and ``width`` for w = 0."""
+    if not w:
+        return width
+    v2 = (w & -w).bit_length() - 1
+    v5 = 0
+    while w % 5 == 0:
+        w //= 5
+        v5 += 1
+    return max(v2, v5)

@@ -13,12 +13,13 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from decimal import Decimal
 from fractions import Fraction
 from itertools import takewhile
 from typing import Callable, Optional
 
 from . import constants, groups
-from ._dec import DecimalFraction
+from ._dec import DecimalFraction, _digits, context_for
 from .radix import text_from_digits
 
 # The largest audit n_max.  Row n's first pass reads 2n + guard digits of pi
@@ -257,9 +258,14 @@ def residue_decompose(conv: Convergent, n: int, modulus: Optional[int] = None) -
         raise ValueError("n must be >= 1")
     p, q = conv.p, conv.q
     m = q if modulus is None else modulus
-    r_n = pow(10, n, m) * p % m
-    s_n, c_n = divmod(pow(10, n, m * m) * (p * q + 1) % (m * m), m)
+    r_n, s_n, c_n = _residues(p, q, n, m)
     return ResidueDecomposition(n=n, modulus=m, r_n=r_n, s_n=s_n, c_n=c_n, p=p, q=q)
+
+
+def _residues(p: int, q: int, n: int, m: int) -> tuple[int, int, int]:
+    """(r_n, s_n, c_n): 10^n p mod m, and (p q + 1) 10^n mod m^2 as s_n m + c_n."""
+    s_n, c_n = divmod(pow(10, n, m * m) * (p * q + 1) % (m * m), m)
+    return pow(10, n, m) * p % m, s_n, c_n
 
 
 def _nth_root_floor(x: int, n: int) -> int:
@@ -315,6 +321,19 @@ def _inv_power(base_int: int, mu: float, prec: int) -> tuple[Fraction, bool]:
     return Fraction(scaled, 10**prec), False
 
 
+def _margins(value: DecimalFraction, lower: Fraction, upper: Fraction) -> tuple[DecimalFraction, DecimalFraction]:
+    """value - lower and upper - value over lower's and upper's denominators
+    times value's 10^exp, each numerator one exact multiply, scaleb and
+    subtract in one context."""
+    n, e = value.num, value.exp
+    ln, ld, un, ud = lower.numerator, lower.denominator, upper.numerator, upper.denominator
+    # each product has at most e + D digits, D bounding every endpoint int's digits
+    ctx = context_for(max(_digits(n), e) + max(abs(ln), ld, abs(un), ud).bit_length() * 31 // 100 + 2)
+    below = ctx.subtract(ctx.multiply(n, Decimal(ld)), ctx.scaleb(Decimal(ln), e))
+    above = ctx.subtract(ctx.scaleb(Decimal(un), e), ctx.multiply(n, Decimal(ud)))
+    return DecimalFraction(below, ld, e), DecimalFraction(above, ud, e)
+
+
 def _row_value(
     lower: Fraction, upper: Fraction, n: int, q: int
 ) -> tuple[DecimalFraction, DecimalFraction, DecimalFraction, bool]:
@@ -322,19 +341,18 @@ def _row_value(
     until the truncated value clears both endpoints decisively.
 
     The true value lies in [value, value + ulp), ulp = 10^-prec, so the exact
-    margins below = value - lower and above = upper - value decide each
-    endpoint by the sign of a numerator over a positive denominator.  Each
-    margin is N / (d 10^e) with e >= prec (value's own exp), so value + ulp
-    is decided against an endpoint by comparing N with d 10^(e - prec), the
-    ulp in the margin's units.  Returns the value, both margins and the
-    verdict.
+    margins below = value - lower and above = upper - value, each N / (d
+    10^prec) with d the endpoint's denominator, decide each endpoint by the
+    sign of N, and value + ulp is decided against an endpoint by comparing N
+    with d, the ulp in the margin's units.  Returns the value, both margins
+    and the verdict.
     """
     prec = n + _guard_digits(q)
     for _ in range(4):
         value = frac_pi_shift(n, prec)
-        below, above = value - lower, upper - value
-        lower_ok, lower_fail = below.num >= 0, below.num <= -below.den * 10 ** (below.exp - prec)
-        upper_ok, upper_fail = above.num >= above.den * 10 ** (above.exp - prec), above.num < 0
+        below, above = _margins(value, lower, upper)
+        lower_ok, lower_fail = below.num >= 0, below.num <= -below.den
+        upper_ok, upper_fail = above.num >= above.den, above.num < 0
         if (lower_ok or lower_fail) and (upper_ok or upper_fail):
             return value, below, above, lower_ok and upper_ok
         prec *= 2
@@ -366,11 +384,6 @@ class AuditRows(Sequence):
         """The row of shift n, made afresh."""
         return self._make(n)
 
-    def map(self, fn: Callable) -> AuditRows:
-        """These rows, each passed through ``fn`` as it is made."""
-        make = self._make
-        return AuditRows(self.ns, lambda n: fn(make(n)), self.guard)
-
     def warm(self) -> None:
         """Certify every digit of pi the rows' first passes read, so that
         making them runs the pi engines only for a row that widens."""
@@ -382,23 +395,23 @@ def _lemma_audit(
     lemma: str, conv: Convergent, cfg: AuditConfig, ns: range, bounds, lower_exact: bool = True
 ) -> LemmaAudit:
     """The audit whose row n, for n in ``ns``, is certified between the
-    endpoints ``bounds(dec)`` built from the residues of n; s_n and c_n are
-    recorded for case II, whose upper endpoint uses them."""
-    q = conv.q
+    endpoints ``bounds(n, r, s, c)`` built from the residues of n; s_n and
+    c_n are recorded for case II, whose upper endpoint uses them."""
+    p, q = conv.p, conv.q
     case_two = lemma == "caseII"
 
     def row(n: int) -> AuditRow:
-        dec = residue_decompose(conv, n)
-        lower, upper = bounds(dec)
+        r, s, c = _residues(p, q, n, q)
+        lower, upper = bounds(n, r, s, c)
         value, below, above, passed = _row_value(lower, upper, n, q)
         return AuditRow(
-            n=n, r=dec.r_n, s=dec.s_n if case_two else None, c=dec.c_n if case_two else None,
+            n=n, r=r, s=s if case_two else None, c=c if case_two else None,
             lower=lower, upper=upper, value=value, value_error_exp=-value.exp, passed=passed,
             margin_lower=below, margin_upper=above, lower_exact=lower_exact,
         )
 
     return LemmaAudit(
-        lemma=lemma, k=conv.k, p=conv.p, q=q, mu=cfg.mu,
+        lemma=lemma, k=conv.k, p=p, q=q, mu=cfg.mu,
         k_even=conv.k % 2 == 0, rows=AuditRows(ns, row, _guard_digits(q)),
     )
 
@@ -413,7 +426,7 @@ def audit_lemma_caseI(conv: Convergent, cfg: AuditConfig = AuditConfig()) -> Lem
     ns = range(1, min(len(str(q)), cfg.n_max + 1))  # 10^n <= q exactly when n < len(str(q))
     return _lemma_audit(
         "caseI", conv, cfg, ns,
-        lambda dec: (Fraction(dec.r_n, q) + Fraction(10**dec.n, 2 * q * q), Fraction(dec.r_n + 1, q)),
+        lambda n, r, s, c: (Fraction(2 * q * r + 10**n, 2 * q * q), Fraction(r + 1, q)),
     )
 
 
@@ -421,9 +434,10 @@ def audit_lemma_caseII(conv: Convergent, cfg: AuditConfig = AuditConfig()) -> Le
     """Interval audit r/q + q^-(mu-1) <= {pi 10^n} <= s/q + c/q^2 over 10^n > q_k."""
     q = conv.q
     term, exact = _inv_power(q, cfg.mu, _guard_digits(q))
+    tn, td = term.numerator, term.denominator
     return _lemma_audit(
         "caseII", conv, cfg, range(len(str(q)), cfg.n_max + 1),
-        lambda dec: (Fraction(dec.r_n, q) + term, Fraction(dec.s_n, q) + Fraction(dec.c_n, q * q)),
+        lambda n, r, s, c: (Fraction(r * td + tn * q, q * td), Fraction(s * q + c, q * q)),
         lower_exact=exact,
     )
 
@@ -439,23 +453,24 @@ def audit_lemma_prime_variant(conv: Convergent, cfg: AuditConfig = AuditConfig()
     prime, window = groups.nearest_prime_in_window(q0)
     guard = _guard_digits(prime)
     term, _ = _inv_power(2 * prime, cfg.mu, guard)
+    tn, td = term.numerator, term.denominator
     q0_digits = len(str(q0))
 
     def row(n: int) -> PrimeAuditRow:
-        dec = residue_decompose(conv, n, prime)
+        r, s, c = _residues(conv.p, q0, n, prime)
         case_one = n < q0_digits  # 10^n <= q0
-        lower = Fraction(dec.r_n, 2 * prime) + (0 if case_one else term)
-        upper = Fraction(dec.r_n + 1 if case_one else dec.s_n, prime)
-        prec = n + guard
-        value = frac_pi_shift(n, prec)
-        res_lower = value - lower
-        res_upper = upper - value
+        if case_one:
+            lower, upper = Fraction(r, 2 * prime), Fraction(r + 1, prime)
+        else:
+            lower, upper = Fraction(r * td + 2 * prime * tn, 2 * prime * td), Fraction(s, prime)
+        value = frac_pi_shift(n, n + guard)
+        res_lower, res_upper = _margins(value, lower, upper)
         return PrimeAuditRow(
-            n=n, case="I" if case_one else "II", r=dec.r_n, s=dec.s_n, c=dec.c_n, value=value,
-            value_error_exp=-prec, lower_base=lower, upper_base=upper,
+            n=n, case="I" if case_one else "II", r=r, s=s, c=c, value=value,
+            value_error_exp=-value.exp, lower_base=lower, upper_base=upper,
             residual_lower=res_lower, residual_upper=res_upper,
-            scaled_lower=res_lower * prime * prime,
-            scaled_upper=res_upper * prime * prime,
+            scaled_lower=res_lower * (prime * prime),
+            scaled_upper=res_upper * (prime * prime),
         )
 
     return PrimeLemmaAudit(
@@ -474,13 +489,12 @@ def audit_payload(audit) -> dict:
     """An audit's or a row's fields under their report keys; exact rationals
     stay ``Fraction``s, which the report writer renders as num/den strings
     (row values, margins and residuals as ``DecimalFraction``s, reduced in
-    decimal).  An audit's rows stay an ``AuditRows``, of row payloads."""
+    decimal).  An audit's rows stay an ``AuditRows``, which the report writer
+    writes row by row through one template per row class, with these keys."""
     payload = {}
     for f in fields(audit):
         value = getattr(audit, f.name)
-        if f.name == "rows":
-            value = value.map(audit_payload)
-        elif f.name in _AS_TEXT:
+        if f.name in _AS_TEXT:
             value = _AS_TEXT[f.name](value)
         payload[_REPORT_KEYS.get(f.name, f.name)] = value
     return payload

@@ -18,8 +18,9 @@ import functools
 import hashlib
 import itertools
 import json
+import operator
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -76,10 +77,7 @@ def _key(key) -> str:
 
 def _render(obj, newline: str, write: Callable[[str], object]) -> None:
     """Write the text of ``obj``; ``newline`` ends the line before its closing bracket."""
-    kind = type(obj)  # the two commonest kinds first; a bool is not an int here
-    if kind is DecimalFraction:
-        write(f'"{obj.text()}"')  # lowest terms without a full-width int
-    elif kind is int:
+    if type(obj) is int:  # the commonest kind first; a bool is not an int here
         write(int.__repr__(obj))
     elif isinstance(obj, str):
         write(_ENCODE(obj))
@@ -127,18 +125,63 @@ def _render_items(items, sep: str, inner: str, write: Callable[[str], object]) -
 
 # Below this many rows an audit's rows are made in this process alone.  On a
 # 2-core host (CPython 3.11.7), `audit --lemma caseII --k 12` with a warm pi
-# memo, median of 21, forked against inline: 94 rows 17.8 against 14.2 ms,
-# 114 to 154 rows within 1.5 ms either way, 194 rows 28.1 against 34.3 ms
-# and 294 rows 37.6 against 44.2 ms.  Fork, pipe and waitpid take 3.4-4.2 ms
-# (see constants._FORK_MIN_DIGITS), and a row about 0.12 ms.
-_FORK_MIN_ROWS = 160
+# memo, forked against inline in 21 alternating runs, the child moved to the
+# CPU its parent was not on: the fork was faster in 5 runs at 250 rows, 10 and
+# 10 at 300, 16 and 10 at 350, and 19 and 17 at 400 (medians 23.6 against
+# 26.9 ms).  A row takes about 0.06 ms inline.  Left on its parent's CPU,
+# where that host's kernel put it, the child lost at every count up to 1493.
+_FORK_MIN_ROWS = 350
 # Rows split with a forked child go in blocks of at most this many, taken in
 # turn by this process and the child, so that each holds one block's text.
 _BLOCK_ROWS = 64
 
 
+def _fraction_text(x: Fraction) -> str:
+    return f'"{x.text()}"' if type(x) is DecimalFraction else f'"{x.numerator}/{x.denominator}"'
+
+
+# how a row field is written, by its annotation, as _render writes its value
+_FIELD_FORMATS = {
+    "int": int.__repr__,
+    "Optional[int]": lambda value: "null" if value is None else int.__repr__(value),
+    "bool": _KEYWORDS.__getitem__,
+    "str": _ENCODE,
+    "Fraction": _fraction_text,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _row_template(cls: type, inner: str):
+    """(text, fields, formats) for writing a row of dataclass ``cls`` at
+    ``inner``'s depth as _render writes cf.audit_payload(row): ``text`` has
+    a %s for each value in report-key order, ``fields`` reads the values in
+    that order and ``formats`` gives each one's text."""
+    entries = sorted((cf._REPORT_KEYS.get(f.name, f.name), f) for f in fields(cls))
+    pad = inner + "  "
+    text = "{" + ",".join(f"{pad}{_str_key(key)}: %s" for key, _ in entries) + inner + "}"
+    formats = [(lambda v, conv=cf._AS_TEXT[f.name]: _ENCODE(conv(v))) if f.name in cf._AS_TEXT
+               else _FIELD_FORMATS[f.type] for _, f in entries]
+    return text, operator.attrgetter(*(f.name for _, f in entries)), formats
+
+
+def _row_text(row, inner: str) -> str:
+    """The text of an audit row at ``inner``'s depth, through its class's template."""
+    text, values, formats = _row_template(type(row), inner)
+    return text % tuple([fmt(value) for fmt, value in zip(formats, values(row))])
+
+
+def _write_rows(rows, sep: str, inner: str, write: Callable[[str], object]) -> str:
+    """Write each row's text after ``sep`` for the first and "," + inner for
+    the rest, as _render_items writes a list's items; returns the separator
+    a next row would take."""
+    for row in rows:
+        write(sep + _row_text(row, inner))
+        sep = "," + inner
+    return sep
+
+
 def _render_rows(rows: cf.AuditRows, newline: str, write: Callable[[str], object]) -> None:
-    """Write an audit's rows as _render writes a list.
+    """Write an audit's rows as _render writes a list of cf.audit_payload(row).
 
     Where a fork pays for this many rows (constants._fork_pays at
     _FORK_MIN_ROWS), pi is first certified as far as the rows read, and the
@@ -149,10 +192,11 @@ def _render_rows(rows: cf.AuditRows, newline: str, write: Callable[[str], object
     not send, and every block after it, is made here instead, so the rows
     give the bytes, or the error, they give in one process.
     """
-    if not constants._fork_pays(len(rows), _FORK_MIN_ROWS):
-        _render(iter(rows), newline, write)
-        return
     inner = newline + "  "
+    if not constants._fork_pays(len(rows), _FORK_MIN_ROWS):
+        _write_rows(rows, "[" + inner, inner, write)
+        write(newline + "]" if rows else "[]")
+        return
     pairs = -(-len(rows) // (2 * _BLOCK_ROWS))
     size = -(-len(rows) // (2 * pairs))
     blocks = [rows[start : start + size] for start in range(0, len(rows), size)]
@@ -163,7 +207,7 @@ def _render_rows(rows: cf.AuditRows, newline: str, write: Callable[[str], object
         for i, block in enumerate(blocks):
             text = next(texts) if i % 2 else None  # block 0 is made before the first wait
             if text is None:
-                sep = _render_items(block, sep, inner, write)
+                sep = _write_rows(block, sep, inner, write)
             else:
                 write(text.decode("ascii"))
         next(texts, None)  # past the child's last text: the child reaped
@@ -171,11 +215,11 @@ def _render_rows(rows: cf.AuditRows, newline: str, write: Callable[[str], object
 
 
 def _block_texts(blocks: list[cf.AuditRows], inner: str):
-    """The ASCII text _render_items writes for each block's rows after an
+    """The ASCII text _write_rows writes for each block's rows after an
     earlier row at ``inner``'s depth."""
     for block in blocks:
         parts: list[str] = []
-        _render_items(block, "," + inner, inner, parts.append)
+        _write_rows(block, "," + inner, inner, parts.append)
         yield "".join(parts).encode("ascii")
 
 
@@ -377,7 +421,10 @@ def _add_out(sub) -> None:
     sub.add_argument("--manifest", help="override the manifest path")
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once a process: its defaults and each
+    subcommand's function are bound when it is built."""
     parser = argparse.ArgumentParser(
         prog="pilab",
         description="Digit expansions, continued-fraction interval audits, and equidistribution statistics.",

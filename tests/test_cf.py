@@ -366,7 +366,7 @@ def test_audit_json_schema():
     assert payload["lemma"] == "caseI"
     assert payload["k"] == 2
     assert payload["p"] == "333" and payload["q"] == "106"
-    row = payload["rows"][0]
+    row = audit_payload(payload["rows"][0])  # the report's rows are written from these keys
     for fieldname in ("n", "r", "s", "c", "lower", "upper", "value", "pass",
                       "margin_lower", "margin_upper"):
         assert fieldname in row

@@ -15,6 +15,7 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
+_ONE = Decimal(1)
 _TRAPS = [decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow]
 
 
@@ -91,37 +92,37 @@ class DecimalFraction(Fraction):
 
         Write N = num, d = den, e = exp.  Every factor 2 and 5 that N shares
         with d 10^e is already shared with d 10^T, T = min(e, max(v2(N),
-        v5(N))), so g = gcd(N, d 10^T) is the whole gcd.  Both are read off
-        R = N mod d 10^W: R is N mod 10^W there, so a valuation below W is
-        N's own, and d 10^T divides d 10^W.  The window W starts at 16 digits
-        and doubles while T does not settle below it.
+        v5(N))), so g = gcd(N mod d 10^T, d 10^T) is the whole gcd.
         """
         n, d, e = self.num, self.den, self.exp
         if not n:
             return "0/1"
         big_d = Decimal(d)
         ctx = context_for(max(_digits(n), _digits(big_d)))
-        width = 16
-        while True:
-            rem = int(ctx.remainder(n, ctx.scaleb(big_d, width)))
-            t = min(e, _max_valuation(abs(rem) % 10**width, width))
-            if t < width or width >= e:
-                break
-            width *= 2
+        t = _max_valuation(n, e, ctx)
         modulus = d * 10**t
-        g = math.gcd(rem, modulus)
+        g = math.gcd(int(ctx.remainder(n, ctx.scaleb(big_d, t))), modulus)
         if g > 1:
             n = ctx.divide_int(n, Decimal(g))
         return f"{n}/{modulus // g}{'0' * (e - t)}"
 
 
-def _max_valuation(w: int, width: int) -> int:
-    """max(v2(w), v5(w)) for w > 0, and ``width`` for w = 0."""
-    if not w:
-        return width
-    v2 = (w & -w).bit_length() - 1
-    v5 = 0
-    while w % 5 == 0:
-        w //= 5
-        v5 += 1
-    return max(v2, v5)
+def _max_valuation(n: Decimal, cap: int, ctx: decimal.Context) -> int:
+    """min(cap, max(v2(n), v5(n))) for a nonzero integer n, read off its last
+    digits: n = w mod 10^width, so a valuation of w below width is n's own.
+    The window doubles while it does not settle."""
+    width = 16
+    while True:
+        w = abs(int(ctx.remainder(n, ctx.scaleb(_ONE, width))))
+        if w:
+            v2 = (w & -w).bit_length() - 1
+            v5 = 0
+            while w % 5 == 0:
+                w //= 5
+                v5 += 1
+            found = max(v2, v5)
+        else:
+            found = width
+        if found < width or width >= cap:
+            return min(cap, found)
+        width *= 2

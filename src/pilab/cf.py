@@ -322,9 +322,10 @@ def _inv_power(base_int: int, mu: float, prec: int) -> tuple[Fraction, bool]:
 
 
 def _margins(value: DecimalFraction, lower: Fraction, upper: Fraction) -> tuple[DecimalFraction, DecimalFraction]:
-    """value - lower and upper - value over lower's and upper's denominators
-    times value's 10^exp, each numerator one exact multiply, scaleb and
-    subtract in one context."""
+    """value - lower and upper - value, for a value num / 10^exp (den 1, as
+    frac_pi_shift makes it), over lower's and upper's denominators times
+    10^exp, each numerator one exact multiply, scaleb and subtract in one
+    context."""
     n, e = value.num, value.exp
     ln, ld, un, ud = lower.numerator, lower.denominator, upper.numerator, upper.denominator
     # each product has at most e + D digits, D bounding every endpoint int's digits
@@ -487,10 +488,11 @@ _AS_TEXT = {"p": str, "q": str, "q_k": str, "prime": str, "mu": repr}
 
 def audit_payload(audit) -> dict:
     """An audit's or a row's fields under their report keys; exact rationals
-    stay ``Fraction``s, which the report writer renders as num/den strings
-    (row values, margins and residuals as ``DecimalFraction``s, reduced in
-    decimal).  An audit's rows stay an ``AuditRows``, which the report writer
-    writes row by row through one template per row class, with these keys."""
+    stay ``Fraction``s, which the report writer renders as num/den strings.
+    An audit's rows stay an ``AuditRows``, which the report writer writes row
+    by row through one template per row class, with these keys; the template
+    reduces row values, margins and residuals, held as ``DecimalFraction``s,
+    in decimal."""
     payload = {}
     for f in fields(audit):
         value = getattr(audit, f.name)

@@ -125,12 +125,13 @@ def _render_items(items, sep: str, inner: str, write: Callable[[str], object]) -
 
 # Below this many rows an audit's rows are made in this process alone.  On a
 # 2-core host (CPython 3.11.7), `audit --lemma caseII --k 12` with a warm pi
-# memo, forked against inline in 21 alternating runs, the child moved to the
-# CPU its parent was not on: the fork was faster in 5 runs at 250 rows, 10 and
-# 10 at 300, 16 and 10 at 350, and 19 and 17 at 400 (medians 23.6 against
-# 26.9 ms).  A row takes about 0.06 ms inline.  Left on its parent's CPU,
-# where that host's kernel put it, the child lost at every count up to 1493.
-_FORK_MIN_ROWS = 350
+# memo, forked against inline in 21 alternating runs, in six series: the
+# fork was faster in at most 2 runs at every count from 160 to 500 rows.
+# Where the children ran beside their parent (one series from 550 rows, one
+# from 800) it was faster in 18-21 at every count up to 1493 (550 rows: 25.1
+# against 38.1 ms); where they shared its CPU, forked running slower than
+# inline (four series), in at most 2.  A row takes about 0.06 ms inline.
+_FORK_MIN_ROWS = 550
 # Rows split with a forked child go in blocks of at most this many, taken in
 # turn by this process and the child, so that each holds one block's text.
 _BLOCK_ROWS = 64
@@ -155,12 +156,13 @@ def _row_template(cls: type, inner: str):
     """(text, fields, formats) for writing a row of dataclass ``cls`` at
     ``inner``'s depth as _render writes cf.audit_payload(row): ``text`` has
     a %s for each value in report-key order, ``fields`` reads the values in
-    that order and ``formats`` gives each one's text."""
+    that order and ``formats`` gives each one's text, by the field's
+    annotation.  A row field is never in cf._AS_TEXT; one whose annotation
+    has no format raises KeyError here."""
     entries = sorted((cf._REPORT_KEYS.get(f.name, f.name), f) for f in fields(cls))
     pad = inner + "  "
     text = "{" + ",".join(f"{pad}{_str_key(key)}: %s" for key, _ in entries) + inner + "}"
-    formats = [(lambda v, conv=cf._AS_TEXT[f.name]: _ENCODE(conv(v))) if f.name in cf._AS_TEXT
-               else _FIELD_FORMATS[f.type] for _, f in entries]
+    formats = [_FIELD_FORMATS[f.type] for _, f in entries]
     return text, operator.attrgetter(*(f.name for _, f in entries)), formats
 
 

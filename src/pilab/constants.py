@@ -320,17 +320,14 @@ def _ln10_acoth(w: int) -> int:
 
 
 # Below this many working digits a pair runs in this process alone; pi's pair,
-# both halves cheap next to a fork, and ln pi's have floors of their own.  On
-# a 2-core host (CPython 3.11.7, numpy loaded) fork, pipe and waitpid took
-# 5.9-6.7 ms, and at w = 4020 Ramanujan's series 4.7 ms and Chudnovsky
-# 2.9 ms.  In 31 to 61 alternating runs of whole pairs the fork beat inline
-# in: pi 0 of 41 at w = 4000, 21 of 61 at 6000, 22 of 41 at 7000 and 50 of 61
-# at 10000; ln 10, series not yet held, 14 of 31 at 4000; ln pi, series held,
-# 6 of 31 at 2000, 17 at 2500 and 29 at 3000 (medians 30 against 36 ms), its
-# child moved to the CPU the parent was not on.
+# both halves cheap next to a fork, has a floor of its own.  On a 2-core host
+# (CPython 3.11.7, numpy loaded) fork, pipe and waitpid took 5.9-6.7 ms, and
+# at w = 4020 Ramanujan's series 4.7 ms and Chudnovsky 2.9 ms.  In 31 to 61
+# alternating runs of whole pairs the fork beat inline in: pi 0 of 41 at
+# w = 4000, 21 of 61 at 6000, 22 of 41 at 7000 and 50 of 61 at 10000; ln 10,
+# series not yet held, 14 of 31 at 4000; ln pi 27 of 31 at 3000.
 _FORK_MIN_DIGITS = 4000
 _PI_FORK_MIN_DIGITS = 7000
-_LN_PI_FORK_MIN_DIGITS = 3000
 
 
 def _second_cpu() -> bool:
@@ -345,7 +342,7 @@ def _fork_pays(size: int, floor: int = _FORK_MIN_DIGITS) -> bool:
     """Whether work of ``size`` is shared with a forked child: fork exists, a
     second CPU is ours, no other Python thread could hold a lock across the
     fork, and size clears ``floor`` (for a pair, its working digits clear
-    _FORK_MIN_DIGITS, or pi's or ln pi's own floor)."""
+    _FORK_MIN_DIGITS, or pi's _PI_FORK_MIN_DIGITS)."""
     if size < floor or not hasattr(os, "fork") or threading.active_count() > 1:
         return False
     return _second_cpu()
@@ -485,7 +482,7 @@ def _ln_pi_scaled_pair(w: int) -> tuple[int, int]:
     dual-certified.  The Newton engine starts from a float, not from the
     bit-burst value, so it may run in a forked child beside it."""
     num, den = _certified_scaled("pi", w + 5), 10 ** (w + 5)
-    with _spawn("ln_pi", _fork_pays(w, _LN_PI_FORK_MIN_DIGITS), _ln_rational_newton, num, den, w) as newton:
+    with _spawn("ln_pi", _fork_pays(w), _ln_rational_newton, num, den, w) as newton:
         return _ln_rational_atanh(num, den, w, _SMOOTH["ln_pi"]), newton()
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import takewhile
 
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from pilab import constants, primes
+from pilab._dec import DecimalFraction
 from pilab.cf import (
     AuditConfig,
     Convergent,
     InsufficientPrecisionError,
     _certified_quotients,
+    _margins,
     _nth_root_floor,
     audit_lemma_caseI,
     audit_lemma_caseII,
@@ -220,6 +223,27 @@ def test_frac_pi_shift_matches_oracle():
         want = mp.frac(mp.pi * mp.mpf(10) ** n)
         assert abs(mp.mpf(got.numerator) / got.denominator - want) < mp.mpf(10) ** -29
 
+
+
+# endpoint numerators and denominators from one digit to far past the value's
+# own width, so that either product may set the margins' width
+_ENDPOINT_INTS = st.one_of(st.integers(1, 10**6), st.integers(1, 10**400), st.builds(lambda a: 10**a - 1, st.integers(1, 400)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(num=st.one_of(st.integers(0, 10**40), st.integers(0, 10**500)), exp=st.integers(0, 500),
+       ln=_ENDPOINT_INTS, ld=_ENDPOINT_INTS, un=_ENDPOINT_INTS, ud=_ENDPOINT_INTS,
+       signs=st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1))))
+def test_margins_are_the_exact_differences(num, exp, ln, ld, un, ud, signs):
+    # negative endpoints and endpoints past the value give negative margins
+    value = DecimalFraction(Decimal(num), 1, exp)
+    lower, upper = Fraction(signs[0] * ln, ld), Fraction(signs[1] * un, ud)
+    below, above = _margins(value, lower, upper)
+    assert type(below) is DecimalFraction and type(above) is DecimalFraction
+    assert (below.den, below.exp, above.den, above.exp) == (lower.denominator, exp, upper.denominator, exp)
+    assert below == Fraction(num, 10**exp) - lower
+    assert above == upper - Fraction(num, 10**exp)
+    assert below.text() == f"{Fraction(below).numerator}/{Fraction(below).denominator}"
 
 def test_case_one_audit_333_106():
     convs = pi_convergents(4)

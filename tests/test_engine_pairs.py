@@ -162,28 +162,6 @@ def test_pairs_run_inline_when_fork_fails(monkeypatch):
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("w,forked", [(constants._LN_PI_FORK_MIN_DIGITS - 1, 0),
-                                      (constants._LN_PI_FORK_MIN_DIGITS, 1)], ids=["below", "at"])
-def test_ln_pi_pair_forks_from_its_own_floor(monkeypatch, w, forked):
-    # below the shared floor, only ln pi's pair forks, and only from its own
-    monkeypatch.setattr(constants, "_memo", {})
-    monkeypatch.setattr(constants, "_second_cpu", lambda: True)
-    pids = []
-    fork = os.fork
-
-    def counting():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting)
-    assert w < constants._FORK_MIN_DIGITS
-    _assert_certified("ln_pi", w - constants._GUARD_DIGITS)
-    assert len(pids) == forked
-    assert_no_child_left()
-
-
 def test_small_requests_and_one_cpu_run_inline(monkeypatch):
     monkeypatch.setattr(constants, "_memo", {})
     monkeypatch.setattr(os, "fork", _refuse_fork)

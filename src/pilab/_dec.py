@@ -4,7 +4,8 @@ N / (d 10^e) built on it.
 CPython 3.11 converts int to text and text to int in quadratic time; libmpdec
 does both in linear time, and multiplies by number-theoretic transform.
 Values are built from digit text or from small ints, never converted from a
-full-width int (that conversion is quadratic too: 25.6 s at 10^6 digits).
+full-width int by Decimal() (that conversion is quadratic too: 25.6 s at 10^6
+digits); decimal_from_int splits such an int first.
 """
 
 from __future__ import annotations
@@ -37,6 +38,32 @@ def _power_of_two_context(bits: int) -> decimal.Context:
 def context_for(digits: int) -> decimal.Context:
     """A shared exact context of at least ``digits`` digits (the next power of two)."""
     return _power_of_two_context(max(digits, 1).bit_length())
+
+
+def decimal_from_int(n: int, leaf_bits: int) -> Decimal:
+    """An int n >= 0 as an integer-valued Decimal with exponent 0, exactly.
+
+    Past ``leaf_bits`` bits, n is split on 2^(2^k), 2^k < its bit length; the
+    halves, converted the same way, are joined as hi 2^(2^k) + lo.  A context
+    too small would trap, not round.
+    """
+    bits = n.bit_length()
+    if bits <= leaf_bits:
+        return Decimal(n)
+    k = (bits - 1).bit_length() - 1  # 2^k < bits <= 2^(k+1)
+    hi, lo = n >> (1 << k), n & ((1 << (1 << k)) - 1)
+    # n < 2^bits has at most bits // 3 + 1 digits, as log10(2) < 1/3
+    return context_for(bits // 3 + 1).fma(decimal_from_int(hi, leaf_bits), _two_to_the_two_to_the(k),
+                                          decimal_from_int(lo, leaf_bits))
+
+
+@functools.lru_cache(maxsize=None)
+def _two_to_the_two_to_the(k: int) -> Decimal:
+    """2^(2^k) as a Decimal, by squaring."""
+    if k == 0:
+        return Decimal(2)
+    root = _two_to_the_two_to_the(k - 1)
+    return context_for((1 << k) // 3 + 1).multiply(root, root)
 
 
 def _digits(x: Decimal) -> int:

@@ -5,6 +5,8 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 from sympy import factorint
 
@@ -46,13 +48,17 @@ def test_ramanujan_within_derived_bound(w):
 @pytest.mark.parametrize("mutation", ["1124", "21461", "three_terms_fewer"])
 def test_mutated_ramanujan_series_is_caught(monkeypatch, mutation):
     if mutation == "three_terms_fewer":
-        exact, outer = constants._split, []
+        exact = constants._split
 
-        def split(leaf, a, b):
-            if leaf is constants._ramanujan_leaf and not outer:  # the top call only
-                outer.append(b)
-                b -= 3
-            return exact(leaf, a, b)
+        def split(leaf, a, b, *rest):
+            # the top call only (the recursion gets the wrapped leaf): the last
+            # three terms add nothing to T, and Q, which the caller shifts by
+            # its own count of terms, keeps every factor
+            if leaf is constants._ramanujan_leaf:
+                def leaf(k, whole=leaf, last=b - 3):
+                    p, q, d, t = whole(k)
+                    return p, q, d, t if k < last else 0
+            return exact(leaf, a, b, *rest)
 
         monkeypatch.setattr(constants, "_split", split)
     else:
@@ -67,6 +73,36 @@ def test_mutated_ramanujan_series_is_caught(monkeypatch, mutation):
     monkeypatch.setattr(constants, "_memo", {})
     with pytest.raises(MethodDisagreementError):
         const_digits("pi", 100)
+
+
+def _four_product_split(leaves, a, b):
+    """(P, Q, B, T) over leaves[a:b] by the plain recursion: all four products
+    at every node, each q as given."""
+    if b - a == 1:
+        return leaves[a]
+    m = (a + b) // 2
+    p1, q1, b1, t1 = _four_product_split(leaves, a, m)
+    p2, q2, b2, t2 = _four_product_split(leaves, m, b)
+    return p1 * p2, q1 * q2, b1 * b2, b2 * q2 * t1 + b1 * p1 * t2
+
+
+_SIGNED = st.integers(min_value=-(2**80), max_value=2**80)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(leaves=st.lists(st.tuples(_SIGNED, _SIGNED, _SIGNED, _SIGNED), min_size=1, max_size=40),
+       shift=st.integers(min_value=0, max_value=64), a=st.integers(min_value=0, max_value=3))
+def test_split_matches_four_product_reference(leaves, shift, a):
+    # _split reads leaf(k) = leaves[k - a], each q held as q / 2^shift
+    leaf, b = (lambda k: leaves[k - a]), a + len(leaves)
+    p, q, d, t = _four_product_split([(p, q << shift, d, t) for p, q, d, t in leaves], 0, len(leaves))
+    got_p, got_q, got_d, got_t = constants._split(leaf, a, b, shift)
+    assert (got_q << shift * len(leaves), got_d, got_t) == (q, d, t)
+    assert got_p == (None if len(leaves) > 1 else leaves[0][0])  # the root's P is not built
+    assert constants._split(leaf, a, b, shift, True) == (p, got_q, d, t)
+    # the first term's q never reaches T: given whole, it leaves T as it was
+    first = [(leaves[0][0], leaves[0][1] << shift, *leaves[0][2:])] + leaves[1:]
+    assert constants._split(lambda k: first[k - a], a, b, shift)[3] == t
 
 
 def test_ramanujan_half_takes_no_square_root(monkeypatch):
@@ -352,6 +388,20 @@ ENGINE_BITS = {
                     lambda: constants._ln_rational_newton(10, 1, 3010)),
     "ln10_acoth": ("a82884a6f80b4449734333f941b19aae70f862ae28b9475544a44fe1fbbcfeec",
                    lambda: constants._ln10_acoth(3010)),
+    # the widths certify works at: pi 30 000 digits, ln 10 and ln pi 10 000
+    "ramanujan_30020": ("532e0729f7d7f99dbf349c560b14475b4b6308b590e69480846038e8c587f662",
+                        lambda: constants._pi_ramanujan(10**30020, 30020)),
+    "chudnovsky_30020": ("532e0729f7d7f99dbf349c560b14475b4b6308b590e69480846038e8c587f662",
+                         lambda: constants._pi_chudnovsky(10**30020, 30020)),
+    "ln10_atanh_10020": ("5dd867440b57f66a91c0051c2966156c9fcec0beea04cc802351b964c011cabf",
+                         lambda: constants._ln_rational_atanh(10, 1, 10020, constants._SMOOTH["ln10"])),
+    "ln10_acoth_10020": ("5dd867440b57f66a91c0051c2966156c9fcec0beea04cc802351b964c011cabf",
+                         lambda: constants._ln10_acoth(10020)),
+    "ln_pi_atanh_10020": ("2ee6c96d4ee6b70780421e668680db2b81ae421cdc2835fce00ae8729fb78d19",
+                          lambda: constants._ln_rational_atanh(*_pi_hat(10020), 10020,
+                                                               constants._SMOOTH["ln_pi"])),
+    "ln_pi_newton_10020": ("2ee6c96d4ee6b70780421e668680db2b81ae421cdc2835fce00ae8729fb78d19",
+                           lambda: constants._ln_rational_newton(*_pi_hat(10020), 10020)),
 }
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,9 +16,12 @@ from pilab.radix import (
     AmbiguousFloorError,
     DigitStream,
     ProducerExhaustedError,
+    _STR_BITS,
     _parse_header,
+    decimal_text,
     digits_from_text,
     fractional_part,
+    int_from_digits,
     open_text_atomic,
     read_digit_file,
     write_digit_file,
@@ -293,6 +297,55 @@ def test_truncate_long_stream_with_radix_alone():
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+_TEXT_BITS = 132_878  # 2^132878 has 40 000 digits
+
+
+def _int_of(kind, wide, seed):
+    """An int of the kind, its bit count or power uniform below _TEXT_BITS
+    when ``wide``, else below three times the str() crossover."""
+    rng = random.Random(seed)
+    k = rng.randrange(_TEXT_BITS if wide else 3 * _STR_BITS)
+    if kind == "random":
+        return rng.getrandbits(k)
+    if kind == "power of ten":
+        return 10 ** (k // 4)
+    if kind == "power of ten less one":
+        return 10 ** (k // 4) - 1
+    return 2**k + (1 if kind == "power of two plus one" else -1)
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "power of ten", "power of ten less one",
+                          "power of two plus one", "power of two less one"]),
+    wide=st.booleans(),
+    seed=st.integers(0, 2**32),
+    pad=st.integers(0, 50),
+)
+def test_decimal_text_matches_str(kind, wide, seed, pad):
+    # widths on both sides of the str() crossover, up to 40 000 digits
+    n = _int_of(kind, wide, seed)
+    text = str(n)
+    assert decimal_text(n) == text
+    assert decimal_text(n, len(text) + pad) == text.rjust(len(text) + pad, "0")
+    assert int_from_digits(digits_from_text(text)) == n
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 2**_STR_BITS - 1, 2**_STR_BITS, 2**_STR_BITS + 1,
+                               10**40000 - 1, 10**40000],
+                         ids=["0", "1", "9", "10", "2^S-1", "2^S", "2^S+1", "10^40000-1", "10^40000"])
+def test_decimal_text_edges(n):
+    assert decimal_text(n) == str(n)
+    assert decimal_text(n, 40005) == str(n).rjust(40005, "0")
+
+
+def test_decimal_text_and_int_from_digits_reject_what_they_cannot_map():
+    with pytest.raises(ValueError):
+        decimal_text(-1)
+    with pytest.raises(ValueError):
+        int_from_digits(bytes([1, 10]))
 
 
 def test_bad_digit_rejected():

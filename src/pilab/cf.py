@@ -20,7 +20,6 @@ from typing import Callable, Optional
 
 from . import constants, groups
 from ._dec import DecimalFraction, _digits, context_for
-from .radix import text_from_digits
 
 # The largest audit n_max.  Row n's first pass reads 2n + guard digits of pi
 # (guard >= 22, `_guard_digits(1)`), so DIGIT_CEILING admits n <= 49 989.  The
@@ -183,7 +182,7 @@ def convergents_from_quotients(quotients: Sequence[int]) -> list[Convergent]:
     return out
 
 
-def _certified_quotients(integer_part: int, text: bytes) -> list[int]:
+def _certified_quotients(integer_part: int, text: str) -> list[int]:
     # Quotients shared by the continued fractions of both ends lo/den and
     # (lo + 1)/den of the truncation interval are quotients of every number
     # in between (fundamental-interval nesting).  Euclid runs on both ends in
@@ -191,7 +190,7 @@ def _certified_quotients(integer_part: int, text: bytes) -> list[int]:
     # leaves remainder 0 ends its expansion and may still move, so it is not
     # released.
     den = 10 ** len(text)
-    lo = integer_part * den + int("0" + text_from_digits(text))
+    lo = integer_part * den + int("0" + text)
     x, dx, y, dy = lo, den, lo + 1, den
     out = []
     while True:
@@ -203,10 +202,10 @@ def _certified_quotients(integer_part: int, text: bytes) -> list[int]:
         x, dx, y, dy = dx, rx, dy, ry
 
 
-def cf_expand(digits: Callable[[int], bytes], integer_part: int, depth: int) -> list[Convergent]:
+def cf_expand(digits: Callable[[int], str], integer_part: int, depth: int) -> list[Convergent]:
     """Partial quotients a_0..a_depth and their convergents, for the real
     ``integer_part`` plus the decimal fraction whose first n digits
-    ``digits(n)`` returns, or fewer if the expansion has no more.
+    ``digits(n)`` returns as text, or fewer if the expansion has no more.
 
     Pass j reads n = 96 * 2^j digits, and each quotient is certified twice:
     the intervals of the n/2-digit and of the n-digit truncation must both
@@ -247,8 +246,7 @@ def frac_pi_shift(n: int, n_digits: int) -> DecimalFraction:
     """
     if n < 0:
         raise ValueError("shift must be >= 0")
-    digits = constants.certified_digits("pi", n + n_digits)
-    return DecimalFraction(text_from_digits(digits[n : n + n_digits]), 1, n_digits)
+    return DecimalFraction(constants.certified_digits("pi", n + n_digits)[n : n + n_digits], 1, n_digits)
 
 
 def residue_decompose(conv: Convergent, n: int, modulus: Optional[int] = None) -> ResidueDecomposition:

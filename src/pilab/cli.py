@@ -404,6 +404,7 @@ def _cmd_expsum(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    spectra.check_weyl_terms(args.N, args.mmax)  # before the digits are read or certified
     inputs = []
     if args.infile:
         stream = read_digit_file(args.infile)

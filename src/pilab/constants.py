@@ -29,7 +29,7 @@ import threading
 import warnings
 from fractions import Fraction
 
-from .radix import DigitStream, ProducerExhaustedError, decimal_text, digits_from_text, int_from_digits
+from .radix import DigitStream, ProducerExhaustedError, decimal_text, digits_from_text
 
 DIGIT_CEILING = 100_000
 
@@ -82,9 +82,9 @@ _BOUNDARY_ULP = 2 * _AGREE_ULP
 _GUARD_DIGITS = 20
 
 # The one memo, keyed by name.  A constant ("pi", "ln10", "ln_pi") maps to
-# (N, floor(value * 10^N), its N fractional digits) for the largest N
-# certified so far; the four series of _smooth_bin ("smooth") map to (bits,
-# (T_q * 2^bits for each q)) for the most bits computed so far.
+# (N, the text of its N fractional digits) for the largest N certified so
+# far; the four series of _smooth_bin ("smooth") map to (bits, (T_q * 2^bits
+# for each q)) for the most bits computed so far.
 _memo: dict[str, tuple] = {}
 
 
@@ -352,7 +352,11 @@ def _ln10_acoth(w: int) -> int:
 # series not yet held, 14 of 31 at 4000; ln pi 27 of 31 at 3000, but only with
 # the child moved to the other CPU by hand, which the code never does: left
 # where the kernel put it, that fork lost at every size measured, so ln pi
-# keeps this floor.
+# keeps this floor.  Pi's floor again in fresh interpreters, one pair a
+# process, two series of 12 alternating pairs: the fork won 0 and 1 of 12 at
+# w = 4000 (medians 7.1-8.3 against 4.9-5.8 ms inline), 3 and 1 at 5020
+# (9.5-9.9 against 5.3-6.6 ms) and 12 and 9 at 7000 (13.0-13.1 against
+# 13.4-15.3 ms), so 7000 holds.
 _FORK_MIN_DIGITS = 4000
 _PI_FORK_MIN_DIGITS = 7000
 
@@ -365,11 +369,12 @@ def _second_cpu() -> bool:
     return (os.cpu_count() or 1) >= 2
 
 
-def _fork_pays(size: int, floor: int = _FORK_MIN_DIGITS) -> bool:
+def _fork_pays(size: int, floor: int) -> bool:
     """Whether work of ``size`` is shared with a forked child: fork exists, a
     second CPU is ours, no other Python thread could hold a lock across the
     fork, and size clears ``floor`` (for a pair, its working digits clear
-    _FORK_MIN_DIGITS, or pi's _PI_FORK_MIN_DIGITS)."""
+    _FORK_MIN_DIGITS, or pi's _PI_FORK_MIN_DIGITS, passed at each call, so a
+    script that sets a floor moves every pair that uses it)."""
     if size < floor or not hasattr(os, "fork") or threading.active_count() > 1:
         return False
     return _second_cpu()
@@ -499,7 +504,7 @@ def _pi_scaled_pair(w: int) -> tuple[int, int]:
 
 def _ln10_scaled_pair(w: int) -> tuple[int, int]:
     """(bit-burst, acoth formula); the acoth half may run in a forked child."""
-    with _spawn("ln10", _fork_pays(w), _ln10_acoth, w) as acoth:
+    with _spawn("ln10", _fork_pays(w, _FORK_MIN_DIGITS), _ln10_acoth, w) as acoth:
         return _ln_rational_atanh(10, 1, w, _SMOOTH["ln10"]), acoth()
 
 
@@ -509,7 +514,7 @@ def _ln_pi_scaled_pair(w: int) -> tuple[int, int]:
     dual-certified.  The Newton engine starts from a float, not from the
     bit-burst value, so it may run in a forked child beside it."""
     num, den = _certified_scaled("pi", w + 5), 10 ** (w + 5)
-    with _spawn("ln_pi", _fork_pays(w), _ln_rational_newton, num, den, w) as newton:
+    with _spawn("ln_pi", _fork_pays(w, _FORK_MIN_DIGITS), _ln_rational_newton, num, den, w) as newton:
         return _ln_rational_atanh(num, den, w, _SMOOTH["ln_pi"]), newton()
 
 
@@ -521,15 +526,10 @@ _ENGINES = {
 
 
 def _first_diff_index(v1: int, v2: int, w: int) -> int:
-    s1 = str(v1).rjust(w + 1, "0")
-    s2 = str(v2).rjust(w + 1, "0")
-    for i, (c1, c2) in enumerate(zip(s1, s2)):
-        if c1 != c2:
-            return i
-    return min(len(s1), len(s2))
+    return len(os.path.commonprefix([decimal_text(v1, w + 1), decimal_text(v2, w + 1)]))
 
 
-def _certify(name: str, n_digits: int) -> tuple[int, int, bytes]:
+def _certify(name: str, n_digits: int) -> tuple[int, str]:
     """The memo entry of ``name`` holding at least ``n_digits`` certified digits.
 
     A shorter request is served from the largest entry; a longer one is
@@ -549,11 +549,10 @@ def _certify(name: str, n_digits: int) -> tuple[int, int, bytes]:
         shift = 10 ** (w - n_digits)
         rem = v1 % shift
         if _BOUNDARY_ULP < rem < shift - _BOUNDARY_ULP:
-            released = v1 // shift
-            frac = released - _INT_PARTS[name] * 10**n_digits
-            if not 0 <= frac < 10**n_digits:
+            text = decimal_text(v1 // shift, n_digits + 1)  # padded: the integer part is never empty
+            if text[: len(text) - n_digits] != str(_INT_PARTS[name]):
                 raise MethodDisagreementError(name, 0)
-            held = (n_digits, released, digits_from_text(decimal_text(frac, n_digits)))
+            held = (n_digits, text[1:])
             _memo[name] = held
             return held
         w += 32  # released digit sat on a rounding boundary; widen the guard
@@ -561,19 +560,13 @@ def _certify(name: str, n_digits: int) -> tuple[int, int, bytes]:
 
 
 def _certified_scaled(name: str, n_digits: int) -> int:
-    """floor(value * 10^n_digits) with every digit certified by both engines.
-
-    Below the N digits held it is the int of the integer part and the first
-    n_digits held digits, 2-3 times cheaper than dividing the held value by
-    10^(N - n_digits) (0.55 against 4.1 ms for 10 025 of 30 000 digits)."""
-    held_digits, released, digits = _certify(name, n_digits)
-    if n_digits == held_digits:
-        return released
-    return int_from_digits(bytes([_INT_PARTS[name]]) + digits[:n_digits])  # integer parts are one digit
+    """floor(value * 10^n_digits) with every digit certified by both engines:
+    the int of the integer part and the first n_digits held digits."""
+    return int(str(_INT_PARTS[name]) + _certify(name, n_digits)[1][:n_digits])
 
 
-def certified_digits(name: str, n_digits: int) -> bytes:
-    """At least ``n_digits`` certified fractional digits of a constant.
+def certified_digits(name: str, n_digits: int) -> str:
+    """The text of at least ``n_digits`` certified fractional digits of a constant.
 
     The digits come from the memo, certified in this process.  Past
     DIGIT_CEILING this raises ProducerExhaustedError, as a constant's stream
@@ -581,7 +574,7 @@ def certified_digits(name: str, n_digits: int) -> bytes:
     """
     if n_digits > DIGIT_CEILING:
         raise ProducerExhaustedError(n_digits, DIGIT_CEILING)
-    return _certify(name, n_digits)[2]
+    return _certify(name, n_digits)[1]
 
 
 def integer_part(name: str) -> int:
@@ -606,7 +599,7 @@ def const_digits(name: str, digits: int) -> DigitStream:
         raise PrecisionCeilingError(f"{digits} digits exceeds ceiling {DIGIT_CEILING}")
 
     def produce(n: int) -> bytes:
-        return certified_digits(name, n)[:n]
+        return digits_from_text(certified_digits(name, n)[:n])
 
     stream = DigitStream(10, produce, label=name)
     stream.ensure(digits)

@@ -30,9 +30,9 @@ _PIECE_DIGITS = 819 * _LINE_WIDTH  # a digit file is written 819 whole lines, ab
 _LINE_BREAKS = b"\n\r\x0b\x0c\x1c\x1d\x1e"  # the ASCII characters str.splitlines breaks on
 _HEADER = re.compile(b"[^" + re.escape(_LINE_BREAKS) + b"]*")  # a digit file's first line
 _CHUNK = 1 << 16  # rows per numpy pass, so int64 temporaries stay near half a megabyte
-# Ints of at most this many bits go to text by str(), larger ones by halves
-# (see decimal_text).  CPython 3.11.7 on a 2-core host, best of 30, str()
-# against the halves with leaves of 2^11 bits: 0.014 and 0.016 ms at 1000
+# The leaves of decimal_text's split: ints of at most this many bits become
+# Decimals by Decimal(n).  CPython 3.11.7 on a 2-core host, best of 30, str()
+# against the split with leaves of 2^11 bits: 0.014 and 0.016 ms at 1000
 # digits, 0.057 and 0.056 at 2000, 0.23 and 0.21 at 4000, 1.43 and 0.81 at
 # 10 000, 12.9 and 3.8 at 30 000, 143 and 20 at 100 000.  Leaves of 2^10,
 # 2^12 and 2^13 bits were as fast or slower at every width from 2000 digits.
@@ -49,28 +49,17 @@ def text_from_digits(digits: bytes) -> str:
     return digits.translate(_TO_TEXT).decode("ascii")
 
 
-def int_from_digits(digits: bytes) -> int:
-    """The int whose decimal numeral has the digit values ``digits``, most
-    significant first; a value of 10 or more raises ValueError."""
-    return int(digits.translate(_TO_TEXT))
-
-
 def decimal_text(n: int, width: int = 0) -> str:
     """str(n) for an int n >= 0, zero-padded on the left to ``width``.
 
-    CPython 3.11 turns an int into text in quadratic time; past _STR_BITS
-    bits, n goes by halves into a Decimal (see _dec.decimal_from_int), whose
-    text takes linear time.
+    CPython 3.11 turns an int into text in quadratic time; n goes by halves
+    into a Decimal (see _dec.decimal_from_int), whose text takes linear time.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    if n.bit_length() <= _STR_BITS:
-        text = str(n)
-    else:
-        from ._dec import decimal_from_int  # here, so radix alone loads no other pilab module
+    from ._dec import decimal_from_int  # here, so radix alone loads no other pilab module
 
-        text = str(decimal_from_int(n, _STR_BITS))
-    return text.rjust(width, "0")
+    return str(decimal_from_int(n, _STR_BITS)).rjust(width, "0")
 
 
 def digit_matrix(values, base: int, width: int) -> np.ndarray:

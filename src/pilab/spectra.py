@@ -29,6 +29,14 @@ _CHUNK = 1 << 16  # points per numpy pass, so temporaries stay near half a megab
 # 1010 MB at 8 000 009.  On glibc those buffers share one heap (_reused_heap),
 # which saves page faults, not peak memory.
 EXPSUM_P_MAX = 1 << 23
+# weyl_sum costs one cos and one sin term per point and frequency: over 10^6
+# random points at m = 1..20, 62 ns a term on one CPU and 33 ns with the
+# chunks split over two (a 2-core host, CPython 3.11.7, numpy 2.4.6).  A
+# frequency counts at least _CHUNK points, the one pass a short set still
+# makes (32 us a frequency at N = 1), which also bounds the rows it holds.
+# WEYL_TERMS_MAX is a minute of terms at 64 ns: report --N 10^6 admits
+# --mmax 937 (--mmax 100000 there, 10^11 terms, would take one to two hours).
+WEYL_TERMS_MAX = 60 * 10**9 // 64
 
 # glibc's mallopt parameters and their defaults, and the environment variables
 # through which a user sets glibc's malloc policy instead
@@ -258,6 +266,7 @@ def weyl_sum(pts: PointSet, m_list: Sequence[int]) -> WeylReport:
     n = len(pts)
     if n < 1:
         raise ValueError("point set is empty")
+    check_weyl_terms(n, len(m_list))
     ms = list(m_list)
     if 0 in ms:
         raise ValueError("frequency m = 0 is not admissible")
@@ -342,6 +351,16 @@ def block_frequency(digits: DigitStream, n_digits: int, k_max: int) -> BlockTabl
             chi_square=float(((counts - expected) ** 2 / expected).sum()), dof=n_patterns - 1,
         ))
     return BlockTable(tuple(lengths))
+
+
+def check_weyl_terms(n_points: int, m_count: int) -> None:
+    """Raise ValueError for more than WEYL_TERMS_MAX Weyl terms, a frequency
+    counting max(n_points, _CHUNK).  Callers run it before they read or
+    build the points or the frequencies."""
+    terms = m_count * max(n_points, _CHUNK)
+    if terms > WEYL_TERMS_MAX:
+        raise ValueError(f"{m_count} frequencies over {n_points} points make {terms} Weyl terms, "
+                         f"past WEYL_TERMS_MAX = {WEYL_TERMS_MAX} (about 64 ns a term)")
 
 
 def check_expsum_p(p: int) -> None:

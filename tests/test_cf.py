@@ -74,14 +74,14 @@ def test_recurrence_and_unimodularity():
 def test_golden_ratio_quotients_all_ones():
     m = 80
     phi_scaled = (10**m + math.isqrt(5 * 10 ** (2 * m))) // 2
-    digits = bytes(int(c) for c in str(phi_scaled)[1:])
+    digits = str(phi_scaled)[1:]
     convs = cf_expand(lambda n: digits[:n], 1, 6)
     assert [c.a for c in convs] == [1] * 7
 
 
 def test_finite_stream_insufficient_precision():
     with pytest.raises(InsufficientPrecisionError) as err:
-        cf_expand(lambda n: bytes([1, 4, 1, 5])[:n], 3, 30)
+        cf_expand(lambda n: "1415"[:n], 3, 30)
     assert err.value.first_uncertified >= 0
 
 
@@ -165,7 +165,7 @@ _runs = st.tuples(_digit_lists, st.sampled_from([0, 9]), st.integers(0, 296), _d
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(st.integers(0, 5), st.lists(st.integers(0, 9), max_size=300) | _runs)
 def test_lockstep_quotients_match_both_full_expansions(integer_part, digits):
-    text = bytes(digits)
+    text = "".join(map(str, digits))
     assert _certified_quotients(integer_part, text) == _shared_quotients_of_both_expansions(integer_part, text)
 
 

@@ -13,7 +13,7 @@ from pilab.cli import main
 from pilab.constructors import CONCAT_DIGIT_CEILING, STONEHAM_DIGIT_CEILING
 from pilab.primes import next_prime
 from pilab.radix import ProducerExhaustedError, read_digit_file
-from pilab.spectra import EXPSUM_P_MAX
+from pilab.spectra import _CHUNK, EXPSUM_P_MAX, WEYL_TERMS_MAX
 
 
 def run(capsys, *argv):
@@ -240,6 +240,32 @@ def test_expsum_refuses_p_above_cap_before_allocating(capsys):
     code, out, err = run(capsys, "expsum", "--p", str(p), "--g", str(p - 1))  # order 2
     assert code == 1
     assert out == "" and f"p = {p} exceeds EXPSUM_P_MAX" in err
+
+
+@pytest.mark.parametrize("source", [("--in", "never-read.digits"), ("--const", "pi")])
+@pytest.mark.parametrize("n, mmax", [(200_000, WEYL_TERMS_MAX // 200_000 + 1), (10**6, 100_000),
+                                     (100, WEYL_TERMS_MAX // _CHUNK + 1), (10**6, 10**9)])
+def test_report_refuses_weyl_terms_past_the_ceiling_before_reading_digits(capsys, monkeypatch, source, n, mmax):
+    def refuse(*args, **kwargs):
+        raise AssertionError("digits read or points built past WEYL_TERMS_MAX")
+
+    for module, name in ((cli, "read_digit_file"), (cli.constants, "const_digits"),
+                         (cli.spectra, "shifted_points")):
+        monkeypatch.setattr(module, name, refuse)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "report", *source, "--N", str(n), "--mmax", str(mmax))
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == (f"error: {mmax} frequencies over {n} points make {mmax * max(n, _CHUNK)} Weyl terms, "
+                   f"past WEYL_TERMS_MAX = {WEYL_TERMS_MAX} (about 64 ns a term)\n")
+
+
+def test_weyl_refuses_frequencies_past_the_ceiling(capsys, tmp_path):
+    points = tmp_path / "points.txt"
+    points.write_text("0.25\n0.5\n")
+    m = ",".join(map(str, range(1, WEYL_TERMS_MAX // _CHUNK + 2)))
+    code, out, err = run(capsys, "weyl", "--points", str(points), "--m", m)
+    assert code == 1 and out == "" and "past WEYL_TERMS_MAX" in err
 
 
 @pytest.mark.parametrize("p, cap", [(50_000_017, 60_000_000), (10**18 + 3, 10**18)])

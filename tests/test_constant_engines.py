@@ -349,13 +349,13 @@ def test_primary_equals_atanh_1_3_bit_burst(monkeypatch, name, w):
 def test_ln10_certified_against_mpmath_at_30000_digits(monkeypatch):
     monkeypatch.setattr(constants, "_memo", {})
     mp.dps = 30020
-    assert constants._certify("ln10", 30000)[1] == _floor_scaled(mp.log(10), 30000)
+    assert constants._certified_scaled("ln10", 30000) == _floor_scaled(mp.log(10), 30000)
 
 
 def test_ln_pi_certified_against_mpmath_at_30000_digits(monkeypatch):
     monkeypatch.setattr(constants, "_memo", {})
     mp.dps = 30020
-    assert constants._certify("ln_pi", 30000)[1] == _floor_scaled(mp.log(mp.pi), 30000)
+    assert constants._certified_scaled("ln_pi", 30000) == _floor_scaled(mp.log(mp.pi), 30000)
 
 
 def test_stream_growth_clamps_to_ceiling(monkeypatch):

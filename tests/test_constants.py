@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from pilab import constants
@@ -73,6 +76,84 @@ def test_method_disagreement_names_first_index(monkeypatch):
     assert err.value.index > 0
 
 
+def _first_diff_by_str(v1, v2, w):
+    """_first_diff_index as it was, on str(): the reference."""
+    s1 = str(v1).rjust(w + 1, "0")
+    s2 = str(v2).rjust(w + 1, "0")
+    for i, (c1, c2) in enumerate(zip(s1, s2)):
+        if c1 != c2:
+            return i
+    return min(len(s1), len(s2))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(w=st.integers(0, 1500), seed=st.integers(0, 2**32),
+       kind=st.sampled_from(["equal", "first digit", "longer", "near"]))
+def test_first_diff_index_matches_the_str_loop(w, seed, kind):
+    # values of up to w + 3 digits, so some are wider than w + 1 and their
+    # texts differ in length; past 617 digits the text goes by halves
+    rng = random.Random(seed)
+    v1 = rng.randrange(10 ** rng.randrange(1, w + 4))
+    if kind == "equal":
+        v2 = v1
+    elif kind == "first digit":
+        text = str(v1)
+        v2 = int(str((int(text[0]) + rng.randrange(1, 10)) % 10) + text[1:])
+    elif kind == "longer":
+        v2 = v1 * 10 + rng.randrange(10)
+    else:
+        v2 = max(0, v1 + rng.randrange(-100, 101))
+    for a, b in ((v1, v2), (v2, v1)):
+        assert constants._first_diff_index(a, b, w) == _first_diff_by_str(a, b, w)
+
+
+@pytest.mark.parametrize("wrong", [lambda v, w: v + 10**w, lambda v, w: v - 10**w,
+                                   lambda v, w: v // 10, lambda v, w: v * 10,
+                                   lambda v, w: v // 10 ** max(1, (w - 19) // 2)],
+                         ids=["int part 4", "int part 2", "int part 0", "int part 31", "half the digits"])
+def test_engines_in_the_wrong_integer_disagree_at_index_0(monkeypatch, wrong):
+    # both engines agree, on a value whose integer part is not pi's: its text
+    # is checked, so nothing is released.  At n = 39 "half the digits" leaves
+    # 20 digits that begin with 3, so only the padded text shows the 0 in
+    # front of them
+    def shifted(w):
+        v = wrong(constants._pi_chudnovsky(10**w, w), w)
+        return v, v
+
+    monkeypatch.setitem(constants._ENGINES, "pi", shifted)
+    monkeypatch.setattr(constants, "_memo", {})
+    for n in (0, 39):
+        with pytest.raises(MethodDisagreementError) as err:
+            constants.certified_digits("pi", n)
+        assert err.value.index == 0
+    assert constants._memo == {}
+
+
+@pytest.mark.parametrize("name", ["pi", "ln10", "ln_pi"])
+def test_zero_digits_hold_no_digit(monkeypatch, name):
+    # no digit is asked for, so none is released: the entry is (0, ""), and
+    # a later request certifies digits as from an empty memo
+    monkeypatch.setattr(constants, "_memo", {})
+    assert constants.certified_digits(name, 0) == ""
+    assert constants._memo[name] == (0, "")
+    assert constants._certified_scaled(name, 0) == integer_part(name)
+    assert constants.certified_digits(name, 40) == const_digits(name, 40).prefix_string(40)
+    assert constants.certified_digits(name, 0) == constants._memo[name][1]
+
+
+@pytest.mark.parametrize("name", ["pi", "ln10", "ln_pi"])
+def test_memo_holds_each_constant_as_its_digit_text(monkeypatch, name):
+    monkeypatch.setattr(constants, "_memo", {})
+    text = constants.certified_digits(name, 300)
+    assert constants._memo[name] == (300, text)
+    assert type(text) is str and len(text) == 300 and text.isdigit()
+    mp.dps = 320
+    value = {"pi": mp.pi, "ln10": mp.log(10), "ln_pi": mp.log(mp.pi)}[name]
+    assert int(str(integer_part(name)) + text) == int(mp.floor(value * mp.mpf(10) ** 300))
+    assert [constants._certified_scaled(name, n) for n in (0, 1, 299, 300)] == [
+        int(str(integer_part(name)) + text[:n]) for n in (0, 1, 299, 300)]
+
+
 def test_invalid_requests():
     with pytest.raises(ValueError, match="unknown constant 'tau'"):
         const_digits("tau", 10)
@@ -129,7 +210,7 @@ def test_boundary_retry_widens_the_guard_and_releases_exact_digits(monkeypatch):
 
     monkeypatch.setitem(constants._ENGINES, "pi", on_boundary_first)
     n = 1000
-    held, released, _ = constants._certify("pi", n)
+    held, text = constants._certify("pi", n)
     assert widths == [n + constants._GUARD_DIGITS, n + constants._GUARD_DIGITS + 32]
     mp.dps = n + 20
-    assert (held, released) == (n, int(mp.floor(mp.pi * mp.mpf(10) ** n)))
+    assert (held, int("3" + text)) == (n, int(mp.floor(mp.pi * mp.mpf(10) ** n)))

@@ -135,7 +135,7 @@ def _fail_fork():
 def _assert_certified(name, n_digits):
     mp.dps = n_digits + 20
     value = {"pi": mp.pi, "ln10": mp.log(10), "ln_pi": mp.log(mp.pi)}[name]
-    assert constants._certify(name, n_digits)[1] == int(mp.floor(value * mpf(10) ** n_digits))
+    assert constants._certified_scaled(name, n_digits) == int(mp.floor(value * mpf(10) ** n_digits))
 
 
 def test_pairs_run_inline_while_another_thread_is_alive(monkeypatch):
@@ -145,7 +145,7 @@ def test_pairs_run_inline_while_another_thread_is_alive(monkeypatch):
     helper = threading.Thread(target=done.wait)
     helper.start()
     try:
-        assert not constants._fork_pays(W)
+        assert not constants._fork_pays(W, constants._FORK_MIN_DIGITS)
         _assert_certified("ln_pi", W)
     finally:
         done.set()
@@ -167,7 +167,20 @@ def test_small_requests_and_one_cpu_run_inline(monkeypatch):
     monkeypatch.setattr(os, "fork", _refuse_fork)
     _assert_certified("ln_pi", 200)  # the working digits of coset's pi and most tests
     _assert_certified("pi", W)  # above the pairs' floor, below pi's own
-    assert not constants._fork_pays(constants._FORK_MIN_DIGITS - 1)
+    assert not constants._fork_pays(constants._FORK_MIN_DIGITS - 1, constants._FORK_MIN_DIGITS)
     if hasattr(os, "sched_getaffinity"):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert not constants._fork_pays(W)
+        assert not constants._fork_pays(W, constants._FORK_MIN_DIGITS)
+
+
+def test_each_pair_reads_its_floor_when_it_runs(monkeypatch):
+    # a script that sets a module floor moves the pairs that use it: no pair
+    # holds a floor bound when the module was imported
+    monkeypatch.setattr(constants, "_memo", {})
+    monkeypatch.setattr(constants, "_FORK_MIN_DIGITS", 123)
+    monkeypatch.setattr(constants, "_PI_FORK_MIN_DIGITS", 456)
+    floors = []
+    monkeypatch.setattr(constants, "_fork_pays", lambda w, floor: floors.append(floor) and False)
+    for name in ("pi", "ln10", "ln_pi"):
+        constants._ENGINES[name](60)
+    assert floors == [456, 123, 456, 123]  # ln pi's pair certifies pi first

@@ -9,7 +9,7 @@ from mpmath import mp, mpf
 
 from pilab import cf, cli, constants
 from pilab.cf import InsufficientPrecisionError, frac_pi_shift
-from pilab.radix import DigitStream, read_digit_file
+from pilab.radix import DigitStream, digits_from_text, read_digit_file
 
 
 @pytest.fixture
@@ -68,7 +68,7 @@ def test_cf_and_coset_ignore_a_corrupt_cache(tmp_path, monkeypatch, capsys):
             ("report", "--const", "pi", "--N", "1400"),
             ("cf", "--depth", "12"), ("coset", "--k", "8"))
     want = [_cli_stdout(capsys, monkeypatch, *argv) for argv in runs]
-    forged = bytearray(constants.certified_digits("pi", 1500)[:1500])
+    forged = bytearray(digits_from_text(constants.certified_digits("pi", 1500)[:1500]))
     forged[1199] = (forged[1199] + 1) % 10  # digit 1200
     cache = tmp_path / "cache"
     cache.mkdir()

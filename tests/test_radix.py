@@ -21,7 +21,6 @@ from pilab.radix import (
     decimal_text,
     digits_from_text,
     fractional_part,
-    int_from_digits,
     open_text_atomic,
     read_digit_file,
     write_digit_file,
@@ -304,7 +303,7 @@ _TEXT_BITS = 132_878  # 2^132878 has 40 000 digits
 
 def _int_of(kind, wide, seed):
     """An int of the kind, its bit count or power uniform below _TEXT_BITS
-    when ``wide``, else below three times the str() crossover."""
+    when ``wide``, else below three times the leaf size."""
     rng = random.Random(seed)
     k = rng.randrange(_TEXT_BITS if wide else 3 * _STR_BITS)
     if kind == "random":
@@ -325,12 +324,11 @@ def _int_of(kind, wide, seed):
     pad=st.integers(0, 50),
 )
 def test_decimal_text_matches_str(kind, wide, seed, pad):
-    # widths on both sides of the str() crossover, up to 40 000 digits
+    # widths on both sides of the leaf size, up to 40 000 digits
     n = _int_of(kind, wide, seed)
     text = str(n)
     assert decimal_text(n) == text
     assert decimal_text(n, len(text) + pad) == text.rjust(len(text) + pad, "0")
-    assert int_from_digits(digits_from_text(text)) == n
 
 
 @pytest.mark.parametrize("n", [0, 1, 9, 10, 2**_STR_BITS - 1, 2**_STR_BITS, 2**_STR_BITS + 1,
@@ -341,11 +339,9 @@ def test_decimal_text_edges(n):
     assert decimal_text(n, 40005) == str(n).rjust(40005, "0")
 
 
-def test_decimal_text_and_int_from_digits_reject_what_they_cannot_map():
+def test_decimal_text_rejects_a_negative_int():
     with pytest.raises(ValueError):
         decimal_text(-1)
-    with pytest.raises(ValueError):
-        int_from_digits(bytes([1, 10]))
 
 
 def test_bad_digit_rejected():

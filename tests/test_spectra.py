@@ -68,6 +68,24 @@ def test_weyl_rejects_zero_frequency():
         weyl_sum(golden_points(10), [0])
 
 
+@pytest.mark.parametrize("n, m_max", [(1, 10**12), (10**6, spectra.WEYL_TERMS_MAX // 10**6 + 1)])
+def test_weyl_refuses_terms_past_the_ceiling_before_listing_frequencies(n, m_max):
+    # a list of 10^12 frequencies would not fit in memory; the check reads
+    # only the range's length
+    pts = PointSet(points=np.full(n, 0.5), eps=0.0)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="past WEYL_TERMS_MAX"):
+        weyl_sum(pts, range(1, m_max + 1))
+    assert time.perf_counter() - start < 1
+
+
+def test_weyl_terms_at_the_ceiling_pass():
+    spectra.check_weyl_terms(10**6, spectra.WEYL_TERMS_MAX // 10**6)
+    spectra.check_weyl_terms(1, spectra.WEYL_TERMS_MAX // spectra._CHUNK)
+    with pytest.raises(ValueError):
+        spectra.check_weyl_terms(1, spectra.WEYL_TERMS_MAX // spectra._CHUNK + 1)
+
+
 def test_weyl_error_bound_scales_with_m():
     report = weyl_sum(golden_points(100), [1, 5])
     assert report.rows[1].error_bound > report.rows[0].error_bound

@@ -3,7 +3,8 @@ tests/verdicts.py, which shares no code with pilab: the caseII audit of the
 certify workload and at two non-integral mu, the caseI audits of k = 1..30,
 the prime audits CI pins and of k = 1..20, the ``cf --depth 2000``
 convergents CI pins, and the coset structure, Artin scans and exponential
-sum maximum of the scan workload."""
+sum maximum of the scan workload, and the block statistics of ``normality``
+and ``report --in`` at N = 2 10^4 in bases 10 and 16."""
 
 import copy
 import json
@@ -362,3 +363,76 @@ def test_mutated_expsum_report_is_caught(expsum_report, mutation):
     change(report)
     with pytest.raises(AssertionError, match=f"^{field}$"):
         verdicts.check_expsum(report)
+
+
+BLOCK_N = 20_000
+BLOCK_KMAX = {10: 4, 16: 3}
+
+
+@pytest.fixture(scope="module")
+def block_reports(tmp_path_factory):
+    """base -> (the digit text, the normality report, the report --in report)
+    of the integers stream in that base; report reads 24 digits past N."""
+    out = {}
+    for base, kmax in BLOCK_KMAX.items():
+        path = tmp_path_factory.mktemp(f"blocks{base}") / "int.digits"
+        argv = ["construct", "--family", "integers", "--base", str(base), "--digits", str(BLOCK_N + 24),
+                "--out", str(path)]
+        assert cli.main(argv) == 0
+        reads = [_report(tmp_path_factory, command, "--in", str(path), "--N", str(BLOCK_N),
+                         "--kmax", str(kmax)) for command in ("normality", "report")]
+        out[base] = (verdicts.digit_file_text(path.read_text()), *reads)
+    return out
+
+
+@pytest.mark.parametrize("base", sorted(BLOCK_KMAX))
+def test_block_statistics_are_derived_again(block_reports, base):
+    text, normality, report = block_reports[base]
+    assert len(normality["blocks"]) == len(report["blocks"]) == BLOCK_KMAX[base]
+    verdicts.check_blocks(normality, text)
+    verdicts.check_blocks(report, text)
+
+
+def _count_moved(row, counts):
+    printed = row["counts"]
+    printed[sorted(printed)[len(printed) // 2]] += 1
+
+
+def _chi_with_a_count_moved(row, counts):
+    # one pattern's count c + 1 adds P (2c + 1) / W to chi^2
+    c = counts[sorted(counts)[len(counts) // 2]]
+    patterns = row["dof"] + 1
+    row["chi_square"] = repr(float(row["chi_square"]) + patterns * (2 * c + 1) / row["windows"])
+
+
+def _chi_with_one_window_more(row, counts):
+    # P sum c^2 / (W + 1) - (W + 1), from P sum c^2 / W = chi^2 + W
+    windows = row["windows"]
+    chi = (float(row["chi_square"]) + windows) * windows / (windows + 1) - (windows + 1)
+    row["chi_square"] = repr(chi)
+
+
+def _dev_with_the_worst_count_moved(row, counts):
+    row["max_abs_dev"] = repr(float(row["max_abs_dev"]) + 1 / row["windows"])
+
+
+# name -> (the change to a k = 2 row, given the normality report's counts of
+# that k, the field the check names, the commands whose reports it changes)
+BLOCK_MUTATIONS = {
+    "count_moved": (_count_moved, "counts", ("normality",)),
+    "chi_square_count_moved": (_chi_with_a_count_moved, "chi_square", ("normality", "report")),
+    "chi_square_one_window_more": (_chi_with_one_window_more, "chi_square", ("normality", "report")),
+    "max_abs_dev_count_moved": (_dev_with_the_worst_count_moved, "max_abs_dev", ("normality", "report")),
+}
+
+
+@pytest.mark.parametrize("base", sorted(BLOCK_KMAX))
+@pytest.mark.parametrize("mutation, command", [(mutation, command) for mutation in sorted(BLOCK_MUTATIONS)
+                                               for command in BLOCK_MUTATIONS[mutation][2]])
+def test_mutated_block_statistics_are_caught(block_reports, base, mutation, command):
+    change, field, _ = BLOCK_MUTATIONS[mutation]
+    text, normality, report = block_reports[base]
+    report = copy.deepcopy(normality if command == "normality" else report)
+    change(report["blocks"]["2"], normality["blocks"]["2"]["counts"])
+    with pytest.raises(AssertionError, match=f"^k=2: {field}$"):
+        verdicts.check_blocks(report, text)

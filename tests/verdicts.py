@@ -5,13 +5,16 @@ of both ends of an mpmath interval around pi; audit residues from ``pow``,
 endpoints from the lemma statements in ``Fraction``s, and every comparison
 with {pi 10^n} from mpmath's digits of pi; multiplicative orders from
 ``sympy.n_order``, totients from ``sympy.totient`` and exponential sums from
-direct sums over the subgroup.  Each ``check_*`` raises AssertionError at the
-first field that does not follow, naming its row.
+direct sums over the subgroup; block statistics from ``collections.Counter``
+over the digit text and exact ``Fraction`` formulas.  Each ``check_*``
+raises AssertionError at the first field that does not follow, naming its
+row.
 """
 
 import functools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -368,3 +371,47 @@ def check_expsum(report: dict) -> None:
         bound = mp.exp(-mp.log(p) ** mpf(report["c"])) * order
         _expect(abs(mpf(report["bound"]) / bound - 1) <= 1e-15, "bound")
         _expect(abs(mpf(report["ratio"]) * bound / mpf(report["max_magnitude"]) - 1) <= 1e-15, "ratio")
+
+
+def digit_file_text(data: str) -> str:
+    """The digit text of a digit file's contents: every line after the
+    header, joined."""
+    return "".join(data.splitlines()[1:])
+
+
+def _within_2_ulp(printed, exact: Fraction, scale: Fraction) -> bool:
+    """Whether the printed float lies within 2 ulp of ``scale`` of ``exact``."""
+    return abs(Fraction(float(printed)) - exact) <= 2 * Fraction(math.ulp(float(scale)))
+
+
+def check_blocks(report: dict, digits: str) -> None:
+    """The block statistics of a ``normality`` or ``report --in`` report over
+    the first N characters of the digit text ``digits``, N its n_digits or
+    n_points.  For each k = 1, 2, ..., with P = base^k patterns and
+    W = N - k + 1 windows, the counts c come from collections.Counter over
+    the text's k-windows, an absent pattern counting 0.  windows is W, dof
+    P - 1, and counts, where printed, the nonzero c by pattern.  chi_square
+    = P sum c^2 / W - W and max_abs_dev = D = max |c P - W| / (W P) are
+    exact Fractions.  The printed chi_square must lie within 2 ulp of its
+    value, and max_abs_dev within 2 ulp of 1/P + D: pilab takes it as
+    |c / W - 1/P| in float64, three roundings of values at most 1/P + D,
+    and the subtraction cancels (2.2 ulp of D itself at base 10, k = 1)."""
+    base = report["base"]
+    n = report["n_digits"] if "n_digits" in report else report["n_points"]
+    text = digits[:n]
+    _expect(len(text) == n and set(text) <= set("0123456789abcdefghijklmnopqrstuvwxyz"[:base]), "digits")
+    blocks = report["blocks"]
+    _expect(list(blocks) == [str(k) for k in range(1, len(blocks) + 1)], "block lengths")
+    for k, row in enumerate(blocks.values(), start=1):
+        patterns, windows = base**k, n - k + 1
+        counts = Counter(text[i : i + k] for i in range(windows))
+        _expect(row["windows"] == windows, f"k={k}: windows")
+        _expect(row["dof"] == patterns - 1, f"k={k}: dof")
+        _expect("counts" not in row or row["counts"] == dict(counts), f"k={k}: counts")
+        chi = Fraction(patterns * sum(c * c for c in counts.values()), windows) - windows
+        worst = max(abs(c * patterns - windows) for c in counts.values())
+        if len(counts) < patterns:
+            worst = max(worst, windows)  # |0 P - W| for a pattern never seen
+        dev = Fraction(worst, windows * patterns)
+        _expect(_within_2_ulp(row["chi_square"], chi, chi), f"k={k}: chi_square")
+        _expect(_within_2_ulp(row["max_abs_dev"], dev, dev + Fraction(1, patterns)), f"k={k}: max_abs_dev")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import itertools
 import json
 import operator
 import sys
@@ -124,16 +123,14 @@ def _render_items(items, sep: str, inner: str, write: Callable[[str], object]) -
 
 
 # Below this many rows an audit's rows are made in this process alone.  On a
-# 2-core host (CPython 3.11.7), `audit --lemma caseII --k 12` with a warm pi
-# memo, forked against inline in 21 alternating runs, in six series: the
-# fork was faster in at most 2 runs at every count from 160 to 500 rows.
-# Where the children ran beside their parent (one series from 550 rows, one
-# from 800) it was faster in 18-21 at every count up to 1493 (550 rows: 25.1
-# against 38.1 ms); where they shared its CPU, forked running slower than
-# inline (four series), in at most 2.  A row takes about 0.06 ms inline.
+# 2-core host (CPython 3.11.7), `audit --lemma caseII --k 12` in fresh
+# interpreters, one audit a process, forked against inline in alternating
+# runs, the floor set by the measuring script: the fork was faster in 5 of 20
+# at 160 rows, 10 of 20 at 300 (medians 20.5 against 18.7 ms), 7 of 12 and 17
+# of 20 at 550 (27.0 against 33.3 ms), 10 of 12 at 793 and 12 of 12 at 1093.
 _FORK_MIN_ROWS = 550
-# Rows split with a forked child go in blocks of at most this many, taken in
-# turn by this process and the child, so that each holds one block's text.
+# An audit's rows go in blocks of at most this many, taken in turn by this
+# process and a forked child, so that each holds one block's text.
 _BLOCK_ROWS = 64
 
 
@@ -172,70 +169,38 @@ def _row_text(row, inner: str) -> str:
     return text % tuple([fmt(value) for fmt, value in zip(formats, values(row))])
 
 
-def _write_rows(rows, sep: str, inner: str, write: Callable[[str], object]) -> str:
-    """Write each row's text after ``sep`` for the first and "," + inner for
-    the rest, as _render_items writes a list's items; returns the separator
-    a next row would take."""
-    for row in rows:
-        write(sep + _row_text(row, inner))
-        sep = "," + inner
-    return sep
+def _block_text(rows: cf.AuditRows, sep: str, inner: str) -> str:
+    """The text of each of ``rows`` at ``inner``'s depth, after ``sep`` for
+    the first and "," + inner for the rest, as _render_items writes a list's
+    items."""
+    return sep + ("," + inner).join([_row_text(row, inner) for row in rows])
 
 
 def _render_rows(rows: cf.AuditRows, newline: str, write: Callable[[str], object]) -> None:
     """Write an audit's rows as _render writes a list of cf.audit_payload(row).
 
-    Where a fork pays for this many rows (constants._fork_pays at
-    _FORK_MIN_ROWS), pi is first certified as far as the rows read, and the
-    rows are cut into equal blocks of at most _BLOCK_ROWS, an even number
-    where the count allows.  A forked child makes and renders every second
-    block and sends each text as it is done, while this process makes and
-    writes the others and writes each of the child's texts in its turn.  A block the child does
-    not send, and every block after it, is made here instead, so the rows
-    give the bytes, or the error, they give in one process.
+    The rows are cut into equal blocks of at most _BLOCK_ROWS, an even
+    number where the count allows, and each block's text is one job of
+    constants._split_jobs: where a fork pays for this many rows
+    (constants._fork_pays at _FORK_MIN_ROWS), pi is first certified as far
+    as the rows read, and a forked child makes every second block.  Either
+    way the rows give the bytes, or the error, they give in one process.
     """
-    inner = newline + "  "
-    if not constants._fork_pays(len(rows), _FORK_MIN_ROWS):
-        _write_rows(rows, "[" + inner, inner, write)
-        write(newline + "]" if rows else "[]")
+    if not rows:
+        write("[]")
         return
+    inner = newline + "  "
+    fork = constants._fork_pays(len(rows), _FORK_MIN_ROWS)
+    if fork:
+        rows.warm()
     pairs = -(-len(rows) // (2 * _BLOCK_ROWS))
     size = -(-len(rows) // (2 * pairs))
-    blocks = [rows[start : start + size] for start in range(0, len(rows), size)]
-    rows.warm()
-    with constants._spawn("audit", True, _block_texts, blocks[1::2], inner) as join:
-        texts = _sent_texts(join, len(blocks) // 2)
-        sep = "[" + inner
-        for i, block in enumerate(blocks):
-            text = next(texts) if i % 2 else None  # block 0 is made before the first wait
-            if text is None:
-                sep = _write_rows(block, sep, inner, write)
-            else:
-                write(text.decode("ascii"))
-        next(texts, None)  # past the child's last text: the child reaped
+    jobs = [functools.partial(_block_text, rows[start : start + size], "," + inner if start else "[" + inner, inner)
+            for start in range(0, len(rows), size)]
+    for text in constants._split_jobs(fork, jobs):
+        write(text)
+        del text  # not held while the next block is made
     write(newline + "]")
-
-
-def _block_texts(blocks: list[cf.AuditRows], inner: str):
-    """The ASCII text _write_rows writes for each block's rows after an
-    earlier row at ``inner``'s depth."""
-    for block in blocks:
-        parts: list[str] = []
-        _write_rows(block, "," + inner, inner, parts.append)
-        yield "".join(parts).encode("ascii")
-
-
-def _sent_texts(join, count: int):
-    """The child's ``count`` texts in turn, or None for each from the first
-    it did not send, whose block is then made here."""
-    sent = 0
-    try:
-        for text in join():
-            yield text
-            sent += 1
-    except constants.ForkedChildError:
-        pass
-    yield from itertools.repeat(None, count - sent)
 
 
 def _render_counts(stats: spectra.BlockStats, newline: str, write: Callable[[str], object]) -> None:

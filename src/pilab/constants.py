@@ -11,7 +11,7 @@ sit far from a rounding boundary, so every released digit is exact.
 
 The two engines of a pair share no state, so where a fork pays, one half of
 the pair runs in a forked child while this process runs the other (see
-_spawn): Ramanujan's series for pi, the acoth formula for ln 10 and the
+_split_jobs): Ramanujan's series for pi, the acoth formula for ln 10 and the
 Newton engine for ln pi.  The values are bit for bit those of running them
 one after the other.  Of the binary internals only the four atanh series that
 give ln 2, ln 5 and ln 7 are held between calls (see _memo); the Newton
@@ -20,8 +20,7 @@ engine reads no pi and no logarithm.
 
 from __future__ import annotations
 
-import contextlib
-import itertools
+import functools
 import math
 import os
 import signal
@@ -344,21 +343,17 @@ def _ln10_acoth(w: int) -> int:
 
 
 # Below this many working digits a pair runs in this process alone; pi's pair,
-# both halves cheap next to a fork, has a floor of its own.  On a 2-core host
-# (CPython 3.11.7, numpy loaded) fork, pipe and waitpid took 5.9-6.7 ms, and
-# at w = 4020 Ramanujan's series 4.7 ms and Chudnovsky 2.9 ms.  In 31 to 61
-# alternating runs of whole pairs the fork beat inline in: pi 0 of 41 at
-# w = 4000, 21 of 61 at 6000, 22 of 41 at 7000 and 50 of 61 at 10000; ln 10,
-# series not yet held, 14 of 31 at 4000; ln pi 27 of 31 at 3000, but only with
-# the child moved to the other CPU by hand, which the code never does: left
-# where the kernel put it, that fork lost at every size measured, so ln pi
-# keeps this floor.  Pi's floor again in fresh interpreters, one pair a
-# process, two series of 12 alternating pairs: the fork won 0 and 1 of 12 at
-# w = 4000 (medians 7.1-8.3 against 4.9-5.8 ms inline), 3 and 1 at 5020
-# (9.5-9.9 against 5.3-6.6 ms) and 12 and 9 at 7000 (13.0-13.1 against
-# 13.4-15.3 ms), so 7000 holds.
+# both halves cheap next to a fork, has a floor of its own.  Measured on a
+# 2-core host (CPython 3.11.7) in fresh interpreters, one pair a process, the
+# floor set by the measuring script, forked against inline in alternating
+# runs, timing the pair alone: the fork beat inline in ln 10 3 of 12 at
+# w = 3020 and 12 of 12 at 4020 (medians 8.5 against 10.3 ms); ln pi, pi
+# certified first, 8 of 12 at 2020, 9 of 12 at 3020 and 11 of 12 at 4020
+# (20.0 against 32.9 ms), held at ln 10's floor; pi 0 of 12 and 7 of 16 at
+# 7020 (12.7-12.8 against 9.3-9.4 ms), 11 of 16 and 13 of 20 at 8020, 12 of 16
+# and 10 of 20 at 9020, and 12 of 16 at 10020 (12.3 against 16.2 ms).
 _FORK_MIN_DIGITS = 4000
-_PI_FORK_MIN_DIGITS = 7000
+_PI_FORK_MIN_DIGITS = 8000
 
 
 def _second_cpu() -> bool:
@@ -380,48 +375,18 @@ def _fork_pays(size: int, floor: int) -> bool:
     return _second_cpu()
 
 
-class ForkedChildError(ArithmeticError):
-    """A forked child raised, died, sent nothing or cut a frame short."""
+def _split_jobs(fork: bool, jobs):
+    """job() for each of ``jobs``, in order, as the caller reads them; each
+    odd job gives an ASCII str.
 
-
-def _child(fd: int, fn, args) -> None:
-    """In a forked child: send fn(*args) to fd in frames, then leave by
-    os._exit (status 1 if anything raised), never flushing inherited stdio or
-    running atexit.  An int goes as one frame tagged b"i", its signed
-    little-endian bytes; any other result, an iterable of bytes, as one frame
-    tagged b"b" per item.  A frame is an 8-byte little-endian count of the
-    bytes after it, the tag, then the bytes."""
-    status = 1
-    try:
-        value = fn(*args)
-        if isinstance(value, int):
-            frames = [(b"i", value.to_bytes(value.bit_length() // 8 + 1, "little", signed=True))]
-        else:
-            frames = ((b"b", piece) for piece in value)
-        for tag, data in frames:
-            for view in map(memoryview, ((len(data) + 1).to_bytes(8, "little") + tag, data)):
-                while view:
-                    view = view[os.write(fd, view):]
-        status = 0
-    finally:
-        os._exit(status)
-
-
-@contextlib.contextmanager
-def _spawn(name: str, fork: bool, fn, *args):
-    """Compute fn(*args) beside the context's body, which gets a join()
-    returning it: an int, or an iterator over the pieces of an iterable of
-    bytes.
-
-    When ``fork`` is true, a forked child computes it and sends it back
-    through a pipe, each piece as soon as it is made (see _child); join()
-    reads it and reaps the child, and an iterator reaps the child after its
-    last piece.  Otherwise, or if the fork fails, fn(*args) is called here
-    before the body runs, and an iterable is iterated only as join()'s
-    caller reads it.  Leaving the context before the child is reaped (the
-    body raised) kills and reaps it.  A child that raises, dies, sends
-    nothing or cuts a frame short makes the join, or the read past its last
-    whole piece, raise ForkedChildError naming ``name``, after reaping it.
+    This process runs the even jobs as they are read.  Where ``fork`` holds
+    and os.fork succeeds, a forked child runs the odd jobs and sends each
+    text as soon as it is made (see _child).  A job whose text the child did
+    not send whole runs here, and so does every later odd job, whatever the
+    child did (raised, exited, was killed or cut a frame short), so the
+    values, or the error, are those of running every job here.  The child is
+    reaped after its last text; a reader that stops early kills and reaps it
+    first.
     """
     pid = None
     if fork:
@@ -435,58 +400,59 @@ def _spawn(name: str, fork: bool, fn, *args):
         except OSError:
             os.close(rfd)
         if pid == 0:
-            _child(wfd, fn, args)
+            _child(wfd, jobs[1::2])
         os.close(wfd)
     if pid is None:
-        value = fn(*args)
-        yield lambda: value
+        for job in jobs:
+            yield job()
         return
     pipe = open(rfd, "rb")
-    what = f"{name}: the forked {fn.__name__}"
-
-    def frames():
-        """(tag, bytes) of each whole frame, then the child reaped."""
-        nonlocal pid
-        sent = 0
-        while True:
-            head = pipe.read(9)
-            count = int.from_bytes(head[:8], "little")
-            data = bytearray(max(count - 1, 0) if len(head) == 9 else 0)  # filled in place, not joined
-            got = len(head) + pipe.readinto(data)
-            if got != 8 + count:  # the end of the pipe, or a frame cut short
-                break
-            sent += got
-            yield head[8:], data
-        status = os.waitpid(pid, 0)[1]
-        pid = None  # reaped
-        code = os.waitstatus_to_exitcode(status)
-        if code < 0:
-            raise ForkedChildError(f"{what} was killed by signal {-code}")
-        if code:
-            raise ForkedChildError(f"{what} exited with status {code}")
-        if got or not sent:
-            raise ForkedChildError(f"{what} sent {sent + got} bytes, not {sent + 8 + count}")
-
-    def join():
-        stream = frames()
-        tag, data = next(stream)
-        if tag == b"b":
-            return itertools.chain((data,), (piece for _, piece in stream))
-        next(stream, None)  # the end of the pipe: the child reaped
-        return int.from_bytes(data, "little", signed=True)
-
     try:
-        yield join
+        for i, job in enumerate(jobs):
+            text = None  # the last text is not held while this job runs
+            if i % 2 and pid is not None:
+                text = _frame_text(pipe)
+                if text is None:  # the child sent no more: this job and the later odd ones run here
+                    _kill_unreaped(pid)
+                    pid = None
+            yield job() if text is None else text
+        if pid is not None:
+            os.waitpid(pid, 0)
+            pid = None
     finally:
         pipe.close()
         if pid is not None:
             _kill_unreaped(pid)
 
 
+def _frame_text(pipe) -> str | None:
+    """The text of the next frame on ``pipe``, or None at the end of the pipe
+    or for a frame cut short."""
+    head = pipe.read(8)
+    count = int.from_bytes(head, "little")
+    data = pipe.read(count)
+    return data.decode("ascii") if len(head) + len(data) == 8 + count else None
+
+
+def _child(fd: int, jobs) -> None:
+    """In a forked child: send each job's text to fd as a frame, an 8-byte
+    little-endian count and the ASCII bytes, then leave by os._exit, never
+    flushing inherited stdio or running atexit.  A job that raises ends the
+    frames; the parent runs it again."""
+    try:
+        for job in jobs:
+            data = job().encode("ascii")
+            for view in map(memoryview, (len(data).to_bytes(8, "little"), data)):
+                while view:
+                    view = view[os.write(fd, view):]
+    finally:
+        os._exit(0)
+
+
 def _kill_unreaped(pid: int) -> None:
-    """Kill and reap the forked child pid, unless an interrupt landed in join()
-    after waitpid reaped it but before pid was cleared: the WNOHANG probe finds
-    it gone then, and a pid that may have been reused is never signalled."""
+    """Kill and reap the forked child pid, unless an interrupt landed after
+    waitpid reaped it but before pid was cleared: the WNOHANG probe finds it
+    gone then, and a pid that may have been reused is never signalled."""
     try:
         if os.waitpid(pid, os.WNOHANG)[0] == 0:
             os.kill(pid, signal.SIGKILL)
@@ -495,17 +461,25 @@ def _kill_unreaped(pid: int) -> None:
         pass
 
 
+def _pair(w: int, floor: int, here, there) -> tuple[int, int]:
+    """(here(), there()) of a pair's two halves; ``there`` may run in a forked
+    child, where w clears ``floor``, and its int travels as hex text."""
+    value, text = _split_jobs(_fork_pays(w, floor), [here, lambda: format(there(), "x")])
+    return value, int(text, 16)
+
+
 def _pi_scaled_pair(w: int) -> tuple[int, int]:
+    """(Ramanujan, Chudnovsky); Ramanujan's half may run in a forked child."""
     one = 10**w
-    with _spawn("pi", _fork_pays(w, _PI_FORK_MIN_DIGITS), _pi_ramanujan, one, w) as ramanujan:
-        chudnovsky = _pi_chudnovsky(one, w)
-        return ramanujan(), chudnovsky
+    chudnovsky, ramanujan = _pair(w, _PI_FORK_MIN_DIGITS, functools.partial(_pi_chudnovsky, one, w),
+                                  functools.partial(_pi_ramanujan, one, w))
+    return ramanujan, chudnovsky
 
 
 def _ln10_scaled_pair(w: int) -> tuple[int, int]:
     """(bit-burst, acoth formula); the acoth half may run in a forked child."""
-    with _spawn("ln10", _fork_pays(w, _FORK_MIN_DIGITS), _ln10_acoth, w) as acoth:
-        return _ln_rational_atanh(10, 1, w, _SMOOTH["ln10"]), acoth()
+    return _pair(w, _FORK_MIN_DIGITS, functools.partial(_ln_rational_atanh, 10, 1, w, _SMOOTH["ln10"]),
+                 functools.partial(_ln10_acoth, w))
 
 
 def _ln_pi_scaled_pair(w: int) -> tuple[int, int]:
@@ -514,8 +488,8 @@ def _ln_pi_scaled_pair(w: int) -> tuple[int, int]:
     dual-certified.  The Newton engine starts from a float, not from the
     bit-burst value, so it may run in a forked child beside it."""
     num, den = _certified_scaled("pi", w + 5), 10 ** (w + 5)
-    with _spawn("ln_pi", _fork_pays(w, _FORK_MIN_DIGITS), _ln_rational_newton, num, den, w) as newton:
-        return _ln_rational_atanh(num, den, w, _SMOOTH["ln_pi"]), newton()
+    return _pair(w, _FORK_MIN_DIGITS, functools.partial(_ln_rational_atanh, num, den, w, _SMOOTH["ln_pi"]),
+                 functools.partial(_ln_rational_newton, num, den, w))
 
 
 _ENGINES = {

@@ -2,6 +2,7 @@
 lemma, the one-process exit code and message when a row or the child fails,
 and no child left behind whatever the parent does."""
 
+import functools
 import json
 import os
 import signal
@@ -77,16 +78,19 @@ def inline(tmp_path_factory):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_forked_rows_give_the_inline_bytes(monkeypatch, capsys, tmp_path, forks, inline, case):
-    sent_texts, texts = cli._sent_texts, []
+    split_jobs, blocks, made_here = constants._split_jobs, [], []
 
-    def spy(join, count):
-        for text in sent_texts(join, count):
-            texts.append(text)
-            yield text
+    def spy(fork, jobs):
+        def logged(i, job):
+            made_here.append(i)  # in this process: the child's appends stay in the child
+            return job()
 
-    monkeypatch.setattr(cli, "_sent_texts", spy)
+        blocks.append(len(jobs))
+        return split_jobs(fork, [functools.partial(logged, i, job) for i, job in enumerate(jobs)])
+
+    monkeypatch.setattr(constants, "_split_jobs", spy)
     code, out, err = _run(capsys, _argv(case))
-    assert texts and None not in texts  # every second block came from the child
+    assert blocks[0] > 1 and made_here == list(range(0, blocks[0], 2))  # every second block came from the child
     assert (code, err) == (0, "")
     assert out == inline[case]
     path = tmp_path / "audit.json"
@@ -160,27 +164,31 @@ def test_failed_child_gives_the_inline_report(monkeypatch, capsys, forks, inline
 
 
 def test_failing_row_gives_the_inline_exit_code_and_message(monkeypatch, capsys, forks, tmp_path):
+    # caseII at k = 12 audits n = 8..1500 in 24 blocks of 63 rows: row 1200
+    # is in block 18 (n = 1142..1204), made here, and row 1210 in block 19,
+    # made by the child and again here; the partial report ends at the last
+    # whole block before the failing row
     row_value = cf._row_value
-
-    def refuse_row_1200(lower, upper, n, q):
-        if n == 1200:  # in the child's half
-            _raise(n)
-        return row_value(lower, upper, n, q)
-
-    monkeypatch.setattr(cf, "_row_value", refuse_row_1200)
     path = tmp_path / "audit.json"
-    path.write_text("old report\n")
-    runs = []
-    for second_cpu in (True, False):
-        monkeypatch.setattr(constants, "_second_cpu", lambda on=second_cpu: on)
-        runs.append(_run(capsys, _argv("caseII-mu2")) + _run(capsys, _argv("caseII-mu2", path)))
-    forked, one_process = runs
-    assert forked == one_process
-    code, out, err, out_code, _, out_err = forked
-    assert (code, err) == (out_code, out_err) == (1, "error: row 1200 refused\n")
-    assert '"n": 1199,' in out and '"n": 1200,' not in out
-    assert path.read_text() == "old report\n"
-    assert len(forks) == 2
+    for failing, last in ((1200, 1141), (1210, 1204)):
+        def refuse_row(lower, upper, n, q):
+            if n == failing:
+                _raise(n)
+            return row_value(lower, upper, n, q)
+
+        monkeypatch.setattr(cf, "_row_value", refuse_row)
+        path.write_text("old report\n")
+        runs = []
+        for second_cpu in (True, False):
+            monkeypatch.setattr(constants, "_second_cpu", lambda on=second_cpu: on)
+            runs.append(_run(capsys, _argv("caseII-mu2")) + _run(capsys, _argv("caseII-mu2", path)))
+        forked, one_process = runs
+        assert forked == one_process
+        code, out, err, out_code, _, out_err = forked
+        assert (code, err) == (out_code, out_err) == (1, f"error: row {failing} refused\n")
+        assert f'"n": {last},' in out and f'"n": {last + 1},' not in out
+        assert path.read_text() == "old report\n"
+    assert len(forks) == 4
 
 
 def test_parent_interrupt_kills_and_reaps_the_child(monkeypatch, forks, tmp_path):

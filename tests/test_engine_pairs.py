@@ -1,10 +1,9 @@
-"""Engine pairs with one half in a forked child: the same bits as one process,
-a loud failure and a reaped child whatever the child or the parent does, and
-the inline path wherever a fork is unsafe or does not pay."""
+"""Engine pairs with one half in a forked child: the same bits as one process
+whatever the child does, a reaped child whatever the parent does, and the
+inline path wherever a fork is unsafe or does not pay."""
 
 import errno
 import os
-import signal
 import threading
 import time
 
@@ -63,28 +62,13 @@ def test_forked_pair_returns_the_serial_engines_bits(monkeypatch, forks, name):
     assert got == _serial(name, W)
 
 
-def _fail_with_exception():
-    raise ValueError("engine half failed")
-
-
-@pytest.mark.parametrize("half,message", [
-    (_fail_with_exception, "exited with status 1"),
-    (lambda: os._exit(3), "exited with status 3"),
-    (lambda: os.kill(os.getpid(), signal.SIGKILL), f"killed by signal {int(signal.SIGKILL)}"),
-    (lambda: os._exit(0), "sent 0 bytes, not 8"),
-])
-def test_failed_child_raises_naming_the_constant(forks, half, message):
-    with pytest.raises(ArithmeticError, match=f"^ln_pi: the forked .* {message}$"):
-        with constants._spawn("ln_pi", True, half) as join:
-            join()
-    assert len(forks) == 1
-
-
 def test_parent_interrupt_kills_and_reaps_the_child(forks):
+    def interrupt():
+        raise KeyboardInterrupt
+
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        with constants._spawn("pi", True, time.sleep, 60):
-            raise KeyboardInterrupt
+        constants._pair(W, 0, interrupt, lambda: time.sleep(60))
     assert len(forks) == 1 and time.monotonic() - start < 10
 
 
@@ -94,7 +78,7 @@ def test_interrupt_just_after_the_reap_neither_signals_nor_masks(monkeypatch, fo
     def reap_then_interrupt(pid, options):
         result = waitpid(pid, options)
         if options == 0:
-            raise KeyboardInterrupt  # as if Ctrl-C landed before join() cleared pid
+            raise KeyboardInterrupt  # as if Ctrl-C landed before the reaped pid was cleared
         return result
 
     def refuse_kill(pid, sig):
@@ -103,25 +87,33 @@ def test_interrupt_just_after_the_reap_neither_signals_nor_masks(monkeypatch, fo
     monkeypatch.setattr(os, "waitpid", reap_then_interrupt)
     monkeypatch.setattr(os, "kill", refuse_kill)
     with pytest.raises(KeyboardInterrupt):
-        with constants._spawn("pi", True, int, 7) as join:
-            join()
+        constants._pair(W, 0, lambda: 1, lambda: 7)
     assert len(forks) == 1
 
 
 @pytest.mark.parametrize("name,half", [("ln10", "_ln10_acoth"), ("ln_pi", "_ln_rational_newton")], ids=["ln10", "ln_pi"])
 @pytest.mark.parametrize("failure", ["raise", "exit"])
-def test_cli_exits_one_when_the_forked_half_fails(monkeypatch, capsys, forks, failure, name, half):
-    def broken(*args):
-        if failure == "raise":
-            raise MemoryError
-        os._exit(3)
+def test_cli_gives_the_inline_digits_when_the_forked_half_fails(monkeypatch, capsys, forks, failure, name, half):
+    # the half fails in the child only, and runs again here
+    argv = ["constants", "--name", name, "--digits", str(constants._FORK_MIN_DIGITS)]
+    with monkeypatch.context() as inline:
+        inline.setattr(constants, "_fork_pays", lambda w, floor=None: False)
+        assert cli.main(argv) == 0
+    want = capsys.readouterr()
+    parent, engine = os.getpid(), getattr(constants, half)
 
+    def broken(*args):
+        if os.getpid() != parent:
+            if failure == "raise":
+                raise MemoryError
+            os._exit(3)
+        return engine(*args)
+
+    monkeypatch.setattr(constants, "_memo", {})
     monkeypatch.setattr(constants, half, broken)
-    assert cli.main(["constants", "--name", name, "--digits", str(constants._FORK_MIN_DIGITS)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: {name}: the forked broken ")
-    assert "Traceback" not in captured.err
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == want
+    assert len(forks) == (2 if name == "ln_pi" else 1)  # ln pi's pair certifies pi first
 
 
 def _refuse_fork():

@@ -3,8 +3,9 @@ tests/verdicts.py, which shares no code with pilab: the caseII audit of the
 certify workload and at two non-integral mu, the caseI audits of k = 1..30,
 the prime audits CI pins and of k = 1..20, the ``cf --depth 2000``
 convergents CI pins, and the coset structure, Artin scans and exponential
-sum maximum of the scan workload, and the block statistics of ``normality``
-and ``report --in`` at N = 2 10^4 in bases 10 and 16."""
+sum maximum of the scan workload, and the digits, block statistics and star
+discrepancies of ``normality``, ``report --in`` and ``report --const pi`` at
+N = 2 10^4, the integers in bases 10 and 16."""
 
 import copy
 import json
@@ -436,3 +437,44 @@ def test_mutated_block_statistics_are_caught(block_reports, base, mutation, comm
     change(report["blocks"]["2"], normality["blocks"]["2"]["counts"])
     with pytest.raises(AssertionError, match=f"^k=2: {field}$"):
         verdicts.check_blocks(report, text)
+
+
+@pytest.fixture(scope="module")
+def shift_reports(tmp_path_factory, block_reports):
+    """source -> (the digit text, the report over it): report --in over the
+    integers in bases 10 and 16, and report --const pi over the digits that
+    constants --name pi writes."""
+    out = {str(base): (text, report) for base, (text, _, report) in block_reports.items()}
+    path = tmp_path_factory.mktemp("pi") / "pi.digits"
+    assert cli.main(["constants", "--name", "pi", "--digits", str(BLOCK_N + 24), "--out", str(path)]) == 0
+    report = _report(tmp_path_factory, "report", "--const", "pi", "--N", str(BLOCK_N), "--kmax", "4")
+    out["pi"] = (verdicts.digit_file_text(path.read_text()), report)
+    return out
+
+
+@pytest.mark.parametrize("source", ["10", "16", "pi"])
+def test_digits_and_discrepancy_are_derived_again(shift_reports, source):
+    text, report = shift_reports[source]
+    verdicts.check_digits(text, report["base"], report["label"])
+    verdicts.check_discrepancy(report, text)
+    if source == "pi":
+        verdicts.check_blocks(report, text)
+
+
+@pytest.mark.parametrize("source", ["10", "16", "pi"])
+def test_flipped_digit_is_caught(shift_reports, source):
+    text, report = shift_reports[source]
+    i = len(text) // 2
+    flipped = text[:i] + ("1" if text[i] != "1" else "2") + text[i + 1 :]
+    with pytest.raises(AssertionError, match=f"^digit {i}$"):
+        verdicts.check_digits(flipped, report["base"], report["label"])
+
+
+@pytest.mark.parametrize("source", ["10", "16", "pi"])
+def test_discrepancy_over_unsorted_points_is_caught(shift_reports, source):
+    text, report = shift_reports[source]
+    base, n = report["base"], report["n_points"]
+    points = [int(text[i : i + 24], base) / base**24 for i in range(1, n + 1)]  # in stream order
+    unsorted = max(max(i / n - u, u - (i - 1) / n) for i, u in enumerate(points, start=1))
+    with pytest.raises(AssertionError, match="^star_discrepancy$"):
+        verdicts.check_discrepancy(dict(report, star_discrepancy=repr(unsorted)), text)

@@ -6,15 +6,19 @@ endpoints from the lemma statements in ``Fraction``s, and every comparison
 with {pi 10^n} from mpmath's digits of pi; multiplicative orders from
 ``sympy.n_order``, totients from ``sympy.totient`` and exponential sums from
 direct sums over the subgroup; block statistics from ``collections.Counter``
-over the digit text and exact ``Fraction`` formulas.  Each ``check_*``
+over the digit text and exact ``Fraction`` formulas; digit streams from
+``itertools.count`` and mpmath, and star discrepancies from the shift
+points' integer codes.  Each ``check_*``
 raises AssertionError at the first field that does not follow, naming its
 row.
 """
 
 import functools
+import itertools
 import math
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -157,8 +161,9 @@ def _equals(text: str, num: int, den: int) -> bool:
 
 
 def _pi_decimals(width: int) -> str:
-    """pi's first ``width`` decimals."""
-    return str(pi_digits(width))[1:]
+    """pi's first ``width`` decimals (through Decimal, whose text has no
+    length limit)."""
+    return str(Decimal(pi_digits(width)))[1:]
 
 
 def _power_term(base: int, exponent: Fraction, guard: int, printed) -> Fraction:
@@ -371,6 +376,41 @@ def check_expsum(report: dict) -> None:
         bound = mp.exp(-mp.log(p) ** mpf(report["c"])) * order
         _expect(abs(mpf(report["bound"]) / bound - 1) <= 1e-15, "bound")
         _expect(abs(mpf(report["ratio"]) * bound / mpf(report["max_magnitude"]) - 1) <= 1e-15, "ratio")
+
+
+_NUMERALS = {10: str, 16: lambda i: format(i, "x")}
+
+
+def check_digits(digits: str, base: int, label: str) -> None:
+    """The digit text of the stream ``label`` in ``base``: pi's fractional
+    digits from mpmath, or the numerals of 1, 2, 3, ... from
+    itertools.count, joined, in base 10 or 16."""
+    if label == "pi" and base == 10:
+        want = _pi_decimals(len(digits))
+    elif label == f"concat-integers-b{base}" and base in _NUMERALS:
+        want = "".join(map(_NUMERALS[base], itertools.islice(itertools.count(1), len(digits))))[: len(digits)]
+    else:
+        raise ValueError(f"no derivation of {label!r} in base {base}")
+    if digits != want:
+        first = next(i for i, (a, b) in enumerate(zip(digits, want)) if a != b)
+        raise AssertionError(f"digit {first}")
+
+
+def check_discrepancy(report: dict, digits: str, shift_digits: int = 24) -> None:
+    """The star discrepancy of a ``report`` or ``report --const`` report over
+    the digit text ``digits``: point n = 1..N is the code c_n / b^S, c_n the
+    integer of digits n .. n + S - 1 (digit 0 first), which the shift's
+    point lies within point_eps of.  D* = max_i max(i / N - u_(i), u_(i) -
+    (i - 1) / N) over the codes sorted as ints, an exact Fraction, must lie
+    within point_eps of the printed D*, as moving each point by at most eps
+    moves D* by at most eps."""
+    base, n = report["base"], report["n_points"]
+    _expect(len(digits) >= n + shift_digits, "digits")
+    scale = base**shift_digits
+    codes = sorted(int(digits[i : i + shift_digits], base) for i in range(1, n + 1))
+    worst = max(max(i * scale - c * n, c * n - (i - 1) * scale) for i, c in enumerate(codes, start=1))
+    printed = Fraction(float(report["star_discrepancy"]))
+    _expect(abs(printed - Fraction(worst, n * scale)) <= Fraction(float(report["point_eps"])), "star_discrepancy")
 
 
 def digit_file_text(data: str) -> str:

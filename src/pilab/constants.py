@@ -28,6 +28,7 @@ import threading
 import warnings
 from fractions import Fraction
 
+from ._int import floor_divmod, isqrt
 from .radix import DigitStream, ProducerExhaustedError, decimal_text, digits_from_text
 
 DIGIT_CEILING = 100_000
@@ -153,7 +154,7 @@ def _arc_series(p: int, q: int, one: int) -> int:
     _, big_q, big_b, t = _split(leaf, 0, terms)
     bq = big_b * big_q
     cut = max(0, bq.bit_length() - one.bit_length() - 32)
-    return one * p * (t >> cut) // (q * (bq >> cut))
+    return floor_divmod(one * p * (t >> cut), q * (bq >> cut))[0]
 
 
 def _ramanujan_leaf(k: int) -> tuple[int, int, int, int]:
@@ -169,7 +170,7 @@ def _pi_ramanujan(one: int, w: int) -> int:
     _, q, _, t = _split(_ramanujan_leaf, 0, terms, 7)
     q_shift = 7 * (terms - 1)  # Q = q 2^q_shift
     cut = max(0, q.bit_length() + q_shift - one.bit_length() - 64)  # costs under 2^-30 ulp
-    return 3528 * _shifted(q, q_shift - cut) * one // (t >> cut)
+    return floor_divmod(3528 * _shifted(q, q_shift - cut) * one, t >> cut)[0]
 
 
 def _chud_leaf(k: int) -> tuple[int, int, int, int]:
@@ -187,8 +188,7 @@ def _pi_chudnovsky(one: int, w: int) -> int:
     q_shift = 15 * (terms - 1)  # Q = q 2^q_shift
     cut = max(0, q.bit_length() + q_shift - one.bit_length() - 64)  # costs under 2^-30 ulp
     q, t = _shifted(q, q_shift - cut), t >> cut
-    s = math.isqrt(10005 * one * one)
-    return 426880 * q * s // t
+    return floor_divmod(426880 * q * isqrt(10005 * one * one), t)[0]
 
 
 # Logarithms run on binary fixed point internally: the bit-burst stages and
@@ -265,7 +265,7 @@ def _ln_rational_atanh(num: int, den: int, w: int, smooth: tuple[int, int, int] 
                     for a, b, c, t in zip(*_LN_WEIGHTS, _smooth_bin(bits)))
     s = 1
     while s < 2 * bits and num != den:  # the last stage run has s >= bits
-        a = ((num - den) << s) // den
+        a = floor_divmod((num - den) << s, den)[0]
         if a:
             total += 2 * _arc_series(a, (1 << s + 1) + a, 1 << bits)
             if s >= bits:
@@ -326,7 +326,7 @@ def _ln_rational_newton(num: int, den: int, w: int) -> int:
     for q in reversed(widths):
         y, p = y << q - p, q
         u, v = _exp_ratio(y, p) if y >= 0 else _exp_ratio(-y, p)[::-1]
-        y += (num * v << p) // (den * u) - (1 << p)  # the quotient r, less 1
+        y += floor_divmod(num * v << p, den * u)[0] - (1 << p)  # the quotient r, less 1
     return _bin_to_decimal(y, p, w)
 
 
@@ -344,16 +344,18 @@ def _ln10_acoth(w: int) -> int:
 
 # Below this many working digits a pair runs in this process alone; pi's pair,
 # both halves cheap next to a fork, has a floor of its own.  Measured on a
-# 2-core host (CPython 3.11.7) in fresh interpreters, one pair a process, the
-# floor set by the measuring script, forked against inline in alternating
-# runs, timing the pair alone: the fork beat inline in ln 10 3 of 12 at
-# w = 3020 and 12 of 12 at 4020 (medians 8.5 against 10.3 ms); ln pi, pi
-# certified first, 8 of 12 at 2020, 9 of 12 at 3020 and 11 of 12 at 4020
-# (20.0 against 32.9 ms), held at ln 10's floor; pi 0 of 12 and 7 of 16 at
-# 7020 (12.7-12.8 against 9.3-9.4 ms), 11 of 16 and 13 of 20 at 8020, 12 of 16
-# and 10 of 20 at 9020, and 12 of 16 at 10020 (12.3 against 16.2 ms).
+# 2-core host (CPython 3.11.7) with the subquadratic divides of _int, in
+# fresh interpreters, one pair a process, the floor set by the measuring
+# script, forked against inline in alternating runs, timing the pair alone:
+# the fork beat inline in ln 10 6 of 12 and 6 of 20 at w = 3020 and 8 of 12
+# and 15 of 20 at 4020 (medians 7.5 against 8.2 ms); ln pi, pi certified
+# first and the series held, 6 of 12 at 2020, 8 of 12 at 3020 (15.1 against
+# 15.6 ms) and 11 of 12 at 4020 (19.5 against 29.1 ms), held at ln 10's
+# floor; pi 5 of 16 and 12 of 20 at 8020 (13.3 against 9.7 and 9.3 against
+# 9.4 ms), 8 of 16 and 13 of 20 at 9020 (12.4 against 11.9 ms), and 9 of 16,
+# 16 of 20 and 17 of 20 at 10020 (11.9 against 15.8 ms), each median won.
 _FORK_MIN_DIGITS = 4000
-_PI_FORK_MIN_DIGITS = 8000
+_PI_FORK_MIN_DIGITS = 10000
 
 
 def _second_cpu() -> bool:

@@ -71,6 +71,14 @@ MUTANTS = (
            "u, v = _exp_ratio(y, p) if y >= 0 else _exp_ratio(-y, p)[::-1]",
            "u, v = (num, den) if q == widths[0] else _exp_ratio(y, p) if y >= 0 else _exp_ratio(-y, p)[::-1]",
            ("tests/test_constant_engines.py", "-k", "newton")),
+    # _int: Burnikel-Ziegler's add-back after an overshooting quotient digit,
+    # and isqrt's last step down
+    Mutant("bz_add_back_dropped", "_int.py",
+           "    while r < 0:\n        q -= 1\n        r += b\n", "",
+           ("tests/test_int.py", "-k", "floor_divmod")),
+    Mutant("isqrt_last_step_dropped", "_int.py",
+           "return a - (a * a > n)", "return a",
+           ("tests/test_int.py", "-k", "isqrt")),
 )
 
 

@@ -2,7 +2,6 @@
 plus the digit-stream ceiling."""
 
 import hashlib
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 from sympy import factorint
 
-from pilab import constants
+from pilab import _int, constants
 from pilab.constants import MethodDisagreementError, const_digits
 from pilab.radix import ProducerExhaustedError
 
@@ -106,13 +105,13 @@ def test_split_matches_four_product_reference(leaves, shift, a):
 
 
 def test_ramanujan_half_takes_no_square_root(monkeypatch):
-    exact, roots = math.isqrt, []
+    exact, roots = _int.isqrt, []
 
     def recording(n):
         roots.append(n)
         return exact(n)
 
-    monkeypatch.setattr(math, "isqrt", recording)
+    monkeypatch.setattr(constants, "isqrt", recording)  # the engines' root is _int.isqrt
     w = 3010
     constants._pi_ramanujan(10**w, w)
     assert roots == []

@@ -4,8 +4,9 @@ Each constant is evaluated by two independent integer-only fixed-point
 methods, every series summed by binary splitting: Ramanujan's rational 1/pi
 series against Chudnovsky's for pi, ln 2 + ln 5 from four atanh series
 against the acoth formula 46 acoth 31 + 34 acoth 49 + 20 acoth 161 for ln 10,
-and 7 ln 7 - 18 ln 2 plus a bit-burst atanh series against Newton's iteration
-on a bit-burst exp for ln pi.
+and 7 ln 7 - 18 ln 2 plus bit-burst ln(1 + a/2^s) series, whose denominators
+are shifts, against Newton's iteration on a bit-burst exp, finished by one
+cubic step of ln(1 + r), for ln pi.
 Digits are released only where both computations agree and the guard digits
 sit far from a rounding boundary, so every released digit is exact.
 
@@ -47,14 +48,15 @@ _INT_PARTS = {"pi": 3, "ln10": 2, "ln_pi": 1}
 # work in binary with 64 guard bits.  The bit-burst primary's smooth part,
 # sum c_q T_q over the four series of _smooth_bin, each within 2 binary ulp,
 # errs by 2 sum |c_q| binary ulp, and each of its at most log2(bits) + 2
-# stages, twice an _arc_series sum, by 4 more.  ln 10 = ln 2 + ln 5 weights
+# stages by 2 more from s = 16 on (an _log1p_series sum) and by 4 below (twice
+# an _arc_series sum).  ln 10 = ln 2 + ln 5 weights
 # the series (239, 90, -63, 103) and runs no stage: 990 binary ulp, under
 # 2^-53 decimal ulp behind the guard bits.  ln pi's 7 ln 7 - 18 ln 2 weights
 # them (118, 46, -29, 51), 488 binary ulp, and its stages start at s = 32; a
 # generic k ln 2 costs 298 |k|.  The acoth ln 10, three _arc_series sums
 # weighted 46, 34 and 20, errs by 2 (46 + 34 + 20) = 200 binary ulp, under
 # 2^-55 decimal ulp behind the guard bits; and the Newton log's last step,
-# from its half-width iterate, by 32 binary ulp (see _ln_rational_newton).
+# from its quarter-width iterate, by 16 binary ulp (see _ln_rational_newton).
 # After the floor to decimal each is within 2 ulp.  Pi pairs and logarithm
 # pairs therefore differ by at most 4 ulp.  None of these bounds grows with w.
 #
@@ -157,6 +159,25 @@ def _arc_series(p: int, q: int, one: int) -> int:
     return floor_divmod(one * p * (t >> cut), q * (bq >> cut))[0]
 
 
+def _log1p_series(a: int, s: int, bits: int) -> int:
+    """ln(1 + a/2^s) * 2^bits, 0 < a < 2^(s/2), within 2 binary ulp.
+
+    The series sum (-1)^k x^(k+1) / (k + 1), x = a/2^s < 2^-(s-n), n the bit
+    length of a, takes the fewest terms whose first omitted one is under
+    2^-(s-n)(terms+1) <= 2^-(bits+1); it alternates, so its tail is smaller
+    still.  Each leaf's q is 2^s, so Q is a shift and the one division is by
+    B = terms!, far narrower than the sum.  The shift's floor and the
+    division's make one floor of T / (B Q): within 1 + 1/2 binary ulp in all.
+    """
+    terms = max(1, bits // (s - a.bit_length()))
+
+    def leaf(k: int) -> tuple[int, int, int, int]:  # S(0, terms) = sum (-x)^k x / (k + 1)
+        return -a, 1, k + 1, a
+
+    _, _, big_b, t = _split(leaf, 0, terms, s)
+    return floor_divmod(_shifted(t, bits - s * terms), big_b)[0]
+
+
 def _ramanujan_leaf(k: int) -> tuple[int, int, int, int]:
     if k == 0:
         return 1, 1, 1, 1123
@@ -231,16 +252,19 @@ def _smooth_bin(bits: int) -> tuple[int, ...]:
 
 
 def _ln_rational_atanh(num: int, den: int, w: int, smooth: tuple[int, int, int] = (0, 0, 0)) -> int:
-    """ln(num/den) * 10^w by the bit-burst atanh scheme.
+    """ln(num/den) * 10^w by the bit-burst scheme.
 
     smooth = (i, j, k) divides 2^i 5^j 7^k out of num/den; powers of two then
     bring the rest y into [1, 2), and the logarithm of all that was divided
     out is one integer combination of the four T_q (see _smooth_bin).  Stage
     s (1, 2, 4, ...) then takes a = floor((y - 1) 2^s) < 2^(s/2), adds
-    ln(1 + a/2^s) = 2 atanh(a / (2^(s+1) + a)) and divides it out of y
-    exactly, leaving y - 1 < 2^-s.  Each stage's argument is below
-    2^-(s/2+1), so its series needs about bits/s terms.  A rest below
-    1 + 2^-s runs no stage before s.
+    ln(1 + a/2^s) and divides 1 + a/2^s out of y exactly, leaving y - 1 <
+    2^-s.  From s = 16 the stage sums the series of ln(1 + x) itself, x <
+    2^-(s/2), whose terms' denominators are shifts (see _log1p_series): about
+    2 bits/s terms.  Below 16 it sums 2 atanh(a / (2^(s+1) + a)), whose
+    argument is below 2^-(s/2+1) and whose terms fall by its square, the
+    fewer terms where x is as large as 1/2.  A rest below 1 + 2^-s runs no
+    stage before s.
     """
     if num <= 0 or den <= 0:
         raise ValueError("log argument must be positive")
@@ -267,7 +291,10 @@ def _ln_rational_atanh(num: int, den: int, w: int, smooth: tuple[int, int, int] 
     while s < 2 * bits and num != den:  # the last stage run has s >= bits
         a = floor_divmod((num - den) << s, den)[0]
         if a:
-            total += 2 * _arc_series(a, (1 << s + 1) + a, 1 << bits)
+            if s >= 16:
+                total += _log1p_series(a, s, bits)
+            else:
+                total += 2 * _arc_series(a, (1 << s + 1) + a, 1 << bits)
             if s >= bits:
                 break  # the last stage: nothing reads num and den after it
             num <<= s
@@ -281,8 +308,10 @@ def _exp_ratio(y: int, p: int) -> tuple[int, int]:
     1, 2, 4, ... takes a, what is left of y at 2^-t and above, and multiplies
     in exp(x), x = a / 2^t (below 2^-(t/2) past t = 1), as its Taylor series
     summed up to the first term x^K / K! <= 2^-(p+2).  That forces
-    2x <= K + 1, so the tail is under twice that term.  One shift then cuts
-    u and v alike, leaving v p + 63 bits."""
+    2x <= K + 1, so the tail is under twice that term.  The series' T, whose
+    exact powers of two leave it near 2p bits wide at the larger t, is cut
+    to p + 96 bits before it multiplies u, under 2^-(p+95) relative; one
+    shift then cuts u and v alike, leaving v p + 63 bits."""
     u, v, t = 1, 1, 0
     while y:
         a = y << t >> p
@@ -295,30 +324,43 @@ def _exp_ratio(y: int, p: int) -> tuple[int, int]:
             _, q, _, s = _split(lambda k: (a, k, 1, a) if k else (1, 1, 1, 1), 0, terms, t)
             q_shift = t * (terms - 1)  # the stage's Q = q 2^q_shift
             cut = max(0, v.bit_length() + q.bit_length() + q_shift - p - 64)
-            u, v, y = u * s >> cut, _shifted(v * q, q_shift - cut), y - (a << p >> t)
+            pre = max(0, min(cut, s.bit_length() - p - 96))  # s to p + 96 bits first
+            u, v, y = (u * (s >> pre)) >> cut - pre, _shifted(v * q, q_shift - cut), y - (a << p >> t)
         t = max(1, 2 * t)
     return u, v
 
 
 def _ln_rational_newton(num: int, den: int, w: int) -> int:
-    """ln(num/den) * 10^w by Newton's iteration y <- y + (num/den) exp(-y) - 1
-    on the bit-burst exp (Brent 1976): no pi, no ln 2 and no square root.
+    """ln(num/den) * 10^w by Newton's iteration y <- y + r, r = (num/den)
+    exp(-y) - 1, on the bit-burst exp (Brent 1976): no pi, no ln 2 and no
+    square root.  The last step adds ln(1 + r) to its cube instead.
 
     At each width p (< 2^19 for w up to DIGIT_CEILING's), _exp_ratio of |y| has
-    at most 21 stages (t up to 2^19), each under 2^-(p+1) low, and 21 cuts,
-    each flooring a value of at least 2^(p+62): its u / v, or v / u for y < 0,
-    is within 11 2^-p of exp(y), relative.  With d = ln x - y, x = num/den, the
+    at most 21 stages (t up to 2^19), each under 2^-(p+1) low, 21 cuts of u
+    and v, each flooring a value of at least 2^(p+62), and 21 of T, each
+    under 2^-(p+95): its u / v, or v / u for y < 0, is within 11 2^-p of
+    exp(y), relative.  With d = ln x - y, x = num/den, the
     quotient r is 2^p e^d within 11 (1 + 2^-19) + 1 < 13 units of 2^-p, and
     y + r - 2^p is ln x + e^d - 1 - d, where 0 <= e^d - 1 - d <= d^2 for
-    |d| <= 1/2.  A step thus lands within 32 units once d^2 <= 19 2^-p: from
-    the float start (within 2^-20 while num and den have under 2^30 bits) at
-    p <= 44, and from the iterate at q = floor(p/2) + 16, as d^2 < 2^(10-2q)
-    <= 2^(-21-p).  At p = bits, 32 binary ulp are under 2^-58 decimal ulp
-    behind the 64 guard bits: one decimal ulp at most after the floor.
+    |d| <= 1/2.  A plain step thus lands within 32 units once d^2 <= 19 2^-p:
+    from the float start (within 2^-20 while num and den have under 2^30
+    bits) at p <= 44, and from the iterate at q = floor(p/2) + 16, as d^2 <
+    2^(10-2q) <= 2^(-21-p).
+
+    The last width, p = bits, starts from the iterate at q = floor(p/4) + 16,
+    so |d| <= 2^(5-q) <= 2^(-p/4-10.25), and R = e^d - 1 below 2^(-p/4-10.2)
+    has ln(1 + R) = d.  R - R^2/2 + R^3/3 misses it by under R^4/3 <
+    2^-(p+40); r's 13 units move that cubic by at most 13 (1 + 2^-9), its
+    derivative being 1 - R + R^2, and the floors of the square, the cube
+    and their halving and third by under 2.4: within 16 units in all.  Two
+    multiplies of at most 3p/4 bits thus replace the step at the half width.
+    16 binary ulp are under 2^-59 decimal ulp behind the 64 guard bits: one
+    decimal ulp at most after the floor.
     """
     if num <= 0 or den <= 0:
         raise ValueError("log argument must be positive")
-    widths = [_bits_for(w)]  # each half the next plus 16, down to at most 44
+    bits = _bits_for(w)
+    widths = [bits, bits // 4 + 16]  # then each half the next plus 16, down to at most 44
     while widths[-1] > 44:
         widths.append(widths[-1] // 2 + 16)
     p = widths[-1]
@@ -326,7 +368,11 @@ def _ln_rational_newton(num: int, den: int, w: int) -> int:
     for q in reversed(widths):
         y, p = y << q - p, q
         u, v = _exp_ratio(y, p) if y >= 0 else _exp_ratio(-y, p)[::-1]
-        y += floor_divmod(num * v << p, den * u)[0] - (1 << p)  # the quotient r, less 1
+        r = floor_divmod(num * v << p, den * u)[0] - (1 << p)  # the quotient, less 1
+        if q == bits:  # ln(1 + r) to its cube
+            r2 = r * r >> p
+            r -= (r2 >> 1) - (r2 * r >> p) // 3
+        y += r
     return _bin_to_decimal(y, p, w)
 
 
@@ -349,11 +395,14 @@ def _ln10_acoth(w: int) -> int:
 # script, forked against inline in alternating runs, timing the pair alone:
 # the fork beat inline in ln 10 6 of 12 and 6 of 20 at w = 3020 and 8 of 12
 # and 15 of 20 at 4020 (medians 7.5 against 8.2 ms); ln pi, pi certified
-# first and the series held, 6 of 12 at 2020, 8 of 12 at 3020 (15.1 against
-# 15.6 ms) and 11 of 12 at 4020 (19.5 against 29.1 ms), held at ln 10's
-# floor; pi 5 of 16 and 12 of 20 at 8020 (13.3 against 9.7 and 9.3 against
-# 9.4 ms), 8 of 16 and 13 of 20 at 9020 (12.4 against 11.9 ms), and 9 of 16,
-# 16 of 20 and 17 of 20 at 10020 (11.9 against 15.8 ms), each median won.
+# first and the series held, with the ln(1 + x) stages and the cubic Newton
+# finish, 2 of 12 at 2020, 17 of 32 at 3020 (13.8 against 14.6 ms), 24 of 40
+# at 4020 (14.0 against 14.3 ms, then 19.5 against 15.8 ms), 16 of 20 at
+# 5020 (18.1 against 20.1 ms) and 18 of 20 at 6020, tied at ln 10's floor
+# and held there; pi 5 of 16 and 12 of 20 at 8020 (13.3 against 9.7 and 9.3
+# against 9.4 ms), 8 of 16 and 13 of 20 at 9020 (12.4 against 11.9 ms), and
+# 9 of 16, 16 of 20 and 17 of 20 at 10020 (11.9 against 15.8 ms), each
+# median won.
 _FORK_MIN_DIGITS = 4000
 _PI_FORK_MIN_DIGITS = 10000
 

@@ -71,6 +71,40 @@ MUTANTS = (
            "u, v = _exp_ratio(y, p) if y >= 0 else _exp_ratio(-y, p)[::-1]",
            "u, v = (num, den) if q == widths[0] else _exp_ratio(y, p) if y >= 0 else _exp_ratio(-y, p)[::-1]",
            ("tests/test_constant_engines.py", "-k", "newton")),
+    # ln pi's bit-burst stages on shifts, and the Newton check's cubic finish
+    # and its exp stages' T cut before the multiply
+    Mutant("log1p_stage_sign_dropped", "constants.py",
+           "return -a, 1, k + 1, a", "return a, 1, k + 1, a",
+           ("tests/test_constant_engines.py", "-k", "log1p")),
+    Mutant("log1p_stage_one_term_fewer", "constants.py",
+           "terms = max(1, bits // (s - a.bit_length()))", "terms = max(1, bits // (s - a.bit_length()) - 1)",
+           ("tests/test_constant_engines.py", "-k", "log1p")),
+    Mutant("newton_finish_cube_dropped", "constants.py",
+           "r -= (r2 >> 1) - (r2 * r >> p) // 3", "r -= r2 >> 1",
+           ("tests/test_constant_engines.py", "-k", "newton")),
+    Mutant("newton_finish_square_dropped", "constants.py",
+           "r -= (r2 >> 1) - (r2 * r >> p) // 3", "r += (r2 * r >> p) // 3",
+           ("tests/test_constant_engines.py", "-k", "newton")),
+    Mutant("exp_stage_t_cut_to_half_width", "constants.py",
+           "s.bit_length() - p - 96))", "s.bit_length() - p // 2))",
+           ("tests/test_constant_engines.py", "-k", "newton")),
+    # groups, primes and spectra: the active-lane filter must keep a rest of
+    # ell^2, 41 must stay a witness (psi_12 passes bases 2..37), and a window
+    # value whose 69-bit truncation is a tie must round up on a nonzero rest,
+    # found by the FastTwoSum residual
+    Mutant("active_lane_filter_strict", "groups.py",
+           "active = active[rem[active] >= ell * ell]", "active = active[rem[active] > ell * ell]",
+           ("tests/test_groups.py", "-k", "orders_of_ten")),
+    Mutant("mr_witness_41_dropped", "primes.py",
+           "_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)",
+           "_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)",
+           ("tests/test_groups.py", "-k", "pseudoprime")),
+    Mutant("window_tie_correction_dropped", "spectra.py",
+           "    np.copyto(val, up, where=tie)\n", "",
+           ("tests/test_spectra.py", "-k", "shifted_points")),
+    Mutant("window_fast_two_sum_residual_dropped", "spectra.py",
+           "resid = np.subtract(tail, gap, out=tail)", "resid = tail",
+           ("tests/test_spectra.py", "-k", "shifted_points")),
     # _int: Burnikel-Ziegler's add-back after an overshooting quotient digit,
     # and isqrt's last step down
     Mutant("bz_add_back_dropped", "_int.py",

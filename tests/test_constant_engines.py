@@ -186,7 +186,7 @@ def test_newton_without_its_last_step_is_caught(monkeypatch):
     bits, pi_hat = constants._bits_for(w), _pi_hat(w)
     exact = constants._exp_ratio
     # exp(y) read as pi_hat itself at the last width: that step adds exactly
-    # 0, so the engine returns its half-width iterate
+    # 0, so the engine returns its quarter-width iterate
     monkeypatch.setattr(constants, "_exp_ratio", lambda y, p: pi_hat if p == bits else exact(y, p))
     with pytest.raises(MethodDisagreementError):
         const_digits("ln_pi", 100)
@@ -268,20 +268,31 @@ def test_weighted_series_are_ln_2_5_7_within_derived_bound(monkeypatch):
 
 @pytest.mark.parametrize("w", [40, 600, 10020])
 def test_ln_pi_primary_runs_no_stage_below_32(monkeypatch, w):
-    exact = constants._arc_series
+    exact = constants._log1p_series
     stages = []
 
-    def recording(p, q, one):
-        if (p, q) not in {(1, q_) for q_ in constants._SMOOTH_Q}:
-            stages.append(q.bit_length() - 2)  # q = 2^(s+1) + a, a < 2^(s/2)
-        return exact(p, q, one)
+    def recording(a, s, bits):
+        stages.append(s)
+        return exact(a, s, bits)
 
     num, den = _pi_hat(w)
-    monkeypatch.setattr(constants, "_arc_series", recording)
+    monkeypatch.setattr(constants, "_log1p_series", recording)
     monkeypatch.setattr(constants, "_memo", {})
     constants._ln_rational_atanh(num, den, w, constants._SMOOTH["ln_pi"])
     assert stages and min(stages) == 32
     assert all(s & s - 1 == 0 for s in stages)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data(), s=st.sampled_from([1 << j for j in range(4, 16)]),  # 16, 32, ..., 2^15
+       bits=st.integers(min_value=64, max_value=4000))
+def test_log1p_stage_within_2_ulp(data, s, bits):
+    a = data.draw(st.integers(min_value=1, max_value=(1 << s // 2) - 1))
+    got = constants._log1p_series(a, s, bits)
+    mp.prec = max(bits, a.bit_length()) + 64
+    assert abs(got - mp.log1p(mpf(a) / mpf(2) ** s) * mpf(2) ** bits) <= 2
+    # the atanh stage it replaces, 2 atanh(a / (2^(s+1) + a)), errs by 4
+    assert abs(got - 2 * constants._arc_series(a, (1 << s + 1) + a, 1 << bits)) <= 6
 
 
 @pytest.mark.parametrize("w", [600, 10020])

@@ -5,7 +5,8 @@ the prime audits CI pins and of k = 1..20, the ``cf --depth 2000``
 convergents CI pins, and the coset structure, Artin scans and exponential
 sum maximum of the scan workload, and the digits, block statistics and star
 discrepancies of ``normality``, ``report --in`` and ``report --const pi`` at
-N = 2 10^4, the integers in bases 10 and 16."""
+N = 2 10^4, the integers in bases 10 and 16, and the digits of ``construct
+--family stoneham`` at N = 2 10^4 in bases 2, 3, 10 and 36."""
 
 import copy
 import json
@@ -478,3 +479,46 @@ def test_discrepancy_over_unsorted_points_is_caught(shift_reports, source):
     unsorted = max(max(i / n - u, u - (i - 1) / n) for i, u in enumerate(points, start=1))
     with pytest.raises(AssertionError, match="^star_discrepancy$"):
         verdicts.check_discrepancy(dict(report, star_discrepancy=repr(unsorted)), text)
+
+
+# (b, c, s): the CLI's default prefix, bases 2 and 3 outside base 10, a shift
+# s, and the largest base, 36
+STONEHAM_PARAMS = [(10, 3, 0), (2, 3, 0), (3, 2, 0), (10, 3, 7), (36, 5, 2)]
+
+
+@pytest.fixture(scope="module")
+def stoneham_files(tmp_path_factory):
+    """(b, c, s) -> (the digit text, the header's base, its label) of
+    ``construct --family stoneham`` at BLOCK_N digits."""
+    out = {}
+    for b, c, s in STONEHAM_PARAMS:
+        path = tmp_path_factory.mktemp("stoneham") / "stoneham.digits"
+        argv = ["construct", "--family", "stoneham", "--base", str(b), "--c", str(c), "--s", str(s),
+                "--digits", str(BLOCK_N), "--out", str(path)]
+        assert cli.main(argv) == 0
+        data = path.read_text()
+        header = dict(field.split("=", 1) for field in data.splitlines()[0].split())
+        out[b, c, s] = verdicts.digit_file_text(data), int(header["base"]), header["label"]
+    return out
+
+
+@pytest.mark.parametrize("params", STONEHAM_PARAMS, ids=str)
+def test_stoneham_digits_are_derived_again(stoneham_files, params):
+    text, base, label = stoneham_files[params]
+    assert len(text) == BLOCK_N
+    verdicts.check_digits(text, base, label)
+
+
+@pytest.mark.parametrize("params", STONEHAM_PARAMS, ids=str)
+def test_flipped_stoneham_digit_is_caught(stoneham_files, params):
+    text, base, label = stoneham_files[params]
+    i = len(text) * 2 // 3
+    flipped = text[:i] + ("1" if text[i] != "1" else "0") + text[i + 1 :]
+    with pytest.raises(AssertionError, match=f"^digit {i}$"):
+        verdicts.check_digits(flipped, base, label)
+
+
+def test_stoneham_text_of_another_shift_is_caught(stoneham_files):
+    text, base, _ = stoneham_files[10, 3, 7]
+    with pytest.raises(AssertionError, match="^digit "):
+        verdicts.check_digits(text, base, "stoneham-b10-c3-s6")

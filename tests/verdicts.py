@@ -7,8 +7,8 @@ with {pi 10^n} from mpmath's digits of pi; multiplicative orders from
 ``sympy.n_order``, totients from ``sympy.totient`` and exponential sums from
 direct sums over the subgroup; block statistics from ``collections.Counter``
 over the digit text and exact ``Fraction`` formulas; digit streams from
-``itertools.count`` and mpmath, and star discrepancies from the shift
-points' integer codes.  Each ``check_*``
+``itertools.count``, mpmath and long division, and star discrepancies from
+the shift points' integer codes.  Each ``check_*``
 raises AssertionError at the first field that does not follow, naming its
 row.
 """
@@ -17,6 +17,7 @@ import functools
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -379,16 +380,42 @@ def check_expsum(report: dict) -> None:
 
 
 _NUMERALS = {10: str, 16: lambda i: format(i, "x")}
+_DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+
+def stoneham_text(b: int, c: int, s: int, count: int) -> str:
+    """The first ``count`` base-b digits of sum_{n>=1} 1 / (c^n b^(c^n + s)),
+    by long division one digit at a time.
+
+    The terms with c^n + s <= count have the common denominator c^M, M the
+    last such n; term n is c^(M-n) / c^M, entered at digit c^n + s, so the
+    rest r stays below c^M.  Before term n enters, the fraction so far is a
+    multiple of 1/c^(n-1) below 1, so r b + c^(M-n) < b c^M: no digit reaches
+    b.  The terms past count add under 1/c^M at the last digit, where the
+    fraction is at most 1 - 1/c^M, so they carry into no digit."""
+    m = 0
+    while c ** (m + 1) + s <= count:
+        m += 1
+    den, enters = c**m, {c**n + s: c ** (m - n) for n in range(1, m + 1)}
+    r, out = 0, []
+    for i in range(1, count + 1):
+        digit, r = divmod(r * b + enters.get(i, 0), den)
+        _expect(digit < b, f"digit {i - 1} carries")
+        out.append(_DIGIT_CHARS[digit])
+    return "".join(out)
 
 
 def check_digits(digits: str, base: int, label: str) -> None:
     """The digit text of the stream ``label`` in ``base``: pi's fractional
-    digits from mpmath, or the numerals of 1, 2, 3, ... from
-    itertools.count, joined, in base 10 or 16."""
+    digits from mpmath, the numerals of 1, 2, 3, ... from itertools.count,
+    joined, in base 10 or 16, or a Stoneham prefix by stoneham_text."""
+    stoneham = re.fullmatch(r"stoneham-b(\d+)-c(\d+)-s(\d+)", label)
     if label == "pi" and base == 10:
         want = _pi_decimals(len(digits))
     elif label == f"concat-integers-b{base}" and base in _NUMERALS:
         want = "".join(map(_NUMERALS[base], itertools.islice(itertools.count(1), len(digits))))[: len(digits)]
+    elif stoneham and int(stoneham[1]) == base:
+        want = stoneham_text(base, int(stoneham[2]), int(stoneham[3]), len(digits))
     else:
         raise ValueError(f"no derivation of {label!r} in base {base}")
     if digits != want:
@@ -439,7 +466,7 @@ def check_blocks(report: dict, digits: str) -> None:
     base = report["base"]
     n = report["n_digits"] if "n_digits" in report else report["n_points"]
     text = digits[:n]
-    _expect(len(text) == n and set(text) <= set("0123456789abcdefghijklmnopqrstuvwxyz"[:base]), "digits")
+    _expect(len(text) == n and set(text) <= set(_DIGIT_CHARS[:base]), "digits")
     blocks = report["blocks"]
     _expect(list(blocks) == [str(k) for k in range(1, len(blocks) + 1)], "block lengths")
     for k, row in enumerate(blocks.values(), start=1):

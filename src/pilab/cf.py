@@ -9,14 +9,12 @@ each row as it is made.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
 from decimal import Decimal
 from fractions import Fraction
 from itertools import takewhile
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import constants, groups
 from ._dec import DecimalFraction, _digits, context_for
@@ -51,8 +49,7 @@ class InsufficientPrecisionError(ArithmeticError):
         self.first_uncertified = first_uncertified
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(NamedTuple):
     """One continued-fraction step: quotient a_k and the reduced p_k/q_k."""
 
     k: int
@@ -61,12 +58,11 @@ class Convergent:
     q: int
 
 
-@dataclass(frozen=True)
-class ResidueDecomposition:
+class ResidueDecomposition(NamedTuple):
     """Exact division data: 10^n p = a_n q + r_n and (p q + 1) 10^n = b_n q^2 + s_n q + c_n.
 
     The residues are fields; the full-width quotients a_n and b_n, which no
-    audit row reads, are computed from p and q on first access.
+    audit row reads, are computed from p and q at each access.
     """
 
     n: int
@@ -77,11 +73,11 @@ class ResidueDecomposition:
     p: int
     q: int
 
-    @functools.cached_property
+    @property
     def a_n(self) -> int:
         return (10**self.n * self.p - self.r_n) // self.modulus
 
-    @functools.cached_property
+    @property
     def b_n(self) -> int:
         m = self.modulus
         return ((self.p * self.q + 1) * 10**self.n - self.s_n * m - self.c_n) // (m * m)
@@ -94,24 +90,27 @@ class ResidueDecomposition:
         return first and second
 
 
-@dataclass(frozen=True)
-class AuditConfig:
+class _AuditConfigFields(NamedTuple):
+    mu: float
+    n_max: int
+
+
+class AuditConfig(_AuditConfigFields):
     """Shared audit knobs: irrationality-measure parameter and row range."""
 
-    mu: float = 2.0
-    n_max: int = 12
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.mu) and self.mu >= 2):
-            raise ValueError(f"mu must be a finite number >= 2, got {self.mu}")
-        if self.n_max < 1:
+    def __new__(cls, mu: float = 2.0, n_max: int = 12):
+        if not (math.isfinite(mu) and mu >= 2):
+            raise ValueError(f"mu must be a finite number >= 2, got {mu}")
+        if n_max < 1:
             raise ValueError("n_max must be >= 1")
-        if self.n_max > AUDIT_NMAX_MAX:
-            raise ValueError(f"n_max = {self.n_max} exceeds AUDIT_NMAX_MAX = {AUDIT_NMAX_MAX}")
+        if n_max > AUDIT_NMAX_MAX:
+            raise ValueError(f"n_max = {n_max} exceeds AUDIT_NMAX_MAX = {AUDIT_NMAX_MAX}")
+        return super().__new__(cls, mu, n_max)
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(NamedTuple):
     n: int
     r: int
     s: Optional[int]
@@ -126,8 +125,7 @@ class AuditRow:
     lower_exact: bool = True
 
 
-@dataclass(frozen=True)
-class LemmaAudit:
+class LemmaAudit(NamedTuple):
     lemma: str
     k: int
     p: int
@@ -137,8 +135,7 @@ class LemmaAudit:
     rows: AuditRows  # of AuditRow
 
 
-@dataclass(frozen=True)
-class PrimeAuditRow:
+class PrimeAuditRow(NamedTuple):
     n: int
     case: str
     r: int
@@ -154,8 +151,7 @@ class PrimeAuditRow:
     scaled_upper: Fraction
 
 
-@dataclass(frozen=True)
-class PrimeLemmaAudit:
+class PrimeLemmaAudit(NamedTuple):
     lemma: str
     k: int
     p: int
@@ -492,9 +488,8 @@ def audit_payload(audit) -> dict:
     reduces row values, margins and residuals, held as ``DecimalFraction``s,
     in decimal."""
     payload = {}
-    for f in fields(audit):
-        value = getattr(audit, f.name)
-        if f.name in _AS_TEXT:
-            value = _AS_TEXT[f.name](value)
-        payload[_REPORT_KEYS.get(f.name, f.name)] = value
+    for name, value in zip(audit._fields, audit):
+        if name in _AS_TEXT:
+            value = _AS_TEXT[name](value)
+        payload[_REPORT_KEYS.get(name, name)] = value
     return payload

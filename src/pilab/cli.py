@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import operator
 import sys
-from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -99,7 +97,7 @@ def _render(obj, newline: str, write: Callable[[str], object]) -> None:
             _render(value, inner, write)
             sep = "," + inner
         write(newline + "}")
-    elif isinstance(obj, spectra.BlockStats):
+    elif isinstance(obj, spectra.BlockStats):  # a NamedTuple, so ahead of the tuple branch
         _render_counts(obj, newline, write)
     elif isinstance(obj, cf.AuditRows):
         _render_rows(obj, newline, write)
@@ -150,17 +148,19 @@ _FIELD_FORMATS = {
 
 @functools.lru_cache(maxsize=None)
 def _row_template(cls: type, inner: str):
-    """(text, fields, formats) for writing a row of dataclass ``cls`` at
+    """(text, fields, formats) for writing a row of NamedTuple ``cls`` at
     ``inner``'s depth as _render writes cf.audit_payload(row): ``text`` has
     a %s for each value in report-key order, ``fields`` reads the values in
     that order and ``formats`` gives each one's text, by the field's
     annotation.  A row field is never in cf._AS_TEXT; one whose annotation
     has no format raises KeyError here."""
-    entries = sorted((cf._REPORT_KEYS.get(f.name, f.name), f) for f in fields(cls))
+    entries = sorted((cf._REPORT_KEYS.get(name, name), name) for name in cls._fields)
     pad = inner + "  "
     text = "{" + ",".join(f"{pad}{_str_key(key)}: %s" for key, _ in entries) + inner + "}"
-    formats = [_FIELD_FORMATS[f.type] for _, f in entries]
-    return text, operator.attrgetter(*(f.name for _, f in entries)), formats
+    # NamedTuple holds each string annotation as a typing.ForwardRef
+    hints = cls.__annotations__
+    formats = [_FIELD_FORMATS[getattr(hints[name], "__forward_arg__", hints[name])] for _, name in entries]
+    return text, operator.attrgetter(*(name for _, name in entries)), formats
 
 
 def _row_text(row, inner: str) -> str:
@@ -219,6 +219,8 @@ def _render_counts(stats: spectra.BlockStats, newline: str, write: Callable[[str
 
 
 def _sha256(path: str) -> str:
+    import hashlib  # here, not at the top: a command with no input file never loads OpenSSL
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         while block := fh.read(1 << 20):
@@ -307,7 +309,7 @@ def _cmd_order(args) -> int:
 def _cmd_coset(args) -> int:
     convs = cf.pi_convergents(args.k)
     report = groups.coset_structure(convs[args.k], element_cap=args.cap)
-    payload = {key: value for key, value in vars(report).items() if key != "base"}
+    payload = {key: value for key, value in report._asdict().items() if key != "base"}
     base = report.base
     payload.update(k=args.k, p=str(report.p), q=str(report.q),
                    order=base.order if base else None, totient=base.totient if base else None)
@@ -326,7 +328,7 @@ def _cmd_artin(args) -> int:
                                                       _CSV_FLAGS[(orders[s] == qs[s] - 1).astype(np.intp)], b"\n")):
                 fh.write(rows.decode("ascii"))
         outputs.append(args.csv)
-    _write_outputs(args, asdict(scan), outputs)
+    _write_outputs(args, scan._asdict(), outputs)
     return 0
 
 
@@ -342,7 +344,7 @@ def _cmd_weyl(args) -> int:
     payload = {
         "points": Path(args.points).name,  # the same file by any path gives the same bytes
         "n_points": report.n_points,
-        "rows": [asdict(row) for row in report.rows],
+        "rows": [row._asdict() for row in report.rows],
     }
     _write_outputs(args, payload, inputs=[args.points])
     return 0
@@ -362,7 +364,7 @@ def _cmd_expsum(args) -> int:
     spectra.check_expsum_p(args.p)  # before <g> is built: its order can reach p - 1
     report = groups.subgroup(args.g, args.p, element_cap=args.cap)
     result = spectra.subgroup_expsum(report, c=args.c)
-    payload = {_EXPSUM_KEYS.get(key, key): value for key, value in vars(result).items()}
+    payload = {_EXPSUM_KEYS.get(key, key): value for key, value in result._asdict().items()}
     payload["method"] = "fft"
     _write_outputs(args, payload)
     return 0

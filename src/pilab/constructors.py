@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,37 +30,45 @@ CONCAT_DIGIT_CEILING = 50_000_000
 STONEHAM_DIGIT_CEILING = 1_000_000
 
 
-@dataclass(frozen=True)
-class ConcatSpec:
+class _ConcatSpecFields(NamedTuple):
+    family: str
+    base: int
+
+
+class ConcatSpec(_ConcatSpecFields):
     """A concatenation family and its output base."""
 
-    family: str
-    base: int = 10
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {_FAMILIES}")
-        if self.base < 2:
+    def __new__(cls, family: str, base: int = 10):
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown family {family!r}; expected one of {_FAMILIES}")
+        if base < 2:
             raise ValueError("base must be >= 2")
-        if self.family == "primes" and self.base != 10:
+        if family == "primes" and base != 10:
             raise ValueError("the primes family is generated in base 10 only")
+        return super().__new__(cls, family, base)
 
 
-@dataclass(frozen=True)
-class StonehamSpec:
-    """Parameters of the series sum(1 / (c^n * b^(c^n + s))), digits in base b."""
-
+class _StonehamSpecFields(NamedTuple):
     b: int
     c: int
-    s: int = 0
+    s: int
 
-    def __post_init__(self):
-        if self.b < 2 or self.c < 2:
+
+class StonehamSpec(_StonehamSpecFields):
+    """Parameters of the series sum(1 / (c^n * b^(c^n + s))), digits in base b."""
+
+    __slots__ = ()
+
+    def __new__(cls, b: int, c: int, s: int = 0):
+        if b < 2 or c < 2:
             raise ValueError("b and c must both be >= 2")
-        if math.gcd(self.b, self.c) != 1:
-            raise ValueError(f"gcd(b, c) must be 1, got gcd({self.b}, {self.c}) = {math.gcd(self.b, self.c)}")
-        if self.s < 0:
+        if math.gcd(b, c) != 1:
+            raise ValueError(f"gcd(b, c) must be 1, got gcd({b}, {c}) = {math.gcd(b, c)}")
+        if s < 0:
             raise ValueError("s must be a nonnegative integer")
+        return super().__new__(cls, b, c, s)
 
 
 def _digits_in_base(m: int, base: int) -> bytes:

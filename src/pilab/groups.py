@@ -9,8 +9,7 @@ wrong order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -44,8 +43,7 @@ class WindowExhaustedError(RuntimeError):
     """No prime was found inside the search window."""
 
 
-@dataclass(frozen=True)
-class SubgroupReport:
+class SubgroupReport(NamedTuple):
     """The cyclic subgroup generated by ``generator`` in (Z/modulus Z)*."""
 
     modulus: int
@@ -56,8 +54,7 @@ class SubgroupReport:
     elements: Optional[tuple[int, ...]]  # materialized only when order <= cap
 
 
-@dataclass(frozen=True)
-class CosetReport:
+class CosetReport(NamedTuple):
     """The sets {p 10^n mod q} and {(p q + 1) 10^n mod q} against <10> mod q."""
 
     p: int
@@ -72,8 +69,7 @@ class CosetReport:
     h_elements: Optional[tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class ArtinScan:
+class ArtinScan(NamedTuple):
     limit: int
     count_primes: int
     count_artin: int

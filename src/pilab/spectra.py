@@ -10,9 +10,8 @@ import math
 import os
 import sys
 import threading
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,31 +63,34 @@ class TableCapError(ValueError):
     """A block-frequency table would exceed the configured size cap."""
 
 
-@dataclass(frozen=True, eq=False)
-class PointSet:
+class _PointSetFields(NamedTuple):
+    points: np.ndarray
+    eps: float
+    label: str
+
+
+class PointSet(_PointSetFields):
     """Points in [0,1) with a shared certified absolute error bound.
 
     ``points`` may be given as any sequence of floats; it is stored as a
-    read-only float64 array.
+    read-only float64 array.  ``len`` is the number of points.
     """
 
-    points: np.ndarray
-    eps: float
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        pts = self.points
+    def __new__(cls, points, eps: float, label: str = ""):
+        pts = points
         if not (isinstance(pts, np.ndarray) and pts.dtype == np.float64 and not pts.flags.writeable):
             pts = np.array(pts, dtype=np.float64)
             pts.flags.writeable = False
-            object.__setattr__(self, "points", pts)
         if pts.ndim != 1:
             raise ValueError("points must form a one-dimensional sequence")
-        if not 0.0 <= self.eps < math.inf:
-            raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
+        if not 0.0 <= eps < math.inf:
+            raise ValueError(f"eps must be finite and >= 0, got {eps}")
         inside = (pts >= 0.0) & (pts < 1.0)  # false for NaN as well
         if not inside.all():
             raise ValueError(f"point {float(pts[np.argmin(inside)])} outside [0,1)")
+        return super().__new__(cls, pts, eps, label)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -99,22 +101,19 @@ class PointSet:
         return cls(points=pts, eps=eps + 2e-16, label=label)
 
 
-@dataclass(frozen=True)
-class WeylRow:
+class WeylRow(NamedTuple):
     m: int
     magnitude: float
     error_bound: float
 
 
-@dataclass(frozen=True)
-class WeylReport:
+class WeylReport(NamedTuple):
     n_points: int
     label: str
     rows: tuple[WeylRow, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class BlockStats:
+class BlockStats(NamedTuple):
     """Overlapping block counts of one length; all base^k patterns enter the stats."""
 
     base: int
@@ -131,8 +130,7 @@ class BlockStats:
                 "chi_square": self.chi_square, "dof": self.dof}
 
 
-@dataclass(frozen=True)
-class BlockTable:
+class BlockTable(NamedTuple):
     """Block statistics of one digit prefix for every length k = 1..k_max."""
 
     lengths: tuple[BlockStats, ...]  # lengths[k - 1] has block length k
@@ -143,8 +141,7 @@ class BlockTable:
         return sum(stats.windows for stats in self.lengths)
 
 
-@dataclass(frozen=True)
-class ExpSumReport:
+class ExpSumReport(NamedTuple):
     modulus: int
     generator: int
     subgroup_order: int
@@ -643,4 +640,4 @@ def _equidistribution(pts: PointSet, m_list: Sequence[int]) -> dict:
     u.flags.writeable = True  # the set was built by the caller and dies with this call
     u.sort()
     return {"n_points": len(pts), "point_eps": pts.eps,
-            "weyl": [asdict(row) for row in weyl.rows], "star_discrepancy": _sorted_discrepancy(u)}
+            "weyl": [row._asdict() for row in weyl.rows], "star_discrepancy": _sorted_discrepancy(u)}

@@ -106,10 +106,18 @@ MUTANTS = (
            "resid = np.subtract(tail, gap, out=tail)", "resid = tail",
            ("tests/test_spectra.py", "-k", "shifted_points")),
     # _int: Burnikel-Ziegler's add-back after an overshooting quotient digit,
-    # and isqrt's last step down
+    # the digit that saturates at 2^n - 1, the odd-width pad that keeps each
+    # digit within two corrections, and isqrt's last step down
     Mutant("bz_add_back_dropped", "_int.py",
            "    while r < 0:\n        q -= 1\n        r += b\n", "",
            ("tests/test_int.py", "-k", "floor_divmod")),
+    Mutant("bz_saturated_digit_raises", "_int.py",
+           "        q, r = (1 << n) - 1, a12 - (b1 << n) + b1\n",
+           "        raise AssertionError(\"saturated quotient digit\")\n",
+           ("tests/test_int.py", "-k", "saturated")),
+    Mutant("bz_odd_pad_narrowed", "_int.py",
+           "a, b, n = a << 1, b << 1, n + 1", "a, b, n = a << 1, b << 1, n - 1",
+           ("tests/test_int.py", "-k", "at_most_twice")),
     Mutant("isqrt_last_step_dropped", "_int.py",
            "return a - (a * a > n)", "return a",
            ("tests/test_int.py", "-k", "isqrt")),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pilab import _int
 from pilab._int import _DIV_LIMIT, floor_divmod, isqrt
 
 
@@ -80,3 +81,52 @@ def test_isqrt_of_zero_and_one_and_negative():
         isqrt(-1)
     with pytest.raises(ValueError):
         isqrt(-(1 << 9000))
+
+
+def _saturating_operands(draws: int):
+    """(a, b) with b of n bits, n from 4100 to 20 000, and a = b 2^n - 1,
+    b 2^n - b or b 2^n - small: the top n bits of a are b - 1, so a quotient
+    digit of the recursion meets its divisor's top half and saturates."""
+    draw = random.Random(29)
+    for _ in range(draws):
+        n = draw.randrange(4100, 20001)
+        b = draw.getrandbits(n) | 1 << n - 1
+        for x in (1, b, draw.randrange(2, 1 << 16)):
+            yield (b << n) - x, b
+
+
+def test_floor_divmod_through_the_saturated_quotient_digit(monkeypatch):
+    reached = []
+    div3n2n = _int._div3n2n
+
+    def spy(a12, a3, b, b1, b2, n):
+        reached[-1] |= a12 >> n == b1
+        return div3n2n(a12, a3, b, b1, b2, n)
+
+    monkeypatch.setattr(_int, "_div3n2n", spy)
+    for a, b in _saturating_operands(20):
+        reached.append(False)
+        assert floor_divmod(a, b) == divmod(a, b)
+    assert sum(reached) / len(reached) > 0.9
+
+
+def test_div3n2n_corrects_each_quotient_digit_at_most_twice(monkeypatch):
+    # the first estimate, a12 // b1 capped at 2^n - 1, is never below the
+    # digit, and above it by at most 2; odd widths take _div2n1n's pad
+    corrections = []
+    div3n2n = _int._div3n2n
+
+    def counting(a12, a3, b, b1, b2, n):
+        q, r = div3n2n(a12, a3, b, b1, b2, n)
+        corrections.append(min(a12 // b1, (1 << n) - 1) - q)
+        return q, r
+
+    monkeypatch.setattr(_int, "_div3n2n", counting)
+    draw = random.Random(30)
+    operands = list(_saturating_operands(5))
+    for b_bits in (2 * _DIV_LIMIT + 1, 3 * _DIV_LIMIT - 1, 4 * _DIV_LIMIT, 5 * _DIV_LIMIT + 3):
+        b = draw.getrandbits(b_bits) | 1 << b_bits - 1
+        operands += [(draw.randrange(b << b_bits), b) for _ in range(3)]
+    for a, b in operands:
+        assert floor_divmod(a, b) == divmod(a, b)
+    assert corrections and 0 <= min(corrections) and max(corrections) <= 2

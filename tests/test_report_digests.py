@@ -1,9 +1,10 @@
 """Pinned SHA-256 digests of CLI reports at sizes that run in tier-1.
 
 A refactor of the path from convergents, digit files or point files to report
-bytes (the report writer, the block and Weyl statistics), or of the digits of
-``construct --family stoneham``, must leave these reports byte-identical; any
-change to one of them is a deliberate report change and re-pins its digest here.
+bytes (the report writer, the block and Weyl statistics, the records each
+command turns into a payload), or of the digits of ``construct --family
+stoneham``, must leave these reports byte-identical; any change to one of them
+is a deliberate report change and re-pins its digest here.
 """
 
 import hashlib
@@ -37,6 +38,9 @@ CASES = {
     "audit-prime-k6": ("audit", "--lemma", "prime", "--k", "6", "--nmax", "40"),
     "audit-prime-k6-mu2.123": ("audit", "--lemma", "prime", "--k", "6", "--nmax", "40", "--mu", "2.123"),
     "expsum-1999": ("expsum", "--p", "1999"),
+    "coset-k8": ("coset", "--k", "8"),  # orders past the cap: no elements
+    "coset-k3": ("coset", "--k", "3"),  # both element sets written
+    "artin-1e5": ("artin", "--limit", "100000"),
     "weyl-golden": ("weyl", "--points", GOLDEN_POINTS, "--m", "1,2,3,5,8"),
     "normality-int-k3": ("normality", "--in", "int.digits", "--N", "20000", "--kmax", "3"),
     "normality-hex-k2": ("normality", "--in", "hex.digits", "--N", "8000", "--kmax", "2"),
@@ -58,6 +62,9 @@ DIGESTS = {
     "stoneham-b36-c5-s1": "83a80774ff0b35e6802259308c6d7d33d76207e5b51db43130e558d1c8dba991",
     "stoneham-b3-c2-s1": "e3d526595405f72623cd75a5d387fdad6c12d032bd2022474cb896a04a48b729",
     "expsum-1999": "b5aff195d0ae85ba9c1dde9beb9dd765daa0a5e55eed6d1706a4ed581424feb3",
+    "coset-k8": "2ceb0c893f599f392e05521d27fa376b5d52fa881b27ac9cd47eaafd7555671c",
+    "coset-k3": "08e66fe9e41ef95025e4b3bbae4fe13cafce7fb1f26ece0563766c5615dcb3ab",
+    "artin-1e5": "265a50e236a989fd2d899a650bef63b57162b8408b3a1600032232e311aeda7e",
     "weyl-golden": "43bf0c1c09a0a1ca470c0d0b508a271591265d3a43edc84d36ee90da2f2d2a2d",
     "normality-int-k3": "3ad91123f915f68f0a88538fcebaefcbdd5ebf9e07a06f8c54d9f3f07293a76c",
     "normality-hex-k2": "06bb1ffef4de630a40a48db2d882db7355d618c10f325ad05fa6ffab458639ed",
@@ -79,3 +86,13 @@ def test_report_stdout_digest(name, tmp_path, monkeypatch, capsys):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]
+
+
+def test_artin_csv_digest(tmp_path, capsys):
+    # the --csv rows, and the JSON the same run prints beside them
+    csv = tmp_path / "artin.csv"
+    assert main(["artin", "--limit", "100000", "--csv", str(csv)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS["artin-1e5"]
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == \
+        "08b1e00821140ef6ab5d09bc2a3b7729ac557463d224fb1a6054e234e3cf8be9"

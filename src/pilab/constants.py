@@ -48,12 +48,11 @@ _INT_PARTS = {"pi": 3, "ln10": 2, "ln_pi": 1}
 # work in binary with 64 guard bits.  The bit-burst primary's smooth part,
 # sum c_q T_q over the four series of _smooth_bin, each within 2 binary ulp,
 # errs by 2 sum |c_q| binary ulp, and each of its at most log2(bits) + 2
-# stages by 2 more from s = 16 on (an _log1p_series sum) and by 4 below (twice
-# an _arc_series sum).  ln 10 = ln 2 + ln 5 weights
+# stages by 2 more (an _log1p_series sum).  ln 10 = ln 2 + ln 5 weights
 # the series (239, 90, -63, 103) and runs no stage: 990 binary ulp, under
 # 2^-53 decimal ulp behind the guard bits.  ln pi's 7 ln 7 - 18 ln 2 weights
-# them (118, 46, -29, 51), 488 binary ulp, and its stages start at s = 32; a
-# generic k ln 2 costs 298 |k|.  The acoth ln 10, three _arc_series sums
+# them (118, 46, -29, 51), 488 binary ulp, and its stages start at s = 32.
+# The acoth ln 10, three _arc_series sums
 # weighted 46, 34 and 20, errs by 2 (46 + 34 + 20) = 200 binary ulp, under
 # 2^-55 decimal ulp behind the guard bits; and the Newton log's last step,
 # from its quarter-width iterate, by 16 binary ulp (see _ln_rational_newton).
@@ -251,50 +250,32 @@ def _smooth_bin(bits: int) -> tuple[int, ...]:
     return tuple(t >> held[0] - bits for t in held[1])
 
 
-def _ln_rational_atanh(num: int, den: int, w: int, smooth: tuple[int, int, int] = (0, 0, 0)) -> int:
-    """ln(num/den) * 10^w by the bit-burst scheme.
+def _ln_rational_atanh(num: int, den: int, w: int, smooth: tuple[int, int, int]) -> int:
+    """ln(num/den) * 10^w by the bit-burst scheme, where smooth = (i, j, k)
+    leaves a rest y = num/den / (2^i 5^j 7^k) in [1, 1 + 2^-16); any other
+    argument raises ValueError before a series is summed.
 
-    smooth = (i, j, k) divides 2^i 5^j 7^k out of num/den; powers of two then
-    bring the rest y into [1, 2), and the logarithm of all that was divided
-    out is one integer combination of the four T_q (see _smooth_bin).  Stage
-    s (1, 2, 4, ...) then takes a = floor((y - 1) 2^s) < 2^(s/2), adds
-    ln(1 + a/2^s) and divides 1 + a/2^s out of y exactly, leaving y - 1 <
-    2^-s.  From s = 16 the stage sums the series of ln(1 + x) itself, x <
-    2^-(s/2), whose terms' denominators are shifts (see _log1p_series): about
-    2 bits/s terms.  Below 16 it sums 2 atanh(a / (2^(s+1) + a)), whose
-    argument is below 2^-(s/2+1) and whose terms fall by its square, the
-    fewer terms where x is as large as 1/2.  A rest below 1 + 2^-s runs no
-    stage before s.
+    ln(2^i 5^j 7^k) is one integer combination of the four T_q (see
+    _smooth_bin).  Stage s = 16, 32, 64, ... takes a = floor((y - 1) 2^s) <
+    2^(s/2), adds ln(1 + a/2^s) by its own series, whose terms' denominators
+    are shifts (see _log1p_series), and divides 1 + a/2^s out of y exactly,
+    leaving y - 1 < 2^-s.  A rest below 1 + 2^-s runs no stage before s.
     """
-    if num <= 0 or den <= 0:
-        raise ValueError("log argument must be positive")
-    bits = _bits_for(w)
     for p, e in zip((2, 5, 7), smooth):
         if e >= 0:
             den *= p**e
         else:
             num *= p**-e
-    k = num.bit_length() - den.bit_length()
-    if k >= 0:
-        den <<= k
-    else:
-        num <<= -k
-    if num < den:
-        num <<= 1
-        k -= 1
-    e2, e5, e7 = smooth[0] + k, smooth[1], smooth[2]
-    total = 0
-    if e2 or e5 or e7:
-        total = sum((e2 * a + e5 * b + e7 * c) * t
-                    for a, b, c, t in zip(*_LN_WEIGHTS, _smooth_bin(bits)))
-    s = 1
+    if not 0 <= (num - den) << 16 < den:
+        raise ValueError("log argument's rest after its smooth part lies outside [1, 1 + 2^-16)")
+    bits = _bits_for(w)
+    total = sum((smooth[0] * a + smooth[1] * b + smooth[2] * c) * t
+                for a, b, c, t in zip(*_LN_WEIGHTS, _smooth_bin(bits)))
+    s = 16
     while s < 2 * bits and num != den:  # the last stage run has s >= bits
         a = floor_divmod((num - den) << s, den)[0]
         if a:
-            if s >= 16:
-                total += _log1p_series(a, s, bits)
-            else:
-                total += 2 * _arc_series(a, (1 << s + 1) + a, 1 << bits)
+            total += _log1p_series(a, s, bits)
             if s >= bits:
                 break  # the last stage: nothing reads num and den after it
             num <<= s
@@ -388,9 +369,8 @@ def _ln10_acoth(w: int) -> int:
                            + 20 * _arc_series(1, 161, one), bits, w)
 
 
-# Below this many working digits a pair runs in this process alone; pi's pair,
-# both halves cheap next to a fork, has a floor of its own.  Measured on a
-# 2-core host (CPython 3.11.7) with the subquadratic divides of _int, in
+# Below this many working digits a pair runs in this process alone.  Measured
+# on a 2-core host (CPython 3.11.7) with the subquadratic divides of _int, in
 # fresh interpreters, one pair a process, the floor set by the measuring
 # script, forked against inline in alternating runs, timing the pair alone:
 # the fork beat inline in ln 10 6 of 12 and 6 of 20 at w = 3020 and 8 of 12
@@ -399,12 +379,9 @@ def _ln10_acoth(w: int) -> int:
 # finish, 2 of 12 at 2020, 17 of 32 at 3020 (13.8 against 14.6 ms), 24 of 40
 # at 4020 (14.0 against 14.3 ms, then 19.5 against 15.8 ms), 16 of 20 at
 # 5020 (18.1 against 20.1 ms) and 18 of 20 at 6020, tied at ln 10's floor
-# and held there; pi 5 of 16 and 12 of 20 at 8020 (13.3 against 9.7 and 9.3
-# against 9.4 ms), 8 of 16 and 13 of 20 at 9020 (12.4 against 11.9 ms), and
-# 9 of 16, 16 of 20 and 17 of 20 at 10020 (11.9 against 15.8 ms), each
-# median won.
+# and held there.  Pi's pair shares it: below 10 000 its fork ties or loses a
+# few ms, and no workload certifies pi there.
 _FORK_MIN_DIGITS = 4000
-_PI_FORK_MIN_DIGITS = 10000
 
 
 def _second_cpu() -> bool:
@@ -419,8 +396,8 @@ def _fork_pays(size: int, floor: int) -> bool:
     """Whether work of ``size`` is shared with a forked child: fork exists, a
     second CPU is ours, no other Python thread could hold a lock across the
     fork, and size clears ``floor`` (for a pair, its working digits clear
-    _FORK_MIN_DIGITS, or pi's _PI_FORK_MIN_DIGITS, passed at each call, so a
-    script that sets a floor moves every pair that uses it)."""
+    _FORK_MIN_DIGITS, read at each call, so a script that sets it moves every
+    pair)."""
     if size < floor or not hasattr(os, "fork") or threading.active_count() > 1:
         return False
     return _second_cpu()
@@ -512,24 +489,24 @@ def _kill_unreaped(pid: int) -> None:
         pass
 
 
-def _pair(w: int, floor: int, here, there) -> tuple[int, int]:
+def _pair(w: int, here, there) -> tuple[int, int]:
     """(here(), there()) of a pair's two halves; ``there`` may run in a forked
-    child, where w clears ``floor``, and its int travels as hex text."""
-    value, text = _split_jobs(_fork_pays(w, floor), [here, lambda: format(there(), "x")])
+    child, where w clears _FORK_MIN_DIGITS, and its int travels as hex text."""
+    value, text = _split_jobs(_fork_pays(w, _FORK_MIN_DIGITS), [here, lambda: format(there(), "x")])
     return value, int(text, 16)
 
 
 def _pi_scaled_pair(w: int) -> tuple[int, int]:
     """(Ramanujan, Chudnovsky); Ramanujan's half may run in a forked child."""
     one = 10**w
-    chudnovsky, ramanujan = _pair(w, _PI_FORK_MIN_DIGITS, functools.partial(_pi_chudnovsky, one, w),
+    chudnovsky, ramanujan = _pair(w, functools.partial(_pi_chudnovsky, one, w),
                                   functools.partial(_pi_ramanujan, one, w))
     return ramanujan, chudnovsky
 
 
 def _ln10_scaled_pair(w: int) -> tuple[int, int]:
     """(bit-burst, acoth formula); the acoth half may run in a forked child."""
-    return _pair(w, _FORK_MIN_DIGITS, functools.partial(_ln_rational_atanh, 10, 1, w, _SMOOTH["ln10"]),
+    return _pair(w, functools.partial(_ln_rational_atanh, 10, 1, w, _SMOOTH["ln10"]),
                  functools.partial(_ln10_acoth, w))
 
 
@@ -539,7 +516,7 @@ def _ln_pi_scaled_pair(w: int) -> tuple[int, int]:
     dual-certified.  The Newton engine starts from a float, not from the
     bit-burst value, so it may run in a forked child beside it."""
     num, den = _certified_scaled("pi", w + 5), 10 ** (w + 5)
-    return _pair(w, _FORK_MIN_DIGITS, functools.partial(_ln_rational_atanh, num, den, w, _SMOOTH["ln_pi"]),
+    return _pair(w, functools.partial(_ln_rational_atanh, num, den, w, _SMOOTH["ln_pi"]),
                  functools.partial(_ln_rational_newton, num, den, w))
 
 
@@ -614,7 +591,9 @@ def const_digits(name: str, digits: int) -> DigitStream:
 
     Digits are released where both engines agree (see _certify), one perhaps in a
     forked child; neither runs for digits the memo holds.  The integer part is
-    exposed via integer_part().  Past DIGIT_CEILING digits it raises ProducerExhaustedError.
+    exposed via integer_part().  A request past DIGIT_CEILING raises
+    PrecisionCeilingError before any engine runs; the stream, grown past it
+    later, raises ProducerExhaustedError.
     """
     if name not in _INT_PARTS:
         raise ValueError(f"unknown constant {name!r}; expected one of {sorted(_INT_PARTS)}")

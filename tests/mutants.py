@@ -71,14 +71,18 @@ MUTANTS = (
            "u, v = _exp_ratio(y, p) if y >= 0 else _exp_ratio(-y, p)[::-1]",
            "u, v = (num, den) if q == widths[0] else _exp_ratio(y, p) if y >= 0 else _exp_ratio(-y, p)[::-1]",
            ("tests/test_constant_engines.py", "-k", "newton")),
-    # ln pi's bit-burst stages on shifts, and the Newton check's cubic finish
-    # and its exp stages' T cut before the multiply
+    # ln pi's bit-burst stages on shifts, the primary's refusal of a rest
+    # outside [1, 1 + 2^-16), and the Newton check's cubic finish and its exp
+    # stages' T cut before the multiply
     Mutant("log1p_stage_sign_dropped", "constants.py",
            "return -a, 1, k + 1, a", "return a, 1, k + 1, a",
            ("tests/test_constant_engines.py", "-k", "log1p")),
     Mutant("log1p_stage_one_term_fewer", "constants.py",
            "terms = max(1, bits // (s - a.bit_length()))", "terms = max(1, bits // (s - a.bit_length()) - 1)",
            ("tests/test_constant_engines.py", "-k", "log1p")),
+    Mutant("bit_burst_rest_guard_dropped", "constants.py",
+           "if not 0 <= (num - den) << 16 < den:", "if False:",
+           ("tests/test_constant_engines.py", "-k", "refuses_a_rest")),
     Mutant("newton_finish_cube_dropped", "constants.py",
            "r -= (r2 >> 1) - (r2 * r >> p) // 3", "r -= r2 >> 1",
            ("tests/test_constant_engines.py", "-k", "newton")),

@@ -1,6 +1,7 @@
 """Each constant engine on its own against mpmath and against pinned bits,
 plus the digit-stream ceiling."""
 
+import functools
 import hashlib
 
 import pytest
@@ -119,8 +120,10 @@ def test_ramanujan_half_takes_no_square_root(monkeypatch):
     assert len(roots) == 1  # the recording sees Chudnovsky's one root
 
 
+# The bit-burst primary takes only its pairs' arguments, each with its smooth
+# part: test_log_primary_against_mpmath checks it there.
 @pytest.mark.parametrize("w", LOG_SCALES)
-@pytest.mark.parametrize("engine", [constants._ln_rational_atanh, constants._ln_rational_newton])
+@pytest.mark.parametrize("engine", [constants._ln_rational_newton])
 @pytest.mark.parametrize("name", ["ln10", "ln_pi"])
 def test_log_engine_against_mpmath(name, engine, w):
     num, den = (10, 1) if name == "ln10" else _pi_hat(w)
@@ -138,15 +141,43 @@ EDGE_ARGUMENTS = {
     "pi_like": (31415926535897932384626433832795028841971, 10**40),
 }
 
+# The one edge argument that lies in [1, 1 + 2^-16), where the bit-burst
+# primary takes it with no smooth part; it refuses the others.
+PRIMARY_EDGE_ARGUMENTS = {"just_above_one"}
+
 
 @pytest.mark.parametrize("w", [40, 600])
 @pytest.mark.parametrize("engine", [constants._ln_rational_atanh, constants._ln_rational_newton])
 @pytest.mark.parametrize("arg", sorted(EDGE_ARGUMENTS))
 def test_log_engines_on_edge_arguments(arg, engine, w):
     num, den = EDGE_ARGUMENTS[arg]
+    if engine is constants._ln_rational_atanh:
+        engine = functools.partial(engine, smooth=(0, 0, 0))
+        if arg not in PRIMARY_EDGE_ARGUMENTS:
+            with pytest.raises(ValueError, match="outside"):
+                engine(num, den, w)
+            return
     mp.dps = w + 450
     want = _floor_scaled(mp.log(mpf(num) / den), w)
     assert abs(engine(num, den, w) - want) <= 2
+
+
+@pytest.mark.parametrize("num,den,smooth", [
+    (10, 1, (0, 0, 0)),  # ln 10 without its smooth part: a rest of 10
+    ("pi_hat", None, (-18, 0, 6)),  # ln pi's 7-exponent one short: a rest near 1/7
+    ("pi_hat", None, (-18, 0, 8)),  # and one over: near 7
+    (2**16 + 1, 2**16, (0, 0, 0)),  # 1 + 2^-16 itself
+    (2**16 - 1, 2**16, (0, 0, 0)),  # just below 1
+], ids=["ln10_rest_10", "ln_pi_7_short", "ln_pi_7_over", "one_plus_2_to_minus_16", "below_one"])
+def test_primary_refuses_a_rest_outside_its_range_before_summing(monkeypatch, num, den, smooth):
+    if num == "pi_hat":
+        num, den = _pi_hat(120)
+    summed = []
+    monkeypatch.setattr(constants, "_smooth_bin", lambda bits: summed.append(bits))
+    monkeypatch.setattr(constants, "_log1p_series", lambda a, s, bits: summed.append(s))
+    with pytest.raises(ValueError, match=r"outside \[1, 1 \+ 2\^-16\)"):
+        constants._ln_rational_atanh(num, den, 120, smooth)
+    assert summed == []
 
 
 # Both bit-burst primaries read every series behind ln 2, ln 5 and ln 7, and
@@ -291,7 +322,7 @@ def test_log1p_stage_within_2_ulp(data, s, bits):
     got = constants._log1p_series(a, s, bits)
     mp.prec = max(bits, a.bit_length()) + 64
     assert abs(got - mp.log1p(mpf(a) / mpf(2) ** s) * mpf(2) ** bits) <= 2
-    # the atanh stage it replaces, 2 atanh(a / (2^(s+1) + a)), errs by 4
+    # the atanh stage it replaced, 2 atanh(a / (2^(s+1) + a)), errs by 4
     assert abs(got - 2 * constants._arc_series(a, (1 << s + 1) + a, 1 << bits)) <= 6
 
 
@@ -382,7 +413,7 @@ def test_stream_growth_clamps_to_ceiling(monkeypatch):
 # SHA-256 of str() of each engine integer; the mpmath tests allow +-64 ulp,
 # these pin the exact bits.  At these widths Ramanujan and Chudnovsky land on the
 # same integer, and so do the ln 10 engines: the primary as its pair runs it,
-# the bit-burst of 10 / 2^3 after 3 ln 2, Newton and the acoth formula.
+# Newton and the acoth formula.
 ENGINE_BITS = {
     "ramanujan": ("0b54fe20ef4d7676270cf6ff74c69cd2ef87921bfddbdd149617d8016d066879",
                   lambda: constants._pi_ramanujan(10**3010, 3010)),
@@ -392,8 +423,6 @@ ENGINE_BITS = {
                   lambda: constants._arc_series(1, 3, 1 << 10000)),
     "ln10_atanh": ("a82884a6f80b4449734333f941b19aae70f862ae28b9475544a44fe1fbbcfeec",
                    lambda: constants._ln_rational_atanh(10, 1, 3010, constants._SMOOTH["ln10"])),
-    "ln10_bit_burst": ("a82884a6f80b4449734333f941b19aae70f862ae28b9475544a44fe1fbbcfeec",
-                       lambda: constants._ln_rational_atanh(10, 1, 3010)),
     "ln10_newton": ("a82884a6f80b4449734333f941b19aae70f862ae28b9475544a44fe1fbbcfeec",
                     lambda: constants._ln_rational_newton(10, 1, 3010)),
     "ln10_acoth": ("a82884a6f80b4449734333f941b19aae70f862ae28b9475544a44fe1fbbcfeec",

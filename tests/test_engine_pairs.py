@@ -24,8 +24,8 @@ def assert_no_child_left():
 
 @pytest.fixture
 def forks(monkeypatch):
-    """A fresh memo, a fork wherever the size clears _FORK_MIN_DIGITS (pi's own
-    floor set aside), and the list of pids forked."""
+    """A fresh memo, a fork wherever the size clears _FORK_MIN_DIGITS, and the
+    list of pids forked."""
     monkeypatch.setattr(constants, "_memo", {})
     monkeypatch.setattr(constants, "_fork_pays", lambda w, floor=None: w >= constants._FORK_MIN_DIGITS)
     pids = []
@@ -68,7 +68,7 @@ def test_parent_interrupt_kills_and_reaps_the_child(forks):
 
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        constants._pair(W, 0, interrupt, lambda: time.sleep(60))
+        constants._pair(W, interrupt, lambda: time.sleep(60))
     assert len(forks) == 1 and time.monotonic() - start < 10
 
 
@@ -87,7 +87,7 @@ def test_interrupt_just_after_the_reap_neither_signals_nor_masks(monkeypatch, fo
     monkeypatch.setattr(os, "waitpid", reap_then_interrupt)
     monkeypatch.setattr(os, "kill", refuse_kill)
     with pytest.raises(KeyboardInterrupt):
-        constants._pair(W, 0, lambda: 1, lambda: 7)
+        constants._pair(W, lambda: 1, lambda: 7)
     assert len(forks) == 1
 
 
@@ -158,7 +158,7 @@ def test_small_requests_and_one_cpu_run_inline(monkeypatch):
     monkeypatch.setattr(constants, "_memo", {})
     monkeypatch.setattr(os, "fork", _refuse_fork)
     _assert_certified("ln_pi", 200)  # the working digits of coset's pi and most tests
-    _assert_certified("pi", W)  # above the pairs' floor, below pi's own
+    _assert_certified("pi", constants._FORK_MIN_DIGITS - constants._GUARD_DIGITS - 1)  # just below the floor
     assert not constants._fork_pays(constants._FORK_MIN_DIGITS - 1, constants._FORK_MIN_DIGITS)
     if hasattr(os, "sched_getaffinity"):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -166,13 +166,12 @@ def test_small_requests_and_one_cpu_run_inline(monkeypatch):
 
 
 def test_each_pair_reads_its_floor_when_it_runs(monkeypatch):
-    # a script that sets a module floor moves the pairs that use it: no pair
-    # holds a floor bound when the module was imported
+    # every pair passes the one module floor, as it stands when the pair runs:
+    # a script that sets it moves them all
     monkeypatch.setattr(constants, "_memo", {})
     monkeypatch.setattr(constants, "_FORK_MIN_DIGITS", 123)
-    monkeypatch.setattr(constants, "_PI_FORK_MIN_DIGITS", 456)
     floors = []
     monkeypatch.setattr(constants, "_fork_pays", lambda w, floor: floors.append(floor) and False)
     for name in ("pi", "ln10", "ln_pi"):
         constants._ENGINES[name](60)
-    assert floors == [456, 123, 456, 123]  # ln pi's pair certifies pi first
+    assert floors == [123] * 4  # ln pi's pair certifies pi first

@@ -1,11 +1,11 @@
 """Paired benchmark runs of two commits, written as bench/BENCH_<short-sha>.json.
 
-    python3 tools/bench_pairs.py PARENT CHANGE [--pairs N] [--seconds S] [--scratch DIR]
+    python3 tools/bench_pairs.py PARENT CHANGE [--pairs N] [--seconds S]
 
 Run from anywhere inside a pilab checkout.  Each commit's ``src`` is exported
-with ``git archive`` into its own directory under a temporary one (in
-``--scratch`` if given), beside ``perfbench/`` as committed at HEAD, so both
-sides run the same harness.  Pair i runs
+with ``git archive`` into its own directory under a temporary one (under
+``TMPDIR`` if set), beside ``perfbench/`` as committed at HEAD, so both sides
+run the same harness.  Pair i runs
 
     python3 perfbench/run.py --workload all --seed i --seconds S --trace 0
 
@@ -133,13 +133,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--scratch", default=None, help="directory for the exported trees")
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2: quartiles need two runs a side")
     shas = [_git("rev-parse", "--verify", f"{name}^{{commit}}").decode().strip()
             for name in (args.parent, args.change)]
     head = _git("rev-parse", "--short", "HEAD").decode().strip()
     runs: dict[str, list[dict]] = {sha: [] for sha in shas}
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_", dir=args.scratch) as tmp:
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {}
         for sha in shas:
             trees[sha] = Path(tmp) / sha[:7]

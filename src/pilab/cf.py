@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import takewhile
 from typing import Callable, NamedTuple, Optional
 
-from . import constants, groups
+from . import constants
 from ._dec import DecimalFraction, _digits, context_for
 
 # The largest audit n_max.  Row n's first pass reads 2n + guard digits of pi
@@ -444,6 +444,8 @@ def audit_lemma_prime_variant(conv: Convergent, cfg: AuditConfig = AuditConfig()
     the raw residual against the stated endpoint and the residual scaled by
     q^2 (the implied constant that would be needed).
     """
+    from . import groups  # here: no other audit loads groups, primes or numpy
+
     q0 = conv.q
     prime, window = groups.nearest_prime_in_window(q0)
     guard = _guard_digits(prime)

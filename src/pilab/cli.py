@@ -18,14 +18,14 @@ import functools
 import json
 import operator
 import sys
-from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
-import numpy as np
-
-from . import __version__, cf, constants, constructors, groups, spectra
+# The certified-digit core.  The analysis modules (constructors, groups,
+# primes, spectra) and numpy are imported inside the commands that use them,
+# so constants, audit --lemma caseI/caseII and cf load none of them.
+from . import DEFAULT_ELEMENT_CAP, __version__, cf, constants
 from ._dec import DecimalFraction
 from .radix import numerals, open_text_atomic, read_digit_file, row_texts, write_digit_file
 
@@ -38,7 +38,6 @@ REPORT_CONST_N_MAX = constants.DIGIT_CEILING - _REPORT_GUARD_DIGITS
 
 _ENCODE = json.encoder.encode_basestring_ascii  # the C routine json.dumps quotes strings with
 _KEYWORDS = {None: "null", True: "true", False: "false"}
-_CSV_FLAGS = np.frombuffer(b"false\0true", np.uint8).reshape(2, 5)  # is_artin, NUL-padded for row_texts
 
 
 def _emit(payload, write: Callable[[str], object]) -> None:
@@ -97,7 +96,8 @@ def _render(obj, newline: str, write: Callable[[str], object]) -> None:
             _render(value, inner, write)
             sep = "," + inner
         write(newline + "}")
-    elif isinstance(obj, spectra.BlockStats):  # a NamedTuple, so ahead of the tuple branch
+    elif (spectra := sys.modules.get("pilab.spectra")) and isinstance(obj, spectra.BlockStats):
+        # a NamedTuple, so ahead of the tuple branch; none exists until spectra is loaded
         _render_counts(obj, newline, write)
     elif isinstance(obj, cf.AuditRows):
         _render_rows(obj, newline, write)
@@ -207,6 +207,8 @@ def _render_counts(stats: spectra.BlockStats, newline: str, write: Callable[[str
     """Write the nonzero patterns of ``stats`` by name, with their counts, as
     _render writes a dict, 2^16 names at a time from the table array: code
     order is name order, and a name needs no escape."""
+    import numpy as np
+
     codes = np.flatnonzero(stats.table)
     lead = f',{newline}  "'.encode()
     write("{")
@@ -240,6 +242,8 @@ def _write_outputs(args, payload, outputs: Sequence[str] = (), inputs: Sequence[
     elif payload is not None:
         _emit(payload, sys.stdout.write)  # looked up now: tests and callers swap sys.stdout
     if outputs:
+        from datetime import datetime, timezone  # only a manifest reads the clock
+
         manifest = {
             "subcommand": args.command,
             "params": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS},
@@ -270,6 +274,8 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from . import constructors
+
     if args.family == "stoneham":
         spec = constructors.StonehamSpec(b=args.base, c=args.c, s=args.s)
         stream = constructors.stoneham_digits(spec, args.digits)
@@ -302,11 +308,15 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_order(args) -> int:
+    from . import groups
+
     sys.stdout.write(f"{groups.mult_order(args.g, args.m)}\n")
     return 0
 
 
 def _cmd_coset(args) -> int:
+    from . import groups
+
     convs = cf.pi_convergents(args.k)
     report = groups.coset_structure(convs[args.k], element_cap=args.cap)
     payload = {key: value for key, value in report._asdict().items() if key != "base"}
@@ -318,14 +328,19 @@ def _cmd_coset(args) -> int:
 
 
 def _cmd_artin(args) -> int:
+    import numpy as np
+
+    from . import groups
+
     outputs = []
     qs, orders = table = groups.artin_orders(args.limit)
     scan = groups.artin_scan(args.limit, table)
     if args.csv:
+        flags = np.frombuffer(b"false\0true", np.uint8).reshape(2, 5)  # is_artin, NUL-padded for row_texts
         with open_text_atomic(args.csv) as fh:
             fh.write("q,ord,is_artin\n")
             for rows in row_texts(len(qs), lambda s: (numerals(qs[s]), b",", numerals(orders[s]), b",",
-                                                      _CSV_FLAGS[(orders[s] == qs[s] - 1).astype(np.intp)], b"\n")):
+                                                      flags[(orders[s] == qs[s] - 1).astype(np.intp)], b"\n")):
                 fh.write(rows.decode("ascii"))
         outputs.append(args.csv)
     _write_outputs(args, scan._asdict(), outputs)
@@ -333,6 +348,8 @@ def _cmd_artin(args) -> int:
 
 
 def _cmd_weyl(args) -> int:
+    from . import spectra
+
     values = []
     for line in Path(args.points).read_text(encoding="utf-8").splitlines():
         line = line.strip()
@@ -351,6 +368,8 @@ def _cmd_weyl(args) -> int:
 
 
 def _cmd_normality(args) -> int:
+    from . import spectra
+
     stream = read_digit_file(args.infile)
     table = spectra.block_frequency(stream, args.N, args.kmax)
     blocks = {str(stats.block_len): {**stats.row(), "counts": stats} for stats in table.lengths}
@@ -361,6 +380,8 @@ def _cmd_normality(args) -> int:
 
 
 def _cmd_expsum(args) -> int:
+    from . import groups, spectra
+
     spectra.check_expsum_p(args.p)  # before <g> is built: its order can reach p - 1
     report = groups.subgroup(args.g, args.p, element_cap=args.cap)
     result = spectra.subgroup_expsum(report, c=args.c)
@@ -371,6 +392,8 @@ def _cmd_expsum(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from . import spectra
+
     spectra.check_weyl_terms(args.N, args.mmax)  # before the digits are read or certified
     inputs = []
     if args.infile:
@@ -444,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         description="Builds {p 10^n mod q} and {(p q + 1) 10^n mod q} literally and compares them "
                                     "with <10> and its coset.")
     p.add_argument("--k", required=True, type=int)
-    p.add_argument("--cap", type=int, default=groups.DEFAULT_ELEMENT_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP)
     _add_out(p)
     p.set_defaults(func=_cmd_coset)
 
@@ -477,7 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", required=True, type=int)
     p.add_argument("--g", type=int, default=10)
     p.add_argument("--c", type=float, default=0.5)
-    p.add_argument("--cap", type=int, default=groups.DEFAULT_ELEMENT_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP)
     _add_out(p)
     p.set_defaults(func=_cmd_expsum)
 

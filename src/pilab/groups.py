@@ -13,9 +13,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import primes
+from . import DEFAULT_ELEMENT_CAP, primes
 
-DEFAULT_ELEMENT_CAP = 1 << 16
 _TRIAL_LIMIT = 10**4
 _TRIAL_PRIMES = primes.primes_upto(_TRIAL_LIMIT).tolist()  # factorize trial-divides by these
 LANE_MAX = math.isqrt(2**63 - 1)  # int64 lanes multiply residues exactly while q <= LANE_MAX

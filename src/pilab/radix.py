@@ -11,8 +11,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, Union
 
-import numpy as np
-
 if hasattr(sys, "set_int_max_str_digits"):
     # big-integer digit strings are the whole point; lift the conversion limit
     sys.set_int_max_str_digits(0)
@@ -23,7 +21,6 @@ MAX_BASE = len(_ALPHABET)  # every stream can be written, printed and parsed
 # 0xff (find's -1), which no base accepts.
 _TO_TEXT = bytes.maketrans(bytes(range(MAX_BASE)), _ALPHABET)
 _FROM_TEXT = bytes(_ALPHABET.find(c) & 0xFF for c in range(256))
-_TEXT_CODES = np.frombuffer(_ALPHABET, np.uint8)
 _LINE_WIDTH = 80
 _PIECE_DIGITS = 819 * _LINE_WIDTH  # a digit file is written 819 whole lines, about 64 KiB, at a time
 _LINE_BREAKS = b"\n\r\x0b\x0c\x1c\x1d\x1e"  # the ASCII characters str.splitlines breaks on
@@ -68,6 +65,8 @@ def digit_matrix(values, base: int, width: int) -> np.ndarray:
     Needs 2 <= base <= 256, so a digit fits a byte; a value outside
     0 <= v < base**width (v < 2^63 in int64) raises ValueError.
     """
+    import numpy as np  # here, as in numerals and row_texts: the certified-digit commands never load it
+
     values = np.asarray(values, dtype=np.int64)
     out = np.empty((len(values), width), np.uint8)
     for lo in range(0, len(values), _CHUNK):
@@ -83,13 +82,16 @@ def numerals(values, base: int = 10, width: Optional[int] = None) -> np.ndarray:
     """The numerals (0-9 then a-z) of int64 ``values`` as an ASCII matrix of
     right-aligned rows, base <= 36.  With ``width``, rows are zero-padded to
     it; without, the widest numeral sets the width and the leading zeros are
-    NUL pad, which join_rows drops.
+    NUL pad, which row_texts drops.
     """
+    import numpy as np
+
+    text_codes = np.frombuffer(_ALPHABET, np.uint8)
     if width is not None:
-        return _TEXT_CODES[digit_matrix(values, base, width)]
+        return text_codes[digit_matrix(values, base, width)]
     values = np.asarray(values, dtype=np.int64)
     width = len(np.base_repr(int(values.max(initial=0)), base))
-    text = _TEXT_CODES[digit_matrix(values, base, width)]
+    text = text_codes[digit_matrix(values, base, width)]
     text[:, :-1][values[:, None] < base ** np.arange(width - 1, 0, -1)] = 0  # digit j pads v < b^(w-1-j)
     return text
 
@@ -100,6 +102,8 @@ def row_texts(n: int, row_blocks: Callable[[slice], Sequence]) -> Iterator[bytes
     rows in slice ``s``: ASCII matrices with a row per row of ``s``, or bytes
     that every row holds.
     """
+    import numpy as np
+
     for lo in range(0, n, _CHUNK):
         s = slice(lo, min(lo + _CHUNK, n))
         text = np.concatenate([np.broadcast_to(np.frombuffer(b, np.uint8), (s.stop - lo, len(b)))

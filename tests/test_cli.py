@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from test_spectra import _child_peak_rise, needs_vmhwm
 
-from pilab import cli
+from pilab import cli, groups, spectra
 from pilab.cli import main
 from pilab.constructors import CONCAT_DIGIT_CEILING, STONEHAM_DIGIT_CEILING
 from pilab.primes import next_prime
@@ -250,7 +250,7 @@ def test_report_refuses_weyl_terms_past_the_ceiling_before_reading_digits(capsys
         raise AssertionError("digits read or points built past WEYL_TERMS_MAX")
 
     for module, name in ((cli, "read_digit_file"), (cli.constants, "const_digits"),
-                         (cli.spectra, "shifted_points")):
+                         (spectra, "shifted_points")):
         monkeypatch.setattr(module, name, refuse)
     start = time.perf_counter()
     code, out, err = run(capsys, "report", *source, "--N", str(n), "--mmax", str(mmax))
@@ -275,7 +275,7 @@ def test_expsum_refuses_p_above_cap_before_building_elements(capsys, monkeypatch
     def subgroup(*args, **kwargs):
         raise AssertionError("<g> built for a p above EXPSUM_P_MAX")
 
-    monkeypatch.setattr(cli.groups, "subgroup", subgroup)
+    monkeypatch.setattr(groups, "subgroup", subgroup)
     code, out, err = run(capsys, "expsum", "--p", str(p), "--cap", str(cap))
     assert code == 1
     assert out == "" and err.startswith(f"error: p = {p} exceeds EXPSUM_P_MAX")

@@ -1,7 +1,10 @@
 """pilab's records are immutable NamedTuples, and importing the CLI loads
 neither dataclasses nor hashlib: every command starts in a fresh interpreter,
-so what the import builds or loads is paid on every run."""
+so what the import builds or loads is paid on every run.  For the same
+reason the certified-digit commands load no analysis module and run without
+numpy."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,16 +13,90 @@ from pathlib import Path
 
 import pytest
 
-from pilab import cf, constructors, groups, spectra
+from pilab import cf, cli, constructors, groups, spectra
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+ENV = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+# the commands of the certified-digit core, and the modules they must not load
+CORE_COMMANDS = [
+    ["constants", "--name", "pi", "--digits", "200"],
+    ["audit", "--lemma", "caseII", "--k", "4", "--nmax", "12"],
+    ["cf", "--depth", "20"],
+]
+ANALYSIS_MODULES = ["pilab.constructors", "pilab.groups", "pilab.primes", "pilab.spectra"]
+# main(argv) in a child that cannot import numpy
+NO_NUMPY = "import sys; sys.modules['numpy'] = None; from pilab.cli import main; raise SystemExit(main(sys.argv[1:]))"
 
 
 def test_cli_import_loads_neither_dataclasses_nor_hashlib():
     code = "import sys, numpy, pilab.cli; print(sorted({'dataclasses', 'hashlib'} & set(sys.modules)))"
-    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_core_commands_load_no_analysis_module():
+    code = (f"import contextlib, io, sys, numpy, pilab.cli\n"
+            f"for argv in {CORE_COMMANDS!r}:\n"
+            f"    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        assert pilab.cli.main(argv) == 0\n"
+            f"print(sorted(set({ANALYSIS_MODULES!r}) & set(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", CORE_COMMANDS, ids=lambda argv: argv[0])
+def test_core_commands_run_without_numpy(capsys, argv):
+    child = subprocess.run([sys.executable, "-c", NO_NUMPY, *argv], env=ENV, capture_output=True)
+    assert child.returncode == 0, child.stderr.decode()
+    assert cli.main(argv) == 0
+    assert child.stdout == capsys.readouterr().out.encode("ascii")
+
+
+# `--help` of the two commands with a --cap, at 80 columns (CPython 3.11)
+HELP = {
+    "coset": """\
+usage: pilab coset [-h] --k K [--cap CAP] [--out OUT] [--manifest MANIFEST]
+
+Builds {p 10^n mod q} and {(p q + 1) 10^n mod q} literally and compares them
+with <10> and its coset.
+
+options:
+  -h, --help           show this help message and exit
+  --k K
+  --cap CAP
+  --out OUT            write the result to this file (a manifest lands beside
+                       it)
+  --manifest MANIFEST  override the manifest path
+""",
+    "expsum": """\
+usage: pilab expsum [-h] --p P [--g G] [--c C] [--cap CAP] [--out OUT]
+                    [--manifest MANIFEST]
+
+Exhaustive max over a of |sum_{x in <g>} e(2 pi i a x / p)| with the exp(-(log
+p)^c) #H envelope and their ratio.
+
+options:
+  -h, --help           show this help message and exit
+  --p P
+  --g G
+  --c C
+  --cap CAP
+  --out OUT            write the result to this file (a manifest lands beside
+                       it)
+  --manifest MANIFEST  override the manifest path
+""",
+}
+
+
+@pytest.mark.parametrize("command, argv", [("coset", ["--k", "3"]), ("expsum", ["--p", "31"])])
+def test_cap_default_and_help_unchanged(capsys, monkeypatch, tmp_path, command, argv):
+    assert cli._build_parser().parse_args([command, *argv]).cap == 65536 == groups.DEFAULT_ELEMENT_CAP
+    out = tmp_path / "report.json"
+    assert cli.main([command, *argv, "--out", str(out)]) == 0
+    assert json.loads(Path(f"{out}.manifest.json").read_text())["params"]["cap"] == 65536
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.main([command, "--help"]) == 0
+    assert capsys.readouterr().out.replace("optional arguments:", "options:") == HELP[command]
 
 
 # one instance of every record class; the validating ones with valid fields

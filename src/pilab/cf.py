@@ -360,30 +360,28 @@ class AuditRows(Sequence):
     Iterating makes the rows one at a time and holds none, so a report can
     write each row as it is made; reading a row twice makes it twice.  A
     slice holds the rows over part of ``ns``, so two processes can make two
-    parts of one audit.  A row's first pass reads 2 n + ``guard`` digits of
-    pi.
+    parts of one audit.
     """
 
-    def __init__(self, ns: range, make: Callable[[int], object], guard: int):
-        self.ns, self._make, self.guard = ns, make, guard
+    def __init__(self, ns: range, make: Callable[[int], object]):
+        self.ns, self._make = ns, make
 
     def __len__(self) -> int:
         return len(self.ns)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return AuditRows(self.ns[index], self._make, self.guard)
-        return self.row(self.ns[index])
+            return AuditRows(self.ns[index], self._make)
+        return self._make(self.ns[index])
 
-    def row(self, n: int):
-        """The row of shift n, made afresh."""
-        return self._make(n)
 
-    def warm(self) -> None:
-        """Certify every digit of pi the rows' first passes read, so that
-        making them runs the pi engines only for a row that widens."""
-        if self.ns:
-            constants.certified_digits("pi", min(2 * self.ns[-1] + self.guard, constants.DIGIT_CEILING))
+def _audit_rows(ns: range, make: Callable[[int], object], guard: int) -> AuditRows:
+    """The rows ``make(n)`` over ``ns``, with pi first certified as far as
+    their first passes read: a row's first pass reads 2 n + ``guard`` digits,
+    so making them runs the pi engines only for a row that widens."""
+    if ns:
+        constants.certified_digits("pi", min(2 * ns[-1] + guard, constants.DIGIT_CEILING))
+    return AuditRows(ns, make)
 
 
 def _lemma_audit(
@@ -407,7 +405,7 @@ def _lemma_audit(
 
     return LemmaAudit(
         lemma=lemma, k=conv.k, p=p, q=q, mu=cfg.mu,
-        k_even=conv.k % 2 == 0, rows=AuditRows(ns, row, _guard_digits(q)),
+        k_even=conv.k % 2 == 0, rows=_audit_rows(ns, row, _guard_digits(q)),
     )
 
 
@@ -472,7 +470,7 @@ def audit_lemma_prime_variant(conv: Convergent, cfg: AuditConfig = AuditConfig()
 
     return PrimeLemmaAudit(
         lemma="prime", k=conv.k, p=conv.p, q_k=q0, prime=prime,
-        window=window, mu=cfg.mu, rows=AuditRows(range(1, cfg.n_max + 1), row, guard),
+        window=window, mu=cfg.mu, rows=_audit_rows(range(1, cfg.n_max + 1), row, guard),
     )
 
 

@@ -182,17 +182,15 @@ def _render_rows(rows: cf.AuditRows, newline: str, write: Callable[[str], object
     The rows are cut into equal blocks of at most _BLOCK_ROWS, an even
     number where the count allows, and each block's text is one job of
     constants._split_jobs: where a fork pays for this many rows
-    (constants._fork_pays at _FORK_MIN_ROWS), pi is first certified as far
-    as the rows read, and a forked child makes every second block.  Either
-    way the rows give the bytes, or the error, they give in one process.
+    (constants._fork_pays at _FORK_MIN_ROWS), a forked child makes every
+    second block.  Either way the rows give the bytes, or the error, they
+    give in one process.
     """
     if not rows:
         write("[]")
         return
     inner = newline + "  "
     fork = constants._fork_pays(len(rows), _FORK_MIN_ROWS)
-    if fork:
-        rows.warm()
     pairs = -(-len(rows) // (2 * _BLOCK_ROWS))
     size = -(-len(rows) // (2 * pairs))
     jobs = [functools.partial(_block_text, rows[start : start + size], "," + inner if start else "[" + inner, inner)

@@ -534,15 +534,12 @@ def _first_diff_index(v1: int, v2: int, w: int) -> int:
 def _certify(name: str, n_digits: int) -> tuple[int, str]:
     """The memo entry of ``name`` holding at least ``n_digits`` certified digits.
 
-    A shorter request is served from the largest entry; a longer one is
-    certified at max(n, min(2 N, DIGIT_CEILING)) digits, so a growing consumer
-    runs the engines O(log n) times.
+    A request the entry covers is served from it; a longer one is certified
+    at exactly n_digits, since every reader that grows sizes its own requests.
     """
     held = _memo.get(name)
     if held is not None and held[0] >= n_digits:
         return held
-    if held is not None:
-        n_digits = max(n_digits, min(2 * held[0], DIGIT_CEILING))
     w = _working_digits(n_digits)
     for _ in range(10):
         v1, v2 = _ENGINES[name](w)

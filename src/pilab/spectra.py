@@ -17,7 +17,6 @@ import numpy as np
 
 from . import constants, primes
 from .radix import DigitStream, fractional_part
-from .groups import SubgroupReport
 
 _FLOAT_SLOP = 5e-16  # per-point trig rounding folded into reported error bounds
 _TABLE_CAP = 10**7  # most base^k patterns one block-frequency table may hold

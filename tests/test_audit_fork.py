@@ -27,28 +27,12 @@ CASES = {
 }
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.fixture
-def forks(monkeypatch):
+def forks(forks, monkeypatch):
     """Audit rows split with a forked child at any row count; the list of pids forked."""
     monkeypatch.setattr(constants, "_second_cpu", lambda: True)
     monkeypatch.setattr(cli, "_FORK_MIN_ROWS", 2)
-    pids = []
-    fork = os.fork
-
-    def counting():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting)
-    yield pids
-    assert_no_child_left()
+    return forks
 
 
 def _argv(case, out=None):
@@ -107,7 +91,7 @@ def test_forked_rows_give_the_inline_bytes(monkeypatch, capsys, tmp_path, forks,
         verdicts.check_caseI_audit(report, nmax)
 
 
-def test_rows_run_inline_below_the_threshold_and_on_one_cpu(monkeypatch, capsys, inline):
+def test_rows_run_inline_below_the_threshold_and_on_one_cpu(monkeypatch, capsys, forks, inline):
     def refuse_fork():
         raise AssertionError("forked")
 
@@ -118,12 +102,11 @@ def test_rows_run_inline_below_the_threshold_and_on_one_cpu(monkeypatch, capsys,
     monkeypatch.setattr(cli, "_FORK_MIN_ROWS", 2)
     monkeypatch.setattr(constants, "_second_cpu", lambda: False)
     assert _run(capsys, _argv("caseII-mu2")) == (0, inline["caseII-mu2"], "")
-    assert_no_child_left()
 
 
 def test_child_certifies_no_pi(monkeypatch, capsys, forks, inline, tmp_path):
-    # the parent certifies every digit the rows read before it forks: from an
-    # empty memo, only this process runs the pi engines
+    # the audit certifies every digit its rows read when it is built, before
+    # any fork: from an empty memo, only this process runs the pi engines
     log = tmp_path / "pids"
     engine = constants._ENGINES["pi"]
 

@@ -17,29 +17,13 @@ pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 W = constants._FORK_MIN_DIGITS + 1000
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.fixture
-def forks(monkeypatch):
+def forks(forks, monkeypatch):
     """A fresh memo, a fork wherever the size clears _FORK_MIN_DIGITS, and the
     list of pids forked."""
     monkeypatch.setattr(constants, "_memo", {})
     monkeypatch.setattr(constants, "_fork_pays", lambda w, floor=None: w >= constants._FORK_MIN_DIGITS)
-    pids = []
-    fork = os.fork
-
-    def counting():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting)
-    yield pids
-    assert_no_child_left()
+    return forks
 
 
 def _serial(name, w):
@@ -145,13 +129,11 @@ def test_pairs_run_inline_while_another_thread_is_alive(monkeypatch):
     assert not helper.is_alive()
 
 
-def test_pairs_run_inline_when_fork_fails(monkeypatch):
-    monkeypatch.setattr(constants, "_memo", {})
+def test_pairs_run_inline_when_fork_fails(monkeypatch, forks):
     monkeypatch.setattr(constants, "_fork_pays", lambda w, floor=None: True)
     monkeypatch.setattr(os, "fork", _fail_fork)
     _assert_certified("pi", W)
     _assert_certified("ln10", W)
-    assert_no_child_left()
 
 
 def test_small_requests_and_one_cpu_run_inline(monkeypatch):

@@ -27,11 +27,29 @@ def pi_calls(monkeypatch):
     return calls
 
 
-def test_standalone_audit_runs_pi_engines_log_times(tmp_path, pi_calls):
+@pytest.mark.parametrize("second_cpu", [True, False], ids=["forked", "inline"])
+def test_standalone_audit_runs_pi_engines_twice(monkeypatch, tmp_path, pi_calls, second_cpu):
+    # once for the convergent's 96 digits, once for the rows' 2 * 1500 + 36;
+    # neither the forked child nor a row runs them again
+    monkeypatch.setattr(constants, "_second_cpu", lambda: second_cpu)
     argv = ["audit", "--lemma", "caseII", "--k", "12", "--nmax", "1500",
             "--out", str(tmp_path / "audit.json")]
     assert cli.main(argv) == 0
-    assert 1 <= len(pi_calls) <= 7  # 96, 192, ..., 3072 digits
+    assert len(pi_calls) == 2
+    assert constants._memo["pi"][0] == 3036
+
+
+@pytest.mark.parametrize("build", [cf.audit_lemma_caseII, cf.audit_lemma_prime_variant],
+                         ids=["caseII", "prime"])
+def test_built_audit_holds_the_pi_its_rows_read(pi_calls, build):
+    conv = cf.pi_convergents(12)[12]
+    audit = build(conv, cf.AuditConfig(n_max=300))
+    modulus = audit.prime if build is cf.audit_lemma_prime_variant else audit.q
+    assert constants._memo["pi"][0] == 2 * 300 + cf._guard_digits(modulus)
+    calls = len(pi_calls)
+    assert len(list(audit.rows)) == len(audit.rows)
+    assert [row.n for row in audit.rows[100:140:3]] == list(audit.rows.ns[100:140:3])
+    assert len(pi_calls) == calls
 
 
 def test_certify_sequence_runs_pi_engines_once(tmp_path, pi_calls):
@@ -99,10 +117,12 @@ def test_memo_served_prefixes_equal_fresh_computation(monkeypatch, pi_calls):
         assert len(fresh[1]) == n
 
 
-def test_memo_grows_geometrically(pi_calls):
-    constants._certify("pi", 100)
-    assert constants._certify("pi", 101)[0] == 200
-    assert constants._certify("pi", 150)[0] == 200
+def test_memo_certifies_exactly_the_width_asked(pi_calls):
+    assert constants._certify("pi", 100)[0] == 100
+    assert constants._certify("pi", 101)[0] == 101
+    assert len(pi_calls) == 2
+    assert constants._certify("pi", 60)[0] == 101  # served from the entry
+    assert constants.certified_digits("pi", 101) == constants._memo["pi"][1]
     assert len(pi_calls) == 2
 
 

@@ -2,7 +2,7 @@
 neither dataclasses nor hashlib: every command starts in a fresh interpreter,
 so what the import builds or loads is paid on every run.  For the same
 reason the certified-digit commands load no analysis module and run without
-numpy."""
+numpy, and the statistics commands do not load groups."""
 
 import json
 import os
@@ -50,6 +50,40 @@ def test_core_commands_run_without_numpy(capsys, argv):
     assert child.returncode == 0, child.stderr.decode()
     assert cli.main(argv) == 0
     assert child.stdout == capsys.readouterr().out.encode("ascii")
+
+
+@pytest.mark.parametrize("command", ["normality", "report", "weyl"])
+def test_statistics_commands_load_no_groups(tmp_path, command):
+    # spectra names groups.SubgroupReport only in an annotation, which stays text
+    digits, points = tmp_path / "int.digits", tmp_path / "points.txt"
+    assert cli.main(["construct", "--family", "integers", "--digits", "2064", "--out", str(digits)]) == 0
+    points.write_text("0.25\n0.5\n0.875\n")
+    argv = {"normality": ["normality", "--in", str(digits), "--N", "2000", "--kmax", "3"],
+            "report": ["report", "--in", str(digits), "--N", "2000", "--kmax", "3", "--mmax", "3"],
+            "weyl": ["weyl", "--points", str(points), "--m", "3"]}[command]
+    code = (f"import contextlib, io, sys, numpy, pilab.cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert pilab.cli.main({argv!r}) == 0\n"
+            f"print('pilab.groups' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_expsum_p31_bytes_unchanged(capsys):
+    assert cli.main(["expsum", "--p", "31"]) == 0
+    assert capsys.readouterr().out == """\
+{
+  "argmax": 5,
+  "bound": "2.3512524696140775",
+  "c": "0.5",
+  "g": 10,
+  "max_magnitude": "2.8284271247461903",
+  "method": "fft",
+  "order": 15,
+  "p": 31,
+  "ratio": "1.202944882057023"
+}
+"""
 
 
 # `--help` of the two commands with a --cap, at 80 columns (CPython 3.11)

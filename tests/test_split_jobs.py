@@ -15,28 +15,6 @@ from pilab import constants
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The list of pids forked."""
-    pids = []
-    fork = os.fork
-
-    def counting():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting)
-    yield pids
-    assert_no_child_left()
-
-
 def _text(i: int) -> str:
     # job 9's text is 180 000 bytes, past a pipe's buffer: its frame takes
     # more than one write and more than one read
@@ -142,7 +120,7 @@ def test_early_close_kills_and_reaps_the_child(forks):
     assert len(forks) == 1 and time.monotonic() - start < 10
 
 
-def test_fork_failure_runs_every_job_here(monkeypatch):
+def test_fork_failure_runs_every_job_here(monkeypatch, forks):
     def fail_fork():
         raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
@@ -154,4 +132,3 @@ def test_fork_failure_runs_every_job_here(monkeypatch):
     assert ran_here == list(range(5))
     if before is not None:
         assert sorted(os.listdir("/proc/self/fd")) == before  # both ends of the pipe closed
-    assert_no_child_left()

@@ -10,7 +10,10 @@ N = 2 10^4, the integers in bases 10 and 16, and the digits of ``construct
 
 import copy
 import json
+import os
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -522,3 +525,32 @@ def test_stoneham_text_of_another_shift_is_caught(stoneham_files):
     text, base, _ = stoneham_files[10, 3, 7]
     with pytest.raises(AssertionError, match="^digit "):
         verdicts.check_digits(text, base, "stoneham-b10-c3-s6")
+
+
+def test_main_checks_every_variant_of_a_reference_file(tmp_path, monkeypatch, capsys):
+    # the CI step's run, on one small variant of each workload, through a
+    # pilab on PATH that runs this checkout's source
+    src = Path(cli.__file__).resolve().parents[1]
+    shim = tmp_path / "bin" / "pilab"
+    shim.parent.mkdir()
+    shim.write_text(f'#!/bin/sh\nPYTHONPATH="{src}" exec "{sys.executable}" -m pilab.cli "$@"\n')
+    shim.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{shim.parent}{os.pathsep}{os.environ['PATH']}")
+    reference = tmp_path / "reference.json"
+    params = {"certify": {"nmax": 40}, "scan": {"limit": 3000, "coset_k": 8, "p": 31},
+              "stats": {"N": 3000, "const_N": 500}}
+    reference.write_text(json.dumps({name: [{"params": p}] for name, p in params.items()}))
+    # a failed stats check is printed, and counted in the SystemExit raised
+    # after the last variant; today the block chi-square of k = 3 fails here
+    # (ROADMAP, Fix first), so both outcomes are accepted
+    failed = 0
+    try:
+        verdicts.main([str(reference)])
+    except SystemExit as exc:
+        count, message = str(exc).split(" ", 1)
+        assert message == "stats checks failed"
+        failed = int(count)
+    lines = capsys.readouterr().out.splitlines()
+    assert len([line for line in lines if line.startswith(f"stats {params['stats']} ") and " FAILED: " in line]) == failed
+    assert [line for line in lines if " FAILED: " not in line] == [
+        f"certify {params['certify']} ok", f"scan {params['scan']} ok", f"stats {params['stats']} checked"]

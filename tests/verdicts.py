@@ -11,16 +11,26 @@ over the digit text and exact ``Fraction`` formulas; digit streams from
 the shift points' integer codes.  Each ``check_*``
 raises AssertionError at the first field that does not follow, naming its
 row.
+
+    python tests/verdicts.py perfbench/reference.json
+
+runs the ``pilab`` console script on every certify, scan and stats variant
+of that reference file and checks each report (see main).
 """
 
 import functools
 import itertools
+import json
 import math
 import random
 import re
+import subprocess
+import sys
+import tempfile
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import sympy
@@ -482,3 +492,65 @@ def check_blocks(report: dict, digits: str) -> None:
         dev = Fraction(worst, windows * patterns)
         _expect(_within_2_ulp(row["chi_square"], chi, chi), f"k={k}: chi_square")
         _expect(_within_2_ulp(row["max_abs_dev"], dev, dev + Fraction(1, patterns)), f"k={k}: max_abs_dev")
+
+
+def main(argv: list[str]) -> None:
+    """Derive again the verdicts of every certify, scan and stats variant of
+    the reference file ``argv[0]``, running the ``pilab`` console script.
+    A certify or scan check that fails stops the run; every stats variant is
+    checked, and SystemExit is raised after the last if any check failed."""
+    variants = json.loads(Path(argv[0]).read_text())
+    tmp = Path(tempfile.mkdtemp())
+    csv = tmp / "artin.csv"
+
+    def pilab(*argv):
+        return json.loads(subprocess.run(["pilab", *map(str, argv)], check=True, capture_output=True).stdout)
+
+    def digit_file(name, *argv):
+        path = tmp / name
+        subprocess.run(["pilab", *map(str, argv), "--out", path], check=True)
+        return path, digit_file_text(path.read_text())
+
+    for params in (variant["params"] for variant in variants["certify"]):
+        nmax = params["nmax"]
+        check_caseII_audit(pilab("audit", "--lemma", "caseII", "--k", 12, "--nmax", nmax), nmax)
+        print("certify", params, "ok", flush=True)
+    for params in (variant["params"] for variant in variants["scan"]):
+        report = pilab("artin", "--limit", params["limit"], "--csv", csv)
+        text = csv.read_text()
+        check_artin_csv(text, params["limit"], 2000)
+        check_artin_summary(report, text)
+        check_coset(pilab("coset", "--k", params["coset_k"]))
+        check_expsum(pilab("expsum", "--p", params["p"]))
+        print("scan", params, "ok", flush=True)
+    failed = 0
+    for params in (variant["params"] for variant in variants["stats"]):
+        # the stats workload's files: its construct, report --in, normality and report --const pi
+        n, const_n = params["N"], params["const_N"]
+        path, text = digit_file("int.digits", "construct", "--family", "integers", "--digits", n + 64)
+        _, pi_text = digit_file("pi.digits", "constants", "--name", "pi", "--digits", const_n + 30)
+        report = pilab("report", "--in", path, "--N", n, "--kmax", 4, "--mmax", 5)
+        normality = pilab("normality", "--in", path, "--N", n, "--kmax", 5)
+        report_pi = pilab("report", "--const", "pi", "--N", const_n)
+        checks = {
+            "integers digits": lambda: check_digits(text, report["base"], report["label"]),
+            "pi digits": lambda: check_digits(pi_text, report_pi["base"], report_pi["label"]),
+            "report blocks": lambda: check_blocks(report, text),
+            "normality blocks": lambda: check_blocks(normality, text),
+            "report --const pi blocks": lambda: check_blocks(report_pi, pi_text),
+            "report discrepancy": lambda: check_discrepancy(report, text),
+            "report --const pi discrepancy": lambda: check_discrepancy(report_pi, pi_text),
+        }
+        for what, check in checks.items():
+            try:
+                check()
+            except AssertionError as exc:
+                failed += 1
+                print("stats", params, what, "FAILED:", exc, flush=True)
+        print("stats", params, "checked", flush=True)
+    if failed:
+        raise SystemExit(f"{failed} stats checks failed")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
